@@ -1,19 +1,28 @@
 """Regenerate the committed test fixtures.
 
 Writes one reference trajectory per environment (100 steps, scripted
-actions, fixed reset seed) and a small trained cart-pole checkpoint used by
-the CLI tests.  Run from the repository root:
+actions, fixed reset seed), a small trained cart-pole checkpoint used by
+the CLI tests, and the golden rollout file: every candidate's fitness, raw
+return, timesteps and observation delta, plus the test-probe returns, for a
+few fixed generations of each environment, with every float stored exactly
+as ``float.hex``.  Run from the repository root:
 
     python3 tools/make_fixtures.py
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
 
-from evolin import make_env, save_checkpoint, train
+import numpy as np
+
+from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, Shaping,
+                    env_spec, genome_dim, make_env, save_checkpoint,
+                    test_policy, train)
+from evolin.evaluate import evaluate_candidate
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
 STEPS = 100
@@ -83,12 +92,73 @@ def write_cartpole_checkpoint() -> None:
     print("wrote", path, "median", max(r.median_test_return for r in result.records))
 
 
+# name, env, lambda, generation, master seed, fitness spec, genome scale and
+# normalizer warm-up size (0 and 1 leave normalization a pass-through)
+GOLDEN_CASES = (
+    ("cartpole-crn", "cartpole", 6, 3, 11, FitnessSpec(), 1.0, 40),
+    ("cartpole-shaped", "cartpole", 5, 2, 12,
+     FitnessSpec(train_episodes=3, shaping=Shaping("drop_alive_bonus", 1.0),
+                 common_random_numbers=False), 1.0, 40),
+    ("acrobot-nocrn", "acrobot", 4, 1, 13,
+     FitnessSpec(train_episodes=2, common_random_numbers=False), 2.0, 60),
+    ("pendulum-shaped", "pendulum", 8, 5, 14,
+     FitnessSpec(train_episodes=3, shaping=Shaping("drop_alive_bonus", 0.5),
+                 common_random_numbers=False), 1.0, 50),
+    ("pendulum-cold", "pendulum", 3, 0, 15, FitnessSpec(), 1.0, 1),
+)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def normalizer_doc(norm: ObsNormalizer) -> dict:
+    return {"count": norm.count, "mean": hexes(norm.mean), "m2": hexes(norm.m2)}
+
+
+def golden_case(name, env_id, lam, generation, master_seed, fitness_spec,
+                scale, warm) -> dict:
+    """Score one generation with the code as it stands and record it exactly."""
+    spec = env_spec(env_id)
+    rng = np.random.default_rng(master_seed)
+    norm = ObsNormalizer.create(spec.obs_dim)
+    spread = rng.uniform(0.5, 3.0, size=spec.obs_dim)
+    for row in rng.standard_normal((warm, spec.obs_dim)) * spread:
+        norm.update(row)
+    n = genome_dim(spec.obs_dim, spec.action_space)
+    genomes = rng.standard_normal((lam, n)) * scale
+    candidates = []
+    for i, x in enumerate(genomes):
+        ev = evaluate_candidate(x, i, lambda: make_env(env_id), norm,
+                                fitness_spec, generation, master_seed)
+        candidates.append({"genome": hexes(x), "fitness": ev.fitness.hex(),
+                           "raw_return": ev.raw_return.hex(),
+                           "timesteps": ev.timesteps,
+                           "delta": normalizer_doc(ev.delta)})
+    policy = LinearPolicy.from_genome(genomes[0], spec.obs_dim, spec.action_space)
+    median, returns = test_policy(policy, norm, env_id, master_seed, generation)
+    return {"name": name, "env_id": env_id, "generation": generation,
+            "master_seed": master_seed, "fitness_spec": fitness_spec.to_dict(),
+            "normalizer": normalizer_doc(norm), "candidates": candidates,
+            "probe": {"median": median.hex(), "returns": hexes(returns)}}
+
+
+def write_golden_rollouts() -> None:
+    doc = {"cases": [golden_case(*case) for case in GOLDEN_CASES]}
+    path = os.path.join(FIXTURE_DIR, "golden_rollouts.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print("wrote", path)
+
+
 def main() -> int:
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     write_trajectory("cartpole", cartpole_actions())
     write_trajectory("acrobot", acrobot_actions())
     write_trajectory("pendulum", pendulum_actions())
     write_cartpole_checkpoint()
+    write_golden_rollouts()
     return 0
 
 
