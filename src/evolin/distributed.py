@@ -95,6 +95,13 @@ class _LineReader:
             self._buf += chunk
 
 
+def _no_delay(sock: socket.socket) -> None:
+    """Send small messages at once.  A GEN followed by a TASK is two small
+    writes; with Nagle's algorithm the second waits for the peer's delayed
+    ACK of the first."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 # ---------------------------------------------------------------------------
 # message builders
 
@@ -270,6 +277,7 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
     """
     sock = socket.create_connection((host, port), timeout=connect_timeout)
     sock.settimeout(None)
+    _no_delay(sock)
     wid = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
     reader = _LineReader(sock)
 
@@ -373,6 +381,7 @@ class MasterServer:
                 return
             # blocking with a deadline: reads are select-gated, sends bounded
             sock.settimeout(self.task_timeout)
+            _no_delay(sock)
             conn = _Conn(sock)
             self._sel.register(sock, selectors.EVENT_READ, conn)
             self._conns.append(conn)

@@ -2,9 +2,11 @@
 
 Dynamics, reset distributions, episode limits, and reward conventions follow
 the standard v1 task definitions (cart-pole balance, acrobot swing-up,
-pendulum swing-up) so returns are comparable to published numbers.  State is
-kept in plain Python floats; episodes are deterministic given the reset seed
-and the action sequence.
+pendulum swing-up) so returns are comparable to published numbers.  Each
+environment's dynamics exist once, as numpy operations over a batch of
+episodes whose states are ``(k, L)`` float64 arrays; a single env is a batch
+of one.  Episodes are deterministic given the reset seed and the action
+sequence, and bit-identical whatever else shares their batch.
 """
 
 from __future__ import annotations
@@ -46,33 +48,72 @@ class EnvSpec:
 
 
 class _EnvBase:
+    """One environment's dynamics, written once over a batch of episodes.
+
+    State arrays have shape ``(k, L)``: row ``i`` holds state variable ``i``
+    of ``L`` episodes.  ``initial_state`` draws one episode's start state,
+    ``observe`` maps states to ``(L, obs_dim)`` observations, and
+    ``dynamics`` advances every episode by one step.  Each operation is
+    elementwise per episode, so an episode's numbers do not depend on which
+    others share its batch.  ``reset``/``step`` drive a batch of one.
+    """
+
     spec: EnvSpec
 
     def __init__(self):
         self._steps = 0
         self._done = True
+        self._state = None
 
     def reset(self, seed=None) -> np.ndarray:
-        self._rng = np.random.default_rng(seed)
+        self._state = self.initial_state(np.random.default_rng(seed))[:, None]
         self._steps = 0
         self._done = False
-        return self._reset_state()
+        return self.observe(self._state)[0]
 
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         self._steps += 1
-        obs, reward, terminated = self._step_state(action)
+        self._state, reward, terminated = self.dynamics(self._state,
+                                                        self._one_action(action))
+        terminated = bool(terminated[0])
         truncated = self._steps >= self.spec.max_episode_steps
         if terminated or truncated:
             self._done = True
-        return StepResult(obs, reward, terminated, truncated)
+        return StepResult(self.observe(self._state)[0], float(reward[0]),
+                          terminated, truncated)
 
-    def _reset_state(self) -> np.ndarray:
+    def _one_action(self, action) -> np.ndarray:
+        space = self.spec.action_space
+        if isinstance(space, Discrete):
+            return np.array([_check_discrete(action, space.n)])
+        return np.asarray(action, dtype=float).reshape(1, -1)
+
+    def initial_state(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def _step_state(self, action):
+    def observe(self, state: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def dynamics(self, state: np.ndarray, actions: np.ndarray):
+        """Advance ``(k, L)`` states by ``(L,)`` discrete or ``(L, act_dim)``
+        box actions; returns the new states, the ``(L,)`` rewards and the
+        ``(L,)`` terminated flags."""
+        raise NotImplementedError
+
+
+class _StateVar:
+    """State variable ``row`` of a batch-of-one env, read and set as a float."""
+
+    def __init__(self, row: int):
+        self.row = row
+
+    def __get__(self, env, owner=None):
+        return self if env is None else float(env._state[self.row, 0])
+
+    def __set__(self, env, value) -> None:
+        env._state[self.row, 0] = value
 
 
 def _check_discrete(action, n: int) -> int:
@@ -80,6 +121,12 @@ def _check_discrete(action, n: int) -> int:
     if a != action or not 0 <= a < n:
         raise ValueError(f"action must be an integer in [0, {n})")
     return a
+
+
+def _check_discrete_batch(actions: np.ndarray, n: int) -> np.ndarray:
+    if actions.min() < 0 or actions.max() >= n:
+        raise ValueError(f"action must be an integer in [0, {n})")
+    return actions
 
 
 class CartPole(_EnvBase):
@@ -94,22 +141,25 @@ class CartPole(_EnvBase):
     LENGTH = 0.5                      # half the pole length
     POLEMASS_LENGTH = MASSPOLE * LENGTH
     FORCE_MAG = 10.0
+    FORCES = np.array([-FORCE_MAG, FORCE_MAG])
     TAU = 0.02
     THETA_LIMIT = 12 * 2 * math.pi / 360
     X_LIMIT = 2.4
 
-    def _reset_state(self) -> np.ndarray:
-        x, x_dot, th, th_dot = self._rng.uniform(-0.05, 0.05, size=4)
-        self._x, self._x_dot, self._th, self._th_dot = x, x_dot, th, th_dot
-        return np.array([x, x_dot, th, th_dot])
+    _x, _x_dot, _th, _th_dot = (_StateVar(i) for i in range(4))
 
-    def _step_state(self, action):
-        a = _check_discrete(action, 2)
-        force = self.FORCE_MAG if a == 1 else -self.FORCE_MAG
-        x, x_dot, th, th_dot = self._x, self._x_dot, self._th, self._th_dot
+    def initial_state(self, rng):
+        return rng.uniform(-0.05, 0.05, size=4)
 
-        costh = math.cos(th)
-        sinth = math.sin(th)
+    def observe(self, state):
+        return state.T.copy()
+
+    def dynamics(self, state, actions):
+        force = self.FORCES[_check_discrete_batch(actions, 2)]
+        x, x_dot, th, th_dot = state
+
+        costh = np.cos(th)
+        sinth = np.sin(th)
         temp = (force + self.POLEMASS_LENGTH * th_dot * th_dot * sinth) / self.TOTAL_MASS
         th_acc = (self.GRAVITY * sinth - costh * temp) / (
             self.LENGTH * (4.0 / 3.0 - self.MASSPOLE * costh * costh / self.TOTAL_MASS))
@@ -120,19 +170,17 @@ class CartPole(_EnvBase):
         x_dot = x_dot + self.TAU * x_acc
         th = th + self.TAU * th_dot
         th_dot = th_dot + self.TAU * th_acc
-        self._x, self._x_dot, self._th, self._th_dot = x, x_dot, th, th_dot
 
-        terminated = (x < -self.X_LIMIT or x > self.X_LIMIT
-                      or th < -self.THETA_LIMIT or th > self.THETA_LIMIT)
-        return np.array([x, x_dot, th, th_dot]), 1.0, terminated
+        terminated = (np.abs(x) > self.X_LIMIT) | (np.abs(th) > self.THETA_LIMIT)
+        return np.array([x, x_dot, th, th_dot]), np.ones(len(x)), terminated
 
 
-def _wrap(x: float, lo: float, hi: float) -> float:
+def _wrap(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     diff = hi - lo
-    while x > hi:
-        x -= diff
-    while x < lo:
-        x += diff
+    while (over := x > hi).any():
+        x = np.where(over, x - diff, x)
+    while (under := x < lo).any():
+        x = np.where(under, x + diff, x)
     return x
 
 
@@ -150,17 +198,24 @@ class Acrobot(_EnvBase):
     LINK_MOI = 1.0
     MAX_VEL_1 = 4 * math.pi
     MAX_VEL_2 = 9 * math.pi
-    TORQUES = (-1.0, 0.0, 1.0)
+    TORQUES = np.array([-1.0, 0.0, 1.0])
     GRAVITY = 9.8
 
-    def _reset_state(self) -> np.ndarray:
-        self._s = list(self._rng.uniform(-0.1, 0.1, size=4))
-        return self._obs()
+    @property
+    def _s(self) -> list[float]:
+        return self._state[:, 0].tolist()
 
-    def _obs(self) -> np.ndarray:
-        th1, th2, dth1, dth2 = self._s
-        return np.array([math.cos(th1), math.sin(th1),
-                         math.cos(th2), math.sin(th2), dth1, dth2])
+    @_s.setter
+    def _s(self, value) -> None:
+        self._state = np.array(value, dtype=float).reshape(4, 1)
+
+    def initial_state(self, rng):
+        return rng.uniform(-0.1, 0.1, size=4)
+
+    def observe(self, state):
+        th1, th2, dth1, dth2 = state
+        return np.array([np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2),
+                         dth1, dth2]).T.copy()
 
     def _dsdt(self, s, torque):
         m1 = self.LINK_MASS_1
@@ -171,50 +226,44 @@ class Acrobot(_EnvBase):
         i1 = i2 = self.LINK_MOI
         g = self.GRAVITY
         th1, th2, dth1, dth2 = s
-        cos2 = math.cos(th2)
-        sin2 = math.sin(th2)
+        cos2 = np.cos(th2)
+        sin2 = np.sin(th2)
 
         d1 = m1 * lc1 * lc1 + m2 * (l1 * l1 + lc2 * lc2 + 2 * l1 * lc2 * cos2) + i1 + i2
         d2 = m2 * (lc2 * lc2 + l1 * lc2 * cos2) + i2
-        phi2 = m2 * lc2 * g * math.cos(th1 + th2 - math.pi / 2)
+        phi2 = m2 * lc2 * g * np.cos(th1 + th2 - math.pi / 2)
         phi1 = (-m2 * l1 * lc2 * dth2 * dth2 * sin2
                 - 2 * m2 * l1 * lc2 * dth2 * dth1 * sin2
-                + (m1 * lc1 + m2 * l1) * g * math.cos(th1 - math.pi / 2)
+                + (m1 * lc1 + m2 * l1) * g * np.cos(th1 - math.pi / 2)
                 + phi2)
         ddth2 = ((torque + d2 / d1 * phi1
                   - m2 * l1 * lc2 * dth1 * dth1 * sin2 - phi2)
                  / (m2 * lc2 * lc2 + i2 - d2 * d2 / d1))
         ddth1 = -(d2 * ddth2 + phi1) / d1
-        return (dth1, dth2, ddth1, ddth2)
+        return np.array([dth1, dth2, ddth1, ddth2])
 
-    def _step_state(self, action):
-        a = _check_discrete(action, 3)
-        torque = self.TORQUES[a]
-        s = self._s
+    def dynamics(self, state, actions):
+        torque = self.TORQUES[_check_discrete_batch(actions, 3)]
+        s = state
         dt = self.DT
 
         # one classical Runge-Kutta step across the full control interval
         k1 = self._dsdt(s, torque)
-        s1 = [s[i] + dt / 2 * k1[i] for i in range(4)]
-        k2 = self._dsdt(s1, torque)
-        s2 = [s[i] + dt / 2 * k2[i] for i in range(4)]
-        k3 = self._dsdt(s2, torque)
-        s3 = [s[i] + dt * k3[i] for i in range(4)]
-        k4 = self._dsdt(s3, torque)
-        ns = [s[i] + dt / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(4)]
+        k2 = self._dsdt(s + dt / 2 * k1, torque)
+        k3 = self._dsdt(s + dt / 2 * k2, torque)
+        k4 = self._dsdt(s + dt * k3, torque)
+        ns = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        ns[0] = _wrap(ns[0], -math.pi, math.pi)
-        ns[1] = _wrap(ns[1], -math.pi, math.pi)
-        ns[2] = min(max(ns[2], -self.MAX_VEL_1), self.MAX_VEL_1)
-        ns[3] = min(max(ns[3], -self.MAX_VEL_2), self.MAX_VEL_2)
-        self._s = ns
+        th1, th2 = _wrap(ns[:2], -math.pi, math.pi)
+        dth1 = np.minimum(np.maximum(ns[2], -self.MAX_VEL_1), self.MAX_VEL_1)
+        dth2 = np.minimum(np.maximum(ns[3], -self.MAX_VEL_2), self.MAX_VEL_2)
 
-        terminated = -math.cos(ns[0]) - math.cos(ns[1] + ns[0]) > 1.0
-        reward = 0.0 if terminated else -1.0
-        return self._obs(), reward, terminated
+        terminated = -np.cos(th1) - np.cos(th2 + th1) > 1.0
+        reward = terminated - 1.0          # 0 at the goal, else -1
+        return np.array([th1, th2, dth1, dth2]), reward, terminated
 
 
-def _angle_normalize(x: float) -> float:
+def _angle_normalize(x):
     return ((x + math.pi) % (2 * math.pi)) - math.pi
 
 
@@ -230,29 +279,31 @@ class Pendulum(_EnvBase):
     MASS = 1.0
     LENGTH = 1.0
 
-    def _reset_state(self) -> np.ndarray:
-        self._th = self._rng.uniform(-math.pi, math.pi)
-        self._thdot = self._rng.uniform(-1.0, 1.0)
-        return self._obs()
+    _th, _thdot = _StateVar(0), _StateVar(1)
 
-    def _obs(self) -> np.ndarray:
-        return np.array([math.cos(self._th), math.sin(self._th), self._thdot])
+    def initial_state(self, rng):
+        th = rng.uniform(-math.pi, math.pi)
+        return np.array([th, rng.uniform(-1.0, 1.0)])
 
-    def _step_state(self, action):
-        u = np.asarray(action, dtype=float).reshape(-1)
-        if u.shape != (1,) or not math.isfinite(u[0]):
+    def observe(self, state):
+        th, thdot = state
+        return np.array([np.cos(th), np.sin(th), thdot]).T.copy()
+
+    def dynamics(self, state, actions):
+        if actions.shape[1:] != (1,) or not np.isfinite(actions).all():
             raise ValueError("action must be a finite scalar torque")
-        u = min(max(float(u[0]), -self.MAX_TORQUE), self.MAX_TORQUE)
-        th, thdot = self._th, self._thdot
+        u = np.minimum(np.maximum(actions[:, 0], -self.MAX_TORQUE), self.MAX_TORQUE)
+        th, thdot = state
         g, m, length, dt = self.GRAVITY, self.MASS, self.LENGTH, self.DT
 
-        cost = _angle_normalize(th) ** 2 + 0.1 * thdot * thdot + 0.001 * u * u
-        newthdot = thdot + (3 * g / (2 * length) * math.sin(th)
+        # float_power calls libm's pow, as float ** 2 does; x * x can differ
+        cost = (np.float_power(_angle_normalize(th), 2.0) + 0.1 * thdot * thdot
+                + 0.001 * u * u)
+        newthdot = thdot + (3 * g / (2 * length) * np.sin(th)
                             + 3.0 / (m * length * length) * u) * dt
-        newthdot = min(max(newthdot, -self.MAX_SPEED), self.MAX_SPEED)
-        self._th = th + newthdot * dt
-        self._thdot = newthdot
-        return self._obs(), -cost, False
+        newthdot = np.minimum(np.maximum(newthdot, -self.MAX_SPEED), self.MAX_SPEED)
+        return (np.array([th + newthdot * dt, newthdot]), -cost,
+                np.zeros(len(th), dtype=bool))
 
 
 _ENV_CLASSES = {cls.spec.env_id: cls for cls in (CartPole, Acrobot, Pendulum)}

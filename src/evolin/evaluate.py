@@ -2,10 +2,15 @@
 
 Fitness of a candidate genome is its mean shaped return over one or more
 training episodes.  Episode seeds derive from (master_seed, generation, ...)
-so evaluation is reproducible and independent of scheduling: local threads,
-a single process, or remote workers all compute identical numbers.  Progress
-is measured by a separate deterministic test protocol (median raw return
-over five fixed-seed episodes) whose steps never count against the budget.
+so evaluation is reproducible and independent of scheduling.  All rollouts
+go through one lockstep engine (``run_episodes``) that steps a batch of
+episodes together, one lane per episode: a generation's candidates form one
+batch, the test probe's episodes another, and a remote worker's single
+candidate a batch of one.  A lane computes the same bits whatever batch it
+is in, so a whole generation, a sub-batch, or one candidate on a remote
+worker all give identical numbers.  Progress is measured by a separate
+deterministic test protocol (median raw return over five fixed-seed
+episodes) whose steps never count against the budget.
 """
 
 from __future__ import annotations
@@ -20,15 +25,18 @@ import numpy as np
 from .envs import env_spec, make_env
 from .es import (Candidate, NumericalDegeneracyError, StrategyParams,
                  DistributionState, ask, new_strategy, tell)
-from .policy import (Checkpoint, LinearPolicy, ObsNormalizer, act, genome_dim)
+from .policy import (Checkpoint, LinearPolicy, ObsNormalizer, act_batch,
+                     genome_dim, welford_update)
 
 __all__ = [
     "Shaping",
     "FitnessSpec",
     "shape_reward",
     "RolloutResult",
+    "run_episodes",
     "rollout",
     "CandidateEval",
+    "score_candidates",
     "evaluate_candidate",
     "GenerationEval",
     "evaluate_generation",
@@ -118,31 +126,69 @@ class RolloutResult:
     delta: ObsNormalizer | None
 
 
+def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
+                 shaping: Shaping = Shaping(),
+                 update_normalizer: bool = False) -> list[RolloutResult]:
+    """Run one episode per lane, stepping all lanes together.
+
+    Lane ``i`` resets from ``seeds[i]`` and acts with the linear policy
+    ``weights[i]`` (``weights`` is ``(L, act_dim, obs_dim)``) until its own
+    termination or truncation, where it leaves the batch.  The passed
+    normalizer is read once and never touched; with ``update_normalizer``
+    each lane's observations go into its own fresh accumulator (the returned
+    delta) covering exactly the observations its policy acted on.  Every
+    operation is elementwise per lane or a stacked matmul, so a lane's
+    result does not depend on the other lanes.
+    """
+    if not seeds:
+        return []
+    spec = env.spec
+    limit = spec.max_episode_steps
+    shift, scale = normalizer.affine()
+    weights = np.ascontiguousarray(weights, dtype=float)
+    state = np.stack([env.initial_state(np.random.default_rng(s)) for s in seeds],
+                     axis=1)
+    lanes = np.arange(len(seeds))
+    raw = np.zeros(len(seeds))
+    shaped = np.zeros(len(seeds))
+    mean = m2 = np.zeros((len(seeds), spec.obs_dim))
+    results: list[RolloutResult | None] = [None] * len(seeds)
+    obs = env.observe(state)
+    for t in range(1, limit + 1):
+        if update_normalizer:
+            mean, m2 = welford_update(t, mean, m2, obs)
+        if not np.isfinite(obs).all():
+            raise ValueError("observation must be finite with the policy's obs_dim")
+        actions = act_batch(weights, spec.action_space, (obs - shift) / scale)
+        state, reward, terminated = env.dynamics(state, actions)
+        raw += reward
+        shaped += shape_reward(reward, shaping)
+        done = terminated if t < limit else np.ones_like(terminated)
+        if done.any():
+            for j in np.flatnonzero(done):
+                delta = (ObsNormalizer(t, mean[j].copy(), m2[j].copy())
+                         if update_normalizer else None)
+                results[lanes[j]] = RolloutResult(float(raw[j]), float(shaped[j]),
+                                                  t, delta)
+            keep = ~done
+            if not keep.any():
+                break
+            lanes, state, weights = lanes[keep], state[:, keep], weights[keep]
+            raw, shaped, mean, m2 = raw[keep], shaped[keep], mean[keep], m2[keep]
+        obs = env.observe(state)
+    return results
+
+
 def rollout(env, policy: LinearPolicy, normalizer: ObsNormalizer, episode_seed,
             shaping: Shaping = Shaping(), update_normalizer: bool = False) -> RolloutResult:
-    """Run one episode to termination or truncation.
+    """Run one episode to termination or truncation: a batch of one lane.
 
     The passed normalizer is read-only; newly seen observations go into a
     fresh accumulator (the returned delta) covering exactly the observations
     the policy acted on.
     """
-    obs = env.reset(episode_seed)
-    delta = ObsNormalizer.create(len(obs)) if update_normalizer else None
-    raw = 0.0
-    shaped = 0.0
-    steps = 0
-    while True:
-        if delta is not None:
-            delta.update(obs)
-        action = act(policy, normalizer, obs)
-        res = env.step(action)
-        raw += res.reward
-        shaped += shape_reward(res.reward, shaping)
-        steps += 1
-        if res.terminated or res.truncated:
-            break
-        obs = res.obs
-    return RolloutResult(raw, shaped, steps, delta)
+    return run_episodes(env, policy.weights[None], normalizer, [episode_seed],
+                        shaping, update_normalizer)[0]
 
 
 @dataclass
@@ -154,29 +200,46 @@ class CandidateEval:
     delta: ObsNormalizer
 
 
+def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
+                     fitness_spec: FitnessSpec, generation: int,
+                     master_seed: int) -> list[CandidateEval]:
+    """Fitness of several genomes, all their training episodes as one batch.
+
+    Each result depends only on its genome and index, never on which other
+    candidates share the batch.
+    """
+    if not len(indexes):
+        return []
+    spec = env.spec
+    k = fitness_spec.train_episodes
+    weights = np.stack([LinearPolicy.from_genome(g, spec.obs_dim, spec.action_space).weights
+                        for g in genomes])
+    seeds = [train_episode_seed(master_seed, generation, index, ep,
+                                fitness_spec.common_random_numbers)
+             for index in indexes for ep in range(k)]
+    episodes = run_episodes(env, np.repeat(weights, k, axis=0), normalizer, seeds,
+                            fitness_spec.shaping, update_normalizer=True)
+    evals = []
+    for c, index in enumerate(indexes):
+        delta = ObsNormalizer.create(spec.obs_dim)
+        raw_sum = 0.0
+        shaped_sum = 0.0
+        steps = 0
+        for res in episodes[c * k:(c + 1) * k]:
+            raw_sum += res.raw_return
+            shaped_sum += res.shaped_return
+            steps += res.timesteps
+            delta.merge(res.delta)
+        evals.append(CandidateEval(index, shaped_sum / k, raw_sum / k, steps, delta))
+    return evals
+
+
 def evaluate_candidate(genome: np.ndarray, index: int, env_factory: Callable,
                        normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
                        generation: int, master_seed: int) -> CandidateEval:
     """Fitness of one genome; shared verbatim by local and remote evaluation."""
-    env = env_factory()
-    spec = env.spec
-    policy = LinearPolicy.from_genome(genome, spec.obs_dim, spec.action_space)
-    snapshot = normalizer.copy()
-    delta = ObsNormalizer.create(spec.obs_dim)
-    raw_sum = 0.0
-    shaped_sum = 0.0
-    steps = 0
-    for ep in range(fitness_spec.train_episodes):
-        seed = train_episode_seed(master_seed, generation, index, ep,
-                                  fitness_spec.common_random_numbers)
-        res = rollout(env, policy, snapshot, seed, fitness_spec.shaping,
-                      update_normalizer=True)
-        raw_sum += res.raw_return
-        shaped_sum += res.shaped_return
-        steps += res.timesteps
-        delta.merge(res.delta)
-    k = fitness_spec.train_episodes
-    return CandidateEval(index, shaped_sum / k, raw_sum / k, steps, delta)
+    return score_candidates([genome], [index], env_factory(), normalizer,
+                            fitness_spec, generation, master_seed)[0]
 
 
 @dataclass
@@ -191,22 +254,27 @@ def evaluate_generation(candidates: list[Candidate], env_factory: Callable | str
                         normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
                         generation: int, master_seed: int,
                         parallelism: int = 1) -> GenerationEval:
-    """Evaluate a full generation; results do not depend on parallelism."""
+    """Evaluate a full generation as one batch; with ``parallelism`` > 1 as
+    that many contiguous sub-batches on threads.  Results do not depend on
+    parallelism."""
     if isinstance(env_factory, str):
         env_id = env_factory
         env_factory = lambda: make_env(env_id)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
-    def run(c: Candidate) -> CandidateEval:
-        return evaluate_candidate(c.x, c.index, env_factory, normalizer,
-                                  fitness_spec, generation, master_seed)
+    def run(batch: list[Candidate]) -> list[CandidateEval]:
+        return score_candidates([c.x for c in batch], [c.index for c in batch],
+                                env_factory(), normalizer, fitness_spec,
+                                generation, master_seed)
 
     if parallelism == 1:
-        evals = [run(c) for c in candidates]
+        evals = run(candidates)
     else:
+        size = -(-len(candidates) // parallelism)
+        batches = [candidates[i:i + size] for i in range(0, len(candidates), size)]
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            evals = list(pool.map(run, candidates))
+            evals = [e for part in pool.map(run, batches) for e in part]
 
     return collect_generation(evals, normalizer.dim, len(candidates))
 
@@ -235,11 +303,10 @@ def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer,
     if isinstance(env_factory, str):
         env_id = env_factory
         env_factory = lambda: make_env(env_id)
-    env = env_factory()
-    returns = []
-    for ep in range(episodes):
-        res = rollout(env, policy, normalizer, test_episode_seed(master_seed, generation, ep))
-        returns.append(res.raw_return)
+    seeds = [test_episode_seed(master_seed, generation, ep) for ep in range(episodes)]
+    weights = np.repeat(policy.weights[None], episodes, axis=0)
+    returns = [res.raw_return
+               for res in run_episodes(env_factory(), weights, normalizer, seeds)]
     return float(statistics.median(returns)), returns
 
 

@@ -22,6 +22,8 @@ __all__ = [
     "LinearPolicy",
     "ObsNormalizer",
     "act",
+    "act_batch",
+    "welford_update",
     "save_checkpoint",
     "load_checkpoint",
     "Checkpoint",
@@ -119,9 +121,7 @@ class ObsNormalizer:
         if obs.shape != (self.dim,):
             raise ValueError(f"observation must have shape ({self.dim},)")
         self.count += 1
-        delta = obs - self.mean
-        self.mean = self.mean + delta / self.count
-        self.m2 = self.m2 + delta * (obs - self.mean)
+        self.mean, self.m2 = welford_update(self.count, self.mean, self.m2, obs)
 
     def merge(self, other: "ObsNormalizer") -> None:
         """Fold another accumulator in; order of merges is the caller's duty."""
@@ -146,12 +146,17 @@ class ObsNormalizer:
         var = self.m2 / max(self.count - 1, 1)
         return np.maximum(np.sqrt(var), np.sqrt(self.eps))
 
-    def normalize(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=float)
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(shift, scale)`` with ``normalize(obs) == (obs - shift) / scale``."""
         if self.count <= 1:
             # too little data to estimate spread; pass observations through
-            return obs.copy()
-        return (obs - self.mean) / self.std()
+            # (x - 0.0) / 1.0 is x, bit for bit
+            return np.zeros(self.dim), np.ones(self.dim)
+        return self.mean, self.std()
+
+    def normalize(self, obs: np.ndarray) -> np.ndarray:
+        shift, scale = self.affine()
+        return (np.asarray(obs, dtype=float) - shift) / scale
 
     def copy(self) -> "ObsNormalizer":
         return ObsNormalizer(self.count, self.mean.copy(), self.m2.copy(),
@@ -171,17 +176,41 @@ class ObsNormalizer:
                              np.asarray(d["m2"], dtype=float), eps)
 
 
+def welford_update(count: int, mean: np.ndarray, m2: np.ndarray,
+                   obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the ``count``-th observation into running mean and M2 (Welford).
+
+    Elementwise, so rows of ``(L, dim)`` arrays update as L independent
+    accumulators would."""
+    delta = obs - mean
+    mean = mean + delta / count
+    return mean, m2 + delta * (obs - mean)
+
+
+def act_batch(weights: np.ndarray, space: ActionSpace, z: np.ndarray) -> np.ndarray:
+    """Actions of L linear policies, lane ``i`` acting on normalized ``z[i]``.
+
+    ``weights`` is a C-contiguous ``(L, act_dim, obs_dim)`` stack.  The
+    stacked matmul computes each lane with the same BLAS call, and so the
+    same bits, as ``weights[i] @ z[i]``; discrete spaces return ``(L,)``
+    indexes, box spaces ``(L, act_dim)`` actions.
+    """
+    logits = np.matmul(weights, z[:, :, None])[:, :, 0]
+    if isinstance(space, Discrete):
+        # np.argmax resolves ties toward the lowest action index
+        return logits.argmax(axis=1)
+    low, high = space.low, space.high
+    return low + (np.tanh(logits) + 1.0) * 0.5 * (high - low)
+
+
 def act(policy: LinearPolicy, normalizer: ObsNormalizer, obs: np.ndarray):
     """Map one observation to an action; pure given its inputs."""
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (policy.obs_dim,) or not np.all(np.isfinite(obs)):
         raise ValueError("observation must be finite with the policy's obs_dim")
-    logits = policy.weights @ normalizer.normalize(obs)
-    if isinstance(policy.space, Discrete):
-        # np.argmax resolves ties toward the lowest action index
-        return int(np.argmax(logits))
-    low, high = policy.space.low, policy.space.high
-    return low + (np.tanh(logits) + 1.0) * 0.5 * (high - low)
+    action = act_batch(policy.weights[None], policy.space,
+                       normalizer.normalize(obs)[None])[0]
+    return int(action) if isinstance(policy.space, Discrete) else action
 
 
 def _space_to_dict(space: ActionSpace) -> dict:

@@ -215,6 +215,30 @@ def test_single_worker_generation_matches_local():
     assert out.get("reason") == "shutdown"
 
 
+def test_master_and_worker_sockets_disable_nagle(monkeypatch):
+    # a GEN followed by a TASK is two small writes; Nagle would hold the
+    # second until the peer's delayed ACK of the first
+    opened = []
+    connect = socket.create_connection
+
+    def spy(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", spy)
+
+    def nodelay(sock):
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    with MasterServer() as server:
+        thread, out = start_real_worker(server)
+        server.wait_for_workers(1, timeout=10)
+        assert [nodelay(c.sock) for c in server._conns] == [True]
+        assert [nodelay(s) for s in opened] == [True]
+    thread.join(timeout=10)
+    assert out.get("reason") == "shutdown"
+
+
 def test_worker_says_bye_on_out_of_range_task_index():
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]

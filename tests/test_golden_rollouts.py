@@ -18,7 +18,9 @@ from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, env_spec,
                     make_env)
 from evolin import test_policy as run_test_protocol
 from evolin.es import Candidate
-from evolin.evaluate import evaluate_candidate, evaluate_generation
+from evolin.envs import CartPole
+from evolin.evaluate import (evaluate_candidate, evaluate_generation, rollout,
+                             score_candidates)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_rollouts.json")
 
@@ -47,6 +49,13 @@ def assert_same_bits(a: ObsNormalizer, b: ObsNormalizer) -> None:
     assert a.m2.tobytes() == b.m2.tobytes()
 
 
+def assert_matches(ev, want) -> None:
+    assert ev.fitness.hex() == want["fitness"]
+    assert ev.raw_return.hex() == want["raw_return"]
+    assert ev.timesteps == want["timesteps"]
+    assert_same_bits(ev.delta, normalizer(want["delta"]))
+
+
 def expected_generation_delta(case) -> ObsNormalizer:
     total = ObsNormalizer.create(env_spec(case["env_id"]).obs_dim)
     for c in case["candidates"]:
@@ -61,10 +70,27 @@ def test_candidate_scored_alone_matches_fixture(case) -> None:
     for cand, want in zip(cands, case["candidates"]):
         ev = evaluate_candidate(cand.x, cand.index, lambda: make_env(env_id), norm,
                                 spec, case["generation"], case["master_seed"])
-        assert ev.fitness.hex() == want["fitness"]
-        assert ev.raw_return.hex() == want["raw_return"]
-        assert ev.timesteps == want["timesteps"]
-        assert_same_bits(ev.delta, normalizer(want["delta"]))
+        assert_matches(ev, want)
+
+
+def sub_batches(lam: int) -> list[list[int]]:
+    """The full generation, reversed, and split unevenly (ragged halves and
+    every other index), so each candidate meets different neighbours."""
+    idx = list(range(lam))
+    half = lam // 2 + 1
+    return [idx, idx[::-1], idx[:half], idx[half:], idx[::2], idx[1::2][::-1]]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_candidate_results_do_not_depend_on_batch(case) -> None:
+    cands, norm, spec = setup(case)
+    env = make_env(case["env_id"])
+    for batch in sub_batches(len(cands)):
+        evals = score_candidates([cands[i].x for i in batch], batch, env, norm, spec,
+                                 case["generation"], case["master_seed"])
+        assert [ev.index for ev in evals] == batch
+        for ev in evals:
+            assert_matches(ev, case["candidates"][ev.index])
 
 
 @pytest.mark.parametrize("order,parallelism", [("forward", 1), ("reversed", 1),
@@ -92,3 +118,22 @@ def test_probe_matches_fixture(case) -> None:
                                         case["master_seed"], case["generation"])
     assert [r.hex() for r in returns] == case["probe"]["returns"]
     assert median.hex() == case["probe"]["median"]
+
+
+class _DivergedCartPole(CartPole):
+    def initial_state(self, rng):
+        return np.array([np.inf, 0.0, 0.0, 0.0])
+
+
+def test_rollouts_reject_non_finite_observations() -> None:
+    policy = LinearPolicy.from_genome(np.zeros(8), 4, env_spec("cartpole").action_space)
+    with pytest.raises(ValueError):
+        rollout(_DivergedCartPole(), policy, ObsNormalizer.create(4), 0)
+
+
+def test_rollouts_reject_non_finite_torque() -> None:
+    spec = env_spec("pendulum")
+    genome = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        evaluate_candidate(genome, 0, lambda: make_env("pendulum"),
+                           ObsNormalizer.create(spec.obs_dim), FitnessSpec(), 0, 1)
