@@ -158,7 +158,7 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
         if update_normalizer:
             mean, m2 = welford_update(t, mean, m2, obs)
         if not np.isfinite(obs).all():
-            raise ValueError("observation must be finite with the policy's obs_dim")
+            raise ValueError("observation must be finite")
         actions = act_batch(weights, spec.action_space, (obs - shift) / scale)
         state, reward, terminated = env.dynamics(state, actions)
         raw += reward
