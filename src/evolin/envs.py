@@ -166,13 +166,11 @@ class CartPole(_EnvBase):
         x_acc = temp - self.POLEMASS_LENGTH * th_acc * costh / self.TOTAL_MASS
 
         # semi-explicit Euler, positions advanced with the old velocities
-        x = x + self.TAU * x_dot
-        x_dot = x_dot + self.TAU * x_acc
-        th = th + self.TAU * th_dot
-        th_dot = th_dot + self.TAU * th_acc
+        state = state + self.TAU * np.array([x_dot, x_acc, th_dot, th_acc])
 
-        terminated = (np.abs(x) > self.X_LIMIT) | (np.abs(th) > self.THETA_LIMIT)
-        return np.array([x, x_dot, th, th_dot]), np.ones(len(x)), terminated
+        terminated = ((np.abs(state[0]) > self.X_LIMIT)
+                      | (np.abs(state[2]) > self.THETA_LIMIT))
+        return state, np.ones(len(x)), terminated
 
 
 def _wrap(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
