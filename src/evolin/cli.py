@@ -113,7 +113,6 @@ def resolve_config(args) -> dict:
     lam = _parse_lambda(pick("lam", "lambda", env_defaults["lambda"]))
     budget = int(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]))
     seeds = _parse_seeds(pick("seeds", "seeds", DEFAULT_SEEDS))
-    parallelism = int(pick("parallelism", "parallelism", 1))
     test_every = int(pick("test_every", "test_every", 1))
     threshold = float(pick("threshold", "threshold",
                            env_spec(env_id).solved_threshold))
@@ -126,14 +125,17 @@ def resolve_config(args) -> dict:
         raise CliError(EXIT_USAGE, "sigma0 must be positive")
     if budget < 1:
         raise CliError(EXIT_USAGE, "budget_timesteps must be positive")
-    if parallelism < 1 or test_every < 1:
-        raise CliError(EXIT_USAGE, "parallelism and test_every must be >= 1")
+    if test_every < 1:
+        raise CliError(EXIT_USAGE, "test_every must be >= 1")
 
     fs_dict = {**FitnessSpec().to_dict(), **file_cfg.get("fitness_spec", {})}
     try:
         fitness_spec = FitnessSpec.from_dict(fs_dict)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad fitness_spec: {exc}") from exc
+    if fitness_spec.test_episodes != 5:
+        raise CliError(EXIT_USAGE, "fitness_spec.test_episodes must be 5: "
+                       "curve files hold five test returns per row")
 
     return {
         "env_id": env_id,
@@ -142,7 +144,6 @@ def resolve_config(args) -> dict:
         "lambda": lam,
         "budget_timesteps": budget,
         "seeds": seeds,
-        "parallelism": parallelism,
         "test_every": test_every,
         "threshold": threshold,
         "target_return": None if target is None else float(target),
@@ -257,8 +258,7 @@ def cmd_train(args) -> int:
                      master_seed=seed,
                      fitness_spec=FitnessSpec.from_dict(cfg["fitness_spec"]),
                      test_every=cfg["test_every"],
-                     target_return=cfg["target_return"],
-                     parallelism=cfg["parallelism"])
+                     target_return=cfg["target_return"])
 
     run_trials(cfg, runner)
     return 0
@@ -328,6 +328,8 @@ def cmd_eval(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
     except (OSError, KeyError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"cannot load checkpoint: {exc}") from exc
+    if args.episodes < 1:
+        raise CliError(EXIT_USAGE, "--episodes must be >= 1")
     median, returns = test_policy(ckpt.policy(), ckpt.normalizer, ckpt.env_id,
                                   ckpt.master_seed, ckpt.generation,
                                   episodes=args.episodes)
@@ -555,7 +557,6 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
                      help="population size, or 'default'/'rl'/'cma'")
     sub.add_argument("--budget", type=int, help="training timestep budget")
     sub.add_argument("--seeds", help="comma-separated master seeds")
-    sub.add_argument("--parallelism", type=int, help="local evaluation threads")
     sub.add_argument("--test-every", dest="test_every", type=int,
                      help="generations between test probes")
     sub.add_argument("--threshold", type=float,

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import env_spec, make_env
+from .envs import env_spec
 from .es import CovTransform, DistributionState, sample_candidate_from_seed
 from .evaluate import (CandidateEval, FitnessSpec, TrainResult,
                        collect_generation, evaluate_candidate, train)
@@ -259,10 +259,8 @@ def run_task(ctx: WorkerContext, index: int) -> dict:
     """Regenerate candidate ``index``, score it, and build its RESULT."""
     cand = sample_candidate_from_seed(ctx.master_seed, ctx.generation, index,
                                       ctx.m, ctx.sigma, ctx.transform, ctx.lam)
-    env_id = ctx.env_id
-    ev = evaluate_candidate(cand.x, index, lambda: make_env(env_id),
-                            ctx.normalizer, ctx.fitness_spec,
-                            ctx.generation, ctx.master_seed)
+    ev = evaluate_candidate(cand.x, index, ctx.env_id, ctx.normalizer,
+                            ctx.fitness_spec, ctx.generation, ctx.master_seed)
     return result_message(ctx.generation, ev)
 
 

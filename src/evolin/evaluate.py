@@ -16,7 +16,6 @@ episodes) whose steps never count against the budget.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -234,11 +233,11 @@ def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
     return evals
 
 
-def evaluate_candidate(genome: np.ndarray, index: int, env_factory: Callable,
+def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
                        normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
                        generation: int, master_seed: int) -> CandidateEval:
     """Fitness of one genome; shared verbatim by local and remote evaluation."""
-    return score_candidates([genome], [index], env_factory(), normalizer,
+    return score_candidates([genome], [index], make_env(env_id), normalizer,
                             fitness_spec, generation, master_seed)[0]
 
 
@@ -250,32 +249,13 @@ class GenerationEval:
     delta: ObsNormalizer
 
 
-def evaluate_generation(candidates: list[Candidate], env_factory: Callable | str,
+def evaluate_generation(candidates: list[Candidate], env_id: str,
                         normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
-                        generation: int, master_seed: int,
-                        parallelism: int = 1) -> GenerationEval:
-    """Evaluate a full generation as one batch; with ``parallelism`` > 1 as
-    that many contiguous sub-batches on threads.  Results do not depend on
-    parallelism."""
-    if isinstance(env_factory, str):
-        env_id = env_factory
-        env_factory = lambda: make_env(env_id)
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-
-    def run(batch: list[Candidate]) -> list[CandidateEval]:
-        return score_candidates([c.x for c in batch], [c.index for c in batch],
-                                env_factory(), normalizer, fitness_spec,
-                                generation, master_seed)
-
-    if parallelism == 1:
-        evals = run(candidates)
-    else:
-        size = -(-len(candidates) // parallelism)
-        batches = [candidates[i:i + size] for i in range(0, len(candidates), size)]
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            evals = [e for part in pool.map(run, batches) for e in part]
-
+                        generation: int, master_seed: int) -> GenerationEval:
+    """Evaluate a full generation as one batch."""
+    evals = score_candidates([c.x for c in candidates], [c.index for c in candidates],
+                             make_env(env_id), normalizer, fitness_spec,
+                             generation, master_seed)
     return collect_generation(evals, normalizer.dim, len(candidates))
 
 
@@ -296,17 +276,14 @@ def collect_generation(evals: list[CandidateEval], obs_dim: int,
     )
 
 
-def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer,
-                env_factory: Callable | str, master_seed: int, generation: int,
+def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer, env_id: str,
+                master_seed: int, generation: int,
                 episodes: int = 5) -> tuple[float, list[float]]:
     """Deterministic progress probe: median raw return over fixed seeds."""
-    if isinstance(env_factory, str):
-        env_id = env_factory
-        env_factory = lambda: make_env(env_id)
     seeds = [test_episode_seed(master_seed, generation, ep) for ep in range(episodes)]
     weights = np.repeat(policy.weights[None], episodes, axis=0)
     returns = [res.raw_return
-               for res in run_episodes(env_factory(), weights, normalizer, seeds)]
+               for res in run_episodes(make_env(env_id), weights, normalizer, seeds)]
     return float(statistics.median(returns)), returns
 
 
@@ -336,7 +313,7 @@ class TrainResult:
 def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
           budget_timesteps: int, master_seed: int,
           fitness_spec: FitnessSpec | None = None, test_every: int = 1,
-          target_return: float | None = None, parallelism: int = 1,
+          target_return: float | None = None,
           max_generations: int | None = None,
           evaluator: Callable | None = None,
           on_generation: Callable | None = None) -> TrainResult:
@@ -356,7 +333,7 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
     if evaluator is None:
         def evaluator(prm, st, cands, norm, gen):
             return evaluate_generation(cands, env_id, norm, fitness_spec,
-                                       gen, master_seed, parallelism)
+                                       gen, master_seed)
 
     records: list[TrainRecord] = []
     best: Checkpoint | None = None

@@ -78,6 +78,25 @@ def test_eval_missing_checkpoint_exits_2(tmp_path):
     assert run_cli("eval", "--checkpoint", str(tmp_path / "nope.json")) == 2
 
 
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_eval_without_episodes_exits_2(episodes, capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "cartpole_solved.json")
+    assert run_cli("eval", "--checkpoint", fixture, "--episodes", episodes) == 2
+    assert capsys.readouterr().err.startswith("error: --episodes")
+
+
+def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"fitness_spec": {"test_episodes": 3}}))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--env", "cartpole",
+                   "--variant", "csa", "--budget", "300", "--seeds", "0",
+                   "--output-dir", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: fitness_spec.test_episodes")
+    assert not out.exists()
+
+
 def test_plot_data_without_curves_exits_2(tmp_path):
     assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 2
 

@@ -9,7 +9,7 @@ import pytest
 
 from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, MasterServer,
                     ObsNormalizer, ask, env_spec, evaluate_candidate,
-                    make_env, new_strategy, tell, train)
+                    new_strategy, tell, train)
 from evolin.distributed import (DesyncError, GenerationFailedError,
                                 ProtocolError, _LineReader, build_gen_message,
                                 bye_message, cov_digest, cov_payload,
@@ -136,8 +136,7 @@ def test_run_task_matches_local_evaluation_exactly():
     cands = ask(params, state, 912)
     for cand in cands:
         local = evaluate_candidate(cand.x, cand.index,
-                                   lambda: make_env("cartpole"), norm,
-                                   FitnessSpec(), gen, 912)
+                                   "cartpole", norm, FitnessSpec(), gen, 912)
         remote = eval_from_result(
             decode_message(encode_message(run_task(ctx, cand.index))))
         assert remote.fitness == local.fitness
@@ -206,8 +205,7 @@ def test_single_worker_generation_matches_local():
         evals = server.evaluate_generation(msg, 4)
         assert [e.index for e in evals] == [0, 1, 2, 3]
         for cand, got in zip(ask(params, state, 31), evals):
-            want = evaluate_candidate(cand.x, cand.index,
-                                      lambda: make_env("cartpole"), norm,
+            want = evaluate_candidate(cand.x, cand.index, "cartpole", norm,
                                       FitnessSpec(), msg["generation"], 31)
             assert got.fitness == want.fitness
             assert got.timesteps == want.timesteps
@@ -391,8 +389,7 @@ def test_late_joiner_receives_gen_and_takes_over_timed_out_task():
         ev_thread.join(timeout=30)
         assert "evals" in box
         for cand, got in zip(ask(params, state, 31)[:2], box["evals"]):
-            want = evaluate_candidate(cand.x, cand.index,
-                                      lambda: make_env("cartpole"), norm,
+            want = evaluate_candidate(cand.x, cand.index, "cartpole", norm,
                                       FitnessSpec(), msg["generation"], 31)
             assert got.fitness == want.fitness
         silent.close()

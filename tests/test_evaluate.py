@@ -91,8 +91,8 @@ def test_identical_genomes_get_identical_fitness_under_crn() -> None:
     spec = FitnessSpec(common_random_numbers=True)
     norm = ObsNormalizer.create(4)
     genome = np.full(8, 0.1)
-    a = evaluate_candidate(genome, 0, lambda: make_env("cartpole"), norm, spec, 2, 11)
-    b = evaluate_candidate(genome.copy(), 7, lambda: make_env("cartpole"), norm, spec, 2, 11)
+    a = evaluate_candidate(genome, 0, "cartpole", norm, spec, 2, 11)
+    b = evaluate_candidate(genome.copy(), 7, "cartpole", norm, spec, 2, 11)
     assert a.fitness == b.fitness
     assert a.timesteps == b.timesteps
 
@@ -107,37 +107,26 @@ def warmed_normalizer() -> ObsNormalizer:
     return norm
 
 
-def evaluate_with_parallelism(parallelism: int):
+def evaluate_cartpole_generation():
     params, state = new_strategy(CSA, 8, 0.1, lam=8)
     cands = ask(params, state, 21)
     return evaluate_generation(cands, "cartpole", warmed_normalizer(),
-                               FitnessSpec(), 0, 21, parallelism=parallelism)
-
-
-def test_parallel_evaluation_is_bitwise_equal_to_serial() -> None:
-    serial = evaluate_with_parallelism(1)
-    threaded = evaluate_with_parallelism(8)
-    np.testing.assert_array_equal(serial.fitnesses, threaded.fitnesses)
-    np.testing.assert_array_equal(serial.raw_returns, threaded.raw_returns)
-    assert serial.timesteps == threaded.timesteps
-    assert serial.delta.count == threaded.delta.count
-    np.testing.assert_array_equal(serial.delta.mean, threaded.delta.mean)
-    np.testing.assert_array_equal(serial.delta.m2, threaded.delta.m2)
+                               FitnessSpec(), 0, 21)
 
 
 def test_generation_timesteps_are_summed_exactly() -> None:
-    result = evaluate_with_parallelism(1)
+    result = evaluate_cartpole_generation()
     assert result.timesteps == result.delta.count
     assert len(result.fitnesses) == 8
 
 
 def test_collect_generation_requires_complete_index_cover() -> None:
-    result = evaluate_with_parallelism(1)
+    result = evaluate_cartpole_generation()
     params, state = new_strategy(CSA, 8, 0.1, lam=8)
     cands = ask(params, state, 21)
     norm = warmed_normalizer()
-    evals = [evaluate_candidate(c.x, c.index, lambda: make_env("cartpole"),
-                                norm, FitnessSpec(), 0, 21) for c in cands]
+    evals = [evaluate_candidate(c.x, c.index, "cartpole", norm, FitnessSpec(), 0, 21)
+             for c in cands]
     shuffled = [evals[i] for i in (3, 1, 7, 0, 5, 2, 6, 4)]
     regrouped = collect_generation(shuffled, 4, 8)
     np.testing.assert_array_equal(regrouped.fitnesses, result.fitnesses)
@@ -152,16 +141,15 @@ def test_multi_episode_fitness_is_mean_over_episodes() -> None:
     spec1 = FitnessSpec(train_episodes=1)
     spec3 = FitnessSpec(train_episodes=3)
     genome = np.zeros(18)
-    factory = lambda: make_env("acrobot")
     singles = []
     for ep in range(3):
         env = make_env("acrobot")
         ep_seed = train_episode_seed(13, 0, 0, ep, True)
         singles.append(rollout(env, zero_policy("acrobot"), norm, ep_seed,
                                update_normalizer=True).shaped_return)
-    combined = evaluate_candidate(genome, 0, factory, norm, spec3, 0, 13)
+    combined = evaluate_candidate(genome, 0, "acrobot", norm, spec3, 0, 13)
     assert combined.fitness == sum(singles) / 3
-    single = evaluate_candidate(genome, 0, factory, norm, spec1, 0, 13)
+    single = evaluate_candidate(genome, 0, "acrobot", norm, spec1, 0, 13)
     assert single.fitness == singles[0]
 
 

@@ -129,8 +129,8 @@ def golden_case(name, env_id, lam, generation, master_seed, fitness_spec,
     genomes = rng.standard_normal((lam, n)) * scale
     candidates = []
     for i, x in enumerate(genomes):
-        ev = evaluate_candidate(x, i, lambda: make_env(env_id), norm,
-                                fitness_spec, generation, master_seed)
+        ev = evaluate_candidate(x, i, env_id, norm, fitness_spec, generation,
+                                master_seed)
         candidates.append({"genome": hexes(x), "fitness": ev.fitness.hex(),
                            "raw_return": ev.raw_return.hex(),
                            "timesteps": ev.timesteps,
