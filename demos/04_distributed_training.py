@@ -2,9 +2,9 @@
 Seed-sharing distributed training in one process
 ================================================
 
-Workers never receive policy weights: each task is (generation, index),
-and the worker regrows the candidate from the shared distribution state
-and the master seed.  Because every number is derived, not transmitted,
+Workers never receive policy weights: each task is a generation and a
+range of candidate indexes, and the worker regrows those candidates from
+the shared distribution state and the master seed.  Because every number is derived, not transmitted,
 a distributed run reproduces the single-process run bit for bit.  Here
 two workers run as threads; across machines the protocol is identical.
 """

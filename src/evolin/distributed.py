@@ -2,10 +2,13 @@
 
 The master never ships genomes: each generation it broadcasts one GEN
 message carrying the search distribution (mean, step size, covariance
-payload) plus the normalizer snapshot, then hands out candidate indexes
-as TASK messages.  Workers regenerate the candidate from
-(master_seed, generation, index) with the exact code the local evaluator
-uses, so a distributed run reproduces a single-process run bit for bit.
+payload) plus the normalizer snapshot, then hands each idle worker one
+contiguous range of candidate indexes as a TASK.  A worker regenerates its
+candidates from (master_seed, generation, index) with the exact code the
+local evaluator uses, scores the range as one lockstep batch, and answers
+one RESULT per index.  A candidate's result does not depend on the batch
+it is scored in, so a distributed run reproduces a single-process run bit
+for bit.
 
 Wire format: one JSON object per line, UTF-8, field "type" selecting
 HELLO / GEN / TASK / RESULT / BYE.  Reals use shortest-roundtrip decimal
@@ -21,19 +24,18 @@ import socket
 import struct
 import time
 import uuid
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .envs import env_spec
+from .envs import env_spec, make_env
 from .es import CovTransform, DistributionState, sample_candidate_from_seed
 from .evaluate import (CandidateEval, FitnessSpec, TrainResult,
-                       collect_generation, evaluate_candidate, train)
+                       collect_generation, score_candidates, train)
 from .policy import ObsNormalizer
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
@@ -115,8 +117,10 @@ def bye_message(reason: str) -> dict:
     return {"type": "bye", "reason": reason}
 
 
-def task_message(generation: int, index: int) -> dict:
-    return {"type": "task", "generation": int(generation), "index": int(index)}
+def task_message(run_id: str, generation: int, index: int, count: int) -> dict:
+    """Score candidates ``index`` .. ``index + count - 1`` of a generation."""
+    return {"type": "task", "run_id": run_id, "generation": int(generation),
+            "index": int(index), "count": int(count)}
 
 
 def cov_payload(state: DistributionState) -> dict:
@@ -187,9 +191,10 @@ def build_gen_message(*, run_id: str, generation: int, master_seed: int,
     }
 
 
-def result_message(generation: int, ev: CandidateEval) -> dict:
+def result_message(run_id: str, generation: int, ev: CandidateEval) -> dict:
     return {
         "type": "result",
+        "run_id": run_id,
         "generation": int(generation),
         "index": int(ev.index),
         "fitness": float(ev.fitness),
@@ -255,13 +260,28 @@ def gen_context(msg: dict) -> WorkerContext:
     )
 
 
-def run_task(ctx: WorkerContext, index: int) -> dict:
-    """Regenerate candidate ``index``, score it, and build its RESULT."""
-    cand = sample_candidate_from_seed(ctx.master_seed, ctx.generation, index,
-                                      ctx.m, ctx.sigma, ctx.transform, ctx.lam)
-    ev = evaluate_candidate(cand.x, index, ctx.env_id, ctx.normalizer,
-                            ctx.fitness_spec, ctx.generation, ctx.master_seed)
-    return result_message(ctx.generation, ev)
+def _task_range(ctx: WorkerContext | None, msg: dict) -> range | None:
+    """The candidate indexes a TASK names, or None if it does not fit ``ctx``."""
+    index, count = msg.get("index"), msg.get("count")
+    if (ctx is None or msg.get("run_id") != ctx.run_id
+            or msg.get("generation") != ctx.generation
+            or type(index) is not int or type(count) is not int
+            or index < 0 or count < 1 or index + count > ctx.lam):
+        return None
+    return range(index, index + count)
+
+
+def run_task(ctx: WorkerContext, indexes: range) -> list[dict]:
+    """Regenerate the candidates ``indexes``, score them as one batch, and
+    build one RESULT per index."""
+    genomes = [sample_candidate_from_seed(ctx.master_seed, ctx.generation, i,
+                                          ctx.m, ctx.sigma, ctx.transform,
+                                          ctx.lam).x
+               for i in indexes]
+    evals = score_candidates(genomes, list(indexes), make_env(ctx.env_id),
+                             ctx.normalizer, ctx.fitness_spec, ctx.generation,
+                             ctx.master_seed)
+    return [result_message(ctx.run_id, ctx.generation, ev) for ev in evals]
 
 
 def serve_worker(host: str, port: int, *, worker_id: str | None = None,
@@ -279,9 +299,9 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
     wid = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
     reader = _LineReader(sock)
 
-    def send(msg: dict) -> None:
+    def send(*msgs: dict) -> None:
         try:
-            sock.sendall(encode_message(msg))
+            sock.sendall(b"".join(encode_message(m) for m in msgs))
         except OSError:
             pass
 
@@ -310,14 +330,11 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                     send(bye_message("protocol"))
                     return "protocol"
             elif kind == "task":
-                ok = (ctx is not None
-                      and msg.get("generation") == ctx.generation
-                      and isinstance(msg.get("index"), int)
-                      and 0 <= msg["index"] < ctx.lam)
-                if not ok:
+                indexes = _task_range(ctx, msg)
+                if indexes is None:
                     send(bye_message("protocol"))
                     return "protocol"
-                send(run_task(ctx, msg["index"]))
+                send(*run_task(ctx, indexes))
             else:
                 send(bye_message("protocol"))
                 return "protocol"
@@ -330,21 +347,42 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
 
 
 class _Conn:
-    __slots__ = ("sock", "buf", "worker_id", "busy", "alive")
+    __slots__ = ("sock", "buf", "worker_id", "owed", "alive")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.buf = bytearray()
         self.worker_id: str | None = None
-        self.busy = False
+        self.owed = 0                 # RESULTs still due for TASKs sent
         self.alive = True
 
 
-class MasterServer:
-    """Single-threaded event loop that farms candidate indexes to workers.
+def split_ranges(indexes: list[int], parts: int) -> list[range]:
+    """Cut sorted ``indexes`` into at most ``parts`` contiguous ranges.
 
-    Results are folded by candidate index, so neither scheduling nor
-    worker failures can change what a generation returns.
+    The chunks differ in size by at most one.  A chunk that spans a gap
+    (only possible after a re-dispatch) is cut at the gap; its tail stays
+    for a later call.
+    """
+    size, extra = divmod(len(indexes), parts)
+    out, at = [], 0
+    for p in range(min(parts, len(indexes))):
+        chunk = indexes[at:at + size + (p < extra)]
+        at += len(chunk)
+        start, n = chunk[0], 1
+        while n < len(chunk) and chunk[n] == start + n:
+            n += 1
+        out.append(range(start, start + n))
+    return out
+
+
+class MasterServer:
+    """Single-threaded event loop that farms candidate ranges to workers.
+
+    Each idle worker gets at most one contiguous range of a generation's
+    candidate indexes per dispatch.  Results are folded by candidate index,
+    so neither scheduling nor worker failures can change what a generation
+    returns.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -466,35 +504,32 @@ class MasterServer:
             self._pump(0.1)
 
     def evaluate_generation(self, gen_msg: dict, lam: int) -> list[CandidateEval]:
-        """Broadcast one GEN, dispatch its indexes, and collect all results.
+        """Broadcast one GEN, dispatch its index ranges, and collect all results.
 
-        Duplicate results for an index are discarded (first accepted wins);
-        unanswered indexes are re-dispatched on worker loss or timeout.
+        Results from another run or generation and duplicates for an index
+        are discarded (first accepted wins); a range's unanswered indexes
+        are re-dispatched on worker loss or timeout.
         """
         self._gen_msg = gen_msg
-        generation = gen_msg["generation"]
+        run_id, generation = gen_msg["run_id"], gen_msg["generation"]
         for conn in list(self._workers()):
             self._send(conn, gen_msg)
 
-        pending: deque[int] = deque(range(lam))
+        pending = set(range(lam))     # unanswered and not out on a live TASK
         outstanding: dict[int, tuple[_Conn, float]] = {}
         results: dict[int, CandidateEval] = {}
 
         def dispatch() -> None:
-            for conn in [c for c in self._workers() if not c.busy]:
-                idx = None
-                while pending:
-                    head = pending.popleft()
-                    if head not in results:
-                        idx = head
-                        break
-                if idx is None:
-                    return
-                if self._send(conn, task_message(generation, idx)):
-                    conn.busy = True
-                    outstanding[idx] = (conn, time.monotonic() + self.task_timeout)
-                else:
-                    pending.appendleft(idx)
+            idle = [c for c in self._workers() if not c.owed]
+            if not idle or not pending:
+                return
+            deadline = time.monotonic() + self.task_timeout
+            for conn, span in zip(idle, split_ranges(sorted(pending), len(idle))):
+                task = task_message(run_id, generation, span.start, len(span))
+                if self._send(conn, task):
+                    conn.owed = len(span)
+                    pending.difference_update(span)
+                    outstanding.update(dict.fromkeys(span, (conn, deadline)))
 
         dispatch()
         while len(results) < lam:
@@ -507,23 +542,20 @@ class MasterServer:
             for conn, msg in self._pump(0.05):
                 if msg["type"] != "result":
                     continue
-                conn.busy = False
-                if msg.get("generation") != generation:
+                conn.owed = max(0, conn.owed - 1)
+                if msg.get("run_id") != run_id or msg.get("generation") != generation:
                     continue
                 idx = msg.get("index")
                 if isinstance(idx, int) and 0 <= idx < lam and idx not in results:
                     results[idx] = eval_from_result(msg)
                     outstanding.pop(idx, None)
-            if self._drop_events:
-                dead = set(self._drop_events)
-                self._drop_events.clear()
-                for idx in sorted(i for i, (c, _) in outstanding.items() if c in dead):
-                    del outstanding[idx]
-                    pending.append(idx)
+                    pending.discard(idx)
+            dead = set(self._drop_events)
+            self._drop_events.clear()
             now = time.monotonic()
-            for idx in sorted(i for i, (_, dl) in outstanding.items() if now > dl):
+            for idx in [i for i, (c, dl) in outstanding.items() if c in dead or now > dl]:
                 del outstanding[idx]
-                pending.append(idx)
+                pending.add(idx)
             dispatch()
         return [results[i] for i in range(lam)]
 

@@ -5,10 +5,10 @@ training episodes.  Episode seeds derive from (master_seed, generation, ...)
 so evaluation is reproducible and independent of scheduling.  All rollouts
 go through one lockstep engine (``run_episodes``) that steps a batch of
 episodes together, one lane per episode: a generation's candidates form one
-batch, the test probe's episodes another, and a remote worker's single
-candidate a batch of one.  A lane computes the same bits whatever batch it
-is in, so a whole generation, a sub-batch, or one candidate on a remote
-worker all give identical numbers.  Progress is measured by a separate
+batch, the test probe's episodes another, and a remote worker's range of
+candidates a third.  A lane computes the same bits whatever batch it is in,
+so a whole generation, a sub-batch, or a worker's range all give identical
+numbers.  Progress is measured by a separate
 deterministic test protocol (median raw return over five fixed-seed
 episodes) whose steps never count against the budget.
 """
@@ -236,7 +236,7 @@ def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
 def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
                        normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
                        generation: int, master_seed: int) -> CandidateEval:
-    """Fitness of one genome; shared verbatim by local and remote evaluation."""
+    """Fitness of one genome: ``score_candidates`` on a batch of one."""
     return score_candidates([genome], [index], make_env(env_id), normalizer,
                             fitness_spec, generation, master_seed)[0]
 
@@ -280,6 +280,8 @@ def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer, env_id: str,
                 master_seed: int, generation: int,
                 episodes: int = 5) -> tuple[float, list[float]]:
     """Deterministic progress probe: median raw return over fixed seeds."""
+    if episodes < 1:
+        raise ValueError(f"test_policy needs at least one episode, got {episodes}")
     seeds = [test_episode_seed(master_seed, generation, ep) for ep in range(episodes)]
     weights = np.repeat(policy.weights[None], episodes, axis=0)
     returns = [res.raw_return
@@ -347,7 +349,11 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
         gen = state.g
         if on_generation is not None:
             on_generation(params, state)
-        cands = ask(params, state, master_seed)
+        try:
+            cands = ask(params, state, master_seed)
+        except NumericalDegeneracyError:
+            status = "degenerate"
+            break
         result = evaluator(params, state, cands, normalizer, gen)
         for c, f in zip(cands, result.fitnesses):
             c.fitness = float(f)

@@ -9,16 +9,18 @@ import pytest
 
 from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, MasterServer,
                     ObsNormalizer, ask, env_spec, evaluate_candidate,
-                    new_strategy, tell, train)
+                    evaluate_generation, new_strategy, tell, train)
+from evolin import distributed
 from evolin.distributed import (DesyncError, GenerationFailedError,
                                 ProtocolError, _LineReader, build_gen_message,
                                 bye_message, cov_digest, cov_payload,
                                 decode_message, encode_message,
                                 eval_from_result, gen_context, hello_message,
-                                run_task, serve_worker, task_message,
-                                train_distributed, transform_from_payload)
+                                run_task, serve_worker, split_ranges,
+                                task_message, train_distributed,
+                                transform_from_payload)
 from evolin.es import CovTransform
-from evolin.evaluate import write_curve_csv
+from evolin.evaluate import collect_generation, write_curve_csv
 
 
 def warmed_state(variant, n=6, sigma0=0.3, tells=3, seed=77, lam=None):
@@ -57,7 +59,7 @@ def test_messages_round_trip_through_framing():
     samples = [
         hello_message("w-1"),
         gen_msg,
-        task_message(4, 2),
+        task_message("r", 4, 2, 3),
         bye_message("shutdown"),
         {"type": "result", "generation": 1, "index": 0, "fitness": 1 / 3,
          "raw_return": 1e-300, "timesteps": 17,
@@ -129,20 +131,45 @@ def test_gen_context_rejects_digest_mismatch_and_bad_shapes():
         gen_context(short)
 
 
-def test_run_task_matches_local_evaluation_exactly():
-    params, state, norm, msg = sample_gen_message(SEP_CMA, master_seed=912)
+def test_run_task_ranges_match_local_generation_exactly():
+    lam = 7
+    params, state, norm, msg = sample_gen_message(SEP_CMA, master_seed=912, lam=lam)
     gen = msg["generation"]
     ctx = gen_context(decode_message(encode_message(msg)))
     cands = ask(params, state, 912)
-    for cand in cands:
-        local = evaluate_candidate(cand.x, cand.index,
-                                   "cartpole", norm, FitnessSpec(), gen, 912)
-        remote = eval_from_result(
-            decode_message(encode_message(run_task(ctx, cand.index))))
-        assert remote.fitness == local.fitness
-        assert remote.raw_return == local.raw_return
-        assert remote.timesteps == local.timesteps
-        assert remote.delta.to_dict() == local.delta.to_dict()
+    local = evaluate_generation(cands, "cartpole", norm, FitnessSpec(), gen, 912)
+
+    def remote(indexes):
+        return [eval_from_result(decode_message(encode_message(r)))
+                for r in run_task(ctx, indexes)]
+
+    # a range of one, a middle range, and the whole generation
+    for indexes in (range(3, 4), range(1, 5), range(lam)):
+        evals = remote(indexes)
+        assert [e.index for e in evals] == list(indexes)
+        for e in evals:
+            alone = evaluate_candidate(cands[e.index].x, e.index, "cartpole",
+                                       norm, FitnessSpec(), gen, 912)
+            assert e.fitness == local.fitnesses[e.index] == alone.fitness
+            assert e.raw_return == local.raw_returns[e.index]
+            assert e.timesteps == alone.timesteps
+            assert e.delta.to_dict() == alone.delta.to_dict()
+
+    # ragged ranges covering the generation fold to the local generation
+    folded = collect_generation(remote(range(0, 1)) + remote(range(1, 5))
+                                + remote(range(5, lam)), len(norm.mean), lam)
+    assert folded.fitnesses.tobytes() == local.fitnesses.tobytes()
+    assert folded.raw_returns.tobytes() == local.raw_returns.tobytes()
+    assert folded.timesteps == local.timesteps
+    assert folded.delta.to_dict() == local.delta.to_dict()
+
+
+def test_split_ranges_is_balanced_contiguous_and_cut_at_gaps():
+    assert split_ranges(list(range(4)), 2) == [range(0, 2), range(2, 4)]
+    assert split_ranges(list(range(7)), 3) == [range(0, 3), range(3, 5), range(5, 7)]
+    assert split_ranges(list(range(2)), 5) == [range(0, 1), range(1, 2)]
+    assert split_ranges([1, 2, 5, 6], 1) == [range(1, 3)]
+    assert split_ranges([1, 2, 5, 6], 2) == [range(1, 3), range(5, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +264,10 @@ def test_master_and_worker_sockets_disable_nagle(monkeypatch):
     assert out.get("reason") == "shutdown"
 
 
-def test_worker_says_bye_on_out_of_range_task_index():
+def worker_replies_to_task(edit, replies=1):
+    """Start a real worker, send it a GEN and the TASK ``edit`` makes of a
+    valid one-candidate TASK, and return its first ``replies`` messages and
+    its exit reason once the connection is closed."""
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]
     out = {}
@@ -252,13 +282,46 @@ def test_worker_says_bye_on_out_of_range_task_index():
     assert decode_message(reader.readline())["type"] == "hello"
     _, _, _, msg = sample_gen_message()
     conn.sendall(encode_message(msg))
-    conn.sendall(encode_message(task_message(msg["generation"], msg["lambda"])))
-    reply = decode_message(reader.readline())
-    assert reply == bye_message("protocol")
-    thread.join(timeout=10)
-    assert out["reason"] == "protocol"
+    task = task_message(msg["run_id"], msg["generation"], 0, 1)
+    conn.sendall(encode_message(edit(task, msg["lambda"])))
+    got = [decode_message(reader.readline()) for _ in range(replies)]
     conn.close()
+    thread.join(timeout=10)
     listener.close()
+    return got, out["reason"]
+
+
+def test_worker_says_bye_on_out_of_range_task_index():
+    (reply,), reason = worker_replies_to_task(lambda t, lam: dict(t, index=lam))
+    assert reply == bye_message("protocol")
+    assert reason == "protocol"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t, lam: dict(t, count=0),
+    lambda t, lam: dict(t, count=-2),
+    lambda t, lam: dict(t, count=1.0),
+    lambda t, lam: dict(t, count="2"),
+    lambda t, lam: dict(t, count=True),
+    lambda t, lam: {k: v for k, v in t.items() if k != "count"},
+    lambda t, lam: dict(t, index=1, count=lam),
+    lambda t, lam: dict(t, index=-1, count=2),
+    lambda t, lam: dict(t, run_id="another-run"),
+], ids=["count-0", "count-negative", "count-float", "count-string",
+        "count-bool", "count-missing", "past-lambda", "index-negative",
+        "foreign-run"])
+def test_worker_says_bye_on_malformed_task_range(edit):
+    (reply,), reason = worker_replies_to_task(edit)
+    assert reply == bye_message("protocol")
+    assert reason == "protocol"
+
+
+def test_worker_answers_a_range_with_one_result_per_index():
+    replies, reason = worker_replies_to_task(
+        lambda t, lam: dict(t, index=1, count=2), replies=2)
+    assert [(r["type"], r["run_id"], r["index"]) for r in replies] == [
+        ("result", "t", 1), ("result", "t", 2)]
+    assert reason == "eof"
 
 
 def test_worker_says_bye_on_task_before_gen_and_raises_on_desync():
@@ -285,7 +348,7 @@ def test_worker_says_bye_on_task_before_gen_and_raises_on_desync():
         conn.close()
         return out
 
-    out = check(task_message(0, 0), "protocol")
+    out = check(task_message("t", 0, 0, 1), "protocol")
     assert out["reason"] == "protocol"
 
     _, _, _, msg = sample_gen_message()
@@ -348,11 +411,11 @@ def test_duplicate_and_stale_results_are_discarded():
         def scripted():
             w = ScriptedWorker(address, "dup")
             w.read_until("gen")
-            for _ in range(lam):
-                task = w.read_until("task")
-                idx = task["index"]
+            task = w.read_until("task")
+            for idx in range(task["index"], task["index"] + task["count"]):
                 seen.append(idx)
-                base = {"type": "result", "generation": task["generation"],
+                base = {"type": "result", "run_id": task["run_id"],
+                        "generation": task["generation"],
                         "index": idx, "raw_return": 0.0, "timesteps": 1,
                         "delta": empty_delta(spec.obs_dim)}
                 w.send(dict(base, generation=10 ** 6, fitness=-123.0))
@@ -367,6 +430,37 @@ def test_duplicate_and_stale_results_are_discarded():
         evals = server.evaluate_generation(msg, lam)
         assert sorted(seen) == [0, 1, 2]
         assert [e.fitness for e in evals] == [10.0, 11.0, 12.0]
+    thread.join(timeout=10)
+
+
+def test_result_from_another_run_is_discarded():
+    # a server reused across seeds must not take a late result of the
+    # previous run for the same generation and index
+    spec = env_spec("cartpole")
+    _, _, _, msg = sample_gen_message()
+    lam = 2
+    with MasterServer() as server:
+        address = server.address
+
+        def scripted():
+            w = ScriptedWorker(address, "stale")
+            w.read_until("gen")
+            task = w.read_until("task")
+            for idx in range(task["index"], task["index"] + task["count"]):
+                base = {"type": "result", "generation": task["generation"],
+                        "index": idx, "raw_return": 0.0, "timesteps": 1,
+                        "delta": empty_delta(spec.obs_dim)}
+                w.send(dict(base, run_id="previous-seed", fitness=-123.0))
+                w.send(dict(base, fitness=-456.0))
+                w.send(dict(base, run_id=task["run_id"], fitness=10.0 + idx))
+            w.read_until("bye")
+            w.close()
+
+        thread = threading.Thread(target=scripted, daemon=True)
+        thread.start()
+        server.wait_for_workers(1, timeout=10)
+        evals = server.evaluate_generation(msg, lam)
+        assert [e.fitness for e in evals] == [10.0, 11.0]
     thread.join(timeout=10)
 
 
@@ -452,6 +546,31 @@ def test_worker_crash_mid_generation_does_not_change_results():
 
     assert records_of(dist) == records_of(local)
     assert any(reason == "eof" for _, reason in server.dropped)
+
+
+def test_each_worker_gets_one_task_per_generation(monkeypatch):
+    tasks = []
+    scored = distributed.run_task
+
+    def recording_run_task(ctx, indexes):
+        tasks.append((ctx.generation, threading.current_thread().name, indexes))
+        return scored(ctx, indexes)
+
+    monkeypatch.setattr(distributed, "run_task", recording_run_task)
+    kw = dict(TRAIN_KW, max_generations=5)
+    with MasterServer() as server:
+        threads = [start_real_worker(server, worker_id=f"w{i}")[0]
+                   for i in range(2)]
+        dist = train_distributed("cartpole", CSA, expected_workers=2,
+                                 server=server, **kw)
+    for t in threads:
+        t.join(timeout=10)
+    assert records_of(dist) == records_of(train("cartpole", CSA, **kw))
+    for gen in range(5):
+        got = [(name, r) for g, name, r in tasks if g == gen]
+        assert len({name for name, _ in got}) == len(got) == 2
+        assert sorted(r.start for _, r in got) == [0, 2]
+        assert all(len(r) == 2 for _, r in got)
 
 
 def test_multi_worker_run_equals_single_worker_run():

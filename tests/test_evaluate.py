@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from evolin import (CSA, FULL_CMA, FitnessSpec, LinearPolicy, ObsNormalizer,
+from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, LinearPolicy,
+                    ObsNormalizer,
                     Shaping, ask, env_spec, make_env, new_strategy,
                     read_curve_csv, rollout, shape_reward, train,
                     write_curve_csv)
 from evolin import test_policy as run_test_protocol
+from evolin import evaluate
 from evolin.evaluate import (collect_generation, evaluate_candidate,
                              evaluate_generation, train_episode_seed)
 from evolin.evaluate import test_episode_seed as probe_episode_seed
@@ -166,6 +168,17 @@ def test_test_policy_reports_median_of_five() -> None:
     assert again == median and returns2 == returns
 
 
+@pytest.mark.parametrize("episodes", [0, -2])
+def test_test_policy_rejects_no_episodes_before_any_rollout(monkeypatch, episodes) -> None:
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("no episode may run")
+
+    monkeypatch.setattr(evaluate, "run_episodes", no_rollouts)
+    with pytest.raises(ValueError, match="at least one episode"):
+        run_test_protocol(zero_policy("pendulum"), ObsNormalizer.create(3),
+                          "pendulum", master_seed=3, generation=0, episodes=episodes)
+
+
 # ---------------------------------------------------------------------- train
 
 def test_train_smoke_produces_monotone_records() -> None:
@@ -217,6 +230,28 @@ def test_train_test_every_skips_probes() -> None:
     result = train("cartpole", CSA, sigma0=0.1, lam=4, budget_timesteps=4000,
                    master_seed=2, test_every=3)
     assert all(r.generation % 3 == 0 for r in result.records)
+
+
+@pytest.mark.parametrize("variant", [SEP_CMA, FULL_CMA])
+def test_degenerate_covariance_factors_end_the_run_as_degenerate(monkeypatch, variant) -> None:
+    # tell hands back non-finite covariance factors, so the next ask raises
+    # NumericalDegeneracyError outside tell
+    real_tell = evaluate.tell
+
+    def poisoned_tell(*args, **kwargs):
+        new = real_tell(*args, **kwargs)
+        if new.c_diag is not None:
+            new.c_diag = np.full_like(new.c_diag, np.inf)
+        else:
+            new.eig_scale = np.full_like(new.eig_scale, np.inf)
+        return new
+
+    monkeypatch.setattr(evaluate, "tell", poisoned_tell)
+    result = train("cartpole", variant, sigma0=0.1, lam=4, budget_timesteps=10**9,
+                   master_seed=1, max_generations=5)
+    assert result.status == "degenerate"
+    assert [r.generation for r in result.records] == [0]
+    assert result.state.g == 1
 
 
 def test_train_rejects_unknown_inputs() -> None:
