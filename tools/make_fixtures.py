@@ -5,23 +5,28 @@ actions, fixed reset seed), a small trained cart-pole checkpoint used by
 the CLI tests, and the golden rollout file: every candidate's fitness, raw
 return, timesteps and observation delta, plus the test-probe returns, for a
 few fixed generations of each environment, with every float stored exactly
-as ``float.hex``.  Run from the repository root:
+as ``float.hex``, and the golden training file: the curve CSV, status,
+budget spent, final generation and best checkpoint of a few whole training
+runs.  Run from the repository root:
 
     python3 tools/make_fixtures.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, Shaping,
                     env_spec, genome_dim, make_env, save_checkpoint,
-                    test_policy, train)
+                    test_policy, train, write_curve_csv)
+from evolin import evaluate
 from evolin.evaluate import evaluate_candidate
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
@@ -152,6 +157,80 @@ def write_golden_rollouts() -> None:
     print("wrote", path)
 
 
+# name, env, variant and train() keywords; "degenerate_at" makes the tell
+# that reaches that generation hand back non-finite covariance factors, so
+# the next ask raises NumericalDegeneracyError
+GOLDEN_TRAIN_CASES = (
+    ("pendulum-sep-cma-lam32", "pendulum", "sep-cma",
+     dict(sigma0=0.1, lam=32, budget_timesteps=10**12, master_seed=0,
+          max_generations=25)),
+    ("cartpole-cma-target", "cartpole", "cma",
+     dict(sigma0=0.1, lam=4, budget_timesteps=10**9, master_seed=3,
+          target_return=475.0)),
+    ("cartpole-csa-every3", "cartpole", "csa",
+     dict(sigma0=0.1, lam=4, budget_timesteps=10**9, master_seed=2,
+          test_every=3, max_generations=20)),
+    ("cartpole-sep-cma-degenerate", "cartpole", "sep-cma",
+     dict(sigma0=0.1, lam=4, budget_timesteps=10**9, master_seed=1,
+          max_generations=10, degenerate_at=4)),
+    ("cartpole-sep-cma-budget", "cartpole", "sep-cma",
+     dict(sigma0=0.1, lam=6, budget_timesteps=3000, master_seed=4,
+          test_every=2)),
+)
+
+
+@contextlib.contextmanager
+def degenerate_from(generation: int | None):
+    """Poison ``tell`` so the state it returns at ``generation`` cannot be
+    sampled from; a no-op for None."""
+    real_tell = evaluate.tell
+
+    def poisoned_tell(*args, **kwargs):
+        new = real_tell(*args, **kwargs)
+        if new.g >= generation:
+            if new.c_diag is not None:
+                new.c_diag = np.full_like(new.c_diag, np.inf)
+            else:
+                new.eig_scale = np.full_like(new.eig_scale, np.inf)
+        return new
+
+    if generation is not None:
+        evaluate.tell = poisoned_tell
+    try:
+        yield
+    finally:
+        evaluate.tell = real_tell
+
+
+def golden_train_case(name, env_id, variant, kwargs) -> dict:
+    """Train one whole run with the code as it stands and record its outcome."""
+    train_kw = dict(kwargs)
+    with degenerate_from(train_kw.pop("degenerate_at", None)):
+        result = train(env_id, variant, **train_kw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.csv")
+        write_curve_csv(path, result.records)
+        with open(path, encoding="utf-8", newline="") as fh:
+            curve = fh.read()
+    return {"name": name, "env_id": env_id, "variant": variant, "kwargs": kwargs,
+            "curve_csv": curve, "status": result.status,
+            "cumulative_timesteps": result.cumulative_timesteps,
+            "state_g": result.state.g, "state_m": hexes(result.state.m),
+            "state_sigma": result.state.sigma.hex(),
+            "best_generation": result.best.generation,
+            "best_genome": hexes(result.best.genome),
+            "best_normalizer": normalizer_doc(result.best.normalizer)}
+
+
+def write_golden_train() -> None:
+    doc = {"cases": [golden_train_case(*case) for case in GOLDEN_TRAIN_CASES]}
+    path = os.path.join(FIXTURE_DIR, "golden_train.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print("wrote", path)
+
+
 def main() -> int:
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     write_trajectory("cartpole", cartpole_actions())
@@ -159,6 +238,7 @@ def main() -> int:
     write_trajectory("pendulum", pendulum_actions())
     write_cartpole_checkpoint()
     write_golden_rollouts()
+    write_golden_train()
     return 0
 
 
