@@ -8,7 +8,8 @@ candidates from (master_seed, generation, index) with the exact code the
 local evaluator uses, scores the range as one lockstep batch, and answers
 one RESULT per index.  A candidate's result does not depend on the batch
 it is scored in, so a distributed run reproduces a single-process run bit
-for bit.
+for bit.  The master runs the previous generation's test probe itself,
+while the workers score their ranges.
 
 Wire format: one JSON object per line, UTF-8, field "type" selecting
 HELLO / GEN / TASK / RESULT / BYE.  Reals use shortest-roundtrip decimal
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import selectors
 import socket
 import struct
@@ -32,7 +34,7 @@ import numpy as np
 from .envs import env_spec, make_env
 from .es import CovTransform, DistributionState, sample_candidate_from_seed
 from .evaluate import (CandidateEval, FitnessSpec, TrainResult,
-                       collect_generation, score_candidates, train)
+                       collect_generation, score_candidates, test_policy, train)
 from .policy import ObsNormalizer
 
 PROTOCOL_VERSION = 2
@@ -204,13 +206,38 @@ def result_message(run_id: str, generation: int, ev: CandidateEval) -> dict:
     }
 
 
-def eval_from_result(msg: dict) -> CandidateEval:
+def _real(value, what: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ProtocolError(f"RESULT {what} must be a finite number")
+    return float(value)
+
+
+def _count(value, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ProtocolError(f"RESULT {what} must be a non-negative int")
+    return value
+
+
+def eval_from_result(msg: dict, obs_dim: int) -> CandidateEval:
+    """Parse a RESULT.  Raises ProtocolError if a field is missing, mistyped
+    or non-finite, or the delta's moments do not have ``obs_dim`` entries."""
+    delta = msg.get("delta")
+    if not isinstance(delta, dict):
+        raise ProtocolError("RESULT delta must be an object")
+    mean, m2 = delta.get("mean"), delta.get("m2")
+    if not (isinstance(mean, list) and isinstance(m2, list)
+            and len(mean) == len(m2) == obs_dim):
+        raise ProtocolError(f"RESULT delta mean and m2 must be lists of length {obs_dim}")
+    m2 = np.array([_real(v, "delta m2") for v in m2])
+    if (m2 < 0).any():
+        raise ProtocolError("RESULT delta m2 must not be negative")
     return CandidateEval(
-        index=int(msg["index"]),
-        fitness=float(msg["fitness"]),
-        raw_return=float(msg["raw_return"]),
-        timesteps=int(msg["timesteps"]),
-        delta=ObsNormalizer.from_dict(msg["delta"]),
+        index=_count(msg.get("index"), "index"),
+        fitness=_real(msg.get("fitness"), "fitness"),
+        raw_return=_real(msg.get("raw_return"), "raw_return"),
+        timesteps=_count(msg.get("timesteps"), "timesteps"),
+        delta=ObsNormalizer(_count(delta.get("count"), "delta count"),
+                            np.array([_real(v, "delta mean") for v in mean]), m2),
     )
 
 
@@ -382,7 +409,10 @@ class MasterServer:
     Each idle worker gets at most one contiguous range of a generation's
     candidate indexes per dispatch.  Results are folded by candidate index,
     so neither scheduling nor worker failures can change what a generation
-    returns.
+    returns.  Work the master owes meanwhile (the previous generation's test
+    probe) runs after the first dispatch, while the workers score.  A worker
+    whose RESULT is malformed is dropped with reason ``protocol`` and its
+    indexes go to the others.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -503,15 +533,19 @@ class MasterServer:
                     f"{self.worker_count()} of {count} workers connected")
             self._pump(0.1)
 
-    def evaluate_generation(self, gen_msg: dict, lam: int) -> list[CandidateEval]:
+    def evaluate_generation(self, gen_msg: dict, lam: int,
+                            overlap: Callable[[], None] | None = None) -> list[CandidateEval]:
         """Broadcast one GEN, dispatch its index ranges, and collect all results.
 
-        Results from another run or generation and duplicates for an index
-        are discarded (first accepted wins); a range's unanswered indexes
-        are re-dispatched on worker loss or timeout.
+        ``overlap`` runs once, after every idle worker has its TASK and
+        before any RESULT is read.  Results from another run or generation
+        and duplicates for an index are discarded (first accepted wins); a
+        range's unanswered indexes are re-dispatched on worker loss,
+        timeout or a malformed RESULT.
         """
         self._gen_msg = gen_msg
         run_id, generation = gen_msg["run_id"], gen_msg["generation"]
+        obs_dim = len(gen_msg["normalizer"]["mean"])
         for conn in list(self._workers()):
             self._send(conn, gen_msg)
 
@@ -532,6 +566,8 @@ class MasterServer:
                     outstanding.update(dict.fromkeys(span, (conn, deadline)))
 
         dispatch()
+        if overlap is not None:
+            overlap()
         while len(results) < lam:
             if not self._workers():
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
@@ -540,16 +576,21 @@ class MasterServer:
                     f"unevaluated at generation {generation}"
                     + (f" (recent drops: {detail})" if detail else ""))
             for conn, msg in self._pump(0.05):
-                if msg["type"] != "result":
+                if msg["type"] != "result" or not conn.alive:
                     continue
                 conn.owed = max(0, conn.owed - 1)
                 if msg.get("run_id") != run_id or msg.get("generation") != generation:
                     continue
-                idx = msg.get("index")
-                if isinstance(idx, int) and 0 <= idx < lam and idx not in results:
-                    results[idx] = eval_from_result(msg)
-                    outstanding.pop(idx, None)
-                    pending.discard(idx)
+                try:
+                    ev = eval_from_result(msg, obs_dim)
+                except ProtocolError:
+                    self._send(conn, bye_message("protocol"))
+                    self._drop(conn, "protocol")
+                    continue
+                if ev.index < lam and ev.index not in results:
+                    results[ev.index] = ev
+                    outstanding.pop(ev.index, None)
+                    pending.discard(ev.index)
             dead = set(self._drop_events)
             self._drop_events.clear()
             now = time.monotonic()
@@ -587,16 +628,28 @@ class MasterServer:
 def distributed_evaluator(server: MasterServer, env_id: str,
                           fitness_spec: FitnessSpec, master_seed: int,
                           run_id: str) -> Callable:
-    """Generation evaluator that scores candidates on connected workers."""
+    """Generation evaluator that scores candidates on connected workers and
+    runs the owed test probe on the master while they do."""
     obs_dim = env_spec(env_id).obs_dim
 
-    def evaluator(_params, state, cands, normalizer, gen):
+    def evaluator(_params, state, cands, normalizer, gen, probe):
         msg = build_gen_message(run_id=run_id, generation=gen,
                                 master_seed=master_seed, env_id=env_id,
                                 lam=len(cands), state=state,
                                 normalizer=normalizer, fitness_spec=fitness_spec)
-        evals = server.evaluate_generation(msg, len(cands))
-        return collect_generation(evals, obs_dim, len(cands))
+        probe_returns = []
+
+        def run_probe():
+            probe_returns.extend(test_policy(
+                probe.policy, normalizer, env_id, master_seed,
+                probe.generation, probe.episodes)[1])
+
+        evals = server.evaluate_generation(
+            msg, len(cands), None if probe is None else run_probe)
+        result = collect_generation(evals, obs_dim, len(cands))
+        if probe is not None:
+            result.probe_returns = probe_returns
+        return result
 
     return evaluator
 
@@ -615,7 +668,9 @@ def train_distributed(env_id: str, variant: str, *, sigma0: float,
     """Run a training loop whose candidate evaluations happen on workers.
 
     Identical in every recorded number to a local ``train`` call with the
-    same arguments; test episodes still run on the master.  Pass ``server``
+    same arguments.  Test episodes run on the master: each generation's
+    probe while the workers score the next generation, and a probe still
+    owed at the end alone.  Pass ``server``
     to reuse an already-bound MasterServer (it stays open); otherwise one
     is bound on ``listen`` and closed when training ends.
     """

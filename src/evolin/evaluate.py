@@ -5,12 +5,15 @@ training episodes.  Episode seeds derive from (master_seed, generation, ...)
 so evaluation is reproducible and independent of scheduling.  All rollouts
 go through one lockstep engine (``run_episodes``) that steps a batch of
 episodes together, one lane per episode: a generation's candidates form one
-batch, the test probe's episodes another, and a remote worker's range of
-candidates a third.  A lane computes the same bits whatever batch it is in,
-so a whole generation, a sub-batch, or a worker's range all give identical
-numbers.  Progress is measured by a separate
-deterministic test protocol (median raw return over five fixed-seed
-episodes) whose steps never count against the budget.
+batch, and a remote worker's range of candidates another.  A lane computes
+the same bits whatever batch it is in, so a whole generation, a sub-batch, or
+a worker's range all give identical numbers.  Progress is measured by a
+separate deterministic test protocol (median raw return over five fixed-seed
+episodes) whose steps never count against the budget.  The probe of
+generation g needs only the state and normalizer that generation g + 1
+starts from, so ``train`` runs it as further lanes of g + 1's batch (or, on
+the distributed master, while the workers score g + 1); only a probe still
+owed when the run ends runs alone, through ``test_policy``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "run_episodes",
     "rollout",
     "CandidateEval",
+    "Probe",
     "score_candidates",
     "evaluate_candidate",
     "GenerationEval",
@@ -199,6 +203,22 @@ class CandidateEval:
     delta: ObsNormalizer
 
 
+@dataclass(frozen=True)
+class Probe:
+    """A test probe: ``episodes`` fixed-seed episodes of ``policy`` (the
+    mean after ``generation``'s tell), scored by raw return."""
+
+    policy: LinearPolicy
+    generation: int
+    episodes: int = 5
+
+    def lanes(self, master_seed: int) -> tuple[np.ndarray, list]:
+        """The probe's per-lane weights and episode seeds."""
+        seeds = [test_episode_seed(master_seed, self.generation, ep)
+                 for ep in range(self.episodes)]
+        return np.repeat(self.policy.weights[None], self.episodes, axis=0), seeds
+
+
 def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
                      fitness_spec: FitnessSpec, generation: int,
                      master_seed: int) -> list[CandidateEval]:
@@ -209,15 +229,33 @@ def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
     """
     if not len(indexes):
         return []
+    return _score_batch(genomes, indexes, env, normalizer, fitness_spec,
+                        generation, master_seed)[0]
+
+
+def _score_batch(genomes, indexes, env, normalizer: ObsNormalizer,
+                 fitness_spec: FitnessSpec, generation: int, master_seed: int,
+                 probe: Probe | None = None) -> tuple[list[CandidateEval], list[float] | None]:
+    """``score_candidates``, with ``probe``'s episodes as further lanes of the
+    same batch.  Probe lanes give raw returns only: their observations and
+    shaped returns are dropped."""
     spec = env.spec
     k = fitness_spec.train_episodes
     weights = np.stack([LinearPolicy.from_genome(g, spec.obs_dim, spec.action_space).weights
                         for g in genomes])
+    weights = np.repeat(weights, k, axis=0)
     seeds = [train_episode_seed(master_seed, generation, index, ep,
                                 fitness_spec.common_random_numbers)
              for index in indexes for ep in range(k)]
-    episodes = run_episodes(env, np.repeat(weights, k, axis=0), normalizer, seeds,
+    if probe is not None:
+        probe_weights, probe_seeds = probe.lanes(master_seed)
+        weights = np.concatenate([weights, probe_weights])
+        seeds += probe_seeds
+    episodes = run_episodes(env, weights, normalizer, seeds,
                             fitness_spec.shaping, update_normalizer=True)
+    train_lanes = len(indexes) * k
+    probe_returns = (None if probe is None
+                     else [res.raw_return for res in episodes[train_lanes:]])
     evals = []
     for c, index in enumerate(indexes):
         delta = ObsNormalizer.create(spec.obs_dim)
@@ -230,7 +268,7 @@ def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
             steps += res.timesteps
             delta.merge(res.delta)
         evals.append(CandidateEval(index, shaped_sum / k, raw_sum / k, steps, delta))
-    return evals
+    return evals, probe_returns
 
 
 def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
@@ -247,16 +285,26 @@ class GenerationEval:
     raw_returns: np.ndarray
     timesteps: int
     delta: ObsNormalizer
+    probe_returns: list[float] | None = None
 
 
 def evaluate_generation(candidates: list[Candidate], env_id: str,
                         normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
-                        generation: int, master_seed: int) -> GenerationEval:
-    """Evaluate a full generation as one batch."""
-    evals = score_candidates([c.x for c in candidates], [c.index for c in candidates],
-                             make_env(env_id), normalizer, fitness_spec,
-                             generation, master_seed)
-    return collect_generation(evals, normalizer.dim, len(candidates))
+                        generation: int, master_seed: int,
+                        probe: Probe | None = None) -> GenerationEval:
+    """Evaluate a full generation as one batch.
+
+    With ``probe``, the probe's episodes ride in the same batch and their
+    raw returns come back as ``probe_returns``, bit for bit what
+    ``test_policy`` gives; they feed neither the fitnesses, the timesteps
+    nor the normalizer delta.
+    """
+    evals, probe_returns = _score_batch(
+        [c.x for c in candidates], [c.index for c in candidates],
+        make_env(env_id), normalizer, fitness_spec, generation, master_seed, probe)
+    result = collect_generation(evals, normalizer.dim, len(candidates))
+    result.probe_returns = probe_returns
+    return result
 
 
 def collect_generation(evals: list[CandidateEval], obs_dim: int,
@@ -282,8 +330,7 @@ def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer, env_id: str,
     """Deterministic progress probe: median raw return over fixed seeds."""
     if episodes < 1:
         raise ValueError(f"test_policy needs at least one episode, got {episodes}")
-    seeds = [test_episode_seed(master_seed, generation, ep) for ep in range(episodes)]
-    weights = np.repeat(policy.weights[None], episodes, axis=0)
+    weights, seeds = Probe(policy, generation, episodes).lanes(master_seed)
     returns = [res.raw_return
                for res in run_episodes(make_env(env_id), weights, normalizer, seeds)]
     return float(statistics.median(returns)), returns
@@ -321,10 +368,20 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
           on_generation: Callable | None = None) -> TrainResult:
     """Search policy weights by ask/evaluate/tell until the budget is spent.
 
+    The test probe of generation g is owed until generation g + 1 is
+    evaluated, and runs with it: ``evaluator(params, state, cands,
+    normalizer, gen, probe)`` gets the owed ``Probe`` (or None) and returns a
+    ``GenerationEval`` whose ``probe_returns`` answer it.  g's record, best
+    checkpoint and target check come before g + 1's results are merged or
+    told, and a met target drops those results, so every recorded number is
+    what probing right after g's tell would give.  A probe still owed when
+    the loop ends runs alone through ``test_policy``.
+
     ``evaluator`` may replace local rollout evaluation (the distributed
     master does); it must honor the evaluate_generation contract so runs
     remain bitwise comparable.  ``on_generation(params, state)`` fires at
-    the start of every generation.
+    the start of every generation, including one whose results a met target
+    then drops.
     """
     spec = env_spec(env_id)
     fitness_spec = fitness_spec or FitnessSpec()
@@ -333,15 +390,34 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
     normalizer = ObsNormalizer.create(spec.obs_dim)
 
     if evaluator is None:
-        def evaluator(prm, st, cands, norm, gen):
+        def evaluator(prm, st, cands, norm, gen, probe):
             return evaluate_generation(cands, env_id, norm, fitness_spec,
-                                       gen, master_seed)
+                                       gen, master_seed, probe)
 
     records: list[TrainRecord] = []
     best: Checkpoint | None = None
     best_median = -np.inf
     cumulative = 0
     status = "budget_exhausted"
+    # probe, budget spent, best training fitness and sigma of the last
+    # tested generation, whose record waits for the probe's returns
+    owed: tuple[Probe, int, float, float] | None = None
+
+    def settle(returns: list[float]) -> bool:
+        """Record the owed generation; ``state`` and ``normalizer`` are still
+        the ones its probe saw.  True when the record meets the target."""
+        nonlocal owed, best, best_median
+        probe, spent, best_fitness, sigma = owed
+        owed = None
+        median = float(statistics.median(returns))
+        records.append(TrainRecord(probe.generation, spent, median, returns,
+                                   best_fitness, sigma))
+        if median > best_median:
+            best_median = median
+            best = Checkpoint(env_id, state.m.copy(), spec.obs_dim,
+                              spec.action_space, normalizer.frozen_view(),
+                              probe.generation, master_seed)
+        return target_return is not None and median >= target_return
 
     while cumulative < budget_timesteps:
         if max_generations is not None and state.g >= max_generations:
@@ -354,7 +430,11 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
         except NumericalDegeneracyError:
             status = "degenerate"
             break
-        result = evaluator(params, state, cands, normalizer, gen)
+        result = evaluator(params, state, cands, normalizer, gen,
+                           None if owed is None else owed[0])
+        if owed is not None and settle(result.probe_returns):
+            status = "target_reached"
+            break
         for c, f in zip(cands, result.fitnesses):
             c.fitness = float(f)
         cumulative += result.timesteps
@@ -364,21 +444,17 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
         except NumericalDegeneracyError:
             status = "degenerate"
             break
-
         if gen % test_every == 0:
-            policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
-            median, returns = test_policy(policy, normalizer, env_id, master_seed,
-                                          gen, fitness_spec.test_episodes)
-            records.append(TrainRecord(gen, cumulative, median, returns,
-                                       float(np.max(result.fitnesses)), state.sigma))
-            if median > best_median:
-                best_median = median
-                best = Checkpoint(env_id, state.m.copy(), spec.obs_dim,
-                                  spec.action_space, normalizer.frozen_view(),
-                                  gen, master_seed)
-            if target_return is not None and median >= target_return:
-                status = "target_reached"
-                break
+            probe = Probe(LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space),
+                          gen, fitness_spec.test_episodes)
+            owed = (probe, cumulative, float(np.max(result.fitnesses)), state.sigma)
+
+    if owed is not None:
+        probe = owed[0]
+        _, returns = test_policy(probe.policy, normalizer, env_id, master_seed,
+                                 probe.generation, probe.episodes)
+        if settle(returns):
+            status = "target_reached"
 
     return TrainResult(env_id, variant, master_seed, status, records, best,
                        cumulative, params, state)

@@ -1,5 +1,6 @@
 """Wire protocol and master/worker behavior, including fault injection."""
 
+import json
 import socket
 import threading
 import time
@@ -140,7 +141,7 @@ def test_run_task_ranges_match_local_generation_exactly():
     local = evaluate_generation(cands, "cartpole", norm, FitnessSpec(), gen, 912)
 
     def remote(indexes):
-        return [eval_from_result(decode_message(encode_message(r)))
+        return [eval_from_result(decode_message(encode_message(r)), len(norm.mean))
                 for r in run_task(ctx, indexes)]
 
     # a range of one, a middle range, and the whole generation
@@ -571,6 +572,70 @@ def test_each_worker_gets_one_task_per_generation(monkeypatch):
         assert len({name for name, _ in got}) == len(got) == 2
         assert sorted(r.start for _, r in got) == [0, 2]
         assert all(len(r) == 2 for _, r in got)
+
+
+def test_master_probes_while_every_worker_owes_results(monkeypatch):
+    # the probe of generation g runs after g + 1's ranges are out and before
+    # any of their RESULTs is read
+    kw = dict(TRAIN_KW, max_generations=5)
+    owed_at_probe = []
+    probe = distributed.test_policy
+    with MasterServer() as server:
+        def watched_probe(*args, **kwargs):
+            owed_at_probe.append([c.owed for c in server._workers()])
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(distributed, "test_policy", watched_probe)
+        threads = [start_real_worker(server, worker_id=f"w{i}")[0]
+                   for i in range(2)]
+        dist = train_distributed("cartpole", CSA, expected_workers=2,
+                                 server=server, **kw)
+    for t in threads:
+        t.join(timeout=10)
+    assert records_of(dist) == records_of(train("cartpole", CSA, **kw))
+    # generations 1-4 carry the probes of 0-3; the last probe runs alone
+    assert owed_at_probe == [[2, 2]] * 4
+
+
+def corrupt_first_result(address, edit):
+    """A worker that scores its range honestly but mangles its first RESULT."""
+    w = ScriptedWorker(address, "corrupt")
+    ctx = gen_context(w.read_until("gen"))
+    task = w.read_until("task")
+    results = run_task(ctx, range(task["index"], task["index"] + task["count"]))
+    results[0] = edit(results[0])
+    # json.dumps, unlike encode_message, writes NaN and Infinity
+    w.sock.sendall(b"".join((json.dumps(r) + "\n").encode() for r in results))
+    w.read_until("bye")
+    w.close()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: {k: v for k, v in r.items() if k != "fitness"},
+    lambda r: {k: v for k, v in r.items() if k != "index"},
+    lambda r: dict(r, timesteps=str(r["timesteps"])),
+    lambda r: dict(r, fitness=float("nan")),
+    lambda r: dict(r, raw_return=float("-inf")),
+    lambda r: dict(r, delta=dict(r["delta"], mean=r["delta"]["mean"][:-1])),
+    lambda r: dict(r, delta=dict(r["delta"], m2=[float("nan")] * 4)),
+    lambda r: dict(r, delta=dict(r["delta"], m2=[-1.0] * 4)),
+], ids=["missing-fitness", "missing-index", "string-timesteps", "nan-fitness",
+        "infinite-raw-return", "short-delta", "nan-delta", "negative-delta-m2"])
+def test_malformed_result_drops_the_worker_and_the_run_matches_local(edit):
+    kw = dict(TRAIN_KW, max_generations=4)
+    with MasterServer(task_timeout=10.0) as server:
+        corrupt = threading.Thread(target=corrupt_first_result,
+                                   args=(server.address, edit), daemon=True)
+        corrupt.start()
+        worker, _ = start_real_worker(server, worker_id="honest")
+        dist = train_distributed("cartpole", CSA, expected_workers=2,
+                                 server=server, **kw)
+    corrupt.join(timeout=10)
+    worker.join(timeout=10)
+    local = train("cartpole", CSA, **kw)
+    assert ("corrupt", "protocol") in server.dropped
+    assert records_of(dist) == records_of(local)
+    assert dist.cumulative_timesteps == local.cumulative_timesteps
 
 
 def test_multi_worker_run_equals_single_worker_run():

@@ -5,7 +5,8 @@ holds, for a few fixed generations of each environment, every candidate's
 fitness, raw return, timesteps and observation delta and the test-probe
 returns, all as ``float.hex``.  Every way of scoring a candidate must
 reproduce those bits: alone, inside its full generation, and inside a
-reversed or split batch of its generation.
+reversed or split batch of its generation.  The probe's returns must be the
+same whether it runs alone or as lanes of a generation's batch.
 """
 
 import json
@@ -14,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, env_spec,
+from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, Probe, env_spec,
                     make_env)
 from evolin import test_policy as run_test_protocol
 from evolin.es import Candidate
@@ -116,6 +117,28 @@ def test_probe_matches_fixture(case) -> None:
                                         case["master_seed"], case["generation"])
     assert [r.hex() for r in returns] == case["probe"]["returns"]
     assert median.hex() == case["probe"]["median"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_probe_lanes_in_a_generation_batch_match_fixture(case) -> None:
+    cands, norm, spec = setup(case)
+    env_id, generation, seed = case["env_id"], case["generation"], case["master_seed"]
+    espec = env_spec(env_id)
+    policy = LinearPolicy.from_genome(cands[0].x, espec.obs_dim, espec.action_space)
+    alone = evaluate_generation(cands, env_id, norm, spec, generation, seed)
+    merged = evaluate_generation(cands, env_id, norm, spec, generation, seed,
+                                 probe=Probe(policy, generation))
+    _, returns = run_test_protocol(policy, norm, env_id, seed, generation)
+
+    assert alone.probe_returns is None
+    assert [r.hex() for r in merged.probe_returns] == case["probe"]["returns"]
+    assert merged.probe_returns == returns
+    # probe lanes leave the generation's own numbers untouched
+    assert merged.fitnesses.tobytes() == alone.fitnesses.tobytes()
+    assert merged.raw_returns.tobytes() == alone.raw_returns.tobytes()
+    assert merged.timesteps == alone.timesteps
+    assert_same_bits(merged.delta, alone.delta)
+    assert_same_bits(merged.delta, expected_generation_delta(case))
 
 
 class _DivergedCartPole(CartPole):

@@ -4,16 +4,19 @@
 for a few training runs, the curve CSV bytes, the status, the budget spent,
 the final distribution and the best checkpoint.  The runs cover the ways a
 run ends: the generation cap, a met target, a spent budget and a degenerate
-``ask``, with probes every generation and every second or third one.
+``ask``, with probes every generation and every second or third one.  A
+distributed run must replay them too.
 """
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from evolin import train, write_curve_csv
+from evolin import (MasterServer, serve_worker, train, train_distributed,
+                    write_curve_csv)
 from evolin import evaluate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_train.json")
@@ -43,14 +46,7 @@ def poison_tell_from(monkeypatch, generation: int) -> None:
     monkeypatch.setattr(evaluate, "tell", poisoned_tell)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_training_run_matches_fixture(case, monkeypatch, tmp_path) -> None:
-    kwargs = dict(case["kwargs"])
-    degenerate_at = kwargs.pop("degenerate_at", None)
-    if degenerate_at is not None:
-        poison_tell_from(monkeypatch, degenerate_at)
-    result = train(case["env_id"], case["variant"], **kwargs)
-
+def assert_matches_fixture(result, case, tmp_path) -> None:
     path = tmp_path / "curve.csv"
     write_curve_csv(str(path), result.records)
     assert path.read_bytes().decode("utf-8") == case["curve_csv"]
@@ -65,3 +61,28 @@ def test_training_run_matches_fixture(case, monkeypatch, tmp_path) -> None:
     assert result.best.normalizer.count == norm["count"]
     assert hexes(result.best.normalizer.mean) == norm["mean"]
     assert hexes(result.best.normalizer.m2) == norm["m2"]
+
+
+def run_case(case, monkeypatch, run):
+    kwargs = dict(case["kwargs"])
+    degenerate_at = kwargs.pop("degenerate_at", None)
+    if degenerate_at is not None:
+        poison_tell_from(monkeypatch, degenerate_at)
+    return run(case["env_id"], case["variant"], **kwargs)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_training_run_matches_fixture(case, monkeypatch, tmp_path) -> None:
+    assert_matches_fixture(run_case(case, monkeypatch, train), case, tmp_path)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_distributed_training_run_matches_fixture(case, monkeypatch, tmp_path) -> None:
+    with MasterServer() as server:
+        worker = threading.Thread(target=serve_worker, args=server.address,
+                                  daemon=True)
+        worker.start()
+        result = run_case(case, monkeypatch, lambda *a, **kw: train_distributed(
+            *a, **kw, expected_workers=1, server=server, wait_timeout=30.0))
+    worker.join(timeout=10)
+    assert_matches_fixture(result, case, tmp_path)
