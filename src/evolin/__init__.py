@@ -3,8 +3,7 @@
 from .es import (CSA, SEP_CMA, FULL_CMA, VARIANTS, Candidate, CovTransform,
                  DistributionState, NumericalDegeneracyError, OptimizeResult,
                  StrategyParams, ask, candidate_z, cma_popsize, new_strategy,
-                 optimize, rl_popsize, sample_candidate_from_seed,
-                 state_from_json, state_to_json, tell)
+                 optimize, rl_popsize, sample, tell)
 from .policy import (ActionSpace, Box, Checkpoint, Discrete, LinearPolicy,
                      ObsNormalizer, act, genome_dim, load_checkpoint,
                      save_checkpoint)

@@ -2,7 +2,8 @@
 masters and workers, checkpoint evaluation, and curve aggregation.
 
 Exit codes: 0 success; 1 failed checks or runtime errors; 2 bad usage
-(unknown environment or variant, empty seed list, missing inputs);
+(unknown environment or variant, empty seed list, out-of-range seed, step
+size or population, missing inputs);
 3 unwritable output directory; 4 network bind/connect failure.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -121,8 +123,12 @@ def resolve_config(args) -> dict:
 
     if not seeds:
         raise CliError(EXIT_USAGE, "seed list is empty")
-    if sigma0 <= 0:
-        raise CliError(EXIT_USAGE, "sigma0 must be positive")
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise CliError(EXIT_USAGE, "seeds must lie in [0, 2^64)")
+    if not (math.isfinite(sigma0) and sigma0 > 0):
+        raise CliError(EXIT_USAGE, "sigma0 must be positive and finite")
+    if isinstance(lam, int) and lam < 2:
+        raise CliError(EXIT_USAGE, "lambda must be at least 2")
     if budget < 1:
         raise CliError(EXIT_USAGE, "budget_timesteps must be positive")
     if test_every < 1:

@@ -3,12 +3,12 @@
 The master never ships genomes: each generation it broadcasts one GEN
 message carrying the search distribution (mean, step size, covariance
 payload) plus the normalizer snapshot, then hands each idle worker one
-contiguous range of candidate indexes as a TASK.  A worker regenerates its
-candidates from (master_seed, generation, index) with the exact code the
-local evaluator uses, scores the range as one lockstep batch, and answers
-one RESULT per index.  A candidate's result does not depend on the batch
-it is scored in, so a distributed run reproduces a single-process run bit
-for bit.  The master runs the previous generation's test probe itself,
+contiguous range of candidate indexes as a TASK.  A worker regrows its
+range's candidates from (master_seed, generation, index) with ``es.sample``,
+the sampler ``ask`` uses, scores the range as one lockstep batch, and
+answers one RESULT per index.  A candidate's result does not depend on the
+batch it is scored in, so a distributed run reproduces a single-process run
+bit for bit.  The master runs the previous generation's test probe itself,
 while the workers score their ranges.
 
 Wire format: one JSON object per line, UTF-8, field "type" selecting
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .envs import env_spec, make_env
-from .es import CovTransform, DistributionState, sample_candidate_from_seed
+from .es import CovTransform, DistributionState, sample
 from .evaluate import (CandidateEval, FitnessSpec, TrainResult,
                        collect_generation, score_candidates, test_policy, train)
 from .policy import ObsNormalizer
@@ -299,12 +299,10 @@ def _task_range(ctx: WorkerContext | None, msg: dict) -> range | None:
 
 
 def run_task(ctx: WorkerContext, indexes: range) -> list[dict]:
-    """Regenerate the candidates ``indexes``, score them as one batch, and
-    build one RESULT per index."""
-    genomes = [sample_candidate_from_seed(ctx.master_seed, ctx.generation, i,
-                                          ctx.m, ctx.sigma, ctx.transform,
-                                          ctx.lam).x
-               for i in indexes]
+    """Regrow the candidates ``indexes`` with ``es.sample``, the sampler
+    ``ask`` uses, score them as one batch, and build one RESULT per index."""
+    _, genomes = sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
+                        ctx.sigma, ctx.transform)
     evals = score_candidates(genomes, list(indexes), make_env(ctx.env_id),
                              ctx.normalizer, ctx.fitness_spec, ctx.generation,
                              ctx.master_seed)

@@ -8,15 +8,14 @@ Three variants share one parameter set and one state layout:
 * ``cma``     -- full covariance with rank-one and rank-mu updates and a
                  lazily refreshed eigendecomposition.
 
-Sampling is reproducible from ``(master_seed, generation, index)`` alone,
-so any process holding the distribution parameters can regenerate any
-candidate without communication.  ``tell`` is functional: it returns a new
-state and never mutates its inputs.
+Sampling is reproducible from ``(master_seed, generation, index)`` alone:
+``sample`` regrows any of a generation's candidates as arrays, for ``ask``
+and for a distributed worker alike, without communication.  ``tell`` is
+functional: it returns a new state and never mutates its inputs.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,13 +36,11 @@ __all__ = [
     "cma_popsize",
     "new_strategy",
     "candidate_z",
-    "sample_candidate_from_seed",
+    "sample",
     "ask",
     "tell",
     "optimize",
     "OptimizeResult",
-    "state_to_json",
-    "state_from_json",
 ]
 
 CSA = "csa"
@@ -221,7 +218,9 @@ class CovTransform:
             return z.copy()
         if self.kind == "diag":
             return self.sqrt_diag * z
-        return self.basis @ (self.scale * z)
+        # one expression for a draw and a stack of draws, so each row gets
+        # the bits of ``basis @ (scale * row)``
+        return np.matmul(self.basis, (self.scale * z)[..., None])[..., 0]
 
     def check_finite(self, generation: int) -> None:
         for arr in (self.sqrt_diag, self.basis, self.scale):
@@ -239,40 +238,30 @@ def candidate_z(master_seed: int, generation: int, index: int, n: int) -> np.nda
     return rng.standard_normal(n)
 
 
-def sample_candidate_from_seed(
-    master_seed: int,
-    generation: int,
-    index: int,
-    m: np.ndarray,
-    sigma: float,
-    transform: CovTransform,
-    lam: int,
-) -> Candidate:
-    """Regenerate candidate ``index`` of a generation from seeds alone."""
-    if not 0 <= index < lam:
-        raise ValueError(f"candidate index {index} out of range for lambda={lam}")
+def sample(master_seed: int, generation: int, indexes, m: np.ndarray, sigma: float,
+           transform: CovTransform) -> tuple[np.ndarray, np.ndarray]:
+    """Regrow candidates ``indexes`` of a generation from seeds alone, as
+    ``(Z, X)``: one ``candidate_z`` row per index and ``X = m + sigma * A Z``.
+    A row's bits do not depend on which other indexes are drawn with it."""
     transform.check_finite(generation)
-    z = candidate_z(master_seed, generation, index, len(m))
-    x = m + sigma * transform.apply(z)
-    return Candidate(index=index, z=z, x=x)
+    z = np.stack([candidate_z(master_seed, generation, i, len(m)) for i in indexes])
+    return z, m + sigma * transform.apply(z)
 
 
 def ask(params: StrategyParams, state: DistributionState, master_seed: int) -> list[Candidate]:
     """Sample the generation's lambda candidates.
 
     Read-only on state; candidate i depends only on
-    (master_seed, state.g, i) and the current distribution.
+    (master_seed, state.g, i) and the current distribution.  Each
+    candidate's ``z`` and ``x`` are views of a row of ``sample``'s arrays.
     """
     if not (math.isfinite(state.sigma) and state.sigma > 0):
         raise ValueError("state.sigma must be positive and finite")
     if not np.all(np.isfinite(state.m)):
         raise ValueError("state.m must be finite")
-    transform = CovTransform.from_state(params, state)
-    return [
-        sample_candidate_from_seed(master_seed, state.g, i, state.m,
-                                   state.sigma, transform, params.lam)
-        for i in range(params.lam)
-    ]
+    z, x = sample(master_seed, state.g, range(params.lam), state.m, state.sigma,
+                  CovTransform.from_state(params, state))
+    return [Candidate(index=i, z=z[i], x=x[i]) for i in range(params.lam)]
 
 
 def _rank(candidates: list[Candidate], mode: str) -> list[Candidate]:
@@ -448,57 +437,3 @@ def optimize(
             status = "target_reached"
             break
     return OptimizeResult(best_x, best_f, evals, status, history)
-
-
-def _cov_dict(state: DistributionState) -> dict:
-    if state.c_full is not None:
-        return {"kind": "full", "c": state.c_full.ravel().tolist()}
-    if state.c_diag is not None:
-        return {"kind": "diag", "d": state.c_diag.tolist()}
-    return {"kind": "unit"}
-
-
-def state_to_json(params: StrategyParams, state: DistributionState, master_seed: int) -> str:
-    """Snapshot everything needed to resume or audit a run."""
-    doc = {
-        "variant": params.variant,
-        "n": params.n,
-        "lambda": params.lam,
-        "mu": params.mu,
-        "g": state.g,
-        "m": state.m.tolist(),
-        "sigma": state.sigma,
-        "cov": _cov_dict(state),
-        "p_sigma": state.p_sigma.tolist(),
-        "p_c": state.p_c.tolist(),
-        "master_seed": str(_check_seed(master_seed)),
-    }
-    return json.dumps(doc)
-
-
-def state_from_json(doc: str) -> tuple[StrategyParams, DistributionState, int]:
-    d = json.loads(doc)
-    variant, n, lam = d["variant"], d["n"], d["lambda"]
-    params, state = new_strategy(variant, n, 1.0, np.asarray(d["m"], dtype=float), lam)
-    if params.mu != d["mu"]:
-        raise ValueError("snapshot mu is inconsistent with lambda")
-    state.sigma = float(d["sigma"])
-    state.p_sigma = np.asarray(d["p_sigma"], dtype=float)
-    state.p_c = np.asarray(d["p_c"], dtype=float)
-    state.g = int(d["g"])
-    cov = d["cov"]
-    if cov["kind"] == "diag":
-        if variant != SEP_CMA:
-            raise ValueError("diagonal covariance requires the sep-cma variant")
-        state.c_diag = np.asarray(cov["d"], dtype=float)
-    elif cov["kind"] == "full":
-        if variant != FULL_CMA:
-            raise ValueError("full covariance requires the cma variant")
-        state.c_full = np.asarray(cov["c"], dtype=float).reshape(n, n)
-        _refresh_eigensystem(state, state.g)
-    elif variant != CSA:
-        raise ValueError("unit covariance requires the csa variant")
-    for name in ("m", "p_sigma", "p_c"):
-        if getattr(state, name).shape != (n,):
-            raise ValueError(f"snapshot field {name} has wrong length")
-    return params, state, int(d["master_seed"])

@@ -383,6 +383,8 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
     the start of every generation, including one whose results a met target
     then drops.
     """
+    if test_every < 1:
+        raise ValueError("test_every must be >= 1")
     spec = env_spec(env_id)
     fitness_spec = fitness_spec or FitnessSpec()
     n = genome_dim(spec.obs_dim, spec.action_space)

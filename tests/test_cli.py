@@ -43,6 +43,19 @@ def test_empty_seed_list_exits_2(tmp_path):
                    "--seeds", "", "--output-dir", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--lambda", "1"), ("--lambda", "-4"),
+                                        ("--sigma0", "nan"), ("--sigma0", "inf"),
+                                        ("--seeds", "0,-1"),
+                                        ("--seeds", str(2**64))])
+def test_out_of_range_inputs_exit_2_before_training(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    assert run_cli("train", "--env", "cartpole", "--variant", "csa",
+                   "--budget", "300", "--seeds", "0", flag, value,
+                   "--output-dir", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_unwritable_output_dir_exits_3():
     assert run_cli("train", "--env", "cartpole", "--variant", "csa",
                    "--seeds", "5", "--output-dir", "/dev/null/nested") == 3

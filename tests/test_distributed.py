@@ -10,7 +10,7 @@ import pytest
 
 from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, MasterServer,
                     ObsNormalizer, ask, env_spec, evaluate_candidate,
-                    evaluate_generation, new_strategy, tell, train)
+                    evaluate_generation, new_strategy, sample, tell, train)
 from evolin import distributed
 from evolin.distributed import (DesyncError, GenerationFailedError,
                                 ProtocolError, _LineReader, build_gen_message,
@@ -101,8 +101,6 @@ def test_wire_payload_reproduces_sampling_map_bitwise(variant):
 
 @pytest.mark.parametrize("variant", [CSA, SEP_CMA, FULL_CMA])
 def test_gen_context_reconstructs_candidates_bitwise(variant):
-    from evolin import sample_candidate_from_seed
-
     spec = env_spec("cartpole")
     n = spec.obs_dim * spec.action_space.act_dim
     params, state = warmed_state(variant, n=n)
@@ -114,12 +112,12 @@ def test_gen_context_reconstructs_candidates_bitwise(variant):
     ctx = gen_context(decode_message(encode_message(msg)))
     assert ctx.master_seed == seed and ctx.lam == params.lam
     local_cands = ask(params, state, seed)
-    for cand in local_cands:
-        remote = sample_candidate_from_seed(seed, ctx.generation, cand.index,
-                                            ctx.m, ctx.sigma, ctx.transform,
-                                            ctx.lam)
-        assert np.array_equal(remote.x, cand.x)
-        assert np.array_equal(remote.z, cand.z)
+    for indexes in ([17], range(8, 20), [31, 0, 12]):
+        z, x = sample(seed, ctx.generation, indexes, ctx.m, ctx.sigma,
+                      ctx.transform)
+        for row, i in enumerate(indexes):
+            assert x[row].tobytes() == local_cands[i].x.tobytes()
+            assert z[row].tobytes() == local_cands[i].z.tobytes()
 
 
 def test_gen_context_rejects_digest_mismatch_and_bad_shapes():

@@ -1,5 +1,4 @@
 import copy
-import json
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ import pytest
 
 from evolin import (CSA, SEP_CMA, FULL_CMA, VARIANTS, NumericalDegeneracyError,
                     ask, cma_popsize, new_strategy, optimize, rl_popsize,
-                    sample_candidate_from_seed, state_from_json, state_to_json,
-                    tell)
+                    sample, tell)
 from evolin.es import CovTransform, candidate_z
 from evolin.testfuncs import ellipsoid, sphere
 
@@ -168,26 +166,20 @@ def test_ask_respects_full_covariance() -> None:
     assert np.all(np.abs(emp - c_target) < 0.08)
 
 
-def test_sample_candidate_from_seed_matches_ask() -> None:
+@pytest.mark.parametrize("indexes", [[5], range(2, 6), [7, 0, 3]],
+                         ids=["single", "middle-range", "unordered"])
+def test_sample_matches_ask_rows(indexes) -> None:
     rng = np.random.default_rng(11)
     for variant in VARIANTS:
         params, state = make_random_tell_inputs(rng, variant, 6, 8)
         cands = ask(params, state, 2024)
-        transform = CovTransform.from_state(params, state)
-        for c in cands:
-            again = sample_candidate_from_seed(2024, state.g, c.index, state.m,
-                                               state.sigma, transform, params.lam)
-            np.testing.assert_array_equal(c.x, again.x)
-            np.testing.assert_array_equal(c.z, again.z)
-
-
-def test_sample_candidate_index_bounds() -> None:
-    params, state = new_strategy(CSA, 3, 1.0, lam=4)
-    transform = CovTransform.from_state(params, state)
-    with pytest.raises(ValueError):
-        sample_candidate_from_seed(0, 0, 4, state.m, state.sigma, transform, params.lam)
-    with pytest.raises(ValueError):
-        sample_candidate_from_seed(0, 0, -1, state.m, state.sigma, transform, params.lam)
+        z, x = sample(2024, state.g, indexes, state.m, state.sigma,
+                      CovTransform.from_state(params, state))
+        assert z.shape == x.shape == (len(indexes), params.n)
+        for row, i in enumerate(indexes):
+            assert cands[i].index == i
+            assert z[row].tobytes() == cands[i].z.tobytes()
+            assert x[row].tobytes() == cands[i].x.tobytes()
 
 
 def test_candidate_z_rejects_bad_seed() -> None:
@@ -435,40 +427,3 @@ def test_scale_equivariance(variant) -> None:
             else:
                 assert abs(s1.sigma - scale * s0.sigma) <= 1e-10 * scale * s0.sigma
                 np.testing.assert_allclose(s1.m, scale * s0.m, rtol=1e-10, atol=1e-300)
-
-
-# -------------------------------------------------------------- serialization
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_state_snapshot_round_trip(variant) -> None:
-    rng = np.random.default_rng(17)
-    params, state = make_random_tell_inputs(rng, variant, 7, 6)
-    doc = state_to_json(params, state, master_seed=987654321987654321)
-    params2, state2, seed = state_from_json(doc)
-    assert seed == 987654321987654321
-    assert params2.variant == variant
-    assert params2.lam == params.lam and params2.mu == params.mu
-    np.testing.assert_array_equal(params2.weights, params.weights)
-    assert state2.g == state.g
-    assert state2.sigma == state.sigma
-    np.testing.assert_array_equal(state2.m, state.m)
-    np.testing.assert_array_equal(state2.p_sigma, state.p_sigma)
-    np.testing.assert_array_equal(state2.p_c, state.p_c)
-    if variant == SEP_CMA:
-        np.testing.assert_array_equal(state2.c_diag, state.c_diag)
-    if variant == FULL_CMA:
-        np.testing.assert_array_equal(state2.c_full, state.c_full)
-    # a fresh snapshot of the loaded state is byte-identical
-    assert state_to_json(params2, state2, seed) == doc
-
-
-def test_state_snapshot_rejects_corruption() -> None:
-    params, state = new_strategy(FULL_CMA, 3, 1.0, lam=6)
-    doc = json.loads(state_to_json(params, state, 1))
-    doc["mu"] = 5
-    with pytest.raises(ValueError):
-        state_from_json(json.dumps(doc))
-    doc = json.loads(state_to_json(params, state, 1))
-    doc["cov"] = {"kind": "diag", "d": [1.0, 1.0, 1.0]}
-    with pytest.raises(ValueError):
-        state_from_json(json.dumps(doc))

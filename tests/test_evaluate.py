@@ -232,6 +232,17 @@ def test_train_test_every_skips_probes() -> None:
     assert all(r.generation % 3 == 0 for r in result.records)
 
 
+@pytest.mark.parametrize("test_every", [0, -2])
+def test_train_rejects_test_every_below_one_before_any_rollout(monkeypatch, test_every) -> None:
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("no episode may run")
+
+    monkeypatch.setattr(evaluate, "run_episodes", no_rollouts)
+    with pytest.raises(ValueError, match="test_every"):
+        train("cartpole", CSA, sigma0=0.1, lam=4, budget_timesteps=1000,
+              master_seed=0, test_every=test_every)
+
+
 @pytest.mark.parametrize("variant", [SEP_CMA, FULL_CMA])
 def test_degenerate_covariance_factors_end_the_run_as_degenerate(monkeypatch, variant) -> None:
     # tell hands back non-finite covariance factors, so the next ask raises

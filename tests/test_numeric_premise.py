@@ -1,4 +1,5 @@
-"""The numeric premises that make batched rollouts bit-identical.
+"""The numeric premises that make batched rollouts and stacked sampling
+bit-identical.
 
 The rollout engine steps many episodes at once with numpy array operations.
 Its curves equal those of an episode stepped alone, and those of the
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+
+from evolin.es import CovTransform
 
 LENGTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128)
 
@@ -63,3 +66,19 @@ def test_stacked_matmul_equals_per_row_matmul(act_dim, obs_dim) -> None:
         stacked = np.matmul(weights, z[:, :, None])[:, :, 0]
         rows = np.stack([weights[i] @ z[i] for i in range(lanes)])
         assert stacked.tobytes() == rows.tobytes(), f"{lanes} lanes"
+
+
+@pytest.mark.parametrize("n", [3, 8, 10, 18])
+def test_full_covariance_transform_equals_per_row_product(n) -> None:
+    # ask, the worker and tell all map draws through CovTransform.apply; a
+    # stack of draws must give each row the bits of the 1-D product
+    rng = np.random.default_rng(n)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    scale = np.sqrt(rng.uniform(1e-3, 1e3, n))
+    transform = CovTransform("full", basis=basis, scale=scale)
+    for lanes in (1, 2, 3, 10, 32, 33):
+        z = rng.standard_normal((lanes, n))
+        rows = np.stack([basis @ (scale * z[i]) for i in range(lanes)])
+        assert transform.apply(z).tobytes() == rows.tobytes(), f"{lanes} lanes"
+        for i in range(lanes):
+            assert transform.apply(z[i]).tobytes() == rows[i].tobytes()
