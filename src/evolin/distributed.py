@@ -34,7 +34,8 @@ import numpy as np
 from .envs import env_spec, make_env
 from .es import CovTransform, DistributionState, sample
 from .evaluate import (CandidateEval, FitnessSpec, TrainResult,
-                       collect_generation, score_candidates, test_policy, train)
+                       _training_strategy, collect_generation, score_candidates,
+                       test_policy, train)
 from .policy import ObsNormalizer
 
 PROTOCOL_VERSION = 2
@@ -674,6 +675,7 @@ def train_distributed(env_id: str, variant: str, *, sigma0: float,
     """
     if expected_workers < 1:
         raise ValueError("expected_workers must be >= 1")
+    _training_strategy(env_id, variant, sigma0, lam, master_seed, test_every)
     fitness_spec = fitness_spec or FitnessSpec()
     run_id = run_id or f"{env_id}-{variant}-seed{master_seed}"
     own = server is None

@@ -10,13 +10,21 @@ Three variants share one parameter set and one state layout:
 
 Sampling is reproducible from ``(master_seed, generation, index)`` alone:
 ``sample`` regrows any of a generation's candidates as arrays, for ``ask``
-and for a distributed worker alike, without communication.  ``tell`` is
+and for a distributed worker alike, without communication.  Candidate ``i``
+of generation ``g`` is drawn from the stream of
+``np.random.default_rng([master_seed, 0, g, i])``.  Building that
+``SeedSequence`` and ``PCG64`` costs 13-18 us, ten times the draw
+itself, so ``candidate_z`` computes the same seeding in Python ints (a port
+of NumPy's ``SeedSequence`` mixing, NEP 19, and of PCG64's ``srandom``,
+O'Neill 2014) and loads the result into a reused generator.  ``tell`` is
 functional: it returns a new state and never mutates its inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -231,11 +239,166 @@ class CovTransform:
                 )
 
 
+# NumPy's SeedSequence (NEP 19) hash constants and PCG64's 128-bit multiplier.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# ``v ^= v >> 16`` in each 32-bit lane of a packed int
+_LANES_LOW16 = sum(0xFFFF << (32 * k) for k in range(4))
+
+
+def _hash_consts(hc: int, mult: int, count: int) -> tuple[tuple[int, ...], int]:
+    """The xor and multiply constants of a SeedSequence hash's next ``count``
+    calls from constant ``hc``, flat, and the constant after them.  The
+    constants do not depend on the data hashed."""
+    flat = []
+    for _ in range(count):
+        flat += (hc, hc * mult & _M32)
+        hc = flat[-1]
+    return tuple(flat), hc
+
+
+# generate_state(4, uint64) hashes the pool into 8 32-bit words
+_STATE_HASH, _ = _hash_consts(_HASH_INIT_B, _HASH_MULT_B, 8)
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's split of a non-negative int: 32-bit words, low first."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hashmix(value: int, hc: int) -> tuple[int, int]:
+    """SeedSequence's ``hashmix``: the hashed word and the next constant."""
+    hc_next = hc * _HASH_MULT_A & _M32
+    value = (value ^ hc) * hc_next & _M32
+    return value ^ value >> 16, hc_next
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list[int], word: int, hc: int) -> int:
+    """Mix an entropy word past the pool's four into every slot."""
+    for dst in range(4):
+        h, hc = _hashmix(word, hc)
+        pool[dst] = _mix(pool[dst], h)
+    return hc
+
+
+@functools.lru_cache(maxsize=16)
+def _lane_mix(master_seed: int, generation: int) -> tuple:
+    """Run SeedSequence's pool mixing over the entropy words all of a
+    generation's candidates share, ``(master_seed, DOMAIN_SAMPLE,
+    generation)``, up to the first step that reads a word of the index.
+
+    Returns ``(pool, hc, fourth)``.  Four or more shared words fill the
+    pool, which is mixed completely; ``fourth`` is None and the index's
+    words are absorbed after the pool from hash constant ``hc``.  Three
+    shared words leave the pool's fourth slot to the index's low word;
+    ``fourth`` then holds, flat, that slot's hash constants, the feed the
+    other slots send it while they mix (times ``mix``'s right multiplier),
+    the hash constants of its sends to them, and those slots as it meets
+    them (times ``mix``'s left multiplier).  ``hc`` is where the index's
+    further words start.
+    """
+    words = _words(master_seed) + _words(DOMAIN_SAMPLE) + _words(generation)
+    pool, hc = [], _HASH_INIT_A
+    for w in words[:4]:
+        v, hc = _hashmix(w, hc)
+        pool.append(v)
+    if len(pool) == 3:
+        hash4, hc = _hash_consts(hc, _HASH_MULT_A, 1)   # slot 3's own hash
+    feed = []       # what the shared slots send slot 3 while they mix
+    for src in range(len(pool)):
+        for dst in range(4):
+            if dst != src:
+                h, hc = _hashmix(pool[src], hc)
+                if dst < len(pool):
+                    pool[dst] = _mix(pool[dst], h)
+                else:
+                    feed.append(h)
+    for w in words[4:]:
+        hc = _absorb(pool, w, hc)
+    if len(pool) == 4:
+        return tuple(pool), hc, None
+    sends, hc = _hash_consts(hc, _HASH_MULT_A, 3)
+    return (), hc, (*hash4, *(_MIX_MULT_R * f & _M32 for f in feed), *sends,
+                    *(_MIX_MULT_L * p & _M32 for p in pool))
+
+
+_thread = threading.local()   # one reused generator per thread
+
+
 def candidate_z(master_seed: int, generation: int, index: int, n: int) -> np.ndarray:
-    """Unit-Gaussian draw for one candidate, from its own seeded stream."""
-    rng = np.random.default_rng([_check_seed(master_seed), DOMAIN_SAMPLE,
-                                 int(generation), int(index)])
-    return rng.standard_normal(n)
+    """Unit-Gaussian draw for one candidate: the first ``n`` normals of
+    ``np.random.default_rng([master_seed, DOMAIN_SAMPLE, generation,
+    index]).standard_normal``, bit for bit.
+
+    The seeding is ported rather than called, because building a
+    ``SeedSequence`` and a ``PCG64`` per candidate costs ten times the
+    draw.  The shared words are mixed once per ``(master_seed,
+    generation)`` by ``_lane_mix``.  Here the index's words finish the
+    4-word pool, ``generate_state(4, uint64)`` hashes it into PCG64's seed
+    and sequence, ``srandom``'s two LCG steps give the state, and this
+    thread's generator is loaded with it.
+    """
+    generation, index = int(generation), int(index)
+    if generation < 0 or index < 0:
+        raise ValueError("generation and index must be non-negative")
+    pool, hc, fourth = _lane_mix(_check_seed(master_seed), generation)
+    if fourth is None:
+        pool = list(pool)
+        rest = _words(index)
+    else:
+        # the index's low word fills slot 3, takes the shared slots' feed,
+        # then mixes into each of them
+        x, m, f0, f1, f2, x0, m0, x1, m1, x2, m2, lp0, lp1, lp2 = fourth
+        p3 = ((index & _M32) ^ x) * m & _M32
+        p3 = (_MIX_MULT_L * (p3 ^ p3 >> 16) - f0) & _M32
+        p3 = (_MIX_MULT_L * (p3 ^ p3 >> 16) - f1) & _M32
+        p3 = (_MIX_MULT_L * (p3 ^ p3 >> 16) - f2) & _M32
+        p3 ^= p3 >> 16
+        h = (p3 ^ x0) * m0 & _M32
+        p0 = (lp0 - _MIX_MULT_R * (h ^ h >> 16)) & _M32
+        h = (p3 ^ x1) * m1 & _M32
+        p1 = (lp1 - _MIX_MULT_R * (h ^ h >> 16)) & _M32
+        h = (p3 ^ x2) * m2 & _M32
+        p2 = (lp2 - _MIX_MULT_R * (h ^ h >> 16)) & _M32
+        pool = [p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3]
+        rest = _words(index >> 32) if index > _M32 else ()
+    for w in rest:
+        hc = _absorb(pool, w, hc)
+    p0, p1, p2, p3 = pool
+    x0, m0, x1, m1, x2, m2, x3, m3, x4, m4, x5, m5, x6, m6, x7, m7 = _STATE_HASH
+    # generate_state's 8 words, packed as PCG64 reads them: the uint64
+    # pairs (0, 1) and (2, 3) are the high and low halves of its seed, the
+    # pairs (4, 5) and (6, 7) of its sequence
+    seed = ((p2 ^ x2) * m2 & _M32 | ((p3 ^ x3) * m3 & _M32) << 32
+            | ((p0 ^ x0) * m0 & _M32) << 64 | ((p1 ^ x1) * m1 & _M32) << 96)
+    seq = ((p2 ^ x6) * m6 & _M32 | ((p3 ^ x7) * m7 & _M32) << 32
+           | ((p0 ^ x4) * m4 & _M32) << 64 | ((p1 ^ x5) * m5 & _M32) << 96)
+    seed ^= seed >> 16 & _LANES_LOW16
+    seq ^= seq >> 16 & _LANES_LOW16
+    # srandom: inc = 2 seq + 1; two LCG steps from 0, adding seed between
+    inc = (seq << 1 | 1) & _M128
+    state = ((inc + seed) * _PCG_MULT + inc) & _M128
+    try:
+        gen = _thread.generator
+    except AttributeError:
+        gen = _thread.generator = np.random.Generator(np.random.PCG64(0))
+    gen.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return gen.standard_normal(n)
 
 
 def sample(master_seed: int, generation: int, indexes, m: np.ndarray, sigma: float,
@@ -322,6 +485,10 @@ def tell(
     if not (math.isfinite(sigma_new) and sigma_new > 0):
         raise NumericalDegeneracyError(
             f"step size became non-finite at generation {g_new}", g_new)
+    if not np.all(np.isfinite(m_new)):
+        # finite candidates far apart can overflow the recombination
+        raise NumericalDegeneracyError(
+            f"mean became non-finite at generation {g_new}", g_new)
 
     new = DistributionState(
         m=m_new, sigma=sigma_new, p_sigma=p_sigma, p_c=p_c, g=g_new,

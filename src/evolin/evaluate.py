@@ -26,7 +26,7 @@ import numpy as np
 
 from .envs import env_spec, make_env
 from .es import (Candidate, NumericalDegeneracyError, StrategyParams,
-                 DistributionState, ask, new_strategy, tell)
+                 DistributionState, _check_seed, ask, new_strategy, tell)
 from .policy import (Checkpoint, LinearPolicy, ObsNormalizer, act_batch,
                      genome_dim, welford_update)
 
@@ -359,6 +359,19 @@ class TrainResult:
     state: DistributionState
 
 
+def _training_strategy(env_id: str, variant: str, sigma0: float,
+                       lam: int | str | None, master_seed: int, test_every: int):
+    """Check ``train``'s search arguments and build its generation-zero
+    ``(spec, params, state)``; a distributed master calls it before it binds
+    and waits for workers."""
+    if test_every < 1:
+        raise ValueError("test_every must be >= 1")
+    _check_seed(master_seed)
+    spec = env_spec(env_id)
+    n = genome_dim(spec.obs_dim, spec.action_space)
+    return (spec, *new_strategy(variant, n, sigma0, np.zeros(n), lam))
+
+
 def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
           budget_timesteps: int, master_seed: int,
           fitness_spec: FitnessSpec | None = None, test_every: int = 1,
@@ -383,12 +396,9 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
     the start of every generation, including one whose results a met target
     then drops.
     """
-    if test_every < 1:
-        raise ValueError("test_every must be >= 1")
-    spec = env_spec(env_id)
+    spec, params, state = _training_strategy(env_id, variant, sigma0, lam,
+                                             master_seed, test_every)
     fitness_spec = fitness_spec or FitnessSpec()
-    n = genome_dim(spec.obs_dim, spec.action_space)
-    params, state = new_strategy(variant, n, sigma0, np.zeros(n), lam)
     normalizer = ObsNormalizer.create(spec.obs_dim)
 
     if evaluator is None:

@@ -653,6 +653,19 @@ def test_train_distributed_validates_worker_count():
         train_distributed("cartpole", CSA, expected_workers=0, **TRAIN_KW)
 
 
+@pytest.mark.parametrize("bad", [{"test_every": 0}, {"env_id": "walker"},
+                                 {"variant": "bfgs"}, {"sigma0": -1.0},
+                                 {"lam": 1}, {"master_seed": -1}],
+                         ids=lambda bad: next(iter(bad)))
+def test_train_distributed_validates_arguments_before_waiting(bad):
+    kw = {"env_id": "cartpole", "variant": CSA, **TRAIN_KW, **bad}
+    started = time.perf_counter()
+    with pytest.raises(ValueError):
+        train_distributed(kw.pop("env_id"), kw.pop("variant"), expected_workers=1,
+                          wait_timeout=5.0, **kw)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_worker_connect_failure_raises_os_error():
     probe = socket.create_server(("127.0.0.1", 0))
     host, port = probe.getsockname()[:2]

@@ -7,7 +7,7 @@ import pytest
 from evolin import (CSA, SEP_CMA, FULL_CMA, VARIANTS, NumericalDegeneracyError,
                     ask, cma_popsize, new_strategy, optimize, rl_popsize,
                     sample, tell)
-from evolin.es import CovTransform, candidate_z
+from evolin.es import Candidate, CovTransform, candidate_z
 from evolin.testfuncs import ellipsoid, sphere
 
 
@@ -183,10 +183,9 @@ def test_sample_matches_ask_rows(indexes) -> None:
 
 
 def test_candidate_z_rejects_bad_seed() -> None:
-    with pytest.raises(ValueError):
-        candidate_z(-1, 0, 0, 3)
-    with pytest.raises(ValueError):
-        candidate_z(2**64, 0, 0, 3)
+    for seed, g, i in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            candidate_z(seed, g, i, 3)
 
 
 # ----------------------------------------------------------------------- tell
@@ -314,6 +313,16 @@ def test_tell_raises_on_step_size_overflow() -> None:
         c.fitness = 0.0
     state.p_sigma = np.full(4, 1e160)  # absurd path makes exp() overflow
     with pytest.raises(NumericalDegeneracyError) as err:
+        tell(params, state, cands)
+    assert err.value.generation == 1
+
+
+def test_tell_raises_on_mean_overflow() -> None:
+    # finite candidates whose recombination overflows: the mean would be
+    # inf and the next ask would reject it
+    params, state = new_strategy(CSA, 2, 1.0, m0=np.full(2, -1e308), lam=4)
+    cands = [Candidate(i, np.zeros(2), np.full(2, 1e308), float(i)) for i in range(4)]
+    with pytest.raises(NumericalDegeneracyError) as err, np.errstate(over="ignore"):
         tell(params, state, cands)
     assert err.value.generation == 1
 

@@ -1,5 +1,5 @@
 """The numeric premises that make batched rollouts and stacked sampling
-bit-identical.
+bit-identical, and candidate draws equal to NumPy's seeded streams.
 
 The rollout engine steps many episodes at once with numpy array operations.
 Its curves equal those of an episode stepped alone, and those of the
@@ -7,14 +7,21 @@ scalar-float code the golden fixture was recorded from, only because each
 operation it uses gives the same bits as the scalar operation it stands for,
 whatever the array length.  A numpy, libm or BLAS upgrade that breaks one of
 these fails here, by name, instead of silently moving a training curve.
+
+A candidate's draw is the stream of ``default_rng([seed, 0, g, i])``, whose
+seeding ``candidate_z`` ports.  A NumPy release that changes
+``SeedSequence`` or PCG64 seeding fails here too.
 """
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from evolin.es import CovTransform
+from evolin.es import CovTransform, candidate_z, sample
 
 LENGTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128)
 
@@ -82,3 +89,69 @@ def test_full_covariance_transform_equals_per_row_product(n) -> None:
         assert transform.apply(z).tobytes() == rows.tobytes(), f"{lanes} lanes"
         for i in range(lanes):
             assert transform.apply(z[i]).tobytes() == rows[i].tobytes()
+
+
+def reference_z(seed: int, generation: int, index: int, n: int) -> np.ndarray:
+    return np.random.default_rng([seed, 0, generation, index]).standard_normal(n)
+
+
+SEEDS = (lambda r: 0, lambda r: 1, lambda r: r.randrange(2, 2**32),
+         lambda r: r.randrange(2**32, 2**64), lambda r: 2**64 - 1)
+COUNTERS = (lambda r: 0, lambda r: 2**32 - 1, lambda r: r.randrange(1, 2**32),
+            lambda r: r.randrange(2**32, 2**64), lambda r: r.randrange(2**64, 2**80))
+
+
+def test_candidate_z_equals_default_rng_stream() -> None:
+    r = random.Random(20240211)
+    for case in range(400):
+        seed = r.choice(SEEDS)(r)
+        g, i = r.choice(COUNTERS)(r), r.choice(COUNTERS)(r)
+        n = r.choice((3, 8, 10, 18))
+        want = reference_z(seed, g, i, n)
+        assert candidate_z(seed, g, i, n).tobytes() == want.tobytes(), \
+            f"case {case}: seed {seed}, generation {g}, index {i}, n {n}"
+
+
+def test_sample_rows_equal_default_rng_streams() -> None:
+    r = random.Random(20240212)
+    unit = CovTransform("unit")
+    for case in range(60):
+        seed, g = r.choice(SEEDS)(r), r.choice(COUNTERS)(r)
+        n = r.choice((3, 8, 10, 18))
+        indexes = r.sample(range(40), r.randrange(1, 12))     # ragged, unordered
+        if case % 3 == 0:
+            indexes.append(r.choice(COUNTERS)(r))
+        z, x = sample(seed, g, indexes, np.zeros(n), 1.0, unit)
+        want = np.stack([reference_z(seed, g, i, n) for i in indexes])
+        assert z.tobytes() == want.tobytes() == x.tobytes(), \
+            f"case {case}: seed {seed}, generation {g}, indexes {indexes}"
+
+
+def test_concurrent_samples_keep_their_streams() -> None:
+    # in-process workers draw from threads; one thread's draw must never
+    # load or consume another's generator state
+    unit, n, indexes = CovTransform("unit"), 10, range(12)
+    runs = {key: np.stack([reference_z(*key, i, n) for i in indexes]).tobytes()
+            for key in ((7, 3), (2**40 + 1, 2**33), (2**64 - 1, 0))}
+    start = threading.Barrier(len(runs), timeout=60)
+    wrong = []
+
+    def draw(seed, g):
+        start.wait()
+        for _ in range(300):
+            z, _ = sample(seed, g, indexes, np.zeros(n), 1.0, unit)
+            if z.tobytes() != runs[seed, g]:
+                wrong.append((seed, g))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=key) for key in runs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong, f"{len(wrong)} of {len(runs) * 300} concurrent samples differ"
