@@ -8,11 +8,16 @@ range's candidates from (master_seed, generation, index) with ``es.sample``,
 the sampler ``ask`` uses, scores the range as one lockstep batch, and
 answers one RESULT per index.  A candidate's result does not depend on the
 batch it is scored in, so a distributed run reproduces a single-process run
-bit for bit.  The master runs the previous generation's test probe itself,
-while the workers score their ranges.
+bit for bit.
+
+GEN also names the test probe owed by the previous generation, if any.  Its
+inputs are GEN's own mean and normalizer, so one flagged TASK per generation
+(the smallest range, or an empty one when only the probe is left) adds the
+probe's episodes to its batch and answers one PROBE with their raw returns.
+The master runs no rollout while it waits.
 
 Wire format: one JSON object per line, UTF-8, field "type" selecting
-HELLO / GEN / TASK / RESULT / BYE.  Reals use shortest-roundtrip decimal
+HELLO / GEN / TASK / RESULT / PROBE / BYE.  Reals use shortest-roundtrip decimal
 form (the json module's default); 64-bit seeds travel as decimal strings.
 """
 
@@ -26,19 +31,19 @@ import socket
 import struct
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .envs import env_spec, make_env
 from .es import CovTransform, DistributionState, sample
-from .evaluate import (CandidateEval, FitnessSpec, TrainResult,
-                       _training_strategy, collect_generation, score_candidates,
-                       test_policy, train)
-from .policy import ObsNormalizer
+from .evaluate import (CandidateEval, FitnessSpec, Probe, TrainResult,
+                       _score_batch, _training_strategy, collect_generation,
+                       train)
+from .policy import LinearPolicy, ObsNormalizer
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
@@ -51,7 +56,7 @@ class DesyncError(RuntimeError):
 
 
 class GenerationFailedError(RuntimeError):
-    """No workers remain while candidate evaluations are still owed."""
+    """No workers remain while candidate evaluations or a probe are owed."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +125,21 @@ def bye_message(reason: str) -> dict:
     return {"type": "bye", "reason": reason}
 
 
-def task_message(run_id: str, generation: int, index: int, count: int) -> dict:
-    """Score candidates ``index`` .. ``index + count - 1`` of a generation."""
+def task_message(run_id: str, generation: int, index: int, count: int,
+                 probe: bool = False) -> dict:
+    """Score candidates ``index`` .. ``index + count - 1`` of a generation,
+    and with ``probe`` the probe its GEN owes (``count`` may then be 0)."""
     return {"type": "task", "run_id": run_id, "generation": int(generation),
-            "index": int(index), "count": int(count)}
+            "index": int(index), "count": int(count), "probe": probe}
 
 
 def cov_payload(state: DistributionState) -> dict:
-    """Distribution shape as a wire payload, eigenfactors included so the
-    worker applies the identical linear map rather than refactorizing."""
+    """Distribution shape as a wire payload: the eigenfactors the sampling
+    map uses, so the worker applies the identical map rather than
+    refactorizing."""
     n = len(state.m)
     if state.c_full is not None:
         return {"kind": "full", "n": n,
-                "c": [float(v) for v in state.c_full.ravel()],
                 "basis": [float(v) for v in state.eig_basis.ravel()],
                 "scale": [float(v) for v in state.eig_scale]}
     if state.c_diag is not None:
@@ -146,7 +153,7 @@ def cov_digest(payload: dict) -> str:
     h = hashlib.blake2b(digest_size=8)
     h.update(payload["kind"].encode("ascii"))
     h.update(struct.pack("<Q", int(payload["n"])))
-    for key in ("d", "c", "basis", "scale"):
+    for key in ("d", "basis", "scale"):
         if key in payload:
             h.update(np.asarray(payload[key], dtype="<f8").tobytes())
     return str(int.from_bytes(h.digest(), "little"))
@@ -174,8 +181,11 @@ def transform_from_payload(payload: dict) -> CovTransform:
 
 def build_gen_message(*, run_id: str, generation: int, master_seed: int,
                       env_id: str, lam: int, state: DistributionState,
-                      normalizer: ObsNormalizer,
-                      fitness_spec: FitnessSpec) -> dict:
+                      normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
+                      probe: Probe | None = None) -> dict:
+    """GEN for ``generation``.  ``probe``, the test probe owed by the
+    previous generation, must be of the policy ``state.m``: the worker
+    rebuilds it from the message's mean."""
     payload = cov_payload(state)
     return {
         "type": "gen",
@@ -191,6 +201,8 @@ def build_gen_message(*, run_id: str, generation: int, master_seed: int,
         "cov_digest": cov_digest(payload),
         "normalizer": {**normalizer.to_dict(), "eps": normalizer.eps},
         "fitness_spec": fitness_spec.to_dict(),
+        "probe": None if probe is None else {"generation": int(probe.generation),
+                                             "episodes": int(probe.episodes)},
     }
 
 
@@ -207,9 +219,15 @@ def result_message(run_id: str, generation: int, ev: CandidateEval) -> dict:
     }
 
 
+def probe_message(run_id: str, probe: Probe, returns: list[float]) -> dict:
+    return {"type": "probe", "run_id": run_id,
+            "generation": int(probe.generation),
+            "returns": [float(r) for r in returns]}
+
+
 def _real(value, what: str) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
-        raise ProtocolError(f"RESULT {what} must be a finite number")
+        raise ProtocolError(f"{what} must be a finite number")
     return float(value)
 
 
@@ -217,6 +235,22 @@ def _count(value, what: str) -> int:
     if type(value) is not int or value < 0:
         raise ProtocolError(f"RESULT {what} must be a non-negative int")
     return value
+
+
+def returns_from_probe(msg: dict, asked: tuple[str, int, int] | None) -> list[float]:
+    """Parse the PROBE answering ``asked`` (run id, probe generation,
+    episodes).  Raises ProtocolError if no probe was asked, the PROBE names
+    another run or generation, or its returns are not ``episodes`` finite
+    numbers."""
+    if asked is None:
+        raise ProtocolError("PROBE without a probe-flagged TASK")
+    run_id, generation, episodes = asked
+    if msg.get("run_id") != run_id or msg.get("generation") != generation:
+        raise ProtocolError("PROBE answers another run or generation")
+    returns = msg.get("returns")
+    if not isinstance(returns, list) or len(returns) != episodes:
+        raise ProtocolError(f"PROBE returns must be a list of {episodes} numbers")
+    return [_real(r, "PROBE return") for r in returns]
 
 
 def eval_from_result(msg: dict, obs_dim: int) -> CandidateEval:
@@ -229,16 +263,16 @@ def eval_from_result(msg: dict, obs_dim: int) -> CandidateEval:
     if not (isinstance(mean, list) and isinstance(m2, list)
             and len(mean) == len(m2) == obs_dim):
         raise ProtocolError(f"RESULT delta mean and m2 must be lists of length {obs_dim}")
-    m2 = np.array([_real(v, "delta m2") for v in m2])
+    m2 = np.array([_real(v, "RESULT delta m2") for v in m2])
     if (m2 < 0).any():
         raise ProtocolError("RESULT delta m2 must not be negative")
     return CandidateEval(
         index=_count(msg.get("index"), "index"),
-        fitness=_real(msg.get("fitness"), "fitness"),
-        raw_return=_real(msg.get("raw_return"), "raw_return"),
+        fitness=_real(msg.get("fitness"), "RESULT fitness"),
+        raw_return=_real(msg.get("raw_return"), "RESULT raw_return"),
         timesteps=_count(msg.get("timesteps"), "timesteps"),
         delta=ObsNormalizer(_count(delta.get("count"), "delta count"),
-                            np.array([_real(v, "delta mean") for v in mean]), m2),
+                            np.array([_real(v, "RESULT delta mean") for v in mean]), m2),
     )
 
 
@@ -260,10 +294,12 @@ class WorkerContext:
     transform: CovTransform
     normalizer: ObsNormalizer
     fitness_spec: FitnessSpec
+    probe: Probe | None               # the probe a task runs with its range
 
 
 def gen_context(msg: dict) -> WorkerContext:
-    """Validate a GEN message and rebuild the sampling context it carries."""
+    """Validate a GEN message and rebuild the sampling context it carries,
+    with the probe it owes: the policy ``m`` for GEN's episode count."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
         raise ProtocolError("unsupported protocol version in GEN")
     payload = msg["cov"]
@@ -274,40 +310,57 @@ def gen_context(msg: dict) -> WorkerContext:
     if m.shape != (int(payload["n"]),):
         raise ProtocolError("mean length disagrees with covariance payload")
     norm = msg["normalizer"]
+    env_id = str(msg["env_id"])
+    probe = msg["probe"]
+    if probe is not None:
+        gen, episodes = probe["generation"], probe["episodes"]
+        if type(gen) is not int or type(episodes) is not int or episodes < 1:
+            raise ProtocolError("GEN probe needs an int generation and episode count")
+        spec = env_spec(env_id)
+        probe = Probe(LinearPolicy.from_genome(m, spec.obs_dim, spec.action_space),
+                      gen, episodes)
     return WorkerContext(
         run_id=str(msg["run_id"]),
         generation=int(msg["generation"]),
         master_seed=int(msg["master_seed"]),
-        env_id=str(msg["env_id"]),
+        env_id=env_id,
         lam=int(msg["lambda"]),
         m=m,
         sigma=float(msg["sigma"]),
         transform=transform_from_payload(payload),
         normalizer=ObsNormalizer.from_dict(norm, eps=float(norm.get("eps", 1e-8))),
         fitness_spec=FitnessSpec.from_dict(msg["fitness_spec"]),
+        probe=probe,
     )
 
 
 def _task_range(ctx: WorkerContext | None, msg: dict) -> range | None:
-    """The candidate indexes a TASK names, or None if it does not fit ``ctx``."""
-    index, count = msg.get("index"), msg.get("count")
+    """The candidate indexes a TASK names, or None if it does not fit
+    ``ctx``: only a probe-flagged TASK may name none, and only when its GEN
+    owes a probe."""
+    index, count, probe = msg.get("index"), msg.get("count"), msg.get("probe")
     if (ctx is None or msg.get("run_id") != ctx.run_id
             or msg.get("generation") != ctx.generation
             or type(index) is not int or type(count) is not int
-            or index < 0 or count < 1 or index + count > ctx.lam):
+            or type(probe) is not bool or (probe and ctx.probe is None)
+            or index < 0 or count < (0 if probe else 1) or index + count > ctx.lam):
         return None
     return range(index, index + count)
 
 
 def run_task(ctx: WorkerContext, indexes: range) -> list[dict]:
     """Regrow the candidates ``indexes`` with ``es.sample``, the sampler
-    ``ask`` uses, score them as one batch, and build one RESULT per index."""
-    _, genomes = sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
-                        ctx.sigma, ctx.transform)
-    evals = score_candidates(genomes, list(indexes), make_env(ctx.env_id),
-                             ctx.normalizer, ctx.fitness_spec, ctx.generation,
-                             ctx.master_seed)
-    return [result_message(ctx.run_id, ctx.generation, ev) for ev in evals]
+    ``ask`` uses, and score them as one batch, ``ctx.probe``'s episodes
+    included when it is set.  Returns one RESULT per index, then the PROBE."""
+    genomes = (sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
+                      ctx.sigma, ctx.transform)[1] if len(indexes) else [])
+    evals, returns = _score_batch(genomes, list(indexes), make_env(ctx.env_id),
+                                  ctx.normalizer, ctx.fitness_spec,
+                                  ctx.generation, ctx.master_seed, ctx.probe)
+    out = [result_message(ctx.run_id, ctx.generation, ev) for ev in evals]
+    if ctx.probe is not None:
+        out.append(probe_message(ctx.run_id, ctx.probe, returns))
+    return out
 
 
 def serve_worker(host: str, port: int, *, worker_id: str | None = None,
@@ -360,7 +413,8 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                 if indexes is None:
                     send(bye_message("protocol"))
                     return "protocol"
-                send(*run_task(ctx, indexes))
+                send(*run_task(ctx if msg["probe"] else replace(ctx, probe=None),
+                               indexes))
             else:
                 send(bye_message("protocol"))
                 return "protocol"
@@ -373,13 +427,14 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
 
 
 class _Conn:
-    __slots__ = ("sock", "buf", "worker_id", "owed", "alive")
+    __slots__ = ("sock", "buf", "worker_id", "owed", "probe", "alive")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.buf = bytearray()
         self.worker_id: str | None = None
         self.owed = 0                 # RESULTs still due for TASKs sent
+        self.probe: tuple[str, int, int] | None = None   # PROBE still due
         self.alive = True
 
 
@@ -406,12 +461,12 @@ class MasterServer:
     """Single-threaded event loop that farms candidate ranges to workers.
 
     Each idle worker gets at most one contiguous range of a generation's
-    candidate indexes per dispatch.  Results are folded by candidate index,
-    so neither scheduling nor worker failures can change what a generation
-    returns.  Work the master owes meanwhile (the previous generation's test
-    probe) runs after the first dispatch, while the workers score.  A worker
-    whose RESULT is malformed is dropped with reason ``protocol`` and its
-    indexes go to the others.
+    candidate indexes per dispatch, and the smallest range of a dispatch
+    carries the probe the GEN owes, until one worker holds it.  Results are
+    folded by candidate index, so neither scheduling nor worker failures can
+    change what a generation returns.  A worker whose RESULT or PROBE is
+    malformed is dropped with reason ``protocol``, and its indexes and the
+    probe go to the others.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -532,55 +587,75 @@ class MasterServer:
                     f"{self.worker_count()} of {count} workers connected")
             self._pump(0.1)
 
-    def evaluate_generation(self, gen_msg: dict, lam: int,
-                            overlap: Callable[[], None] | None = None) -> list[CandidateEval]:
-        """Broadcast one GEN, dispatch its index ranges, and collect all results.
+    def evaluate_generation(self, gen_msg: dict, lam: int
+                            ) -> tuple[list[CandidateEval], list[float] | None]:
+        """Broadcast one GEN, dispatch its index ranges and the probe it
+        owes, and collect every RESULT and the PROBE.
 
-        ``overlap`` runs once, after every idle worker has its TASK and
-        before any RESULT is read.  Results from another run or generation
-        and duplicates for an index are discarded (first accepted wins); a
-        range's unanswered indexes are re-dispatched on worker loss,
-        timeout or a malformed RESULT.
+        Returns the results in index order and the probe's raw returns (None
+        when GEN owes no probe).  Results from another run or generation and
+        duplicates for an index are discarded (first accepted wins), as is a
+        PROBE that arrives after another worker answered it.  A range's
+        unanswered indexes and an unanswered probe are re-dispatched on
+        worker loss, timeout or a malformed RESULT or PROBE.
         """
         self._gen_msg = gen_msg
         run_id, generation = gen_msg["run_id"], gen_msg["generation"]
         obs_dim = len(gen_msg["normalizer"]["mean"])
+        owed = gen_msg["probe"]
+        asked = None if owed is None else (run_id, owed["generation"], owed["episodes"])
         for conn in list(self._workers()):
             self._send(conn, gen_msg)
 
         pending = set(range(lam))     # unanswered and not out on a live TASK
         outstanding: dict[int, tuple[_Conn, float]] = {}
         results: dict[int, CandidateEval] = {}
+        probe_out: tuple[_Conn, float] | None = None
+        returns: list[float] | None = None
 
         def dispatch() -> None:
-            idle = [c for c in self._workers() if not c.owed]
-            if not idle or not pending:
+            nonlocal probe_out
+            idle = [c for c in self._workers() if not c.owed and c.probe is None]
+            probe_due = asked is not None and returns is None and probe_out is None
+            if not idle or not (pending or probe_due):
                 return
             deadline = time.monotonic() + self.task_timeout
-            for conn, span in zip(idle, split_ranges(sorted(pending), len(idle))):
-                task = task_message(run_id, generation, span.start, len(span))
+            # split_ranges puts the larger chunks first
+            spans = split_ranges(sorted(pending), len(idle)) if pending else [range(0)]
+            for k, (conn, span) in enumerate(zip(idle, spans)):
+                flag = probe_due and k == len(spans) - 1
+                task = task_message(run_id, generation, span.start, len(span), flag)
                 if self._send(conn, task):
                     conn.owed = len(span)
                     pending.difference_update(span)
                     outstanding.update(dict.fromkeys(span, (conn, deadline)))
+                    if flag:
+                        conn.probe, probe_out = asked, (conn, deadline)
 
         dispatch()
-        if overlap is not None:
-            overlap()
-        while len(results) < lam:
+        while len(results) < lam or (asked is not None and returns is None):
             if not self._workers():
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
                 raise GenerationFailedError(
                     f"no workers remain with {lam - len(results)} candidate(s) "
                     f"unevaluated at generation {generation}"
+                    + (" and its probe owed" if asked is not None and returns is None else "")
                     + (f" (recent drops: {detail})" if detail else ""))
             for conn, msg in self._pump(0.05):
-                if msg["type"] != "result" or not conn.alive:
-                    continue
-                conn.owed = max(0, conn.owed - 1)
-                if msg.get("run_id") != run_id or msg.get("generation") != generation:
+                if not conn.alive:
                     continue
                 try:
+                    if msg["type"] == "probe":
+                        conn_asked, conn.probe = conn.probe, None
+                        probe_returns = returns_from_probe(msg, conn_asked)
+                        if conn_asked == asked and returns is None:
+                            returns, probe_out = probe_returns, None
+                        continue
+                    if msg["type"] != "result":
+                        continue
+                    conn.owed = max(0, conn.owed - 1)
+                    if msg.get("run_id") != run_id or msg.get("generation") != generation:
+                        continue
                     ev = eval_from_result(msg, obs_dim)
                 except ProtocolError:
                     self._send(conn, bye_message("protocol"))
@@ -596,8 +671,10 @@ class MasterServer:
             for idx in [i for i, (c, dl) in outstanding.items() if c in dead or now > dl]:
                 del outstanding[idx]
                 pending.add(idx)
+            if probe_out is not None and (probe_out[0] in dead or now > probe_out[1]):
+                probe_out = None
             dispatch()
-        return [results[i] for i in range(lam)]
+        return [results[i] for i in range(lam)], returns
 
     def close(self, reason: str = "shutdown") -> None:
         if self._closed:
@@ -627,27 +704,19 @@ class MasterServer:
 def distributed_evaluator(server: MasterServer, env_id: str,
                           fitness_spec: FitnessSpec, master_seed: int,
                           run_id: str) -> Callable:
-    """Generation evaluator that scores candidates on connected workers and
-    runs the owed test probe on the master while they do."""
+    """Generation evaluator that scores candidates, and the owed test probe
+    with them, on connected workers; the master itself runs no rollout."""
     obs_dim = env_spec(env_id).obs_dim
 
     def evaluator(_params, state, cands, normalizer, gen, probe):
         msg = build_gen_message(run_id=run_id, generation=gen,
                                 master_seed=master_seed, env_id=env_id,
                                 lam=len(cands), state=state,
-                                normalizer=normalizer, fitness_spec=fitness_spec)
-        probe_returns = []
-
-        def run_probe():
-            probe_returns.extend(test_policy(
-                probe.policy, normalizer, env_id, master_seed,
-                probe.generation, probe.episodes)[1])
-
-        evals = server.evaluate_generation(
-            msg, len(cands), None if probe is None else run_probe)
+                                normalizer=normalizer, fitness_spec=fitness_spec,
+                                probe=probe)
+        evals, probe_returns = server.evaluate_generation(msg, len(cands))
         result = collect_generation(evals, obs_dim, len(cands))
-        if probe is not None:
-            result.probe_returns = probe_returns
+        result.probe_returns = probe_returns
         return result
 
     return evaluator
@@ -667,9 +736,9 @@ def train_distributed(env_id: str, variant: str, *, sigma0: float,
     """Run a training loop whose candidate evaluations happen on workers.
 
     Identical in every recorded number to a local ``train`` call with the
-    same arguments.  Test episodes run on the master: each generation's
-    probe while the workers score the next generation, and a probe still
-    owed at the end alone.  Pass ``server``
+    same arguments.  Each generation's test probe runs on a worker, in the
+    batch of one range of the next generation; only a probe still owed when
+    the run ends runs alone on the master.  Pass ``server``
     to reuse an already-bound MasterServer (it stays open); otherwise one
     is bound on ``listen`` and closed when training ends.
     """

@@ -11,9 +11,9 @@ a worker's range all give identical numbers.  Progress is measured by a
 separate deterministic test protocol (median raw return over five fixed-seed
 episodes) whose steps never count against the budget.  The probe of
 generation g needs only the state and normalizer that generation g + 1
-starts from, so ``train`` runs it as further lanes of g + 1's batch (or, on
-the distributed master, while the workers score g + 1); only a probe still
-owed when the run ends runs alone, through ``test_policy``.
+starts from, so ``train`` runs it as further lanes of g + 1's batch (in a
+distributed run, of one worker's range of g + 1); only a probe still owed
+when the run ends runs alone, through ``test_policy``.
 """
 
 from __future__ import annotations
@@ -238,19 +238,20 @@ def _score_batch(genomes, indexes, env, normalizer: ObsNormalizer,
                  probe: Probe | None = None) -> tuple[list[CandidateEval], list[float] | None]:
     """``score_candidates``, with ``probe``'s episodes as further lanes of the
     same batch.  Probe lanes give raw returns only: their observations and
-    shaped returns are dropped."""
+    shaped returns are dropped.  With a probe, ``indexes`` may be empty."""
     spec = env.spec
     k = fitness_spec.train_episodes
-    weights = np.stack([LinearPolicy.from_genome(g, spec.obs_dim, spec.action_space).weights
-                        for g in genomes])
-    weights = np.repeat(weights, k, axis=0)
+    lanes = [np.repeat(np.stack([
+        LinearPolicy.from_genome(g, spec.obs_dim, spec.action_space).weights
+        for g in genomes]), k, axis=0)] if len(indexes) else []
     seeds = [train_episode_seed(master_seed, generation, index, ep,
                                 fitness_spec.common_random_numbers)
              for index in indexes for ep in range(k)]
     if probe is not None:
         probe_weights, probe_seeds = probe.lanes(master_seed)
-        weights = np.concatenate([weights, probe_weights])
+        lanes.append(probe_weights)
         seeds += probe_seeds
+    weights = lanes[0] if len(lanes) == 1 else np.concatenate(lanes)
     episodes = run_episodes(env, weights, normalizer, seeds,
                             fitness_spec.shaping, update_normalizer=True)
     train_lanes = len(indexes) * k

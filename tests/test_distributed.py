@@ -4,14 +4,16 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, MasterServer,
-                    ObsNormalizer, ask, env_spec, evaluate_candidate,
-                    evaluate_generation, new_strategy, sample, tell, train)
-from evolin import distributed
+from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, LinearPolicy,
+                    MasterServer, ObsNormalizer, Probe, ask, env_spec,
+                    evaluate_candidate, evaluate_generation, new_strategy,
+                    sample, tell, train)
+from evolin import distributed, evaluate
 from evolin.distributed import (DesyncError, GenerationFailedError,
                                 ProtocolError, _LineReader, build_gen_message,
                                 bye_message, cov_digest, cov_payload,
@@ -35,9 +37,11 @@ def warmed_state(variant, n=6, sigma0=0.3, tells=3, seed=77, lam=None):
     return params, state
 
 
-def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4):
+def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
+                       probe_generation=None):
     """A strategy, its warmed normalizer, and a GEN message consistent with
-    both (generation = state.g, so a local ask reproduces the candidates)."""
+    both (generation = state.g, so a local ask reproduces the candidates).
+    With ``probe_generation`` the GEN owes the probe of the mean."""
     spec = env_spec(env_id)
     n = spec.obs_dim * spec.action_space.act_dim
     params, state = warmed_state(variant, n=n, tells=2, lam=lam)
@@ -45,10 +49,13 @@ def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4):
     rng = np.random.default_rng(5)
     for _ in range(10):
         norm.update(rng.standard_normal(spec.obs_dim))
+    probe = None if probe_generation is None else Probe(
+        LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space),
+        probe_generation)
     return params, state, norm, build_gen_message(
         run_id="t", generation=state.g, master_seed=master_seed,
         env_id=env_id, lam=params.lam, state=state, normalizer=norm,
-        fitness_spec=FitnessSpec())
+        fitness_spec=FitnessSpec(), probe=probe)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +68,10 @@ def test_messages_round_trip_through_framing():
         hello_message("w-1"),
         gen_msg,
         task_message("r", 4, 2, 3),
+        task_message("r", 4, 0, 0, probe=True),
         bye_message("shutdown"),
+        {"type": "probe", "run_id": "r", "generation": 3,
+         "returns": [500.0, -1e-300, 2 / 3, 9.0, 0.0]},
         {"type": "result", "generation": 1, "index": 0, "fitness": 1 / 3,
          "raw_return": 1e-300, "timesteps": 17,
          "delta": {"count": 2, "mean": [0.1, -0.25], "m2": [0.0, 4.0]}},
@@ -87,6 +97,18 @@ def test_cov_digest_is_64_bit_decimal_and_content_sensitive():
     tampered = dict(payload, d=list(payload["d"]))
     tampered["d"][0] += 1e-12
     assert cov_digest(tampered) != digest
+
+
+def test_full_payload_carries_only_the_sampling_factors():
+    # the worker samples from basis and scale; the digest covers exactly those
+    _, state = warmed_state(FULL_CMA)
+    payload = cov_payload(state)
+    assert set(payload) == {"kind", "n", "basis", "scale"}
+    digest = cov_digest(payload)
+    for key in ("basis", "scale"):
+        tampered = dict(payload, **{key: list(payload[key])})
+        tampered[key][-1] += 1e-12
+        assert cov_digest(tampered) != digest
 
 
 @pytest.mark.parametrize("variant", [CSA, SEP_CMA, FULL_CMA])
@@ -128,6 +150,31 @@ def test_gen_context_rejects_digest_mismatch_and_bad_shapes():
     short = dict(msg, m=msg["m"][:-1])
     with pytest.raises(ProtocolError):
         gen_context(short)
+
+
+@pytest.mark.parametrize("probe", [{"generation": 1.0, "episodes": 5},
+                                   {"generation": 1, "episodes": 0},
+                                   {"generation": 1, "episodes": True}],
+                         ids=["float-generation", "no-episodes", "bool-episodes"])
+def test_gen_context_rejects_a_malformed_probe(probe):
+    _, _, _, msg = sample_gen_message(probe_generation=1)
+    with pytest.raises(ProtocolError):
+        gen_context(dict(msg, probe=probe))
+
+
+def test_run_task_runs_the_probe_as_test_policy_does():
+    _, state, norm, msg = sample_gen_message(SEP_CMA, master_seed=912,
+                                             probe_generation=1)
+    ctx = gen_context(decode_message(encode_message(msg)))
+    spec = env_spec("cartpole")
+    policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
+    _, want = evaluate.test_policy(policy, norm, "cartpole", 912, 1)
+    plain = run_task(replace(ctx, probe=None), range(1, 3))
+    for indexes in (range(1, 3), range(0)):
+        replies = run_task(ctx, indexes)
+        assert replies[:-1] == plain[:len(indexes)]
+        assert replies[-1] == {"type": "probe", "run_id": "t", "generation": 1,
+                               "returns": want}
 
 
 def test_run_task_ranges_match_local_generation_exactly():
@@ -228,8 +275,9 @@ def test_single_worker_generation_matches_local():
     with MasterServer() as server:
         thread, out = start_real_worker(server)
         server.wait_for_workers(1, timeout=10)
-        evals = server.evaluate_generation(msg, 4)
+        evals, probe_returns = server.evaluate_generation(msg, 4)
         assert [e.index for e in evals] == [0, 1, 2, 3]
+        assert probe_returns is None
         for cand, got in zip(ask(params, state, 31), evals):
             want = evaluate_candidate(cand.x, cand.index, "cartpole", norm,
                                       FitnessSpec(), msg["generation"], 31)
@@ -263,10 +311,11 @@ def test_master_and_worker_sockets_disable_nagle(monkeypatch):
     assert out.get("reason") == "shutdown"
 
 
-def worker_replies_to_task(edit, replies=1):
-    """Start a real worker, send it a GEN and the TASK ``edit`` makes of a
-    valid one-candidate TASK, and return its first ``replies`` messages and
-    its exit reason once the connection is closed."""
+def worker_replies_to_task(edit, replies=1, probe_generation=None):
+    """Start a real worker, send it a GEN (owing the probe of
+    ``probe_generation``, if given) and the TASK ``edit`` makes of a valid
+    one-candidate TASK, and return its first ``replies`` messages and its
+    exit reason once the connection is closed."""
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]
     out = {}
@@ -279,7 +328,7 @@ def worker_replies_to_task(edit, replies=1):
     conn, _ = listener.accept()
     reader = _LineReader(conn)
     assert decode_message(reader.readline())["type"] == "hello"
-    _, _, _, msg = sample_gen_message()
+    _, _, _, msg = sample_gen_message(probe_generation=probe_generation)
     conn.sendall(encode_message(msg))
     task = task_message(msg["run_id"], msg["generation"], 0, 1)
     conn.sendall(encode_message(edit(task, msg["lambda"])))
@@ -306,9 +355,15 @@ def test_worker_says_bye_on_out_of_range_task_index():
     lambda t, lam: dict(t, index=1, count=lam),
     lambda t, lam: dict(t, index=-1, count=2),
     lambda t, lam: dict(t, run_id="another-run"),
+    lambda t, lam: dict(t, probe=1),
+    lambda t, lam: dict(t, probe="true"),
+    lambda t, lam: {k: v for k, v in t.items() if k != "probe"},
+    lambda t, lam: dict(t, probe=True),
+    lambda t, lam: dict(t, probe=True, count=0),
 ], ids=["count-0", "count-negative", "count-float", "count-string",
         "count-bool", "count-missing", "past-lambda", "index-negative",
-        "foreign-run"])
+        "foreign-run", "probe-int", "probe-string", "probe-missing",
+        "probe-not-owed", "probe-only-not-owed"])
 def test_worker_says_bye_on_malformed_task_range(edit):
     (reply,), reason = worker_replies_to_task(edit)
     assert reply == bye_message("protocol")
@@ -321,6 +376,22 @@ def test_worker_answers_a_range_with_one_result_per_index():
     assert [(r["type"], r["run_id"], r["index"]) for r in replies] == [
         ("result", "t", 1), ("result", "t", 2)]
     assert reason == "eof"
+
+
+def test_worker_runs_the_owed_probe_only_when_flagged():
+    # the GEN is for generation 2 and owes the probe of generation 1
+    flagged, reason = worker_replies_to_task(
+        lambda t, lam: dict(t, index=1, count=2, probe=True), replies=3,
+        probe_generation=1)
+    assert [(r["type"], r.get("index"), r["generation"]) for r in flagged] == [
+        ("result", 1, 2), ("result", 2, 2), ("probe", None, 1)]
+    assert len(flagged[-1]["returns"]) == 5 and reason == "eof"
+    (alone,), _ = worker_replies_to_task(
+        lambda t, lam: dict(t, count=0, probe=True), probe_generation=1)
+    assert alone == flagged[-1]
+    unflagged, _ = worker_replies_to_task(
+        lambda t, lam: dict(t, index=1, count=2), replies=2, probe_generation=1)
+    assert unflagged == flagged[:2]
 
 
 def test_worker_says_bye_on_task_before_gen_and_raises_on_desync():
@@ -426,7 +497,7 @@ def test_duplicate_and_stale_results_are_discarded():
         thread = threading.Thread(target=scripted, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        evals = server.evaluate_generation(msg, lam)
+        evals, _ = server.evaluate_generation(msg, lam)
         assert sorted(seen) == [0, 1, 2]
         assert [e.fitness for e in evals] == [10.0, 11.0, 12.0]
     thread.join(timeout=10)
@@ -458,7 +529,7 @@ def test_result_from_another_run_is_discarded():
         thread = threading.Thread(target=scripted, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        evals = server.evaluate_generation(msg, lam)
+        evals, _ = server.evaluate_generation(msg, lam)
         assert [e.fitness for e in evals] == [10.0, 11.0]
     thread.join(timeout=10)
 
@@ -473,7 +544,7 @@ def test_late_joiner_receives_gen_and_takes_over_timed_out_task():
         box = {}
 
         def evaluate():
-            box["evals"] = server.evaluate_generation(msg, 2)
+            box["evals"], _ = server.evaluate_generation(msg, 2)
 
         ev_thread = threading.Thread(target=evaluate, daemon=True)
         ev_thread.start()
@@ -552,7 +623,8 @@ def test_each_worker_gets_one_task_per_generation(monkeypatch):
     scored = distributed.run_task
 
     def recording_run_task(ctx, indexes):
-        tasks.append((ctx.generation, threading.current_thread().name, indexes))
+        tasks.append((ctx.generation, threading.current_thread().name, indexes,
+                      None if ctx.probe is None else ctx.probe.generation))
         return scored(ctx, indexes)
 
     monkeypatch.setattr(distributed, "run_task", recording_run_task)
@@ -566,33 +638,163 @@ def test_each_worker_gets_one_task_per_generation(monkeypatch):
         t.join(timeout=10)
     assert records_of(dist) == records_of(train("cartpole", CSA, **kw))
     for gen in range(5):
-        got = [(name, r) for g, name, r in tasks if g == gen]
+        got = [(name, r) for g, name, r, _ in tasks if g == gen]
         assert len({name for name, _ in got}) == len(got) == 2
         assert sorted(r.start for _, r in got) == [0, 2]
         assert all(len(r) == 2 for _, r in got)
+        # exactly one TASK runs the probe the previous generation owes, on
+        # the last (smallest) range
+        probed = [(r.start, p) for g, _, r, p in tasks if g == gen and p is not None]
+        assert probed == ([] if gen == 0 else [(2, gen - 1)])
 
 
-def test_master_probes_while_every_worker_owes_results(monkeypatch):
-    # the probe of generation g runs after g + 1's ranges are out and before
-    # any of their RESULTs is read
+def test_master_runs_no_rollout_inside_evaluate_generation(monkeypatch):
     kw = dict(TRAIN_KW, max_generations=5)
-    owed_at_probe = []
-    probe = distributed.test_policy
-    with MasterServer() as server:
-        def watched_probe(*args, **kwargs):
-            owed_at_probe.append([c.owed for c in server._workers()])
-            return probe(*args, **kwargs)
+    master = threading.current_thread()
+    inside = []
+    master_rollouts, worker_rollouts = [], []
+    for name in ("run_episodes", "test_policy"):
+        real = getattr(evaluate, name)
 
-        monkeypatch.setattr(distributed, "test_policy", watched_probe)
+        def watched(*args, _real=real, _name=name, **kwargs):
+            if threading.current_thread() is not master:
+                worker_rollouts.append(_name)
+            elif inside:
+                master_rollouts.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, name, watched)
+    real_evaluate = MasterServer.evaluate_generation
+
+    def watched_evaluate(self, *args):
+        inside.append(True)
+        try:
+            return real_evaluate(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MasterServer, "evaluate_generation", watched_evaluate)
+    with MasterServer() as server:
         threads = [start_real_worker(server, worker_id=f"w{i}")[0]
                    for i in range(2)]
         dist = train_distributed("cartpole", CSA, expected_workers=2,
                                  server=server, **kw)
     for t in threads:
         t.join(timeout=10)
-    assert records_of(dist) == records_of(train("cartpole", CSA, **kw))
-    # generations 1-4 carry the probes of 0-3; the last probe runs alone
-    assert owed_at_probe == [[2, 2]] * 4
+    local = train("cartpole", CSA, **kw)
+    assert records_of(dist) == records_of(local)
+    assert master_rollouts == [] and worker_rollouts
+    assert sorted(server.dropped) == [("w0", "closed"), ("w1", "closed")]
+
+
+def serve_until_probe(w, on_probe):
+    """Serve TASKs honestly on ScriptedWorker ``w`` until one is flagged to
+    run the probe, then hand its replies (RESULTs, then PROBE) to
+    ``on_probe`` instead of sending them."""
+    ctx = None
+    while True:
+        msg = w.read()
+        if msg is None or msg["type"] == "bye":
+            return
+        if msg["type"] == "gen":
+            ctx = gen_context(msg)
+        elif msg["type"] == "task":
+            span = range(msg["index"], msg["index"] + msg["count"])
+            if msg["probe"]:
+                return on_probe(run_task(ctx, span))
+            for reply in run_task(replace(ctx, probe=None), span):
+                w.send(reply)
+
+
+def run_beside_a_scripted_worker(on_probe, kw, task_timeout=10.0):
+    """A 2-worker run whose second worker, scripted, gets the first probe
+    (the smallest range goes to the last idle worker) and gives its
+    replies to ``on_probe(worker, replies)``."""
+    with MasterServer(task_timeout=task_timeout) as server:
+        honest, _ = start_real_worker(server, worker_id="honest")
+        server.wait_for_workers(1, timeout=10)
+        w = ScriptedWorker(server.address, "scripted")
+        scripted = threading.Thread(
+            target=serve_until_probe, args=(w, lambda r: on_probe(w, r)),
+            daemon=True)
+        scripted.start()
+        dist = train_distributed("cartpole", CSA, expected_workers=2,
+                                 server=server, **kw)
+    scripted.join(timeout=10)
+    honest.join(timeout=10)
+    w.close()
+    return dist, server
+
+
+def test_lost_probe_goes_to_the_surviving_worker(tmp_path):
+    kw = dict(TRAIN_KW, max_generations=4)
+
+    def vanish(w, replies):
+        for reply in replies[:-1]:
+            w.send(reply)
+        w.close()
+
+    # the drop re-queues the probe at once, not when the task times out
+    started = time.perf_counter()
+    dist, server = run_beside_a_scripted_worker(vanish, kw, task_timeout=30.0)
+    assert time.perf_counter() - started < 30.0
+    assert ("scripted", "eof") in server.dropped
+    a, b = tmp_path / "local.csv", tmp_path / "dist.csv"
+    write_curve_csv(str(a), train("cartpole", CSA, **kw).records)
+    write_curve_csv(str(b), dist.records)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: dict(p, run_id="another-run"),
+    lambda p: dict(p, generation=p["generation"] + 1),
+    lambda p: dict(p, returns=dict(enumerate(p["returns"]))),
+    lambda p: {k: v for k, v in p.items() if k != "returns"},
+    lambda p: dict(p, returns=p["returns"][:-1]),
+    lambda p: dict(p, returns=p["returns"] + [0.0]),
+    lambda p: dict(p, returns=p["returns"][:-1] + [float("nan")]),
+    lambda p: dict(p, returns=p["returns"][:-1] + [float("inf")]),
+    lambda p: dict(p, returns=p["returns"][:-1] + ["9.0"]),
+    lambda p: dict(p, returns=p["returns"][:-1] + [True]),
+], ids=["foreign-run", "wrong-generation", "not-a-list", "missing", "short",
+        "long", "nan", "infinite", "string", "bool"])
+def test_malformed_probe_drops_the_worker_and_the_run_matches_local(edit):
+    kw = dict(TRAIN_KW, max_generations=3)
+
+    def mangle(w, replies):
+        # json.dumps, unlike encode_message, writes NaN and Infinity
+        w.sock.sendall(b"".join((json.dumps(r) + "\n").encode()
+                                for r in replies[:-1] + [edit(replies[-1])]))
+        w.read_until("bye")
+
+    dist, server = run_beside_a_scripted_worker(mangle, kw)
+    local = train("cartpole", CSA, **kw)
+    assert ("scripted", "protocol") in server.dropped
+    assert records_of(dist) == records_of(local)
+
+
+def test_unasked_probe_drops_the_worker():
+    _, _, _, msg = sample_gen_message()
+    with MasterServer() as server:
+        address = server.address
+
+        def scripted():
+            w = ScriptedWorker(address, "eager")
+            w.read_until("gen")
+            task = w.read_until("task")
+            w.send({"type": "probe", "run_id": task["run_id"],
+                    "generation": task["generation"] - 1,
+                    "returns": [0.0] * 5})
+            w.read_until("bye")
+            w.close()
+
+        thread = threading.Thread(target=scripted, daemon=True)
+        thread.start()
+        server.wait_for_workers(1, timeout=10)
+        with pytest.raises(GenerationFailedError):
+            server.evaluate_generation(msg, 4)
+        thread.join(timeout=10)
+        assert server.dropped == [("eager", "protocol")]
 
 
 def corrupt_first_result(address, edit):
