@@ -94,6 +94,8 @@ def resolve_config(args) -> dict:
             raise CliError(EXIT_USAGE, f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(EXIT_USAGE, f"config is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError(EXIT_USAGE, "config must be a JSON object")
 
     def pick(flag_name, file_name, fallback=None):
         flag = getattr(args, flag_name, None)
@@ -111,14 +113,18 @@ def resolve_config(args) -> dict:
                        f"unknown variant {variant!r}; choose from {list(VARIANTS)}")
 
     env_defaults = ENV_DEFAULTS[env_id]
-    sigma0 = float(pick("sigma0", "sigma0", env_defaults["sigma0"]))
-    lam = _parse_lambda(pick("lam", "lambda", env_defaults["lambda"]))
-    budget = int(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]))
-    seeds = _parse_seeds(pick("seeds", "seeds", DEFAULT_SEEDS))
-    test_every = int(pick("test_every", "test_every", 1))
-    threshold = float(pick("threshold", "threshold",
-                           env_spec(env_id).solved_threshold))
-    target = pick("target_return", "target_return")
+    try:
+        sigma0 = float(pick("sigma0", "sigma0", env_defaults["sigma0"]))
+        lam = _parse_lambda(pick("lam", "lambda", env_defaults["lambda"]))
+        budget = int(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]))
+        seeds = _parse_seeds(pick("seeds", "seeds", DEFAULT_SEEDS))
+        test_every = int(pick("test_every", "test_every", 1))
+        threshold = float(pick("threshold", "threshold",
+                               env_spec(env_id).solved_threshold))
+        target = pick("target_return", "target_return")
+        target = None if target is None else float(target)
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_USAGE, f"bad config value: {exc}") from exc
     output_dir = pick("output_dir", "output_dir", default_output_dir())
 
     if not seeds:
@@ -134,9 +140,9 @@ def resolve_config(args) -> dict:
     if test_every < 1:
         raise CliError(EXIT_USAGE, "test_every must be >= 1")
 
-    fs_dict = {**FitnessSpec().to_dict(), **file_cfg.get("fitness_spec", {})}
     try:
-        fitness_spec = FitnessSpec.from_dict(fs_dict)
+        fitness_spec = FitnessSpec.from_dict(
+            {**FitnessSpec().to_dict(), **file_cfg.get("fitness_spec", {})})
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad fitness_spec: {exc}") from exc
     if fitness_spec.test_episodes != 5:
@@ -152,7 +158,7 @@ def resolve_config(args) -> dict:
         "seeds": seeds,
         "test_every": test_every,
         "threshold": threshold,
-        "target_return": None if target is None else float(target),
+        "target_return": target,
         "fitness_spec": fitness_spec.to_dict(),
         "output_dir": str(output_dir),
     }
@@ -274,6 +280,8 @@ def cmd_train_distributed(args) -> int:
     cfg = resolve_config(args)
     if args.expected_workers < 1:
         raise CliError(EXIT_USAGE, "expected workers must be >= 1")
+    if not (math.isfinite(args.wait_timeout) and args.wait_timeout >= 0):
+        raise CliError(EXIT_USAGE, "--wait-timeout must be finite and >= 0")
     host, port = parse_address(args.listen, default_port=5789)
     try:
         server = MasterServer(host, port)
@@ -320,9 +328,12 @@ def parse_address(text: str, default_port: int) -> tuple[str, int]:
     if not host:
         host = "127.0.0.1"
     try:
-        return host, int(port)
+        port = int(port)
     except ValueError:
         raise CliError(EXIT_USAGE, f"bad address {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise CliError(EXIT_USAGE, f"port must lie in [0, 65535] in {text!r}")
+    return host, port
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +343,7 @@ def parse_address(text: str, default_port: int) -> tuple[str, int]:
 def cmd_eval(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"cannot load checkpoint: {exc}") from exc
     if args.episodes < 1:
         raise CliError(EXIT_USAGE, "--episodes must be >= 1")

@@ -6,18 +6,23 @@ payload) plus the normalizer snapshot, then hands each idle worker one
 contiguous range of candidate indexes as a TASK.  A worker regrows its
 range's candidates from (master_seed, generation, index) with ``es.sample``,
 the sampler ``ask`` uses, scores the range as one lockstep batch, and
-answers one RESULT per index.  A candidate's result does not depend on the
-batch it is scored in, so a distributed run reproduces a single-process run
-bit for bit.
+answers with one RESULT holding the range's results in index order.  A
+candidate's result does not depend on the batch it is scored in, so a
+distributed run reproduces a single-process run bit for bit.
 
 GEN also names the test probe owed by the previous generation, if any.  Its
 inputs are GEN's own mean and normalizer, so one flagged TASK per generation
 (the smallest range, or an empty one when only the probe is left) adds the
-probe's episodes to its batch and answers one PROBE with their raw returns.
+probe's episodes to its batch, and its RESULT carries their raw returns.
 The master runs no rollout while it waits.
 
+Each TASK gets exactly one RESULT.  A reply that does not answer its
+connection's TASK exactly, and a TASK past its deadline, drop the worker and
+re-queue the whole TASK, so no live connection holds a TASK between
+generations and no late reply is ever read.
+
 Wire format: one JSON object per line, UTF-8, field "type" selecting
-HELLO / GEN / TASK / RESULT / PROBE / BYE.  Reals use shortest-roundtrip decimal
+HELLO / GEN / TASK / RESULT / BYE.  Reals use shortest-roundtrip decimal
 form (the json module's default); 64-bit seeds travel as decimal strings.
 """
 
@@ -43,7 +48,7 @@ from .evaluate import (CandidateEval, FitnessSpec, Probe, TrainResult,
                        train)
 from .policy import LinearPolicy, ObsNormalizer
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
@@ -206,23 +211,21 @@ def build_gen_message(*, run_id: str, generation: int, master_seed: int,
     }
 
 
-def result_message(run_id: str, generation: int, ev: CandidateEval) -> dict:
+def result_message(run_id: str, generation: int, index: int,
+                   evals: list[CandidateEval], returns: list[float] | None) -> dict:
+    """The one reply to a TASK whose range starts at ``index``: its results
+    in index order, and the probe's raw returns (None if not flagged)."""
     return {
         "type": "result",
         "run_id": run_id,
         "generation": int(generation),
-        "index": int(ev.index),
-        "fitness": float(ev.fitness),
-        "raw_return": float(ev.raw_return),
-        "timesteps": int(ev.timesteps),
-        "delta": ev.delta.to_dict(),
+        "index": int(index),
+        "results": [{"fitness": float(ev.fitness),
+                     "raw_return": float(ev.raw_return),
+                     "timesteps": int(ev.timesteps),
+                     "delta": ev.delta.to_dict()} for ev in evals],
+        "probe": None if returns is None else [float(r) for r in returns],
     }
-
-
-def probe_message(run_id: str, probe: Probe, returns: list[float]) -> dict:
-    return {"type": "probe", "run_id": run_id,
-            "generation": int(probe.generation),
-            "returns": [float(r) for r in returns]}
 
 
 def _real(value, what: str) -> float:
@@ -237,43 +240,52 @@ def _count(value, what: str) -> int:
     return value
 
 
-def returns_from_probe(msg: dict, asked: tuple[str, int, int] | None) -> list[float]:
-    """Parse the PROBE answering ``asked`` (run id, probe generation,
-    episodes).  Raises ProtocolError if no probe was asked, the PROBE names
-    another run or generation, or its returns are not ``episodes`` finite
-    numbers."""
-    if asked is None:
-        raise ProtocolError("PROBE without a probe-flagged TASK")
-    run_id, generation, episodes = asked
-    if msg.get("run_id") != run_id or msg.get("generation") != generation:
-        raise ProtocolError("PROBE answers another run or generation")
-    returns = msg.get("returns")
-    if not isinstance(returns, list) or len(returns) != episodes:
-        raise ProtocolError(f"PROBE returns must be a list of {episodes} numbers")
-    return [_real(r, "PROBE return") for r in returns]
-
-
-def eval_from_result(msg: dict, obs_dim: int) -> CandidateEval:
-    """Parse a RESULT.  Raises ProtocolError if a field is missing, mistyped
-    or non-finite, or the delta's moments do not have ``obs_dim`` entries."""
-    delta = msg.get("delta")
-    if not isinstance(delta, dict):
-        raise ProtocolError("RESULT delta must be an object")
-    mean, m2 = delta.get("mean"), delta.get("m2")
-    if not (isinstance(mean, list) and isinstance(m2, list)
-            and len(mean) == len(m2) == obs_dim):
-        raise ProtocolError(f"RESULT delta mean and m2 must be lists of length {obs_dim}")
-    m2 = np.array([_real(v, "RESULT delta m2") for v in m2])
-    if (m2 < 0).any():
-        raise ProtocolError("RESULT delta m2 must not be negative")
-    return CandidateEval(
-        index=_count(msg.get("index"), "index"),
-        fitness=_real(msg.get("fitness"), "RESULT fitness"),
-        raw_return=_real(msg.get("raw_return"), "RESULT raw_return"),
-        timesteps=_count(msg.get("timesteps"), "timesteps"),
-        delta=ObsNormalizer(_count(delta.get("count"), "delta count"),
-                            np.array([_real(v, "RESULT delta mean") for v in mean]), m2),
-    )
+def evals_from_result(msg: dict, run_id: str, generation: int, span: range,
+                      episodes: int | None, obs_dim: int
+                      ) -> tuple[list[CandidateEval], list[float] | None]:
+    """Parse the reply to the TASK for ``span`` of ``run_id``'s
+    ``generation``, flagged to run a probe of ``episodes`` unless that is
+    None.  Returns the range's results in index order and the probe's raw
+    returns.  Raises ProtocolError unless ``msg`` is a RESULT answering
+    exactly that TASK: one entry per index, each with a finite fitness and
+    raw return, int counts and a delta whose moments have ``obs_dim``
+    finite entries (m2 not negative), and ``episodes`` finite returns or
+    none."""
+    if (msg.get("type") != "result" or msg.get("run_id") != run_id
+            or msg.get("generation") != generation
+            or _count(msg.get("index"), "index") != span.start):
+        raise ProtocolError("reply answers another TASK")
+    entries, returns = msg.get("results"), msg.get("probe")
+    if not isinstance(entries, list) or len(entries) != len(span):
+        raise ProtocolError(f"RESULT results must be a list of {len(span)} entries")
+    if episodes is None:
+        if returns is not None:
+            raise ProtocolError("RESULT carries a probe its TASK did not ask for")
+    elif not isinstance(returns, list) or len(returns) != episodes:
+        raise ProtocolError(f"RESULT probe must be a list of {episodes} numbers")
+    else:
+        returns = [_real(r, "RESULT probe return") for r in returns]
+    evals = []
+    for index, entry in zip(span, entries):
+        delta = entry.get("delta") if isinstance(entry, dict) else None
+        if not isinstance(delta, dict):
+            raise ProtocolError("RESULT entries must be objects with a delta object")
+        mean, m2 = delta.get("mean"), delta.get("m2")
+        if not (isinstance(mean, list) and isinstance(m2, list)
+                and len(mean) == len(m2) == obs_dim):
+            raise ProtocolError(f"RESULT delta mean and m2 must be lists of length {obs_dim}")
+        m2 = np.array([_real(v, "RESULT delta m2") for v in m2])
+        if (m2 < 0).any():
+            raise ProtocolError("RESULT delta m2 must not be negative")
+        evals.append(CandidateEval(
+            index=index,
+            fitness=_real(entry.get("fitness"), "RESULT fitness"),
+            raw_return=_real(entry.get("raw_return"), "RESULT raw_return"),
+            timesteps=_count(entry.get("timesteps"), "timesteps"),
+            delta=ObsNormalizer(_count(delta.get("count"), "delta count"),
+                                np.array([_real(v, "RESULT delta mean") for v in mean]),
+                                m2)))
+    return evals, returns
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +360,16 @@ def _task_range(ctx: WorkerContext | None, msg: dict) -> range | None:
     return range(index, index + count)
 
 
-def run_task(ctx: WorkerContext, indexes: range) -> list[dict]:
+def run_task(ctx: WorkerContext, indexes: range) -> dict:
     """Regrow the candidates ``indexes`` with ``es.sample``, the sampler
     ``ask`` uses, and score them as one batch, ``ctx.probe``'s episodes
-    included when it is set.  Returns one RESULT per index, then the PROBE."""
+    included when it is set.  Returns the one RESULT answering the TASK."""
     genomes = (sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
                       ctx.sigma, ctx.transform)[1] if len(indexes) else [])
     evals, returns = _score_batch(genomes, list(indexes), make_env(ctx.env_id),
                                   ctx.normalizer, ctx.fitness_spec,
                                   ctx.generation, ctx.master_seed, ctx.probe)
-    out = [result_message(ctx.run_id, ctx.generation, ev) for ev in evals]
-    if ctx.probe is not None:
-        out.append(probe_message(ctx.run_id, ctx.probe, returns))
-    return out
+    return result_message(ctx.run_id, ctx.generation, indexes.start, evals, returns)
 
 
 def serve_worker(host: str, port: int, *, worker_id: str | None = None,
@@ -378,9 +387,9 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
     wid = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
     reader = _LineReader(sock)
 
-    def send(*msgs: dict) -> None:
+    def send(msg: dict) -> None:
         try:
-            sock.sendall(b"".join(encode_message(m) for m in msgs))
+            sock.sendall(encode_message(msg))
         except OSError:
             pass
 
@@ -413,8 +422,8 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                 if indexes is None:
                     send(bye_message("protocol"))
                     return "protocol"
-                send(*run_task(ctx if msg["probe"] else replace(ctx, probe=None),
-                               indexes))
+                send(run_task(ctx if msg["probe"] else replace(ctx, probe=None),
+                              indexes))
             else:
                 send(bye_message("protocol"))
                 return "protocol"
@@ -427,14 +436,14 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
 
 
 class _Conn:
-    __slots__ = ("sock", "buf", "worker_id", "owed", "probe", "alive")
+    __slots__ = ("sock", "buf", "worker_id", "task", "alive")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.buf = bytearray()
         self.worker_id: str | None = None
-        self.owed = 0                 # RESULTs still due for TASKs sent
-        self.probe: tuple[str, int, int] | None = None   # PROBE still due
+        # the TASK owed: its range, probe episodes (None if not flagged), deadline
+        self.task: tuple[range, int | None, float] | None = None
         self.alive = True
 
 
@@ -460,24 +469,28 @@ def split_ranges(indexes: list[int], parts: int) -> list[range]:
 class MasterServer:
     """Single-threaded event loop that farms candidate ranges to workers.
 
-    Each idle worker gets at most one contiguous range of a generation's
-    candidate indexes per dispatch, and the smallest range of a dispatch
-    carries the probe the GEN owes, until one worker holds it.  Results are
-    folded by candidate index, so neither scheduling nor worker failures can
-    change what a generation returns.  A worker whose RESULT or PROBE is
-    malformed is dropped with reason ``protocol``, and its indexes and the
-    probe go to the others.
+    Each idle worker gets one TASK at a time: a contiguous range of a
+    generation's candidate indexes, and, on the smallest range of a
+    dispatch, the probe the GEN owes until one worker holds it.  Each TASK
+    gets exactly one RESULT.  A worker whose reply does not answer its TASK
+    exactly is sent BYE and dropped with reason ``protocol``; one whose TASK
+    outlives ``task_timeout`` seconds is dropped with reason ``timeout`` and
+    no BYE, since a send could block on a stalled peer.  Either way its
+    whole TASK goes to the others.  Results are folded by candidate index,
+    so neither scheduling nor worker failures can change what a generation
+    returns.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  task_timeout: float = DEFAULT_TASK_TIMEOUT):
+        if not (math.isfinite(task_timeout) and task_timeout > 0):
+            raise ValueError("task_timeout must be finite and > 0")
         self._listener = socket.create_server((host, port), backlog=16)
         self._listener.setblocking(False)
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._listener, selectors.EVENT_READ, None)
         self._conns: list[_Conn] = []
         self._gen_msg: dict | None = None
-        self._drop_events: list[_Conn] = []
         self.task_timeout = task_timeout
         self.dropped: list[tuple[str, str]] = []
         self._closed = False
@@ -520,7 +533,6 @@ class MasterServer:
             pass
         self._conns.remove(conn)
         self.dropped.append((conn.worker_id or "<no-hello>", reason))
-        self._drop_events.append(conn)
 
     def _send(self, conn: _Conn, msg: dict) -> bool:
         try:
@@ -529,6 +541,10 @@ class MasterServer:
         except OSError:
             self._drop(conn, "send-error")
             return False
+
+    def _reject(self, conn: _Conn) -> None:
+        self._send(conn, bye_message("protocol"))
+        self._drop(conn, "protocol")
 
     def _handle_hello(self, conn: _Conn, msg: dict) -> None:
         if msg.get("protocol_version") != PROTOCOL_VERSION:
@@ -566,8 +582,7 @@ class MasterServer:
                 try:
                     msg = decode_message(line)
                 except ProtocolError:
-                    self._send(conn, bye_message("protocol"))
-                    self._drop(conn, "protocol")
+                    self._reject(conn)
                     break
                 kind = msg["type"]
                 if kind == "hello":
@@ -579,101 +594,83 @@ class MasterServer:
         return out
 
     def wait_for_workers(self, count: int, timeout: float | None = None) -> None:
-        """Block until ``count`` workers have completed their HELLO."""
+        """Block until ``count`` workers have completed their HELLO.  No
+        TASK is out, so any reply drops its worker."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while self.worker_count() < count:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
                     f"{self.worker_count()} of {count} workers connected")
-            self._pump(0.1)
+            for conn, _msg in self._pump(0.1):
+                if conn.alive:
+                    self._reject(conn)
 
     def evaluate_generation(self, gen_msg: dict, lam: int
                             ) -> tuple[list[CandidateEval], list[float] | None]:
         """Broadcast one GEN, dispatch its index ranges and the probe it
-        owes, and collect every RESULT and the PROBE.
+        owes as TASKs, and collect the one RESULT each TASK gets.
 
         Returns the results in index order and the probe's raw returns (None
-        when GEN owes no probe).  Results from another run or generation and
-        duplicates for an index are discarded (first accepted wins), as is a
-        PROBE that arrives after another worker answered it.  A range's
-        unanswered indexes and an unanswered probe are re-dispatched on
-        worker loss, timeout or a malformed RESULT or PROBE.
+        when GEN owes no probe).  A TASK whose worker is lost, times out or
+        sends a reply that does not answer it is re-dispatched whole.
+        Raises GenerationFailedError when no workers remain and work is owed.
         """
         self._gen_msg = gen_msg
         run_id, generation = gen_msg["run_id"], gen_msg["generation"]
         obs_dim = len(gen_msg["normalizer"]["mean"])
-        owed = gen_msg["probe"]
-        asked = None if owed is None else (run_id, owed["generation"], owed["episodes"])
+        episodes = None if gen_msg["probe"] is None else gen_msg["probe"]["episodes"]
         for conn in list(self._workers()):
             self._send(conn, gen_msg)
 
-        pending = set(range(lam))     # unanswered and not out on a live TASK
-        outstanding: dict[int, tuple[_Conn, float]] = {}
         results: dict[int, CandidateEval] = {}
-        probe_out: tuple[_Conn, float] | None = None
         returns: list[float] | None = None
-
-        def dispatch() -> None:
-            nonlocal probe_out
-            idle = [c for c in self._workers() if not c.owed and c.probe is None]
-            probe_due = asked is not None and returns is None and probe_out is None
-            if not idle or not (pending or probe_due):
-                return
-            deadline = time.monotonic() + self.task_timeout
-            # split_ranges puts the larger chunks first
-            spans = split_ranges(sorted(pending), len(idle)) if pending else [range(0)]
-            for k, (conn, span) in enumerate(zip(idle, spans)):
-                flag = probe_due and k == len(spans) - 1
-                task = task_message(run_id, generation, span.start, len(span), flag)
-                if self._send(conn, task):
-                    conn.owed = len(span)
-                    pending.difference_update(span)
-                    outstanding.update(dict.fromkeys(span, (conn, deadline)))
-                    if flag:
-                        conn.probe, probe_out = asked, (conn, deadline)
-
-        dispatch()
-        while len(results) < lam or (asked is not None and returns is None):
-            if not self._workers():
+        while len(results) < lam or (episodes is not None and returns is None):
+            workers = self._workers()
+            if not workers:
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
                 raise GenerationFailedError(
                     f"no workers remain with {lam - len(results)} candidate(s) "
                     f"unevaluated at generation {generation}"
-                    + (" and its probe owed" if asked is not None and returns is None else "")
+                    + (" and its probe owed" if episodes is not None and returns is None else "")
                     + (f" (recent drops: {detail})" if detail else ""))
+            # hand the work that is neither answered nor held by a live TASK
+            # to the idle workers
+            idle = [c for c in workers if c.task is None]
+            held = [c.task for c in workers if c.task is not None]
+            pending = sorted(set(range(lam)) - results.keys()
+                             - {i for span, _, _ in held for i in span})
+            probe_due = (episodes is not None and returns is None
+                         and all(asked is None for _, asked, _ in held))
+            if idle and (pending or probe_due):
+                deadline = time.monotonic() + self.task_timeout
+                # split_ranges puts the larger chunks first
+                spans = split_ranges(pending, len(idle)) if pending else [range(0)]
+                for k, (conn, span) in enumerate(zip(idle, spans)):
+                    flag = probe_due and k == len(spans) - 1
+                    task = task_message(run_id, generation, span.start, len(span), flag)
+                    if self._send(conn, task):
+                        conn.task = (span, episodes if flag else None, deadline)
+
             for conn, msg in self._pump(0.05):
                 if not conn.alive:
                     continue
                 try:
-                    if msg["type"] == "probe":
-                        conn_asked, conn.probe = conn.probe, None
-                        probe_returns = returns_from_probe(msg, conn_asked)
-                        if conn_asked == asked and returns is None:
-                            returns, probe_out = probe_returns, None
-                        continue
-                    if msg["type"] != "result":
-                        continue
-                    conn.owed = max(0, conn.owed - 1)
-                    if msg.get("run_id") != run_id or msg.get("generation") != generation:
-                        continue
-                    ev = eval_from_result(msg, obs_dim)
+                    if conn.task is None:
+                        raise ProtocolError("reply without a TASK")
+                    span, asked, _ = conn.task
+                    evals, probe = evals_from_result(msg, run_id, generation,
+                                                     span, asked, obs_dim)
                 except ProtocolError:
-                    self._send(conn, bye_message("protocol"))
-                    self._drop(conn, "protocol")
+                    self._reject(conn)
                     continue
-                if ev.index < lam and ev.index not in results:
-                    results[ev.index] = ev
-                    outstanding.pop(ev.index, None)
-                    pending.discard(ev.index)
-            dead = set(self._drop_events)
-            self._drop_events.clear()
+                conn.task = None
+                results.update((ev.index, ev) for ev in evals)
+                if asked is not None:
+                    returns = probe
             now = time.monotonic()
-            for idx in [i for i, (c, dl) in outstanding.items() if c in dead or now > dl]:
-                del outstanding[idx]
-                pending.add(idx)
-            if probe_out is not None and (probe_out[0] in dead or now > probe_out[1]):
-                probe_out = None
-            dispatch()
+            for conn in self._workers():
+                if conn.task is not None and now > conn.task[2]:
+                    self._drop(conn, "timeout")
         return [results[i] for i in range(lam)], returns
 
     def close(self, reason: str = "shutdown") -> None:

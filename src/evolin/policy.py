@@ -256,17 +256,31 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint.  Raises ValueError if its environment is unknown,
+    or its obs_dim, genome length or normalizer moments do not fit that
+    environment's spec."""
+    from .envs import env_spec      # envs imports this module
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    space = _space_from_dict(doc["action_space"])
-    norm = ObsNormalizer.from_dict(doc["normalizer"])
-    norm.frozen = True
-    return Checkpoint(
+    spec = env_spec(doc["env_id"])
+    ckpt = Checkpoint(
         env_id=doc["env_id"],
         genome=np.asarray(doc["genome"], dtype=float),
         obs_dim=int(doc["obs_dim"]),
-        space=space,
-        normalizer=norm,
+        space=_space_from_dict(doc["action_space"]),
+        normalizer=ObsNormalizer.from_dict(doc["normalizer"]),
         generation=int(doc["generation"]),
         master_seed=int(doc["master_seed"]),
     )
+    if ckpt.obs_dim != spec.obs_dim:
+        raise ValueError(f"{spec.env_id} observations have {spec.obs_dim} "
+                         f"entries, the checkpoint says {ckpt.obs_dim}")
+    expect = genome_dim(spec.obs_dim, spec.action_space)
+    if ckpt.genome.shape != (expect,):
+        raise ValueError(f"{spec.env_id} genomes have {expect} entries, "
+                         f"got shape {ckpt.genome.shape}")
+    norm = ckpt.normalizer
+    if norm.mean.shape != (spec.obs_dim,) or norm.m2.shape != (spec.obs_dim,):
+        raise ValueError(f"normalizer moments must have {spec.obs_dim} entries")
+    norm.frozen = True
+    return ckpt

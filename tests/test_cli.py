@@ -110,6 +110,45 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [[1, 2], {"sigma0": "big"},
+                                 {"budget_timesteps": "lots"}, {"seeds": 5},
+                                 {"test_every": [1]}, {"target_return": "high"},
+                                 {"fitness_spec": 3}],
+                         ids=["not-an-object", "sigma0", "budget", "seeds",
+                              "test-every", "target", "fitness-spec"])
+def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--env", "cartpole",
+                   "--variant", "csa", "--output-dir", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--listen", "127.0.0.1:99999"),
+                                        ("--listen", "127.0.0.1:-1"),
+                                        ("--wait-timeout", "nan"),
+                                        ("--wait-timeout", "inf"),
+                                        ("--wait-timeout", "-1")])
+def test_bad_listen_port_or_wait_timeout_exits_2_before_binding(tmp_path, capsys,
+                                                                flag, value):
+    flags = {"--listen": "127.0.0.1:0", "--wait-timeout": "5", flag: value}
+    out = tmp_path / "run"
+    assert run_cli("train-distributed", "--env", "cartpole", "--variant", "csa",
+                   "--seeds", "5", "--output-dir", str(out),
+                   "--expected-workers", "1",
+                   *(part for item in flags.items() for part in item)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "listening" not in captured.out
+    assert not out.exists()
+
+
+def test_worker_port_out_of_range_exits_2(capsys):
+    assert run_cli("serve-worker", "--connect", "127.0.0.1:70000") == 2
+    assert capsys.readouterr().err.startswith("error: port")
+
+
 def test_plot_data_without_curves_exits_2(tmp_path):
     assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 2
 
@@ -202,6 +241,23 @@ def test_eval_replays_checkpoint_median(tmp_path, capsys):
     median_line = [l for l in printed.splitlines()
                    if l.startswith("median_test_return")][0]
     assert float(median_line.split()[1]) == row["max_median_return"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: dict(d, genome=d["genome"][:2]),
+    lambda d: dict(d, normalizer={"count": 3, "mean": [0.0] * 3, "m2": [1.0] * 3}),
+    lambda d: dict(d, env_id="walker"),
+    lambda d: dict(d, obs_dim=3),
+    lambda d: [d],
+], ids=["short-genome", "3-dim-normalizer", "unknown-env", "wrong-obs-dim",
+        "not-an-object"])
+def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, edit):
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "cartpole_solved.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(load_json(fixture))))
+    assert run_cli("eval", "--checkpoint", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load checkpoint")
 
 
 def test_eval_fixture_checkpoint_scores_500(capsys):

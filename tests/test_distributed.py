@@ -18,7 +18,7 @@ from evolin.distributed import (DesyncError, GenerationFailedError,
                                 ProtocolError, _LineReader, build_gen_message,
                                 bye_message, cov_digest, cov_payload,
                                 decode_message, encode_message,
-                                eval_from_result, gen_context, hello_message,
+                                evals_from_result, gen_context, hello_message,
                                 run_task, serve_worker, split_ranges,
                                 task_message, train_distributed,
                                 transform_from_payload)
@@ -70,11 +70,12 @@ def test_messages_round_trip_through_framing():
         task_message("r", 4, 2, 3),
         task_message("r", 4, 0, 0, probe=True),
         bye_message("shutdown"),
-        {"type": "probe", "run_id": "r", "generation": 3,
-         "returns": [500.0, -1e-300, 2 / 3, 9.0, 0.0]},
-        {"type": "result", "generation": 1, "index": 0, "fitness": 1 / 3,
-         "raw_return": 1e-300, "timesteps": 17,
-         "delta": {"count": 2, "mean": [0.1, -0.25], "m2": [0.0, 4.0]}},
+        {"type": "result", "run_id": "r", "generation": 1, "index": 2,
+         "results": [{"fitness": 1 / 3, "raw_return": 1e-300, "timesteps": 17,
+                      "delta": {"count": 2, "mean": [0.1, -0.25], "m2": [0.0, 4.0]}}],
+         "probe": None},
+        {"type": "result", "run_id": "r", "generation": 4, "index": 0,
+         "results": [], "probe": [500.0, -1e-300, 2 / 3, 9.0, 0.0]},
     ]
     for msg in samples:
         encoded = encode_message(msg)
@@ -170,11 +171,11 @@ def test_run_task_runs_the_probe_as_test_policy_does():
     policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
     _, want = evaluate.test_policy(policy, norm, "cartpole", 912, 1)
     plain = run_task(replace(ctx, probe=None), range(1, 3))
+    assert plain["probe"] is None and len(plain["results"]) == 2
     for indexes in (range(1, 3), range(0)):
-        replies = run_task(ctx, indexes)
-        assert replies[:-1] == plain[:len(indexes)]
-        assert replies[-1] == {"type": "probe", "run_id": "t", "generation": 1,
-                               "returns": want}
+        reply = run_task(ctx, indexes)
+        assert reply == dict(plain, index=indexes.start,
+                             results=plain["results"][:len(indexes)], probe=want)
 
 
 def test_run_task_ranges_match_local_generation_exactly():
@@ -186,8 +187,11 @@ def test_run_task_ranges_match_local_generation_exactly():
     local = evaluate_generation(cands, "cartpole", norm, FitnessSpec(), gen, 912)
 
     def remote(indexes):
-        return [eval_from_result(decode_message(encode_message(r)), len(norm.mean))
-                for r in run_task(ctx, indexes)]
+        reply = decode_message(encode_message(run_task(ctx, indexes)))
+        evals, returns = evals_from_result(reply, "t", gen, indexes, None,
+                                           len(norm.mean))
+        assert returns is None
+        return evals
 
     # a range of one, a middle range, and the whole generation
     for indexes in (range(3, 4), range(1, 5), range(lam)):
@@ -262,8 +266,18 @@ class ScriptedWorker:
         self.sock.close()
 
 
-def empty_delta(dim):
-    return {"count": 0, "mean": [0.0] * dim, "m2": [0.0] * dim}
+def assert_matches_local(evals, params, state, norm, msg, master_seed):
+    """``evals`` are what a local evaluation of GEN ``msg``'s candidates gives."""
+    assert [e.index for e in evals] == list(range(len(evals)))
+    for cand, got in zip(ask(params, state, master_seed), evals):
+        want = evaluate_candidate(cand.x, cand.index, "cartpole", norm,
+                                  FitnessSpec(), msg["generation"], master_seed)
+        assert got.fitness == want.fitness
+        assert got.timesteps == want.timesteps
+
+
+def answer_honestly(ctx, task):
+    return run_task(ctx, range(task["index"], task["index"] + task["count"]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +292,7 @@ def test_single_worker_generation_matches_local():
         evals, probe_returns = server.evaluate_generation(msg, 4)
         assert [e.index for e in evals] == [0, 1, 2, 3]
         assert probe_returns is None
-        for cand, got in zip(ask(params, state, 31), evals):
-            want = evaluate_candidate(cand.x, cand.index, "cartpole", norm,
-                                      FitnessSpec(), msg["generation"], 31)
-            assert got.fitness == want.fitness
-            assert got.timesteps == want.timesteps
+        assert_matches_local(evals, params, state, norm, msg, 31)
     thread.join(timeout=10)
     assert out.get("reason") == "shutdown"
 
@@ -311,11 +321,11 @@ def test_master_and_worker_sockets_disable_nagle(monkeypatch):
     assert out.get("reason") == "shutdown"
 
 
-def worker_replies_to_task(edit, replies=1, probe_generation=None):
+def worker_replies_to_task(edit, probe_generation=None):
     """Start a real worker, send it a GEN (owing the probe of
     ``probe_generation``, if given) and the TASK ``edit`` makes of a valid
-    one-candidate TASK, and return its first ``replies`` messages and its
-    exit reason once the connection is closed."""
+    one-candidate TASK, and return its first reply and its exit reason once
+    the connection is closed."""
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]
     out = {}
@@ -332,7 +342,7 @@ def worker_replies_to_task(edit, replies=1, probe_generation=None):
     conn.sendall(encode_message(msg))
     task = task_message(msg["run_id"], msg["generation"], 0, 1)
     conn.sendall(encode_message(edit(task, msg["lambda"])))
-    got = [decode_message(reader.readline()) for _ in range(replies)]
+    got = decode_message(reader.readline())
     conn.close()
     thread.join(timeout=10)
     listener.close()
@@ -340,7 +350,7 @@ def worker_replies_to_task(edit, replies=1, probe_generation=None):
 
 
 def test_worker_says_bye_on_out_of_range_task_index():
-    (reply,), reason = worker_replies_to_task(lambda t, lam: dict(t, index=lam))
+    reply, reason = worker_replies_to_task(lambda t, lam: dict(t, index=lam))
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
@@ -365,33 +375,32 @@ def test_worker_says_bye_on_out_of_range_task_index():
         "foreign-run", "probe-int", "probe-string", "probe-missing",
         "probe-not-owed", "probe-only-not-owed"])
 def test_worker_says_bye_on_malformed_task_range(edit):
-    (reply,), reason = worker_replies_to_task(edit)
+    reply, reason = worker_replies_to_task(edit)
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
 
 def test_worker_answers_a_range_with_one_result_per_index():
-    replies, reason = worker_replies_to_task(
-        lambda t, lam: dict(t, index=1, count=2), replies=2)
-    assert [(r["type"], r["run_id"], r["index"]) for r in replies] == [
-        ("result", "t", 1), ("result", "t", 2)]
+    # one RESULT for the whole range, holding one entry per index
+    reply, reason = worker_replies_to_task(lambda t, lam: dict(t, index=1, count=2))
+    assert (reply["type"], reply["run_id"], reply["index"]) == ("result", "t", 1)
+    assert len(reply["results"]) == 2 and reply["probe"] is None
     assert reason == "eof"
 
 
 def test_worker_runs_the_owed_probe_only_when_flagged():
     # the GEN is for generation 2 and owes the probe of generation 1
     flagged, reason = worker_replies_to_task(
-        lambda t, lam: dict(t, index=1, count=2, probe=True), replies=3,
-        probe_generation=1)
-    assert [(r["type"], r.get("index"), r["generation"]) for r in flagged] == [
-        ("result", 1, 2), ("result", 2, 2), ("probe", None, 1)]
-    assert len(flagged[-1]["returns"]) == 5 and reason == "eof"
-    (alone,), _ = worker_replies_to_task(
+        lambda t, lam: dict(t, index=1, count=2, probe=True), probe_generation=1)
+    assert (flagged["type"], flagged["index"], flagged["generation"]) == ("result", 1, 2)
+    assert len(flagged["results"]) == 2 and len(flagged["probe"]) == 5
+    assert reason == "eof"
+    alone, _ = worker_replies_to_task(
         lambda t, lam: dict(t, count=0, probe=True), probe_generation=1)
-    assert alone == flagged[-1]
+    assert alone == dict(flagged, index=0, results=[])
     unflagged, _ = worker_replies_to_task(
-        lambda t, lam: dict(t, index=1, count=2), replies=2, probe_generation=1)
-    assert unflagged == flagged[:2]
+        lambda t, lam: dict(t, index=1, count=2), probe_generation=1)
+    assert unflagged == dict(flagged, probe=None)
 
 
 def test_worker_says_bye_on_task_before_gen_and_raises_on_desync():
@@ -444,6 +453,13 @@ def test_master_rejects_wrong_protocol_version():
         sock.close()
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_master_rejects_a_task_timeout_that_is_not_finite_and_positive(timeout):
+    # a timeout drops its worker: 0 would drop every one, NaN none
+    with pytest.raises(ValueError):
+        MasterServer(task_timeout=timeout)
+
+
 def test_generation_fails_with_zero_workers():
     _, _, _, msg = sample_gen_message()
     with MasterServer() as server:
@@ -470,73 +486,77 @@ def test_generation_fails_when_only_worker_dies():
         assert any(reason == "eof" for _, reason in server.dropped)
 
 
-def test_duplicate_and_stale_results_are_discarded():
-    spec = env_spec("cartpole")
-    _, _, _, msg = sample_gen_message()
-    lam = 3
+def test_unsolicited_results_drop_the_worker():
+    # a second answer to a TASK, and an answer sent before any TASK
+    params, state, norm, msg = sample_gen_message()
     with MasterServer() as server:
         address = server.address
-        seen = []
+        byes = {}
 
-        def scripted():
+        def duplicate():
             w = ScriptedWorker(address, "dup")
-            w.read_until("gen")
-            task = w.read_until("task")
-            for idx in range(task["index"], task["index"] + task["count"]):
-                seen.append(idx)
-                base = {"type": "result", "run_id": task["run_id"],
-                        "generation": task["generation"],
-                        "index": idx, "raw_return": 0.0, "timesteps": 1,
-                        "delta": empty_delta(spec.obs_dim)}
-                w.send(dict(base, generation=10 ** 6, fitness=-123.0))
-                w.send(dict(base, fitness=10.0 + idx))
-                w.send(dict(base, fitness=999.0))
-            w.read_until("bye")
+            ctx = gen_context(w.read_until("gen"))
+            reply = answer_honestly(ctx, w.read_until("task"))
+            # in one write, so that the master reads both in one tick
+            w.sock.sendall(encode_message(reply) * 2)
+            byes["dup"] = w.read_until("bye")
             w.close()
 
-        thread = threading.Thread(target=scripted, daemon=True)
+        thread = threading.Thread(target=duplicate, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        evals, _ = server.evaluate_generation(msg, lam)
-        assert sorted(seen) == [0, 1, 2]
-        assert [e.fitness for e in evals] == [10.0, 11.0, 12.0]
+        evals, _ = server.evaluate_generation(msg, 4)
+        assert_matches_local(evals, params, state, norm, msg, 3)
+
+        eager = ScriptedWorker(address, "eager")
+        eager.send({"type": "result", "run_id": "t", "generation": 0,
+                    "index": 0, "results": [], "probe": None})
+        with pytest.raises(TimeoutError):
+            server.wait_for_workers(2, timeout=1.0)
+        assert sorted(server.dropped) == [("dup", "protocol"), ("eager", "protocol")]
+        assert eager.read_until("bye") == bye_message("protocol")
+        eager.close()
     thread.join(timeout=10)
+    assert byes["dup"] == bye_message("protocol")
 
 
-def test_result_from_another_run_is_discarded():
-    # a server reused across seeds must not take a late result of the
-    # previous run for the same generation and index
-    spec = env_spec("cartpole")
-    _, _, _, msg = sample_gen_message()
-    lam = 2
-    with MasterServer() as server:
+def test_late_result_drops_the_worker_and_the_next_run_is_correct():
+    # a worker that answers after its deadline is dropped unheard, so a
+    # server reused for the next seed never reads its late reply
+    params, state, norm, msg = sample_gen_message(CSA, master_seed=31)
+    with MasterServer(task_timeout=1.0) as server:
         address = server.address
+        box = {}
 
-        def scripted():
-            w = ScriptedWorker(address, "stale")
-            w.read_until("gen")
-            task = w.read_until("task")
-            for idx in range(task["index"], task["index"] + task["count"]):
-                base = {"type": "result", "generation": task["generation"],
-                        "index": idx, "raw_return": 0.0, "timesteps": 1,
-                        "delta": empty_delta(spec.obs_dim)}
-                w.send(dict(base, run_id="previous-seed", fitness=-123.0))
-                w.send(dict(base, fitness=-456.0))
-                w.send(dict(base, run_id=task["run_id"], fitness=10.0 + idx))
-            w.read_until("bye")
+        def late():
+            w = ScriptedWorker(address, "late")
+            ctx = gen_context(w.read_until("gen"))
+            reply = answer_honestly(ctx, w.read_until("task"))
+            box["after_deadline"] = w.read()     # no BYE: the master hangs up
+            try:
+                w.send(reply)
+            except OSError:
+                pass
             w.close()
 
-        thread = threading.Thread(target=scripted, daemon=True)
+        thread = threading.Thread(target=late, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        evals, _ = server.evaluate_generation(msg, lam)
-        assert [e.fitness for e in evals] == [10.0, 11.0]
+        honest, out = start_real_worker(server, worker_id="honest")
+        server.wait_for_workers(2, timeout=10)
+        for run_id in ("first-seed", "second-seed"):
+            evals, _ = server.evaluate_generation(dict(msg, run_id=run_id), 4)
+            assert_matches_local(evals, params, state, norm, msg, 31)
+        assert server.dropped == [("late", "timeout")]
     thread.join(timeout=10)
+    honest.join(timeout=10)
+    assert box == {"after_deadline": None}
+    assert out.get("reason") == "shutdown"
 
 
 def test_late_joiner_receives_gen_and_takes_over_timed_out_task():
     params, state, norm, msg = sample_gen_message(CSA, master_seed=31)
-    server = MasterServer(task_timeout=0.3)
+    server = MasterServer(task_timeout=1.0)
     try:
         address = server.address
         silent = ScriptedWorker(address, "silent")
@@ -552,10 +572,8 @@ def test_late_joiner_receives_gen_and_takes_over_timed_out_task():
         worker_thread, out = start_real_worker(server)
         ev_thread.join(timeout=30)
         assert "evals" in box
-        for cand, got in zip(ask(params, state, 31)[:2], box["evals"]):
-            want = evaluate_candidate(cand.x, cand.index, "cartpole", norm,
-                                      FitnessSpec(), msg["generation"], 31)
-            assert got.fitness == want.fitness
+        assert_matches_local(box["evals"], params, state, norm, msg, 31)
+        assert server.dropped == [("silent", "timeout")]
         silent.close()
     finally:
         server.close()
@@ -687,10 +705,10 @@ def test_master_runs_no_rollout_inside_evaluate_generation(monkeypatch):
     assert sorted(server.dropped) == [("w0", "closed"), ("w1", "closed")]
 
 
-def serve_until_probe(w, on_probe):
-    """Serve TASKs honestly on ScriptedWorker ``w`` until one is flagged to
-    run the probe, then hand its replies (RESULTs, then PROBE) to
-    ``on_probe`` instead of sending them."""
+def serve_until(w, flagged, on_reply):
+    """Serve TASKs honestly on ScriptedWorker ``w`` until one whose probe
+    flag is ``flagged``, then hand its RESULT to ``on_reply`` instead of
+    sending it."""
     ctx = None
     while True:
         msg = w.read()
@@ -699,23 +717,23 @@ def serve_until_probe(w, on_probe):
         if msg["type"] == "gen":
             ctx = gen_context(msg)
         elif msg["type"] == "task":
-            span = range(msg["index"], msg["index"] + msg["count"])
-            if msg["probe"]:
-                return on_probe(run_task(ctx, span))
-            for reply in run_task(replace(ctx, probe=None), span):
-                w.send(reply)
+            reply = answer_honestly(ctx if msg["probe"] else replace(ctx, probe=None), msg)
+            if msg["probe"] == flagged:
+                return on_reply(reply)
+            w.send(reply)
 
 
-def run_beside_a_scripted_worker(on_probe, kw, task_timeout=10.0):
-    """A 2-worker run whose second worker, scripted, gets the first probe
-    (the smallest range goes to the last idle worker) and gives its
-    replies to ``on_probe(worker, replies)``."""
+def run_beside_a_scripted_worker(on_reply, kw, flagged=True, task_timeout=10.0):
+    """A 2-worker run whose second worker, scripted, gives the RESULT of its
+    first TASK flagged ``flagged`` to ``on_reply(worker, result)``.  Its
+    first TASK (generation 0) is unflagged, its second carries the first
+    probe (the smallest range goes to the last idle worker)."""
     with MasterServer(task_timeout=task_timeout) as server:
         honest, _ = start_real_worker(server, worker_id="honest")
         server.wait_for_workers(1, timeout=10)
         w = ScriptedWorker(server.address, "scripted")
         scripted = threading.Thread(
-            target=serve_until_probe, args=(w, lambda r: on_probe(w, r)),
+            target=serve_until, args=(w, flagged, lambda r: on_reply(w, r)),
             daemon=True)
         scripted.start()
         dist = train_distributed("cartpole", CSA, expected_workers=2,
@@ -729,14 +747,10 @@ def run_beside_a_scripted_worker(on_probe, kw, task_timeout=10.0):
 def test_lost_probe_goes_to_the_surviving_worker(tmp_path):
     kw = dict(TRAIN_KW, max_generations=4)
 
-    def vanish(w, replies):
-        for reply in replies[:-1]:
-            w.send(reply)
-        w.close()
-
-    # the drop re-queues the probe at once, not when the task times out
+    # the drop re-queues the flagged TASK at once, not when it times out
     started = time.perf_counter()
-    dist, server = run_beside_a_scripted_worker(vanish, kw, task_timeout=30.0)
+    dist, server = run_beside_a_scripted_worker(lambda w, _: w.close(), kw,
+                                                task_timeout=30.0)
     assert time.perf_counter() - started < 30.0
     assert ("scripted", "eof") in server.dropped
     a, b = tmp_path / "local.csv", tmp_path / "dist.csv"
@@ -745,32 +759,43 @@ def test_lost_probe_goes_to_the_surviving_worker(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("edit", [
-    lambda p: dict(p, run_id="another-run"),
-    lambda p: dict(p, generation=p["generation"] + 1),
-    lambda p: dict(p, returns=dict(enumerate(p["returns"]))),
-    lambda p: {k: v for k, v in p.items() if k != "returns"},
-    lambda p: dict(p, returns=p["returns"][:-1]),
-    lambda p: dict(p, returns=p["returns"] + [0.0]),
-    lambda p: dict(p, returns=p["returns"][:-1] + [float("nan")]),
-    lambda p: dict(p, returns=p["returns"][:-1] + [float("inf")]),
-    lambda p: dict(p, returns=p["returns"][:-1] + ["9.0"]),
-    lambda p: dict(p, returns=p["returns"][:-1] + [True]),
-], ids=["foreign-run", "wrong-generation", "not-a-list", "missing", "short",
-        "long", "nan", "infinite", "string", "bool"])
-def test_malformed_probe_drops_the_worker_and_the_run_matches_local(edit):
-    kw = dict(TRAIN_KW, max_generations=3)
-
-    def mangle(w, replies):
+def send_mangled(edit):
+    """An ``on_reply`` that sends ``edit(result)`` and waits for the BYE."""
+    def on_reply(w, reply):
         # json.dumps, unlike encode_message, writes NaN and Infinity
-        w.sock.sendall(b"".join((json.dumps(r) + "\n").encode()
-                                for r in replies[:-1] + [edit(replies[-1])]))
+        w.sock.sendall((json.dumps(edit(reply)) + "\n").encode())
         w.read_until("bye")
+    return on_reply
 
-    dist, server = run_beside_a_scripted_worker(mangle, kw)
+
+def assert_dropped_and_matches_local(edit, flagged, max_generations):
+    kw = dict(TRAIN_KW, max_generations=max_generations)
+    dist, server = run_beside_a_scripted_worker(send_mangled(edit), kw, flagged)
     local = train("cartpole", CSA, **kw)
     assert ("scripted", "protocol") in server.dropped
     assert records_of(dist) == records_of(local)
+    assert dist.cumulative_timesteps == local.cumulative_timesteps
+
+
+def edit_probe(edit):
+    return lambda r: dict(r, probe=edit(r["probe"]))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: dict(r, run_id="another-run"),
+    lambda r: dict(r, generation=r["generation"] + 1),
+    edit_probe(lambda p: dict(enumerate(p))),
+    lambda r: {k: v for k, v in r.items() if k != "probe"},
+    edit_probe(lambda p: p[:-1]),
+    edit_probe(lambda p: p + [0.0]),
+    edit_probe(lambda p: p[:-1] + [float("nan")]),
+    edit_probe(lambda p: p[:-1] + [float("inf")]),
+    edit_probe(lambda p: p[:-1] + ["9.0"]),
+    edit_probe(lambda p: p[:-1] + [True]),
+], ids=["foreign-run", "wrong-generation", "not-a-list", "missing", "short",
+        "long", "nan", "infinite", "string", "bool"])
+def test_malformed_probe_drops_the_worker_and_the_run_matches_local(edit):
+    assert_dropped_and_matches_local(edit, flagged=True, max_generations=3)
 
 
 def test_unasked_probe_drops_the_worker():
@@ -780,11 +805,9 @@ def test_unasked_probe_drops_the_worker():
 
         def scripted():
             w = ScriptedWorker(address, "eager")
-            w.read_until("gen")
-            task = w.read_until("task")
-            w.send({"type": "probe", "run_id": task["run_id"],
-                    "generation": task["generation"] - 1,
-                    "returns": [0.0] * 5})
+            ctx = gen_context(w.read_until("gen"))
+            reply = answer_honestly(ctx, w.read_until("task"))
+            w.send(dict(reply, probe=[0.0] * 5))
             w.read_until("bye")
             w.close()
 
@@ -797,45 +820,36 @@ def test_unasked_probe_drops_the_worker():
         assert server.dropped == [("eager", "protocol")]
 
 
-def corrupt_first_result(address, edit):
-    """A worker that scores its range honestly but mangles its first RESULT."""
-    w = ScriptedWorker(address, "corrupt")
-    ctx = gen_context(w.read_until("gen"))
-    task = w.read_until("task")
-    results = run_task(ctx, range(task["index"], task["index"] + task["count"]))
-    results[0] = edit(results[0])
-    # json.dumps, unlike encode_message, writes NaN and Infinity
-    w.sock.sendall(b"".join((json.dumps(r) + "\n").encode() for r in results))
-    w.read_until("bye")
-    w.close()
+def edit_first(edit):
+    return lambda r: dict(r, results=[edit(r["results"][0])] + r["results"][1:])
 
 
 @pytest.mark.parametrize("edit", [
-    lambda r: {k: v for k, v in r.items() if k != "fitness"},
+    edit_first(lambda e: {k: v for k, v in e.items() if k != "fitness"}),
     lambda r: {k: v for k, v in r.items() if k != "index"},
-    lambda r: dict(r, timesteps=str(r["timesteps"])),
-    lambda r: dict(r, fitness=float("nan")),
-    lambda r: dict(r, raw_return=float("-inf")),
-    lambda r: dict(r, delta=dict(r["delta"], mean=r["delta"]["mean"][:-1])),
-    lambda r: dict(r, delta=dict(r["delta"], m2=[float("nan")] * 4)),
-    lambda r: dict(r, delta=dict(r["delta"], m2=[-1.0] * 4)),
+    edit_first(lambda e: dict(e, timesteps=str(e["timesteps"]))),
+    edit_first(lambda e: dict(e, fitness=float("nan"))),
+    edit_first(lambda e: dict(e, raw_return=float("-inf"))),
+    edit_first(lambda e: dict(e, delta=dict(e["delta"], mean=e["delta"]["mean"][:-1]))),
+    edit_first(lambda e: dict(e, delta=dict(e["delta"], m2=[float("nan")] * 4))),
+    edit_first(lambda e: dict(e, delta=dict(e["delta"], m2=[-1.0] * 4))),
 ], ids=["missing-fitness", "missing-index", "string-timesteps", "nan-fitness",
         "infinite-raw-return", "short-delta", "nan-delta", "negative-delta-m2"])
 def test_malformed_result_drops_the_worker_and_the_run_matches_local(edit):
-    kw = dict(TRAIN_KW, max_generations=4)
-    with MasterServer(task_timeout=10.0) as server:
-        corrupt = threading.Thread(target=corrupt_first_result,
-                                   args=(server.address, edit), daemon=True)
-        corrupt.start()
-        worker, _ = start_real_worker(server, worker_id="honest")
-        dist = train_distributed("cartpole", CSA, expected_workers=2,
-                                 server=server, **kw)
-    corrupt.join(timeout=10)
-    worker.join(timeout=10)
-    local = train("cartpole", CSA, **kw)
-    assert ("corrupt", "protocol") in server.dropped
-    assert records_of(dist) == records_of(local)
-    assert dist.cumulative_timesteps == local.cumulative_timesteps
+    assert_dropped_and_matches_local(edit, flagged=False, max_generations=4)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: dict(r, type="probe"),
+    lambda r: dict(r, index=r["index"] + 1),
+    lambda r: dict(r, results=r["results"][:-1]),
+    lambda r: dict(r, results=r["results"] + r["results"][-1:]),
+    lambda r: dict(r, results=dict(enumerate(r["results"]))),
+    edit_first(lambda e: [e]),
+], ids=["not-a-result", "other-range-start", "short-results", "long-results",
+        "results-not-a-list", "entry-not-an-object"])
+def test_reply_not_answering_its_task_drops_the_worker_and_the_run_matches_local(edit):
+    assert_dropped_and_matches_local(edit, flagged=False, max_generations=3)
 
 
 def test_multi_worker_run_equals_single_worker_run():
