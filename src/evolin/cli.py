@@ -80,7 +80,16 @@ def _parse_seeds(value) -> list[int]:
             return [int(p) for p in parts]
         except ValueError:
             raise CliError(EXIT_USAGE, f"bad seeds value {value!r}") from None
-    return [int(s) for s in value]
+    return [_number(s, "seeds", whole=True) for s in value]
+
+
+def _number(value, what: str, whole: bool = False):
+    """``value`` as a float, or as an int if ``whole``.  A bool, a NaN and,
+    if ``whole``, a fraction are errors, not truncated."""
+    number = math.nan if isinstance(value, bool) else float(value)
+    if math.isnan(number) or whole and not number.is_integer():
+        raise CliError(EXIT_USAGE, f"{what} must be a {'whole ' * whole}number, not {value!r}")
+    return int(value) if whole else number
 
 
 def resolve_config(args) -> dict:
@@ -114,16 +123,17 @@ def resolve_config(args) -> dict:
 
     env_defaults = ENV_DEFAULTS[env_id]
     try:
-        sigma0 = float(pick("sigma0", "sigma0", env_defaults["sigma0"]))
+        sigma0 = _number(pick("sigma0", "sigma0", env_defaults["sigma0"]), "sigma0")
         lam = _parse_lambda(pick("lam", "lambda", env_defaults["lambda"]))
-        budget = int(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]))
+        budget = _number(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]),
+                         "budget_timesteps", whole=True)
         seeds = _parse_seeds(pick("seeds", "seeds", DEFAULT_SEEDS))
-        test_every = int(pick("test_every", "test_every", 1))
-        threshold = float(pick("threshold", "threshold",
-                               env_spec(env_id).solved_threshold))
+        test_every = _number(pick("test_every", "test_every", 1), "test_every", whole=True)
+        threshold = _number(pick("threshold", "threshold",
+                                 env_spec(env_id).solved_threshold), "threshold")
         target = pick("target_return", "target_return")
-        target = None if target is None else float(target)
-    except (TypeError, ValueError) as exc:
+        target = None if target is None else _number(target, "target_return")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(EXIT_USAGE, f"bad config value: {exc}") from exc
     output_dir = pick("output_dir", "output_dir", default_output_dir())
 

@@ -10,16 +10,17 @@ answers with one RESULT holding the range's results in index order.  A
 candidate's result does not depend on the batch it is scored in, so a
 distributed run reproduces a single-process run bit for bit.
 
-GEN also names the test probe owed by the previous generation, if any.  Its
-inputs are GEN's own mean and normalizer, so one flagged TASK per generation
-(the smallest range, or an empty one when only the probe is left) adds the
-probe's episodes to its batch, and its RESULT carries their raw returns.
-The master runs no rollout while it waits.
+The master plans each generation once, at GEN: one contiguous range of at
+least one index per worker, the larger first, each a TASK on one queue from
+which idle workers take in turn.  GEN also names the test probe owed by the
+previous generation, if any; its inputs are GEN's own mean and normalizer,
+so the last (smallest) range's TASK is flagged to add the probe's episodes
+to its batch and return their raw returns.  The master runs no rollout.
 
-Each TASK gets exactly one RESULT.  A reply that does not answer its
-connection's TASK exactly, and a TASK past its deadline, drop the worker and
-re-queue the whole TASK, so no live connection holds a TASK between
-generations and no late reply is ever read.
+Each TASK gets exactly one RESULT.  A worker that is lost, times out or
+sends a reply that does not answer its TASK exactly is dropped and its whole
+TASK queued again, so no live connection holds a TASK between generations
+and no late reply is ever read.
 
 Wire format: one JSON object per line, UTF-8, field "type" selecting
 HELLO / GEN / TASK / RESULT / BYE.  Reals use shortest-roundtrip decimal
@@ -36,6 +37,7 @@ import socket
 import struct
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -132,8 +134,8 @@ def bye_message(reason: str) -> dict:
 
 def task_message(run_id: str, generation: int, index: int, count: int,
                  probe: bool = False) -> dict:
-    """Score candidates ``index`` .. ``index + count - 1`` of a generation,
-    and with ``probe`` the probe its GEN owes (``count`` may then be 0)."""
+    """Score candidates ``index`` .. ``index + count - 1`` (``count`` >= 1)
+    of a generation, and with ``probe`` the probe its GEN owes."""
     return {"type": "task", "run_id": run_id, "generation": int(generation),
             "index": int(index), "count": int(count), "probe": probe}
 
@@ -347,15 +349,14 @@ def gen_context(msg: dict) -> WorkerContext:
 
 
 def _task_range(ctx: WorkerContext | None, msg: dict) -> range | None:
-    """The candidate indexes a TASK names, or None if it does not fit
-    ``ctx``: only a probe-flagged TASK may name none, and only when its GEN
-    owes a probe."""
+    """The candidate indexes a TASK names, at least one, or None if it does
+    not fit ``ctx``; a probe-flagged TASK also needs a GEN that owes one."""
     index, count, probe = msg.get("index"), msg.get("count"), msg.get("probe")
     if (ctx is None or msg.get("run_id") != ctx.run_id
             or msg.get("generation") != ctx.generation
             or type(index) is not int or type(count) is not int
             or type(probe) is not bool or (probe and ctx.probe is None)
-            or index < 0 or count < (0 if probe else 1) or index + count > ctx.lam):
+            or index < 0 or count < 1 or index + count > ctx.lam):
         return None
     return range(index, index + count)
 
@@ -364,8 +365,8 @@ def run_task(ctx: WorkerContext, indexes: range) -> dict:
     """Regrow the candidates ``indexes`` with ``es.sample``, the sampler
     ``ask`` uses, and score them as one batch, ``ctx.probe``'s episodes
     included when it is set.  Returns the one RESULT answering the TASK."""
-    genomes = (sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
-                      ctx.sigma, ctx.transform)[1] if len(indexes) else [])
+    genomes = sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
+                     ctx.sigma, ctx.transform)[1]
     evals, returns = _score_batch(genomes, list(indexes), make_env(ctx.env_id),
                                   ctx.normalizer, ctx.fitness_spec,
                                   ctx.generation, ctx.master_seed, ctx.probe)
@@ -442,43 +443,32 @@ class _Conn:
         self.sock = sock
         self.buf = bytearray()
         self.worker_id: str | None = None
-        # the TASK owed: its range, probe episodes (None if not flagged), deadline
+        # the TASK held: its range, probe episodes (None if not flagged), deadline
         self.task: tuple[range, int | None, float] | None = None
         self.alive = True
 
 
-def split_ranges(indexes: list[int], parts: int) -> list[range]:
-    """Cut sorted ``indexes`` into at most ``parts`` contiguous ranges.
-
-    The chunks differ in size by at most one.  A chunk that spans a gap
-    (only possible after a re-dispatch) is cut at the gap; its tail stays
-    for a later call.
-    """
-    size, extra = divmod(len(indexes), parts)
-    out, at = [], 0
-    for p in range(min(parts, len(indexes))):
-        chunk = indexes[at:at + size + (p < extra)]
-        at += len(chunk)
-        start, n = chunk[0], 1
-        while n < len(chunk) and chunk[n] == start + n:
-            n += 1
-        out.append(range(start, start + n))
-    return out
+def split_ranges(lam: int, parts: int) -> list[range]:
+    """Cut ``range(lam)`` into at most ``parts`` contiguous ranges, the
+    larger first; their sizes differ by at most one."""
+    size, extra = divmod(lam, parts)
+    bounds = [p * size + min(p, extra) for p in range(min(parts, lam) + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 class MasterServer:
     """Single-threaded event loop that farms candidate ranges to workers.
 
-    Each idle worker gets one TASK at a time: a contiguous range of a
-    generation's candidate indexes, and, on the smallest range of a
-    dispatch, the probe the GEN owes until one worker holds it.  Each TASK
+    Each GEN is planned once into a queue of TASKs: one contiguous range of
+    at least one index per worker, the larger first, the last also carrying
+    the probe the GEN owes.  Each idle worker takes the next TASK; each TASK
     gets exactly one RESULT.  A worker whose reply does not answer its TASK
     exactly is sent BYE and dropped with reason ``protocol``; one whose TASK
     outlives ``task_timeout`` seconds is dropped with reason ``timeout`` and
-    no BYE, since a send could block on a stalled peer.  Either way its
-    whole TASK goes to the others.  Results are folded by candidate index,
-    so neither scheduling nor worker failures can change what a generation
-    returns.
+    no BYE, since a send could block on a stalled peer.  Any drop (these,
+    ``eof``, ``send-error``, ...) queues the worker's whole TASK again.
+    Results are folded by candidate index, so neither scheduling nor worker
+    failures can change what a generation returns.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -491,6 +481,8 @@ class MasterServer:
         self._sel.register(self._listener, selectors.EVENT_READ, None)
         self._conns: list[_Conn] = []
         self._gen_msg: dict | None = None
+        # TASKs of the generation in flight that no live worker holds
+        self._queue: deque[tuple[range, int | None]] = deque()
         self.task_timeout = task_timeout
         self.dropped: list[tuple[str, str]] = []
         self._closed = False
@@ -533,6 +525,8 @@ class MasterServer:
             pass
         self._conns.remove(conn)
         self.dropped.append((conn.worker_id or "<no-hello>", reason))
+        if conn.task is not None:
+            self._queue.append(conn.task[:2])
 
     def _send(self, conn: _Conn, msg: dict) -> bool:
         try:
@@ -607,12 +601,13 @@ class MasterServer:
 
     def evaluate_generation(self, gen_msg: dict, lam: int
                             ) -> tuple[list[CandidateEval], list[float] | None]:
-        """Broadcast one GEN, dispatch its index ranges and the probe it
-        owes as TASKs, and collect the one RESULT each TASK gets.
+        """Broadcast one GEN, queue its TASKs (one range per worker, the
+        probe it owes on the last), hand them to idle workers, and collect
+        the one RESULT each TASK gets.
 
         Returns the results in index order and the probe's raw returns (None
         when GEN owes no probe).  A TASK whose worker is lost, times out or
-        sends a reply that does not answer it is re-dispatched whole.
+        sends a reply that does not answer it is queued again whole.
         Raises GenerationFailedError when no workers remain and work is owed.
         """
         self._gen_msg = gen_msg
@@ -621,10 +616,13 @@ class MasterServer:
         episodes = None if gen_msg["probe"] is None else gen_msg["probe"]["episodes"]
         for conn in list(self._workers()):
             self._send(conn, gen_msg)
+        spans = split_ranges(lam, max(1, self.worker_count()))
+        self._queue = deque((span, episodes if span is spans[-1] else None)
+                            for span in spans)
 
         results: dict[int, CandidateEval] = {}
         returns: list[float] | None = None
-        while len(results) < lam or (episodes is not None and returns is None):
+        while self._queue or any(c.task is not None for c in self._conns):
             workers = self._workers()
             if not workers:
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
@@ -633,24 +631,13 @@ class MasterServer:
                     f"unevaluated at generation {generation}"
                     + (" and its probe owed" if episodes is not None and returns is None else "")
                     + (f" (recent drops: {detail})" if detail else ""))
-            # hand the work that is neither answered nor held by a live TASK
-            # to the idle workers
-            idle = [c for c in workers if c.task is None]
-            held = [c.task for c in workers if c.task is not None]
-            pending = sorted(set(range(lam)) - results.keys()
-                             - {i for span, _, _ in held for i in span})
-            probe_due = (episodes is not None and returns is None
-                         and all(asked is None for _, asked, _ in held))
-            if idle and (pending or probe_due):
-                deadline = time.monotonic() + self.task_timeout
-                # split_ranges puts the larger chunks first
-                spans = split_ranges(pending, len(idle)) if pending else [range(0)]
-                for k, (conn, span) in enumerate(zip(idle, spans)):
-                    flag = probe_due and k == len(spans) - 1
-                    task = task_message(run_id, generation, span.start, len(span), flag)
-                    if self._send(conn, task):
-                        conn.task = (span, episodes if flag else None, deadline)
-
+            for conn in workers:
+                if conn.task is None and self._queue:
+                    span, asked = self._queue.popleft()
+                    # held before the send, so a failed send queues it again
+                    conn.task = (span, asked, time.monotonic() + self.task_timeout)
+                    self._send(conn, task_message(run_id, generation, span.start,
+                                                  len(span), asked is not None))
             for conn, msg in self._pump(0.05):
                 if not conn.alive:
                     continue

@@ -238,20 +238,19 @@ def _score_batch(genomes, indexes, env, normalizer: ObsNormalizer,
                  probe: Probe | None = None) -> tuple[list[CandidateEval], list[float] | None]:
     """``score_candidates``, with ``probe``'s episodes as further lanes of the
     same batch.  Probe lanes give raw returns only: their observations and
-    shaped returns are dropped.  With a probe, ``indexes`` may be empty."""
+    shaped returns are dropped.  ``indexes`` must not be empty."""
     spec = env.spec
     k = fitness_spec.train_episodes
-    lanes = [np.repeat(np.stack([
+    weights = np.repeat(np.stack([
         LinearPolicy.from_genome(g, spec.obs_dim, spec.action_space).weights
-        for g in genomes]), k, axis=0)] if len(indexes) else []
+        for g in genomes]), k, axis=0)
     seeds = [train_episode_seed(master_seed, generation, index, ep,
                                 fitness_spec.common_random_numbers)
              for index in indexes for ep in range(k)]
     if probe is not None:
         probe_weights, probe_seeds = probe.lanes(master_seed)
-        lanes.append(probe_weights)
+        weights = np.concatenate([weights, probe_weights])
         seeds += probe_seeds
-    weights = lanes[0] if len(lanes) == 1 else np.concatenate(lanes)
     episodes = run_episodes(env, weights, normalizer, seeds,
                             fitness_spec.shaping, update_normalizer=True)
     train_lanes = len(indexes) * k

@@ -113,9 +113,16 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
 @pytest.mark.parametrize("doc", [[1, 2], {"sigma0": "big"},
                                  {"budget_timesteps": "lots"}, {"seeds": 5},
                                  {"test_every": [1]}, {"target_return": "high"},
-                                 {"fitness_spec": 3}],
+                                 {"fitness_spec": 3},
+                                 {"seeds": [0.5, 1.9]}, {"budget_timesteps": 2.5},
+                                 {"seeds": [True]}, {"test_every": 1.7},
+                                 {"threshold": float("nan")},
+                                 {"target_return": float("nan")}],
                          ids=["not-an-object", "sigma0", "budget", "seeds",
-                              "test-every", "target", "fitness-spec"])
+                              "test-every", "target", "fitness-spec",
+                              "fractional-seeds", "fractional-budget",
+                              "bool-seeds", "fractional-test-every",
+                              "nan-threshold", "nan-target"])
 def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(doc))

@@ -68,7 +68,6 @@ def test_messages_round_trip_through_framing():
         hello_message("w-1"),
         gen_msg,
         task_message("r", 4, 2, 3),
-        task_message("r", 4, 0, 0, probe=True),
         bye_message("shutdown"),
         {"type": "result", "run_id": "r", "generation": 1, "index": 2,
          "results": [{"fitness": 1 / 3, "raw_return": 1e-300, "timesteps": 17,
@@ -172,10 +171,7 @@ def test_run_task_runs_the_probe_as_test_policy_does():
     _, want = evaluate.test_policy(policy, norm, "cartpole", 912, 1)
     plain = run_task(replace(ctx, probe=None), range(1, 3))
     assert plain["probe"] is None and len(plain["results"]) == 2
-    for indexes in (range(1, 3), range(0)):
-        reply = run_task(ctx, indexes)
-        assert reply == dict(plain, index=indexes.start,
-                             results=plain["results"][:len(indexes)], probe=want)
+    assert run_task(ctx, range(1, 3)) == dict(plain, probe=want)
 
 
 def test_run_task_ranges_match_local_generation_exactly():
@@ -214,12 +210,10 @@ def test_run_task_ranges_match_local_generation_exactly():
     assert folded.delta.to_dict() == local.delta.to_dict()
 
 
-def test_split_ranges_is_balanced_contiguous_and_cut_at_gaps():
-    assert split_ranges(list(range(4)), 2) == [range(0, 2), range(2, 4)]
-    assert split_ranges(list(range(7)), 3) == [range(0, 3), range(3, 5), range(5, 7)]
-    assert split_ranges(list(range(2)), 5) == [range(0, 1), range(1, 2)]
-    assert split_ranges([1, 2, 5, 6], 1) == [range(1, 3)]
-    assert split_ranges([1, 2, 5, 6], 2) == [range(1, 3), range(5, 7)]
+def test_split_ranges_is_balanced_contiguous_and_larger_first():
+    assert split_ranges(4, 2) == [range(0, 2), range(2, 4)]
+    assert split_ranges(7, 3) == [range(0, 3), range(3, 5), range(5, 7)]
+    assert split_ranges(2, 5) == [range(0, 1), range(1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,27 +349,29 @@ def test_worker_says_bye_on_out_of_range_task_index():
     assert reason == "protocol"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda t, lam: dict(t, count=0),
-    lambda t, lam: dict(t, count=-2),
-    lambda t, lam: dict(t, count=1.0),
-    lambda t, lam: dict(t, count="2"),
-    lambda t, lam: dict(t, count=True),
-    lambda t, lam: {k: v for k, v in t.items() if k != "count"},
-    lambda t, lam: dict(t, index=1, count=lam),
-    lambda t, lam: dict(t, index=-1, count=2),
-    lambda t, lam: dict(t, run_id="another-run"),
-    lambda t, lam: dict(t, probe=1),
-    lambda t, lam: dict(t, probe="true"),
-    lambda t, lam: {k: v for k, v in t.items() if k != "probe"},
-    lambda t, lam: dict(t, probe=True),
-    lambda t, lam: dict(t, probe=True, count=0),
+@pytest.mark.parametrize("edit, owed", [
+    (lambda t, lam: dict(t, count=0), None),
+    (lambda t, lam: dict(t, count=-2), None),
+    (lambda t, lam: dict(t, count=1.0), None),
+    (lambda t, lam: dict(t, count="2"), None),
+    (lambda t, lam: dict(t, count=True), None),
+    (lambda t, lam: {k: v for k, v in t.items() if k != "count"}, None),
+    (lambda t, lam: dict(t, index=1, count=lam), None),
+    (lambda t, lam: dict(t, index=-1, count=2), None),
+    (lambda t, lam: dict(t, run_id="another-run"), None),
+    (lambda t, lam: dict(t, probe=1), None),
+    (lambda t, lam: dict(t, probe="true"), None),
+    (lambda t, lam: {k: v for k, v in t.items() if k != "probe"}, None),
+    (lambda t, lam: dict(t, probe=True), None),
+    (lambda t, lam: dict(t, probe=True, count=0), None),
+    # a TASK names at least one index, even when its GEN owes a probe
+    (lambda t, lam: dict(t, probe=True, count=0), 1),
 ], ids=["count-0", "count-negative", "count-float", "count-string",
         "count-bool", "count-missing", "past-lambda", "index-negative",
         "foreign-run", "probe-int", "probe-string", "probe-missing",
-        "probe-not-owed", "probe-only-not-owed"])
-def test_worker_says_bye_on_malformed_task_range(edit):
-    reply, reason = worker_replies_to_task(edit)
+        "probe-not-owed", "probe-only-not-owed", "probe-only-owed"])
+def test_worker_says_bye_on_malformed_task_range(edit, owed):
+    reply, reason = worker_replies_to_task(edit, probe_generation=owed)
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
@@ -395,9 +391,6 @@ def test_worker_runs_the_owed_probe_only_when_flagged():
     assert (flagged["type"], flagged["index"], flagged["generation"]) == ("result", 1, 2)
     assert len(flagged["results"]) == 2 and len(flagged["probe"]) == 5
     assert reason == "eof"
-    alone, _ = worker_replies_to_task(
-        lambda t, lam: dict(t, count=0, probe=True), probe_generation=1)
-    assert alone == dict(flagged, index=0, results=[])
     unflagged, _ = worker_replies_to_task(
         lambda t, lam: dict(t, index=1, count=2), probe_generation=1)
     assert unflagged == dict(flagged, probe=None)
@@ -614,8 +607,18 @@ def test_distributed_run_is_bitwise_equal_to_local(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_crash_mid_generation_does_not_change_results():
+def test_worker_crash_mid_generation_does_not_change_results(monkeypatch):
     local = train("cartpole", CSA, **TRAIN_KW)
+    sent = []
+    send = MasterServer._send
+
+    def recording_send(self, conn, msg):
+        if msg["type"] == "task":
+            sent.append((conn.worker_id, msg["generation"], msg["index"],
+                         msg["count"], msg["probe"]))
+        return send(self, conn, msg)
+
+    monkeypatch.setattr(MasterServer, "_send", recording_send)
     with MasterServer() as server:
         address = server.address
 
@@ -626,7 +629,7 @@ def test_worker_crash_mid_generation_does_not_change_results():
 
         crash_thread = threading.Thread(target=crasher, daemon=True)
         crash_thread.start()
-        worker_thread, _ = start_real_worker(server)
+        worker_thread, _ = start_real_worker(server, worker_id="survivor")
         dist = train_distributed("cartpole", CSA, expected_workers=2,
                                  server=server, **TRAIN_KW)
     crash_thread.join(timeout=10)
@@ -634,6 +637,10 @@ def test_worker_crash_mid_generation_does_not_change_results():
 
     assert records_of(dist) == records_of(local)
     assert any(reason == "eof" for _, reason in server.dropped)
+    # the crashed worker's TASK goes whole, once, to the survivor
+    [lost] = [task[1:] for task in sent if task[0] == "crasher"]
+    assert [task[0] for task in sent if task[1:] == lost] == ["crasher", "survivor"]
+    assert all(count >= 1 for _, _, _, count, _ in sent)
 
 
 def test_each_worker_gets_one_task_per_generation(monkeypatch):
@@ -725,9 +732,11 @@ def serve_until(w, flagged, on_reply):
 
 def run_beside_a_scripted_worker(on_reply, kw, flagged=True, task_timeout=10.0):
     """A 2-worker run whose second worker, scripted, gives the RESULT of its
-    first TASK flagged ``flagged`` to ``on_reply(worker, result)``.  Its
-    first TASK (generation 0) is unflagged, its second carries the first
-    probe (the smallest range goes to the last idle worker)."""
+    first TASK flagged ``flagged`` to ``on_reply(worker, result)``.  Each
+    generation queues one range per worker, the larger first, and only the
+    last (smallest, at least one index) carries the owed probe; the k-th
+    idle worker takes the k-th TASK.  So the scripted worker's first TASK
+    (generation 0) is unflagged and its second carries the first probe."""
     with MasterServer(task_timeout=task_timeout) as server:
         honest, _ = start_real_worker(server, worker_id="honest")
         server.wait_for_workers(1, timeout=10)
