@@ -11,8 +11,8 @@ from .envs import ENV_IDS, EnvSpec, StepResult, env_spec, make_env
 from .testfuncs import (TestFunction, ellipsoid, eval_test_function,
                         make_test_function, quadratic2d, rastrigin,
                         rotated_ellipsoid, sphere)
-from .evaluate import (FitnessSpec, GenerationEval, Probe, RolloutResult,
-                       Shaping, TrainRecord, TrainResult, evaluate_candidate,
+from .evaluate import (FitnessSpec, GenerationEval, Probe, Scores, Shaping,
+                       TrainRecord, TrainResult, evaluate_candidate,
                        evaluate_generation, read_curve_csv, rollout,
                        shape_reward, test_policy, train, write_curve_csv)
 from .distributed import (DesyncError, GenerationFailedError, MasterServer,

@@ -6,9 +6,11 @@ payload) plus the normalizer snapshot, then hands each idle worker one
 contiguous range of candidate indexes as a TASK.  A worker regrows its
 range's candidates from (master_seed, generation, index) with ``es.sample``,
 the sampler ``ask`` uses, scores the range as one lockstep batch, and
-answers with one RESULT holding the range's results in index order.  A
-candidate's result does not depend on the batch it is scored in, so a
-distributed run reproduces a single-process run bit for bit.
+answers with one RESULT holding the range's ``Scores`` in columns
+``fitness``, ``raw_return``, ``count`` (timesteps and observation count),
+``mean`` and ``m2``, one row per index.  A candidate's result does not
+depend on the batch it is scored in, so a distributed run reproduces a
+single-process run bit for bit.
 
 The master plans each generation once, at GEN: one contiguous range of at
 least one index per worker, the larger first, each a TASK on one queue from
@@ -45,12 +47,12 @@ import numpy as np
 
 from .envs import env_spec, make_env
 from .es import CovTransform, DistributionState, sample
-from .evaluate import (CandidateEval, FitnessSpec, Probe, TrainResult,
-                       _score_batch, _training_strategy, collect_generation,
+from .evaluate import (FitnessSpec, Probe, Scores, TrainResult,
+                       _training_strategy, collect_generation, score_candidates,
                        train)
 from .policy import LinearPolicy, ObsNormalizer
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
@@ -89,6 +91,17 @@ def decode_message(line: bytes | str) -> dict:
     return obj
 
 
+def _take_line(buf: bytearray) -> bytes | None:
+    """Cut the first newline-framed line off ``buf``; None if it holds no
+    whole line."""
+    i = buf.find(b"\n")
+    if i < 0:
+        return None
+    line = bytes(buf[:i])
+    del buf[: i + 1]
+    return line
+
+
 class _LineReader:
     """Accumulate stream bytes and yield one newline-framed line at a time."""
 
@@ -97,12 +110,7 @@ class _LineReader:
         self._buf = bytearray()
 
     def readline(self) -> bytes | None:
-        while True:
-            i = self._buf.find(b"\n")
-            if i >= 0:
-                line = bytes(self._buf[:i])
-                del self._buf[: i + 1]
-                return line
+        while (line := _take_line(self._buf)) is None:
             try:
                 chunk = self._sock.recv(65536)
             except OSError:
@@ -110,6 +118,7 @@ class _LineReader:
             if not chunk:
                 return None
             self._buf += chunk
+        return line
 
 
 def _no_delay(sock: socket.socket) -> None:
@@ -206,7 +215,7 @@ def build_gen_message(*, run_id: str, generation: int, master_seed: int,
         "sigma": float(state.sigma),
         "cov": payload,
         "cov_digest": cov_digest(payload),
-        "normalizer": {**normalizer.to_dict(), "eps": normalizer.eps},
+        "normalizer": normalizer.to_dict(),
         "fitness_spec": fitness_spec.to_dict(),
         "probe": None if probe is None else {"generation": int(probe.generation),
                                              "episodes": int(probe.episodes)},
@@ -214,18 +223,20 @@ def build_gen_message(*, run_id: str, generation: int, master_seed: int,
 
 
 def result_message(run_id: str, generation: int, index: int,
-                   evals: list[CandidateEval], returns: list[float] | None) -> dict:
-    """The one reply to a TASK whose range starts at ``index``: its results
-    in index order, and the probe's raw returns (None if not flagged)."""
+                   scores: Scores, returns: list[float] | None) -> dict:
+    """The one reply to a TASK whose range starts at ``index``: its
+    ``Scores`` as columns, one row per index in index order, and the probe's
+    raw returns (None if not flagged)."""
     return {
         "type": "result",
         "run_id": run_id,
         "generation": int(generation),
         "index": int(index),
-        "results": [{"fitness": float(ev.fitness),
-                     "raw_return": float(ev.raw_return),
-                     "timesteps": int(ev.timesteps),
-                     "delta": ev.delta.to_dict()} for ev in evals],
+        "fitness": scores.shaped.tolist(),
+        "raw_return": scores.raw.tolist(),
+        "count": scores.count.tolist(),
+        "mean": scores.mean.tolist(),
+        "m2": scores.m2.tolist(),
         "probe": None if returns is None else [float(r) for r in returns],
     }
 
@@ -238,28 +249,41 @@ def _real(value, what: str) -> float:
 
 def _count(value, what: str) -> int:
     if type(value) is not int or value < 0:
-        raise ProtocolError(f"RESULT {what} must be a non-negative int")
+        raise ProtocolError(f"{what} must be a non-negative int")
     return value
 
 
-def evals_from_result(msg: dict, run_id: str, generation: int, span: range,
-                      episodes: int | None, obs_dim: int
-                      ) -> tuple[list[CandidateEval], list[float] | None]:
+def _column(msg: dict, key: str, rows: int, width: int | None = None,
+            parse=_real) -> np.ndarray:
+    """RESULT column ``key``: a list of ``rows`` entries, each a list of
+    ``width`` entries unless that is None, every entry passed through
+    ``parse``."""
+    col = msg.get(key)
+    if not isinstance(col, list) or len(col) != rows:
+        raise ProtocolError(f"RESULT {key} must be a list of {rows} rows")
+    if width is not None:
+        if not all(isinstance(row, list) and len(row) == width for row in col):
+            raise ProtocolError(f"RESULT {key} rows must be lists of {width} entries")
+        col = [v for row in col for v in row]
+    values = np.array([parse(v, f"RESULT {key}") for v in col])
+    return values if width is None else values.reshape(rows, width)
+
+
+def scores_from_result(msg: dict, run_id: str, generation: int, span: range,
+                       episodes: int | None, obs_dim: int
+                       ) -> tuple[Scores, list[float] | None]:
     """Parse the reply to the TASK for ``span`` of ``run_id``'s
     ``generation``, flagged to run a probe of ``episodes`` unless that is
-    None.  Returns the range's results in index order and the probe's raw
-    returns.  Raises ProtocolError unless ``msg`` is a RESULT answering
-    exactly that TASK: one entry per index, each with a finite fitness and
-    raw return, int counts and a delta whose moments have ``obs_dim``
-    finite entries (m2 not negative), and ``episodes`` finite returns or
-    none."""
+    None.  Returns the range's ``Scores`` and the probe's raw returns.
+    Raises ProtocolError unless ``msg`` is a RESULT answering exactly that
+    TASK: one row per index in every column, finite fitness and raw return,
+    non-negative int counts, moments of ``obs_dim`` finite entries (m2 not
+    negative), and ``episodes`` finite returns or none."""
     if (msg.get("type") != "result" or msg.get("run_id") != run_id
             or msg.get("generation") != generation
-            or _count(msg.get("index"), "index") != span.start):
+            or _count(msg.get("index"), "RESULT index") != span.start):
         raise ProtocolError("reply answers another TASK")
-    entries, returns = msg.get("results"), msg.get("probe")
-    if not isinstance(entries, list) or len(entries) != len(span):
-        raise ProtocolError(f"RESULT results must be a list of {len(span)} entries")
+    returns = msg.get("probe")
     if episodes is None:
         if returns is not None:
             raise ProtocolError("RESULT carries a probe its TASK did not ask for")
@@ -267,27 +291,15 @@ def evals_from_result(msg: dict, run_id: str, generation: int, span: range,
         raise ProtocolError(f"RESULT probe must be a list of {episodes} numbers")
     else:
         returns = [_real(r, "RESULT probe return") for r in returns]
-    evals = []
-    for index, entry in zip(span, entries):
-        delta = entry.get("delta") if isinstance(entry, dict) else None
-        if not isinstance(delta, dict):
-            raise ProtocolError("RESULT entries must be objects with a delta object")
-        mean, m2 = delta.get("mean"), delta.get("m2")
-        if not (isinstance(mean, list) and isinstance(m2, list)
-                and len(mean) == len(m2) == obs_dim):
-            raise ProtocolError(f"RESULT delta mean and m2 must be lists of length {obs_dim}")
-        m2 = np.array([_real(v, "RESULT delta m2") for v in m2])
-        if (m2 < 0).any():
-            raise ProtocolError("RESULT delta m2 must not be negative")
-        evals.append(CandidateEval(
-            index=index,
-            fitness=_real(entry.get("fitness"), "RESULT fitness"),
-            raw_return=_real(entry.get("raw_return"), "RESULT raw_return"),
-            timesteps=_count(entry.get("timesteps"), "timesteps"),
-            delta=ObsNormalizer(_count(delta.get("count"), "delta count"),
-                                np.array([_real(v, "RESULT delta mean") for v in mean]),
-                                m2)))
-    return evals, returns
+    rows = len(span)
+    m2 = _column(msg, "m2", rows, obs_dim)
+    if (m2 < 0).any():
+        raise ProtocolError("RESULT m2 must not be negative")
+    scores = Scores(raw=_column(msg, "raw_return", rows),
+                    shaped=_column(msg, "fitness", rows),
+                    count=_column(msg, "count", rows, parse=_count),
+                    mean=_column(msg, "mean", rows, obs_dim), m2=m2)
+    return scores, returns
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +335,6 @@ def gen_context(msg: dict) -> WorkerContext:
     m = np.asarray(msg["m"], dtype=float)
     if m.shape != (int(payload["n"]),):
         raise ProtocolError("mean length disagrees with covariance payload")
-    norm = msg["normalizer"]
     env_id = str(msg["env_id"])
     probe = msg["probe"]
     if probe is not None:
@@ -342,7 +353,7 @@ def gen_context(msg: dict) -> WorkerContext:
         m=m,
         sigma=float(msg["sigma"]),
         transform=transform_from_payload(payload),
-        normalizer=ObsNormalizer.from_dict(norm, eps=float(norm.get("eps", 1e-8))),
+        normalizer=ObsNormalizer.from_dict(msg["normalizer"]),
         fitness_spec=FitnessSpec.from_dict(msg["fitness_spec"]),
         probe=probe,
     )
@@ -367,10 +378,10 @@ def run_task(ctx: WorkerContext, indexes: range) -> dict:
     included when it is set.  Returns the one RESULT answering the TASK."""
     genomes = sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
                      ctx.sigma, ctx.transform)[1]
-    evals, returns = _score_batch(genomes, list(indexes), make_env(ctx.env_id),
-                                  ctx.normalizer, ctx.fitness_spec,
-                                  ctx.generation, ctx.master_seed, ctx.probe)
-    return result_message(ctx.run_id, ctx.generation, indexes.start, evals, returns)
+    scores, returns = score_candidates(genomes, indexes, make_env(ctx.env_id),
+                                       ctx.normalizer, ctx.fitness_spec,
+                                       ctx.generation, ctx.master_seed, ctx.probe)
+    return result_message(ctx.run_id, ctx.generation, indexes.start, scores, returns)
 
 
 def serve_worker(host: str, port: int, *, worker_id: str | None = None,
@@ -567,12 +578,7 @@ class MasterServer:
                 self._drop(conn, "eof")
                 continue
             conn.buf += chunk
-            while conn.alive:
-                i = conn.buf.find(b"\n")
-                if i < 0:
-                    break
-                line = bytes(conn.buf[:i])
-                del conn.buf[: i + 1]
+            while conn.alive and (line := _take_line(conn.buf)) is not None:
                 try:
                     msg = decode_message(line)
                 except ProtocolError:
@@ -600,14 +606,15 @@ class MasterServer:
                     self._reject(conn)
 
     def evaluate_generation(self, gen_msg: dict, lam: int
-                            ) -> tuple[list[CandidateEval], list[float] | None]:
+                            ) -> tuple[list[tuple[range, Scores]], list[float] | None]:
         """Broadcast one GEN, queue its TASKs (one range per worker, the
         probe it owes on the last), hand them to idle workers, and collect
         the one RESULT each TASK gets.
 
-        Returns the results in index order and the probe's raw returns (None
-        when GEN owes no probe).  A TASK whose worker is lost, times out or
-        sends a reply that does not answer it is queued again whole.
+        Returns each TASK's range with its ``Scores``, and the probe's raw
+        returns (None when GEN owes no probe).  A TASK whose worker is lost,
+        times out or sends a reply that does not answer it is queued again
+        whole.
         Raises GenerationFailedError when no workers remain and work is owed.
         """
         self._gen_msg = gen_msg
@@ -620,15 +627,15 @@ class MasterServer:
         self._queue = deque((span, episodes if span is spans[-1] else None)
                             for span in spans)
 
-        results: dict[int, CandidateEval] = {}
+        parts: list[tuple[range, Scores]] = []
         returns: list[float] | None = None
         while self._queue or any(c.task is not None for c in self._conns):
             workers = self._workers()
             if not workers:
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
                 raise GenerationFailedError(
-                    f"no workers remain with {lam - len(results)} candidate(s) "
-                    f"unevaluated at generation {generation}"
+                    f"no workers remain with {lam - sum(len(p[0]) for p in parts)} "
+                    f"candidate(s) unevaluated at generation {generation}"
                     + (" and its probe owed" if episodes is not None and returns is None else "")
                     + (f" (recent drops: {detail})" if detail else ""))
             for conn in workers:
@@ -645,20 +652,20 @@ class MasterServer:
                     if conn.task is None:
                         raise ProtocolError("reply without a TASK")
                     span, asked, _ = conn.task
-                    evals, probe = evals_from_result(msg, run_id, generation,
-                                                     span, asked, obs_dim)
+                    scores, probe = scores_from_result(msg, run_id, generation,
+                                                       span, asked, obs_dim)
                 except ProtocolError:
                     self._reject(conn)
                     continue
                 conn.task = None
-                results.update((ev.index, ev) for ev in evals)
+                parts.append((span, scores))
                 if asked is not None:
                     returns = probe
             now = time.monotonic()
             for conn in self._workers():
                 if conn.task is not None and now > conn.task[2]:
                     self._drop(conn, "timeout")
-        return [results[i] for i in range(lam)], returns
+        return parts, returns
 
     def close(self, reason: str = "shutdown") -> None:
         if self._closed:
@@ -690,18 +697,14 @@ def distributed_evaluator(server: MasterServer, env_id: str,
                           run_id: str) -> Callable:
     """Generation evaluator that scores candidates, and the owed test probe
     with them, on connected workers; the master itself runs no rollout."""
-    obs_dim = env_spec(env_id).obs_dim
-
     def evaluator(_params, state, cands, normalizer, gen, probe):
         msg = build_gen_message(run_id=run_id, generation=gen,
                                 master_seed=master_seed, env_id=env_id,
                                 lam=len(cands), state=state,
                                 normalizer=normalizer, fitness_spec=fitness_spec,
                                 probe=probe)
-        evals, probe_returns = server.evaluate_generation(msg, len(cands))
-        result = collect_generation(evals, obs_dim, len(cands))
-        result.probe_returns = probe_returns
-        return result
+        parts, probe_returns = server.evaluate_generation(msg, len(cands))
+        return collect_generation(parts, len(cands), probe_returns)
 
     return evaluator
 

@@ -7,13 +7,16 @@ go through one lockstep engine (``run_episodes``) that steps a batch of
 episodes together, one lane per episode: a generation's candidates form one
 batch, and a remote worker's range of candidates another.  A lane computes
 the same bits whatever batch it is in, so a whole generation, a sub-batch, or
-a worker's range all give identical numbers.  Progress is measured by a
-separate deterministic test protocol (median raw return over five fixed-seed
-episodes) whose steps never count against the budget.  The probe of
-generation g needs only the state and normalizer that generation g + 1
-starts from, so ``train`` runs it as further lanes of g + 1's batch (in a
-distributed run, of one worker's range of g + 1); only a probe still owed
-when the run ends runs alone, through ``test_policy``.
+a worker's range all give identical numbers.  Results travel as ``Scores``,
+one array row per lane or per candidate: raw and shaped return, and the
+moments (count, mean, M2) of the observations its policy acted on, whose
+count is also its timesteps.  Progress is measured by a separate
+deterministic test protocol (median raw return over five fixed-seed episodes)
+whose steps never count against the budget.  The probe of generation g needs
+only the state and normalizer that generation g + 1 starts from, so ``train``
+runs it as further lanes of g + 1's batch (in a distributed run, of one
+worker's range of g + 1); only a probe still owed when the run ends runs
+alone, through ``test_policy``.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ __all__ = [
     "Shaping",
     "FitnessSpec",
     "shape_reward",
-    "RolloutResult",
+    "Scores",
     "run_episodes",
     "rollout",
-    "CandidateEval",
     "Probe",
     "score_candidates",
     "evaluate_candidate",
@@ -122,85 +124,84 @@ def test_episode_seed(master_seed: int, generation: int, episode_index: int) -> 
 
 
 @dataclass
-class RolloutResult:
-    raw_return: float
-    shaped_return: float
-    timesteps: int
-    delta: ObsNormalizer | None
+class Scores:
+    """Results as arrays, one row per episode lane or per candidate.
+
+    ``raw`` and ``shaped`` are a row's raw and shaped returns; a candidate's
+    are means over its episodes, and its ``shaped`` is its fitness.
+    ``count`` is the row's timesteps, which are also the observations its
+    policy acted on; ``mean`` and ``m2`` (``(rows, obs_dim)``) are those
+    observations' Welford moments.
+    """
+
+    raw: np.ndarray
+    shaped: np.ndarray
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @staticmethod
+    def zeros(rows: int, obs_dim: int) -> "Scores":
+        return Scores(np.zeros(rows), np.zeros(rows), np.zeros(rows, dtype=np.int64),
+                      np.zeros((rows, obs_dim)), np.zeros((rows, obs_dim)))
+
+    def delta(self, row: int) -> ObsNormalizer:
+        """Row ``row``'s observation moments as an accumulator to merge."""
+        return ObsNormalizer(int(self.count[row]), self.mean[row], self.m2[row])
 
 
 def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
-                 shaping: Shaping = Shaping(),
-                 update_normalizer: bool = False) -> list[RolloutResult]:
+                 shaping: Shaping = Shaping()) -> Scores:
     """Run one episode per lane, stepping all lanes together.
 
     Lane ``i`` resets from ``seeds[i]`` and acts with the linear policy
     ``weights[i]`` (``weights`` is ``(L, act_dim, obs_dim)``) until its own
-    termination or truncation, where it leaves the batch.  The passed
-    normalizer is read once and never touched; with ``update_normalizer``
-    each lane's observations go into its own fresh accumulator (the returned
-    delta) covering exactly the observations its policy acted on.  Every
-    operation is elementwise per lane or a stacked matmul, so a lane's
-    result does not depend on the other lanes.
+    termination or truncation, where it leaves the batch and its results
+    become row ``i``.  The passed normalizer is read once and never touched;
+    each lane's observations go into its own moments, covering exactly the
+    observations its policy acted on.  Every operation is elementwise per
+    lane or a stacked matmul, so a lane's result does not depend on the
+    other lanes.
     """
-    if not seeds:
-        return []
     spec = env.spec
     limit = spec.max_episode_steps
     shift, scale = normalizer.affine()
     weights = np.ascontiguousarray(weights, dtype=float)
     state = np.stack([env.initial_state(np.random.default_rng(s)) for s in seeds],
                      axis=1)
+    out = Scores.zeros(len(seeds), spec.obs_dim)
     lanes = np.arange(len(seeds))
     raw = np.zeros(len(seeds))
     shaped = np.zeros(len(seeds))
     mean = m2 = np.zeros((len(seeds), spec.obs_dim))
-    results: list[RolloutResult | None] = [None] * len(seeds)
     obs = env.observe(state)
     for t in range(1, limit + 1):
-        if update_normalizer:
-            mean, m2 = welford_update(t, mean, m2, obs)
         if not np.isfinite(obs).all():
             raise ValueError("observation must be finite")
+        mean, m2 = welford_update(t, mean, m2, obs)
         actions = act_batch(weights, spec.action_space, (obs - shift) / scale)
         state, reward, terminated = env.dynamics(state, actions)
         raw += reward
         shaped += shape_reward(reward, shaping)
         done = terminated if t < limit else np.ones_like(terminated)
         if done.any():
-            for j in np.flatnonzero(done):
-                delta = (ObsNormalizer(t, mean[j].copy(), m2[j].copy())
-                         if update_normalizer else None)
-                results[lanes[j]] = RolloutResult(float(raw[j]), float(shaped[j]),
-                                                  t, delta)
+            rows = lanes[done]
+            out.raw[rows], out.shaped[rows], out.count[rows] = raw[done], shaped[done], t
+            out.mean[rows], out.m2[rows] = mean[done], m2[done]
             keep = ~done
             if not keep.any():
                 break
             lanes, state, weights = lanes[keep], state[:, keep], weights[keep]
             raw, shaped, mean, m2 = raw[keep], shaped[keep], mean[keep], m2[keep]
         obs = env.observe(state)
-    return results
+    return out
 
 
 def rollout(env, policy: LinearPolicy, normalizer: ObsNormalizer, episode_seed,
-            shaping: Shaping = Shaping(), update_normalizer: bool = False) -> RolloutResult:
-    """Run one episode to termination or truncation: a batch of one lane.
-
-    The passed normalizer is read-only; newly seen observations go into a
-    fresh accumulator (the returned delta) covering exactly the observations
-    the policy acted on.
-    """
-    return run_episodes(env, policy.weights[None], normalizer, [episode_seed],
-                        shaping, update_normalizer)[0]
-
-
-@dataclass
-class CandidateEval:
-    index: int
-    fitness: float
-    raw_return: float
-    timesteps: int
-    delta: ObsNormalizer
+            shaping: Shaping = Shaping()) -> Scores:
+    """Run one episode to termination or truncation: a batch of one lane,
+    whose results are the returned ``Scores``' one row."""
+    return run_episodes(env, policy.weights[None], normalizer, [episode_seed], shaping)
 
 
 @dataclass(frozen=True)
@@ -220,25 +221,16 @@ class Probe:
 
 
 def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
-                     fitness_spec: FitnessSpec, generation: int,
-                     master_seed: int) -> list[CandidateEval]:
+                     fitness_spec: FitnessSpec, generation: int, master_seed: int,
+                     probe: Probe | None = None) -> tuple[Scores, list[float] | None]:
     """Fitness of several genomes, all their training episodes as one batch.
 
-    Each result depends only on its genome and index, never on which other
-    candidates share the batch.
+    Returns one row per genome, in the order given, and with ``probe`` the
+    raw returns of its episodes, which run as further lanes of the same
+    batch (None without).  Each row depends only on its genome and index,
+    never on which other candidates share the batch; probe lanes feed no
+    row.  ``indexes`` must not be empty.
     """
-    if not len(indexes):
-        return []
-    return _score_batch(genomes, indexes, env, normalizer, fitness_spec,
-                        generation, master_seed)[0]
-
-
-def _score_batch(genomes, indexes, env, normalizer: ObsNormalizer,
-                 fitness_spec: FitnessSpec, generation: int, master_seed: int,
-                 probe: Probe | None = None) -> tuple[list[CandidateEval], list[float] | None]:
-    """``score_candidates``, with ``probe``'s episodes as further lanes of the
-    same batch.  Probe lanes give raw returns only: their observations and
-    shaped returns are dropped.  ``indexes`` must not be empty."""
     spec = env.spec
     k = fitness_spec.train_episodes
     weights = np.repeat(np.stack([
@@ -251,29 +243,29 @@ def _score_batch(genomes, indexes, env, normalizer: ObsNormalizer,
         probe_weights, probe_seeds = probe.lanes(master_seed)
         weights = np.concatenate([weights, probe_weights])
         seeds += probe_seeds
-    episodes = run_episodes(env, weights, normalizer, seeds,
-                            fitness_spec.shaping, update_normalizer=True)
+    lanes = run_episodes(env, weights, normalizer, seeds, fitness_spec.shaping)
     train_lanes = len(indexes) * k
-    probe_returns = (None if probe is None
-                     else [res.raw_return for res in episodes[train_lanes:]])
-    evals = []
-    for c, index in enumerate(indexes):
+    probe_returns = None if probe is None else lanes.raw[train_lanes:].tolist()
+    out = Scores.zeros(len(indexes), spec.obs_dim)
+    # candidate c's lanes are c * k .. c * k + k - 1.  Sum each candidate's
+    # returns one episode at a time from 0.0: numpy's sum turns pairwise at
+    # 8 terms, which would change the bits
+    raw_sum = shaped_sum = 0.0
+    for ep in range(k):
+        raw_sum = raw_sum + lanes.raw[ep:train_lanes:k]
+        shaped_sum = shaped_sum + lanes.shaped[ep:train_lanes:k]
+    out.raw[:], out.shaped[:] = raw_sum / k, shaped_sum / k
+    for c in range(len(indexes)):
         delta = ObsNormalizer.create(spec.obs_dim)
-        raw_sum = 0.0
-        shaped_sum = 0.0
-        steps = 0
-        for res in episodes[c * k:(c + 1) * k]:
-            raw_sum += res.raw_return
-            shaped_sum += res.shaped_return
-            steps += res.timesteps
-            delta.merge(res.delta)
-        evals.append(CandidateEval(index, shaped_sum / k, raw_sum / k, steps, delta))
-    return evals, probe_returns
+        for lane in range(c * k, (c + 1) * k):
+            delta.merge(lanes.delta(lane))
+        out.count[c], out.mean[c], out.m2[c] = delta.count, delta.mean, delta.m2
+    return out, probe_returns
 
 
 def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
                        normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
-                       generation: int, master_seed: int) -> CandidateEval:
+                       generation: int, master_seed: int) -> Scores:
     """Fitness of one genome: ``score_candidates`` on a batch of one."""
     return score_candidates([genome], [index], make_env(env_id), normalizer,
                             fitness_spec, generation, master_seed)[0]
@@ -283,8 +275,7 @@ def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
 class GenerationEval:
     fitnesses: np.ndarray             # ordered by candidate index
     raw_returns: np.ndarray
-    timesteps: int
-    delta: ObsNormalizer
+    delta: ObsNormalizer              # its count is the generation's timesteps
     probe_returns: list[float] | None = None
 
 
@@ -296,31 +287,32 @@ def evaluate_generation(candidates: list[Candidate], env_id: str,
 
     With ``probe``, the probe's episodes ride in the same batch and their
     raw returns come back as ``probe_returns``, bit for bit what
-    ``test_policy`` gives; they feed neither the fitnesses, the timesteps
-    nor the normalizer delta.
+    ``test_policy`` gives; they feed neither the fitnesses nor the
+    normalizer delta.
     """
-    evals, probe_returns = _score_batch(
-        [c.x for c in candidates], [c.index for c in candidates],
-        make_env(env_id), normalizer, fitness_spec, generation, master_seed, probe)
-    result = collect_generation(evals, normalizer.dim, len(candidates))
-    result.probe_returns = probe_returns
-    return result
+    indexes = [c.index for c in candidates]
+    scores, probe_returns = score_candidates(
+        [c.x for c in candidates], indexes, make_env(env_id), normalizer,
+        fitness_spec, generation, master_seed, probe)
+    return collect_generation([(indexes, scores)], len(candidates), probe_returns)
 
 
-def collect_generation(evals: list[CandidateEval], obs_dim: int,
-                       lam: int) -> GenerationEval:
-    """Fold per-candidate results in index order, however they were produced."""
-    evals = sorted(evals, key=lambda e: e.index)
-    if [e.index for e in evals] != list(range(lam)):
+def collect_generation(parts, lam: int,
+                       probe_returns: list[float] | None = None) -> GenerationEval:
+    """Fold ``(indexes, scores)`` parts, row ``r`` of ``scores`` being
+    candidate ``indexes[r]``, in index order, however they were produced."""
+    rows = sorted(((index, scores, r) for indexes, scores in parts
+                   for r, index in enumerate(indexes)), key=lambda row: row[0])
+    if [index for index, _, _ in rows] != list(range(lam)):
         raise ValueError("candidate evaluations must cover indexes 0..lambda-1")
-    delta = ObsNormalizer.create(obs_dim)
-    for e in evals:
-        delta.merge(e.delta)
+    delta = ObsNormalizer.create(parts[0][1].mean.shape[1])
+    for _, scores, r in rows:
+        delta.merge(scores.delta(r))
     return GenerationEval(
-        fitnesses=np.array([e.fitness for e in evals]),
-        raw_returns=np.array([e.raw_return for e in evals]),
-        timesteps=sum(e.timesteps for e in evals),
+        fitnesses=np.array([scores.shaped[r] for _, scores, r in rows]),
+        raw_returns=np.array([scores.raw[r] for _, scores, r in rows]),
         delta=delta,
+        probe_returns=probe_returns,
     )
 
 
@@ -331,8 +323,7 @@ def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer, env_id: str,
     if episodes < 1:
         raise ValueError(f"test_policy needs at least one episode, got {episodes}")
     weights, seeds = Probe(policy, generation, episodes).lanes(master_seed)
-    returns = [res.raw_return
-               for res in run_episodes(make_env(env_id), weights, normalizer, seeds)]
+    returns = run_episodes(make_env(env_id), weights, normalizer, seeds).raw.tolist()
     return float(statistics.median(returns)), returns
 
 
@@ -449,7 +440,7 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
             break
         for c, f in zip(cands, result.fitnesses):
             c.fitness = float(f)
-        cumulative += result.timesteps
+        cumulative += result.delta.count
         normalizer.merge(result.delta)
         try:
             state = tell(params, state, cands, mode="maximize")

@@ -29,6 +29,8 @@ __all__ = [
     "Checkpoint",
 ]
 
+EPS = 1e-8  # std() never falls below sqrt(EPS)
+
 
 @dataclass(frozen=True)
 class Discrete:
@@ -101,14 +103,13 @@ class ObsNormalizer:
     count: int
     mean: np.ndarray
     m2: np.ndarray
-    eps: float = 1e-8
     frozen: bool = False
 
     @staticmethod
-    def create(dim: int, eps: float = 1e-8) -> "ObsNormalizer":
+    def create(dim: int) -> "ObsNormalizer":
         if dim < 1:
             raise ValueError("dim must be positive")
-        return ObsNormalizer(0, np.zeros(dim), np.zeros(dim), eps)
+        return ObsNormalizer(0, np.zeros(dim), np.zeros(dim))
 
     @property
     def dim(self) -> int:
@@ -144,7 +145,7 @@ class ObsNormalizer:
 
     def std(self) -> np.ndarray:
         var = self.m2 / max(self.count - 1, 1)
-        return np.maximum(np.sqrt(var), np.sqrt(self.eps))
+        return np.maximum(np.sqrt(var), np.sqrt(EPS))
 
     def affine(self) -> tuple[np.ndarray, np.ndarray]:
         """``(shift, scale)`` with ``normalize(obs) == (obs - shift) / scale``."""
@@ -160,7 +161,7 @@ class ObsNormalizer:
 
     def copy(self) -> "ObsNormalizer":
         return ObsNormalizer(self.count, self.mean.copy(), self.m2.copy(),
-                             self.eps, self.frozen)
+                             self.frozen)
 
     def frozen_view(self) -> "ObsNormalizer":
         out = self.copy()
@@ -171,9 +172,9 @@ class ObsNormalizer:
         return {"count": self.count, "mean": self.mean.tolist(), "m2": self.m2.tolist()}
 
     @staticmethod
-    def from_dict(d: dict, eps: float = 1e-8) -> "ObsNormalizer":
+    def from_dict(d: dict) -> "ObsNormalizer":
         return ObsNormalizer(int(d["count"]), np.asarray(d["mean"], dtype=float),
-                             np.asarray(d["m2"], dtype=float), eps)
+                             np.asarray(d["m2"], dtype=float))
 
 
 def welford_update(count: int, mean: np.ndarray, m2: np.ndarray,

@@ -18,12 +18,16 @@ from evolin.distributed import (DesyncError, GenerationFailedError,
                                 ProtocolError, _LineReader, build_gen_message,
                                 bye_message, cov_digest, cov_payload,
                                 decode_message, encode_message,
-                                evals_from_result, gen_context, hello_message,
-                                run_task, serve_worker, split_ranges,
+                                gen_context, hello_message, run_task,
+                                scores_from_result, serve_worker, split_ranges,
                                 task_message, train_distributed,
                                 transform_from_payload)
 from evolin.es import CovTransform
 from evolin.evaluate import collect_generation, write_curve_csv
+
+
+# RESULT's columns, one row per candidate of the TASK's range
+COLUMNS = ("fitness", "raw_return", "count", "mean", "m2")
 
 
 def warmed_state(variant, n=6, sigma0=0.3, tells=3, seed=77, lam=None):
@@ -70,11 +74,12 @@ def test_messages_round_trip_through_framing():
         task_message("r", 4, 2, 3),
         bye_message("shutdown"),
         {"type": "result", "run_id": "r", "generation": 1, "index": 2,
-         "results": [{"fitness": 1 / 3, "raw_return": 1e-300, "timesteps": 17,
-                      "delta": {"count": 2, "mean": [0.1, -0.25], "m2": [0.0, 4.0]}}],
-         "probe": None},
+         "fitness": [1 / 3], "raw_return": [1e-300], "count": [17],
+         "mean": [[0.1, -0.25]], "m2": [[0.0, 4.0]], "probe": None},
         {"type": "result", "run_id": "r", "generation": 4, "index": 0,
-         "results": [], "probe": [500.0, -1e-300, 2 / 3, 9.0, 0.0]},
+         "fitness": [2.0, -0.5], "raw_return": [2.0, 9.0], "count": [2, 9],
+         "mean": [[0.0], [1e-9]], "m2": [[0.0], [7.5]],
+         "probe": [500.0, -1e-300, 2 / 3, 9.0, 0.0]},
     ]
     for msg in samples:
         encoded = encode_message(msg)
@@ -150,6 +155,8 @@ def test_gen_context_rejects_digest_mismatch_and_bad_shapes():
     short = dict(msg, m=msg["m"][:-1])
     with pytest.raises(ProtocolError):
         gen_context(short)
+    with pytest.raises(ProtocolError):
+        gen_context(dict(msg, protocol_version=4))
 
 
 @pytest.mark.parametrize("probe", [{"generation": 1.0, "episodes": 5},
@@ -170,7 +177,7 @@ def test_run_task_runs_the_probe_as_test_policy_does():
     policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
     _, want = evaluate.test_policy(policy, norm, "cartpole", 912, 1)
     plain = run_task(replace(ctx, probe=None), range(1, 3))
-    assert plain["probe"] is None and len(plain["results"]) == 2
+    assert plain["probe"] is None and len(plain["fitness"]) == 2
     assert run_task(ctx, range(1, 3)) == dict(plain, probe=want)
 
 
@@ -184,29 +191,28 @@ def test_run_task_ranges_match_local_generation_exactly():
 
     def remote(indexes):
         reply = decode_message(encode_message(run_task(ctx, indexes)))
-        evals, returns = evals_from_result(reply, "t", gen, indexes, None,
-                                           len(norm.mean))
+        scores, returns = scores_from_result(reply, "t", gen, indexes, None,
+                                             len(norm.mean))
         assert returns is None
-        return evals
+        return indexes, scores
 
     # a range of one, a middle range, and the whole generation
     for indexes in (range(3, 4), range(1, 5), range(lam)):
-        evals = remote(indexes)
-        assert [e.index for e in evals] == list(indexes)
-        for e in evals:
-            alone = evaluate_candidate(cands[e.index].x, e.index, "cartpole",
+        _, scores = remote(indexes)
+        assert len(scores.raw) == len(indexes)
+        for row, i in enumerate(indexes):
+            alone = evaluate_candidate(cands[i].x, i, "cartpole",
                                        norm, FitnessSpec(), gen, 912)
-            assert e.fitness == local.fitnesses[e.index] == alone.fitness
-            assert e.raw_return == local.raw_returns[e.index]
-            assert e.timesteps == alone.timesteps
-            assert e.delta.to_dict() == alone.delta.to_dict()
+            assert scores.shaped[row] == local.fitnesses[i] == alone.shaped[0]
+            assert scores.raw[row] == local.raw_returns[i]
+            assert scores.count[row] == alone.count[0]
+            assert scores.delta(row).to_dict() == alone.delta(0).to_dict()
 
     # ragged ranges covering the generation fold to the local generation
-    folded = collect_generation(remote(range(0, 1)) + remote(range(1, 5))
-                                + remote(range(5, lam)), len(norm.mean), lam)
+    folded = collect_generation([remote(range(0, 1)), remote(range(1, 5)),
+                                 remote(range(5, lam))], lam)
     assert folded.fitnesses.tobytes() == local.fitnesses.tobytes()
     assert folded.raw_returns.tobytes() == local.raw_returns.tobytes()
-    assert folded.timesteps == local.timesteps
     assert folded.delta.to_dict() == local.delta.to_dict()
 
 
@@ -260,14 +266,16 @@ class ScriptedWorker:
         self.sock.close()
 
 
-def assert_matches_local(evals, params, state, norm, msg, master_seed):
-    """``evals`` are what a local evaluation of GEN ``msg``'s candidates gives."""
-    assert [e.index for e in evals] == list(range(len(evals)))
-    for cand, got in zip(ask(params, state, master_seed), evals):
-        want = evaluate_candidate(cand.x, cand.index, "cartpole", norm,
-                                  FitnessSpec(), msg["generation"], master_seed)
-        assert got.fitness == want.fitness
-        assert got.timesteps == want.timesteps
+def assert_matches_local(parts, params, state, norm, msg, master_seed):
+    """The ``(range, Scores)`` ``parts`` cover GEN ``msg``'s first candidates
+    and fold to what a local evaluation of those candidates gives."""
+    lam = sum(len(span) for span, _ in parts)
+    got = collect_generation(parts, lam)
+    want = evaluate_generation(ask(params, state, master_seed)[:lam], "cartpole",
+                               norm, FitnessSpec(), msg["generation"], master_seed)
+    assert got.fitnesses.tobytes() == want.fitnesses.tobytes()
+    assert got.raw_returns.tobytes() == want.raw_returns.tobytes()
+    assert got.delta.to_dict() == want.delta.to_dict()
 
 
 def answer_honestly(ctx, task):
@@ -283,10 +291,10 @@ def test_single_worker_generation_matches_local():
     with MasterServer() as server:
         thread, out = start_real_worker(server)
         server.wait_for_workers(1, timeout=10)
-        evals, probe_returns = server.evaluate_generation(msg, 4)
-        assert [e.index for e in evals] == [0, 1, 2, 3]
+        parts, probe_returns = server.evaluate_generation(msg, 4)
+        assert [span for span, _ in parts] == [range(4)]
         assert probe_returns is None
-        assert_matches_local(evals, params, state, norm, msg, 31)
+        assert_matches_local(parts, params, state, norm, msg, 31)
     thread.join(timeout=10)
     assert out.get("reason") == "shutdown"
 
@@ -377,10 +385,11 @@ def test_worker_says_bye_on_malformed_task_range(edit, owed):
 
 
 def test_worker_answers_a_range_with_one_result_per_index():
-    # one RESULT for the whole range, holding one entry per index
+    # one RESULT for the whole range, each column holding one row per index
     reply, reason = worker_replies_to_task(lambda t, lam: dict(t, index=1, count=2))
     assert (reply["type"], reply["run_id"], reply["index"]) == ("result", "t", 1)
-    assert len(reply["results"]) == 2 and reply["probe"] is None
+    assert all(len(reply[key]) == 2 for key in COLUMNS) and reply["probe"] is None
+    assert all(len(row) == 4 for key in ("mean", "m2") for row in reply[key])
     assert reason == "eof"
 
 
@@ -389,7 +398,7 @@ def test_worker_runs_the_owed_probe_only_when_flagged():
     flagged, reason = worker_replies_to_task(
         lambda t, lam: dict(t, index=1, count=2, probe=True), probe_generation=1)
     assert (flagged["type"], flagged["index"], flagged["generation"]) == ("result", 1, 2)
-    assert len(flagged["results"]) == 2 and len(flagged["probe"]) == 5
+    assert len(flagged["fitness"]) == 2 and len(flagged["probe"]) == 5
     assert reason == "eof"
     unflagged, _ = worker_replies_to_task(
         lambda t, lam: dict(t, index=1, count=2), probe_generation=1)
@@ -431,19 +440,22 @@ def test_worker_says_bye_on_task_before_gen_and_raises_on_desync():
 
 
 def test_master_rejects_wrong_protocol_version():
-    with MasterServer() as server:
-        sock = socket.create_connection(server.address)
-        sock.sendall(encode_message(
-            {"type": "hello", "protocol_version": 99, "worker_id": "old"}))
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            server._pump(0.05)
-            if any(reason == "protocol-version" for _, reason in server.dropped):
-                break
-        reply = decode_message(_LineReader(sock).readline())
-        assert reply == bye_message("protocol")
-        assert server.worker_count() == 0
-        sock.close()
+    # 4 is the previous protocol, whose RESULT held one object per index
+    for version in (4, 99):
+        with MasterServer() as server:
+            sock = socket.create_connection(server.address)
+            sock.sendall(encode_message(
+                {"type": "hello", "protocol_version": version, "worker_id": "old"}))
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                server._pump(0.05)
+                if server.dropped:
+                    break
+            assert server.dropped == [("<no-hello>", "protocol-version")]
+            reply = decode_message(_LineReader(sock).readline())
+            assert reply == bye_message("protocol")
+            assert server.worker_count() == 0
+            sock.close()
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
@@ -498,12 +510,12 @@ def test_unsolicited_results_drop_the_worker():
         thread = threading.Thread(target=duplicate, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        evals, _ = server.evaluate_generation(msg, 4)
-        assert_matches_local(evals, params, state, norm, msg, 3)
+        parts, _ = server.evaluate_generation(msg, 4)
+        assert_matches_local(parts, params, state, norm, msg, 3)
 
         eager = ScriptedWorker(address, "eager")
-        eager.send({"type": "result", "run_id": "t", "generation": 0,
-                    "index": 0, "results": [], "probe": None})
+        eager.send({"type": "result", "run_id": "t", "generation": 0, "index": 0,
+                    **{key: [] for key in COLUMNS}, "probe": None})
         with pytest.raises(TimeoutError):
             server.wait_for_workers(2, timeout=1.0)
         assert sorted(server.dropped) == [("dup", "protocol"), ("eager", "protocol")]
@@ -538,8 +550,8 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
         honest, out = start_real_worker(server, worker_id="honest")
         server.wait_for_workers(2, timeout=10)
         for run_id in ("first-seed", "second-seed"):
-            evals, _ = server.evaluate_generation(dict(msg, run_id=run_id), 4)
-            assert_matches_local(evals, params, state, norm, msg, 31)
+            parts, _ = server.evaluate_generation(dict(msg, run_id=run_id), 4)
+            assert_matches_local(parts, params, state, norm, msg, 31)
         assert server.dropped == [("late", "timeout")]
     thread.join(timeout=10)
     honest.join(timeout=10)
@@ -557,15 +569,15 @@ def test_late_joiner_receives_gen_and_takes_over_timed_out_task():
         box = {}
 
         def evaluate():
-            box["evals"], _ = server.evaluate_generation(msg, 2)
+            box["parts"], _ = server.evaluate_generation(msg, 2)
 
         ev_thread = threading.Thread(target=evaluate, daemon=True)
         ev_thread.start()
         time.sleep(0.15)
         worker_thread, out = start_real_worker(server)
         ev_thread.join(timeout=30)
-        assert "evals" in box
-        assert_matches_local(box["evals"], params, state, norm, msg, 31)
+        assert "parts" in box
+        assert_matches_local(box["parts"], params, state, norm, msg, 31)
         assert server.dropped == [("silent", "timeout")]
         silent.close()
     finally:
@@ -829,21 +841,35 @@ def test_unasked_probe_drops_the_worker():
         assert server.dropped == [("eager", "protocol")]
 
 
-def edit_first(edit):
-    return lambda r: dict(r, results=[edit(r["results"][0])] + r["results"][1:])
+def edit_first(key, edit):
+    """Edit the first row of RESULT column ``key``."""
+    return lambda r: dict(r, **{key: [edit(r[key][0])] + r[key][1:]})
+
+
+def edit_columns(edit):
+    return lambda r: dict(r, **{key: edit(r[key]) for key in COLUMNS})
 
 
 @pytest.mark.parametrize("edit", [
-    edit_first(lambda e: {k: v for k, v in e.items() if k != "fitness"}),
+    lambda r: {k: v for k, v in r.items() if k != "fitness"},
     lambda r: {k: v for k, v in r.items() if k != "index"},
-    edit_first(lambda e: dict(e, timesteps=str(e["timesteps"]))),
-    edit_first(lambda e: dict(e, fitness=float("nan"))),
-    edit_first(lambda e: dict(e, raw_return=float("-inf"))),
-    edit_first(lambda e: dict(e, delta=dict(e["delta"], mean=e["delta"]["mean"][:-1]))),
-    edit_first(lambda e: dict(e, delta=dict(e["delta"], m2=[float("nan")] * 4))),
-    edit_first(lambda e: dict(e, delta=dict(e["delta"], m2=[-1.0] * 4))),
-], ids=["missing-fitness", "missing-index", "string-timesteps", "nan-fitness",
-        "infinite-raw-return", "short-delta", "nan-delta", "negative-delta-m2"])
+    edit_first("count", str),
+    edit_first("fitness", lambda f: float("nan")),
+    edit_first("raw_return", lambda f: float("-inf")),
+    edit_first("mean", lambda row: row[:-1]),
+    edit_first("m2", lambda row: [float("nan")] * len(row)),
+    edit_first("m2", lambda row: [-1.0] * len(row)),
+    lambda r: dict(r, raw_return=r["raw_return"][:-1]),
+    edit_first("fitness", lambda f: True),
+    edit_first("raw_return", str),
+    edit_first("count", lambda n: n + 0.5),
+    edit_first("count", float),
+    edit_first("count", lambda n: -1),
+    edit_first("count", lambda n: True),
+], ids=["missing-fitness", "missing-index", "string-count", "nan-fitness",
+        "infinite-raw-return", "short-delta", "nan-delta", "negative-delta-m2",
+        "short-column", "bool-fitness", "string-raw-return", "fractional-count",
+        "float-count", "negative-count", "bool-count"])
 def test_malformed_result_drops_the_worker_and_the_run_matches_local(edit):
     assert_dropped_and_matches_local(edit, flagged=False, max_generations=4)
 
@@ -851,12 +877,12 @@ def test_malformed_result_drops_the_worker_and_the_run_matches_local(edit):
 @pytest.mark.parametrize("edit", [
     lambda r: dict(r, type="probe"),
     lambda r: dict(r, index=r["index"] + 1),
-    lambda r: dict(r, results=r["results"][:-1]),
-    lambda r: dict(r, results=r["results"] + r["results"][-1:]),
-    lambda r: dict(r, results=dict(enumerate(r["results"]))),
-    edit_first(lambda e: [e]),
-], ids=["not-a-result", "other-range-start", "short-results", "long-results",
-        "results-not-a-list", "entry-not-an-object"])
+    edit_columns(lambda col: col[:-1]),
+    edit_columns(lambda col: col + col[-1:]),
+    lambda r: dict(r, fitness=dict(enumerate(r["fitness"]))),
+    edit_first("mean", lambda row: 0.0),
+], ids=["not-a-result", "other-range-start", "short-columns", "long-columns",
+        "column-not-a-list", "row-not-a-list"])
 def test_reply_not_answering_its_task_drops_the_worker_and_the_run_matches_local(edit):
     assert_dropped_and_matches_local(edit, flagged=False, max_generations=3)
 

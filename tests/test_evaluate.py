@@ -34,8 +34,8 @@ def test_drop_alive_bonus_zeroes_survival_returns() -> None:
     env = make_env("cartpole")
     res = rollout(env, zero_policy("cartpole"), ObsNormalizer.create(4), 3,
                   Shaping("drop_alive_bonus", 1.0))
-    assert res.shaped_return == 0.0
-    assert res.raw_return == res.timesteps
+    assert res.shaped[0] == 0.0
+    assert res.raw[0] == res.count[0]
 
 
 # -------------------------------------------------------------------- rollout
@@ -43,14 +43,14 @@ def test_drop_alive_bonus_zeroes_survival_returns() -> None:
 def test_zero_policy_pendulum_runs_full_episode() -> None:
     env = make_env("pendulum")
     res = rollout(env, zero_policy("pendulum"), ObsNormalizer.create(3), 0)
-    assert res.timesteps == 200
-    assert res.raw_return < 0.0
+    assert res.count[0] == 200
+    assert res.raw[0] < 0.0
 
 
 def test_acrobot_raw_return_is_minus_steps_when_unsolved() -> None:
     env = make_env("acrobot")
     res = rollout(env, zero_policy("acrobot"), ObsNormalizer.create(6), 1)
-    assert res.raw_return == -res.timesteps == -500.0
+    assert res.raw[0] == -res.count[0] == -500.0
 
 
 def test_rollout_is_deterministic_given_seed() -> None:
@@ -58,25 +58,28 @@ def test_rollout_is_deterministic_given_seed() -> None:
     pol = LinearPolicy.from_genome(rng.standard_normal(8), 4,
                                    env_spec("cartpole").action_space)
     norm = ObsNormalizer.create(4)
-    a = rollout(make_env("cartpole"), pol, norm, [7, 8], update_normalizer=True)
-    b = rollout(make_env("cartpole"), pol, norm, [7, 8], update_normalizer=True)
-    assert a.raw_return == b.raw_return and a.timesteps == b.timesteps
-    np.testing.assert_array_equal(a.delta.mean, b.delta.mean)
-    np.testing.assert_array_equal(a.delta.m2, b.delta.m2)
+    a = rollout(make_env("cartpole"), pol, norm, [7, 8])
+    b = rollout(make_env("cartpole"), pol, norm, [7, 8])
+    assert a.raw[0] == b.raw[0] and a.count[0] == b.count[0]
+    np.testing.assert_array_equal(a.mean, b.mean)
+    np.testing.assert_array_equal(a.m2, b.m2)
 
 
 def test_rollout_delta_counts_acted_on_observations() -> None:
     norm = ObsNormalizer.create(4)
-    res = rollout(make_env("cartpole"), zero_policy("cartpole"), norm, 5,
-                  update_normalizer=True)
-    assert res.delta.count == res.timesteps
+    env = make_env("cartpole")
+    res = rollout(env, zero_policy("cartpole"), norm, 5)
     assert norm.count == 0  # the shared normalizer is never touched
-
-
-def test_rollout_without_update_returns_no_delta() -> None:
-    res = rollout(make_env("pendulum"), zero_policy("pendulum"),
-                  ObsNormalizer.create(3), 0)
-    assert res.delta is None
+    # the moments cover the count observations the policy acted on: the
+    # reset one and each non-final step's
+    seen = ObsNormalizer.create(4)
+    obs = env.reset(5)
+    for t in range(res.count[0]):
+        seen.update(obs)
+        obs = env.step(0).obs
+    assert res.delta(0).count == seen.count == res.count[0]
+    assert res.mean[0].tobytes() == seen.mean.tobytes()
+    assert res.m2[0].tobytes() == seen.m2.tobytes()
 
 
 # ------------------------------------------------------------ episode seeding
@@ -95,8 +98,8 @@ def test_identical_genomes_get_identical_fitness_under_crn() -> None:
     genome = np.full(8, 0.1)
     a = evaluate_candidate(genome, 0, "cartpole", norm, spec, 2, 11)
     b = evaluate_candidate(genome.copy(), 7, "cartpole", norm, spec, 2, 11)
-    assert a.fitness == b.fitness
-    assert a.timesteps == b.timesteps
+    assert a.shaped[0] == b.shaped[0]
+    assert a.count[0] == b.count[0]
 
 
 # -------------------------------------------------------- evaluate_generation
@@ -118,7 +121,11 @@ def evaluate_cartpole_generation():
 
 def test_generation_timesteps_are_summed_exactly() -> None:
     result = evaluate_cartpole_generation()
-    assert result.timesteps == result.delta.count
+    params, state = new_strategy(CSA, 8, 0.1, lam=8)
+    norm = warmed_normalizer()
+    counts = [evaluate_candidate(c.x, c.index, "cartpole", norm, FitnessSpec(),
+                                 0, 21).count[0] for c in ask(params, state, 21)]
+    assert result.delta.count == sum(counts)
     assert len(result.fitnesses) == 8
 
 
@@ -127,15 +134,17 @@ def test_collect_generation_requires_complete_index_cover() -> None:
     params, state = new_strategy(CSA, 8, 0.1, lam=8)
     cands = ask(params, state, 21)
     norm = warmed_normalizer()
-    evals = [evaluate_candidate(c.x, c.index, "cartpole", norm, FitnessSpec(), 0, 21)
+    evals = [([c.index], evaluate_candidate(c.x, c.index, "cartpole", norm,
+                                            FitnessSpec(), 0, 21))
              for c in cands]
     shuffled = [evals[i] for i in (3, 1, 7, 0, 5, 2, 6, 4)]
-    regrouped = collect_generation(shuffled, 4, 8)
+    regrouped = collect_generation(shuffled, 8)
     np.testing.assert_array_equal(regrouped.fitnesses, result.fitnesses)
+    assert regrouped.delta.to_dict() == result.delta.to_dict()
     with pytest.raises(ValueError):
-        collect_generation(evals[:-1], 4, 8)
+        collect_generation(evals[:-1], 8)
     with pytest.raises(ValueError):
-        collect_generation(evals + [evals[0]], 4, 8)
+        collect_generation(evals + [evals[0]], 8)
 
 
 def test_multi_episode_fitness_is_mean_over_episodes() -> None:
@@ -147,12 +156,11 @@ def test_multi_episode_fitness_is_mean_over_episodes() -> None:
     for ep in range(3):
         env = make_env("acrobot")
         ep_seed = train_episode_seed(13, 0, 0, ep, True)
-        singles.append(rollout(env, zero_policy("acrobot"), norm, ep_seed,
-                               update_normalizer=True).shaped_return)
+        singles.append(rollout(env, zero_policy("acrobot"), norm, ep_seed).shaped[0])
     combined = evaluate_candidate(genome, 0, "acrobot", norm, spec3, 0, 13)
-    assert combined.fitness == sum(singles) / 3
+    assert combined.shaped[0] == sum(singles) / 3
     single = evaluate_candidate(genome, 0, "acrobot", norm, spec1, 0, 13)
-    assert single.fitness == singles[0]
+    assert single.shaped[0] == singles[0]
 
 
 # ---------------------------------------------------------------- test_policy

@@ -3,7 +3,8 @@
 ``fixtures/golden_rollouts.json`` (written by ``tools/make_fixtures.py``)
 holds, for a few fixed generations of each environment, every candidate's
 fitness, raw return, timesteps and observation delta and the test-probe
-returns, all as ``float.hex``.  Every way of scoring a candidate must
+returns, all as ``float.hex``; a candidate's timesteps are its delta's
+count.  Every way of scoring a candidate must
 reproduce those bits: alone, inside its full generation, and inside a
 reversed or split batch of its generation.  The probe's returns must be the
 same whether it runs alone or as lanes of a generation's batch.
@@ -50,11 +51,11 @@ def assert_same_bits(a: ObsNormalizer, b: ObsNormalizer) -> None:
     assert a.m2.tobytes() == b.m2.tobytes()
 
 
-def assert_matches(ev, want) -> None:
-    assert ev.fitness.hex() == want["fitness"]
-    assert ev.raw_return.hex() == want["raw_return"]
-    assert ev.timesteps == want["timesteps"]
-    assert_same_bits(ev.delta, normalizer(want["delta"]))
+def assert_matches(scores, row, want) -> None:
+    assert scores.shaped[row].hex() == want["fitness"]
+    assert scores.raw[row].hex() == want["raw_return"]
+    assert scores.count[row] == want["timesteps"]
+    assert_same_bits(scores.delta(row), normalizer(want["delta"]))
 
 
 def expected_generation_delta(case) -> ObsNormalizer:
@@ -68,9 +69,10 @@ def expected_generation_delta(case) -> ObsNormalizer:
 def test_candidate_scored_alone_matches_fixture(case) -> None:
     cands, norm, spec = setup(case)
     for cand, want in zip(cands, case["candidates"]):
-        ev = evaluate_candidate(cand.x, cand.index, case["env_id"], norm, spec,
-                                case["generation"], case["master_seed"])
-        assert_matches(ev, want)
+        scores = evaluate_candidate(cand.x, cand.index, case["env_id"], norm, spec,
+                                    case["generation"], case["master_seed"])
+        assert len(scores.raw) == 1
+        assert_matches(scores, 0, want)
 
 
 def sub_batches(lam: int) -> list[list[int]]:
@@ -86,11 +88,12 @@ def test_candidate_results_do_not_depend_on_batch(case) -> None:
     cands, norm, spec = setup(case)
     env = make_env(case["env_id"])
     for batch in sub_batches(len(cands)):
-        evals = score_candidates([cands[i].x for i in batch], batch, env, norm, spec,
-                                 case["generation"], case["master_seed"])
-        assert [ev.index for ev in evals] == batch
-        for ev in evals:
-            assert_matches(ev, case["candidates"][ev.index])
+        scores, returns = score_candidates([cands[i].x for i in batch], batch, env,
+                                           norm, spec, case["generation"],
+                                           case["master_seed"])
+        assert len(scores.raw) == len(batch) and returns is None
+        for row, index in enumerate(batch):
+            assert_matches(scores, row, case["candidates"][index])
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
@@ -104,7 +107,7 @@ def test_generation_batches_match_fixture(case, order) -> None:
     want = case["candidates"]
     assert [f.hex() for f in gen.fitnesses] == [c["fitness"] for c in want]
     assert [r.hex() for r in gen.raw_returns] == [c["raw_return"] for c in want]
-    assert gen.timesteps == sum(c["timesteps"] for c in want)
+    assert gen.delta.count == sum(c["timesteps"] for c in want)
     assert_same_bits(gen.delta, expected_generation_delta(case))
 
 
@@ -136,7 +139,6 @@ def test_probe_lanes_in_a_generation_batch_match_fixture(case) -> None:
     # probe lanes leave the generation's own numbers untouched
     assert merged.fitnesses.tobytes() == alone.fitnesses.tobytes()
     assert merged.raw_returns.tobytes() == alone.raw_returns.tobytes()
-    assert merged.timesteps == alone.timesteps
     assert_same_bits(merged.delta, alone.delta)
     assert_same_bits(merged.delta, expected_generation_delta(case))
 

@@ -3,11 +3,12 @@
 Writes one reference trajectory per environment (100 steps, scripted
 actions, fixed reset seed), a small trained cart-pole checkpoint used by
 the CLI tests, and the golden rollout file: every candidate's fitness, raw
-return, timesteps and observation delta, plus the test-probe returns, for a
-few fixed generations of each environment, with every float stored exactly
-as ``float.hex``, and the golden training file: the curve CSV, status,
-budget spent, final generation and best checkpoint of a few whole training
-runs.  Run from the repository root:
+return, timesteps and observation delta (whose count is the timesteps),
+plus the test-probe returns, for a few fixed generations of each
+environment, with every float stored exactly as ``float.hex``, and the
+golden training file: the curve CSV, status, budget spent, final generation
+and best checkpoint of a few whole training runs.  Run from the repository
+root:
 
     python3 tools/make_fixtures.py
 """
@@ -134,12 +135,12 @@ def golden_case(name, env_id, lam, generation, master_seed, fitness_spec,
     genomes = rng.standard_normal((lam, n)) * scale
     candidates = []
     for i, x in enumerate(genomes):
-        ev = evaluate_candidate(x, i, env_id, norm, fitness_spec, generation,
-                                master_seed)
-        candidates.append({"genome": hexes(x), "fitness": ev.fitness.hex(),
-                           "raw_return": ev.raw_return.hex(),
-                           "timesteps": ev.timesteps,
-                           "delta": normalizer_doc(ev.delta)})
+        scores = evaluate_candidate(x, i, env_id, norm, fitness_spec, generation,
+                                    master_seed)
+        candidates.append({"genome": hexes(x), "fitness": scores.shaped[0].hex(),
+                           "raw_return": scores.raw[0].hex(),
+                           "timesteps": int(scores.count[0]),
+                           "delta": normalizer_doc(scores.delta(0))})
     policy = LinearPolicy.from_genome(genomes[0], spec.obs_dim, spec.action_space)
     median, returns = test_policy(policy, norm, env_id, master_seed, generation)
     return {"name": name, "env_id": env_id, "generation": generation,
