@@ -1,32 +1,33 @@
 """Seed-sharing master/worker evaluation over newline-delimited JSON on TCP.
 
-The master never ships genomes: each generation it broadcasts one GEN
-message carrying the search distribution (mean, step size, covariance
-payload) plus the normalizer snapshot, then hands each idle worker one
-contiguous range of candidate indexes as a TASK.  A worker regrows its
-range's candidates from (master_seed, generation, index) with ``es.sample``,
-the sampler ``ask`` uses, scores the range as one lockstep batch, and
-answers with one RESULT holding the range's ``Scores`` in columns
-``fitness``, ``raw_return``, ``count`` (timesteps and observation count),
-``mean`` and ``m2``, one row per index.  A candidate's result does not
-depend on the batch it is scored in, so a distributed run reproduces a
-single-process run bit for bit.
+The master never ships genomes: it hands each idle worker one contiguous
+range of a generation's candidate indexes as a TASK, which also carries the
+generation itself: the search distribution (mean, step size, covariance
+payload), the normalizer snapshot and the fitness spec.  A worker keeps no
+state between TASKs.  It regrows its range's candidates from (master_seed,
+generation, index) with ``es.sample``, the sampler ``ask`` uses, scores the
+range as one lockstep batch, and answers with one RESULT holding the range's
+``Scores`` in columns ``fitness``, ``raw_return``, ``count`` (timesteps and
+observation count), ``mean`` and ``m2``, one row per index.  A candidate's
+result does not depend on the batch it is scored in, so a distributed run
+reproduces a single-process run bit for bit.
 
-The master plans each generation once, at GEN: one contiguous range of at
-least one index per worker, the larger first, each a TASK on one queue from
-which idle workers take in turn.  GEN also names the test probe owed by the
-previous generation, if any; its inputs are GEN's own mean and normalizer,
-so the last (smallest) range's TASK is flagged to add the probe's episodes
-to its batch and return their raw returns.  The master runs no rollout.
+The master plans each generation once: one contiguous range of at least one
+index per worker, the larger first, each a TASK on one queue from which idle
+workers take in turn.  The last (smallest) range's TASK also names the test
+probe owed by the previous generation, if any; its inputs are the TASK's own
+mean and normalizer, so the worker adds the probe's episodes to its batch
+and returns their raw returns.  The master runs no rollout.
 
 Each TASK gets exactly one RESULT.  A worker that is lost, times out or
 sends a reply that does not answer its TASK exactly is dropped and its whole
 TASK queued again, so no live connection holds a TASK between generations
 and no late reply is ever read.
 
-Wire format: one JSON object per line, UTF-8, field "type" selecting
-HELLO / GEN / TASK / RESULT / BYE.  Reals use shortest-roundtrip decimal
-form (the json module's default); 64-bit seeds travel as decimal strings.
+Wire format (protocol version 6): one JSON object per line, UTF-8, field
+"type" selecting HELLO / TASK / RESULT / BYE.  Reals use shortest-roundtrip
+decimal form (the json module's default); 64-bit seeds travel as decimal
+strings.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import struct
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,7 +53,7 @@ from .evaluate import (FitnessSpec, Probe, Scores, TrainResult,
                        train)
 from .policy import LinearPolicy, ObsNormalizer
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
@@ -122,9 +123,9 @@ class _LineReader:
 
 
 def _no_delay(sock: socket.socket) -> None:
-    """Send small messages at once.  A GEN followed by a TASK is two small
-    writes; with Nagle's algorithm the second waits for the peer's delayed
-    ACK of the first."""
+    """Send small messages at once: under Nagle's algorithm a small write
+    waits until the peer acknowledges earlier data, which a delayed ACK can
+    hold back for tens of milliseconds."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
@@ -141,12 +142,11 @@ def bye_message(reason: str) -> dict:
     return {"type": "bye", "reason": reason}
 
 
-def task_message(run_id: str, generation: int, index: int, count: int,
-                 probe: bool = False) -> dict:
-    """Score candidates ``index`` .. ``index + count - 1`` (``count`` >= 1)
-    of a generation, and with ``probe`` the probe its GEN owes."""
-    return {"type": "task", "run_id": run_id, "generation": int(generation),
-            "index": int(index), "count": int(count), "probe": probe}
+def task_message(gen_msg: dict, span: range, probe: bool = False) -> dict:
+    """Score candidates ``span`` (at least one) of the generation
+    ``gen_msg`` describes, and with ``probe`` the probe it owes."""
+    return dict(gen_msg, type="task", index=span.start, count=len(span),
+                probe=gen_msg["probe"] if probe else None)
 
 
 def cov_payload(state: DistributionState) -> dict:
@@ -199,12 +199,11 @@ def build_gen_message(*, run_id: str, generation: int, master_seed: int,
                       env_id: str, lam: int, state: DistributionState,
                       normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
                       probe: Probe | None = None) -> dict:
-    """GEN for ``generation``.  ``probe``, the test probe owed by the
-    previous generation, must be of the policy ``state.m``: the worker
-    rebuilds it from the message's mean."""
+    """The fields every TASK of ``generation`` carries.  ``probe``, the test
+    probe owed by the previous generation, must be of the policy
+    ``state.m``: the worker rebuilds it from the TASK's mean."""
     payload = cov_payload(state)
     return {
-        "type": "gen",
         "protocol_version": PROTOCOL_VERSION,
         "run_id": run_id,
         "generation": int(generation),
@@ -247,9 +246,9 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
-def _count(value, what: str) -> int:
-    if type(value) is not int or value < 0:
-        raise ProtocolError(f"{what} must be a non-negative int")
+def _count(value, what: str, low: int = 0, high: float = math.inf) -> int:
+    if type(value) is not int or not low <= value <= high:
+        raise ProtocolError(f"{what} must be an int in [{low}, {high}]")
     return value
 
 
@@ -269,36 +268,38 @@ def _column(msg: dict, key: str, rows: int, width: int | None = None,
     return values if width is None else values.reshape(rows, width)
 
 
-def scores_from_result(msg: dict, run_id: str, generation: int, span: range,
-                       episodes: int | None, obs_dim: int
-                       ) -> tuple[Scores, list[float] | None]:
-    """Parse the reply to the TASK for ``span`` of ``run_id``'s
-    ``generation``, flagged to run a probe of ``episodes`` unless that is
-    None.  Returns the range's ``Scores`` and the probe's raw returns.
-    Raises ProtocolError unless ``msg`` is a RESULT answering exactly that
-    TASK: one row per index in every column, finite fitness and raw return,
-    non-negative int counts, moments of ``obs_dim`` finite entries (m2 not
-    negative), and ``episodes`` finite returns or none."""
-    if (msg.get("type") != "result" or msg.get("run_id") != run_id
-            or msg.get("generation") != generation
-            or _count(msg.get("index"), "RESULT index") != span.start):
+def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | None]:
+    """Parse the reply to ``task``.  Returns the range's ``Scores`` and the
+    probe's raw returns (None unless ``task`` names a probe).  Raises
+    ProtocolError unless ``msg`` is a RESULT answering exactly that TASK:
+    one row per index in every column, finite fitness and raw return,
+    counts no fewer than one step per training episode and no more than
+    the episode limit allows, moments of the env's ``obs_dim`` finite
+    entries (m2 not negative), and the probe's episode count of finite
+    returns or none."""
+    if (msg.get("type") != "result" or msg.get("run_id") != task["run_id"]
+            or msg.get("generation") != task["generation"]
+            or _count(msg.get("index"), "RESULT index") != task["index"]):
         raise ProtocolError("reply answers another TASK")
-    returns = msg.get("probe")
-    if episodes is None:
+    returns, probe = msg.get("probe"), task["probe"]
+    if probe is None:
         if returns is not None:
             raise ProtocolError("RESULT carries a probe its TASK did not ask for")
-    elif not isinstance(returns, list) or len(returns) != episodes:
-        raise ProtocolError(f"RESULT probe must be a list of {episodes} numbers")
+    elif not isinstance(returns, list) or len(returns) != probe["episodes"]:
+        raise ProtocolError(
+            f"RESULT probe must be a list of {probe['episodes']} numbers")
     else:
         returns = [_real(r, "RESULT probe return") for r in returns]
-    rows = len(span)
-    m2 = _column(msg, "m2", rows, obs_dim)
+    rows, spec = task["count"], env_spec(task["env_id"])
+    episodes = task["fitness_spec"]["train_episodes"]
+    m2 = _column(msg, "m2", rows, spec.obs_dim)
     if (m2 < 0).any():
         raise ProtocolError("RESULT m2 must not be negative")
+    count = _column(msg, "count", rows, parse=lambda v, what: _count(
+        v, what, episodes, episodes * spec.max_episode_steps))
     scores = Scores(raw=_column(msg, "raw_return", rows),
-                    shaped=_column(msg, "fitness", rows),
-                    count=_column(msg, "count", rows, parse=_count),
-                    mean=_column(msg, "mean", rows, obs_dim), m2=m2)
+                    shaped=_column(msg, "fitness", rows), count=count,
+                    mean=_column(msg, "mean", rows, spec.obs_dim), m2=m2)
     return scores, returns
 
 
@@ -308,7 +309,7 @@ def scores_from_result(msg: dict, run_id: str, generation: int, span: range,
 
 @dataclass
 class WorkerContext:
-    """Everything a worker needs to regenerate and score one generation."""
+    """Everything a worker needs to regenerate and score one TASK's range."""
 
     run_id: str
     generation: int
@@ -320,14 +321,15 @@ class WorkerContext:
     transform: CovTransform
     normalizer: ObsNormalizer
     fitness_spec: FitnessSpec
-    probe: Probe | None               # the probe a task runs with its range
+    probe: Probe | None               # the probe the task runs with its range
 
 
 def gen_context(msg: dict) -> WorkerContext:
-    """Validate a GEN message and rebuild the sampling context it carries,
-    with the probe it owes: the policy ``m`` for GEN's episode count."""
+    """Validate a TASK's generation fields and rebuild the sampling context
+    they carry, with the probe it names: the policy ``m`` for the given
+    episode count."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
-        raise ProtocolError("unsupported protocol version in GEN")
+        raise ProtocolError("unsupported protocol version in TASK")
     payload = msg["cov"]
     if cov_digest(payload) != msg.get("cov_digest"):
         raise DesyncError(
@@ -340,7 +342,7 @@ def gen_context(msg: dict) -> WorkerContext:
     if probe is not None:
         gen, episodes = probe["generation"], probe["episodes"]
         if type(gen) is not int or type(episodes) is not int or episodes < 1:
-            raise ProtocolError("GEN probe needs an int generation and episode count")
+            raise ProtocolError("TASK probe needs an int generation and episode count")
         spec = env_spec(env_id)
         probe = Probe(LinearPolicy.from_genome(m, spec.obs_dim, spec.action_space),
                       gen, episodes)
@@ -359,16 +361,12 @@ def gen_context(msg: dict) -> WorkerContext:
     )
 
 
-def _task_range(ctx: WorkerContext | None, msg: dict) -> range | None:
-    """The candidate indexes a TASK names, at least one, or None if it does
-    not fit ``ctx``; a probe-flagged TASK also needs a GEN that owes one."""
-    index, count, probe = msg.get("index"), msg.get("count"), msg.get("probe")
-    if (ctx is None or msg.get("run_id") != ctx.run_id
-            or msg.get("generation") != ctx.generation
-            or type(index) is not int or type(count) is not int
-            or type(probe) is not bool or (probe and ctx.probe is None)
-            or index < 0 or count < 1 or index + count > ctx.lam):
-        return None
+def _task_range(msg: dict, lam: int) -> range:
+    """The candidate indexes a TASK names: at least one, all below ``lam``."""
+    index, count = msg.get("index"), msg.get("count")
+    if (type(index) is not int or type(count) is not int
+            or index < 0 or count < 1 or index + count > lam):
+        raise ProtocolError("TASK must name at least one index below lambda")
     return range(index, index + count)
 
 
@@ -386,11 +384,12 @@ def run_task(ctx: WorkerContext, indexes: range) -> dict:
 
 def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                  connect_timeout: float = 10.0) -> str:
-    """Connect to a master and evaluate tasks until told to stop.
+    """Connect to a master and answer each TASK on its own until told to
+    stop.
 
     Returns the reason the loop ended ("eof", "protocol", or the reason
     carried by the master's BYE).  Raises DesyncError after replying
-    BYE{desync} to a GEN whose payload fails its digest check, and
+    BYE{desync} to a TASK whose payload fails its digest check, and
     OSError if the master cannot be reached at all.
     """
     sock = socket.create_connection((host, port), timeout=connect_timeout)
@@ -407,38 +406,25 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
 
     try:
         send(hello_message(wid))
-        ctx: WorkerContext | None = None
         while True:
             line = reader.readline()
             if line is None:
                 return "eof"
             try:
                 msg = decode_message(line)
-            except ProtocolError:
+                if msg["type"] == "bye":
+                    return str(msg.get("reason", ""))
+                if msg["type"] != "task":
+                    raise ProtocolError(f"unexpected {msg['type']!r} message")
+                ctx = gen_context(msg)
+                indexes = _task_range(msg, ctx.lam)
+            except DesyncError:
+                send(bye_message("desync"))
+                raise
+            except (ProtocolError, KeyError, TypeError, ValueError):
                 send(bye_message("protocol"))
                 return "protocol"
-            kind = msg["type"]
-            if kind == "bye":
-                return str(msg.get("reason", ""))
-            if kind == "gen":
-                try:
-                    ctx = gen_context(msg)
-                except DesyncError:
-                    send(bye_message("desync"))
-                    raise
-                except (ProtocolError, KeyError, TypeError, ValueError):
-                    send(bye_message("protocol"))
-                    return "protocol"
-            elif kind == "task":
-                indexes = _task_range(ctx, msg)
-                if indexes is None:
-                    send(bye_message("protocol"))
-                    return "protocol"
-                send(run_task(ctx if msg["probe"] else replace(ctx, probe=None),
-                              indexes))
-            else:
-                send(bye_message("protocol"))
-                return "protocol"
+            send(run_task(ctx, indexes))
     finally:
         sock.close()
 
@@ -454,8 +440,8 @@ class _Conn:
         self.sock = sock
         self.buf = bytearray()
         self.worker_id: str | None = None
-        # the TASK held: its range, probe episodes (None if not flagged), deadline
-        self.task: tuple[range, int | None, float] | None = None
+        # the TASK held and its deadline
+        self.task: tuple[dict, float] | None = None
         self.alive = True
 
 
@@ -470,14 +456,15 @@ def split_ranges(lam: int, parts: int) -> list[range]:
 class MasterServer:
     """Single-threaded event loop that farms candidate ranges to workers.
 
-    Each GEN is planned once into a queue of TASKs: one contiguous range of
-    at least one index per worker, the larger first, the last also carrying
-    the probe the GEN owes.  Each idle worker takes the next TASK; each TASK
-    gets exactly one RESULT.  A worker whose reply does not answer its TASK
-    exactly is sent BYE and dropped with reason ``protocol``; one whose TASK
-    outlives ``task_timeout`` seconds is dropped with reason ``timeout`` and
-    no BYE, since a send could block on a stalled peer.  Any drop (these,
-    ``eof``, ``send-error``, ...) queues the worker's whole TASK again.
+    Each generation is planned once into a queue of TASKs: one contiguous
+    range of at least one index per worker, the larger first, the last also
+    naming the probe the generation owes.  Each idle worker takes the next
+    TASK; each TASK gets exactly one RESULT.  A worker whose reply does not
+    answer its TASK exactly is sent BYE and dropped with reason
+    ``protocol``; one whose TASK outlives ``task_timeout`` seconds is
+    dropped with reason ``timeout`` and no BYE, since a send could block on
+    a stalled peer.  Any drop (these, ``eof``, ``send-error``, ...) queues
+    the worker's whole TASK again.
     Results are folded by candidate index, so neither scheduling nor worker
     failures can change what a generation returns.
     """
@@ -491,9 +478,8 @@ class MasterServer:
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._listener, selectors.EVENT_READ, None)
         self._conns: list[_Conn] = []
-        self._gen_msg: dict | None = None
         # TASKs of the generation in flight that no live worker holds
-        self._queue: deque[tuple[range, int | None]] = deque()
+        self._queue: deque[dict] = deque()
         self.task_timeout = task_timeout
         self.dropped: list[tuple[str, str]] = []
         self._closed = False
@@ -537,7 +523,7 @@ class MasterServer:
         self._conns.remove(conn)
         self.dropped.append((conn.worker_id or "<no-hello>", reason))
         if conn.task is not None:
-            self._queue.append(conn.task[:2])
+            self._queue.append(conn.task[0])
 
     def _send(self, conn: _Conn, msg: dict) -> bool:
         try:
@@ -552,14 +538,10 @@ class MasterServer:
         self._drop(conn, "protocol")
 
     def _handle_hello(self, conn: _Conn, msg: dict) -> None:
+        conn.worker_id = str(msg.get("worker_id", ""))
         if msg.get("protocol_version") != PROTOCOL_VERSION:
             self._send(conn, bye_message("protocol"))
             self._drop(conn, "protocol-version")
-            return
-        conn.worker_id = str(msg.get("worker_id", ""))
-        # late joiners start serving the generation already in flight
-        if self._gen_msg is not None:
-            self._send(conn, self._gen_msg)
 
     def _pump(self, timeout: float) -> list[tuple[_Conn, dict]]:
         """One event-loop tick: accept, read, and sort worker messages."""
@@ -605,26 +587,21 @@ class MasterServer:
                 if conn.alive:
                     self._reject(conn)
 
-    def evaluate_generation(self, gen_msg: dict, lam: int
+    def evaluate_generation(self, gen_msg: dict
                             ) -> tuple[list[tuple[range, Scores]], list[float] | None]:
-        """Broadcast one GEN, queue its TASKs (one range per worker, the
-        probe it owes on the last), hand them to idle workers, and collect
-        the one RESULT each TASK gets.
+        """Queue the TASKs of the generation ``gen_msg`` describes (one range
+        per worker, the probe it owes on the last), hand them to idle
+        workers, and collect the one RESULT each TASK gets.
 
         Returns each TASK's range with its ``Scores``, and the probe's raw
-        returns (None when GEN owes no probe).  A TASK whose worker is lost,
-        times out or sends a reply that does not answer it is queued again
-        whole.
+        returns (None when the generation owes no probe).  A TASK whose
+        worker is lost, times out or sends a reply that does not answer it
+        is queued again whole.
         Raises GenerationFailedError when no workers remain and work is owed.
         """
-        self._gen_msg = gen_msg
-        run_id, generation = gen_msg["run_id"], gen_msg["generation"]
-        obs_dim = len(gen_msg["normalizer"]["mean"])
-        episodes = None if gen_msg["probe"] is None else gen_msg["probe"]["episodes"]
-        for conn in list(self._workers()):
-            self._send(conn, gen_msg)
+        lam = gen_msg["lambda"]
         spans = split_ranges(lam, max(1, self.worker_count()))
-        self._queue = deque((span, episodes if span is spans[-1] else None)
+        self._queue = deque(task_message(gen_msg, span, span is spans[-1])
                             for span in spans)
 
         parts: list[tuple[range, Scores]] = []
@@ -633,37 +610,37 @@ class MasterServer:
             workers = self._workers()
             if not workers:
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
+                owed = gen_msg["probe"] is not None and returns is None
                 raise GenerationFailedError(
                     f"no workers remain with {lam - sum(len(p[0]) for p in parts)} "
-                    f"candidate(s) unevaluated at generation {generation}"
-                    + (" and its probe owed" if episodes is not None and returns is None else "")
+                    f"candidate(s) unevaluated at generation {gen_msg['generation']}"
+                    + (" and its probe owed" if owed else "")
                     + (f" (recent drops: {detail})" if detail else ""))
             for conn in workers:
                 if conn.task is None and self._queue:
-                    span, asked = self._queue.popleft()
+                    task = self._queue.popleft()
                     # held before the send, so a failed send queues it again
-                    conn.task = (span, asked, time.monotonic() + self.task_timeout)
-                    self._send(conn, task_message(run_id, generation, span.start,
-                                                  len(span), asked is not None))
+                    conn.task = (task, time.monotonic() + self.task_timeout)
+                    self._send(conn, task)
             for conn, msg in self._pump(0.05):
                 if not conn.alive:
                     continue
                 try:
                     if conn.task is None:
                         raise ProtocolError("reply without a TASK")
-                    span, asked, _ = conn.task
-                    scores, probe = scores_from_result(msg, run_id, generation,
-                                                       span, asked, obs_dim)
+                    task = conn.task[0]
+                    scores, probe = scores_from_result(msg, task)
                 except ProtocolError:
                     self._reject(conn)
                     continue
                 conn.task = None
-                parts.append((span, scores))
-                if asked is not None:
+                parts.append((range(task["index"], task["index"] + task["count"]),
+                              scores))
+                if task["probe"] is not None:
                     returns = probe
             now = time.monotonic()
             for conn in self._workers():
-                if conn.task is not None and now > conn.task[2]:
+                if conn.task is not None and now > conn.task[1]:
                     self._drop(conn, "timeout")
         return parts, returns
 
@@ -703,7 +680,7 @@ def distributed_evaluator(server: MasterServer, env_id: str,
                                 lam=len(cands), state=state,
                                 normalizer=normalizer, fitness_spec=fitness_spec,
                                 probe=probe)
-        parts, probe_returns = server.evaluate_generation(msg, len(cands))
+        parts, probe_returns = server.evaluate_generation(msg)
         return collect_generation(parts, len(cands), probe_returns)
 
     return evaluator
@@ -712,41 +689,32 @@ def distributed_evaluator(server: MasterServer, env_id: str,
 def train_distributed(env_id: str, variant: str, *, sigma0: float,
                       lam: int | str | None, budget_timesteps: int,
                       master_seed: int, expected_workers: int,
-                      server: MasterServer | None = None,
-                      listen: tuple[str, int] = ("127.0.0.1", 0),
+                      server: MasterServer,
                       wait_timeout: float | None = 60.0,
                       fitness_spec: FitnessSpec | None = None,
                       test_every: int = 1, target_return: float | None = None,
                       max_generations: int | None = None,
                       run_id: str | None = None,
                       on_generation: Callable | None = None) -> TrainResult:
-    """Run a training loop whose candidate evaluations happen on workers.
+    """Run a training loop whose candidate evaluations happen on the workers
+    of ``server``, which stays open.
 
     Identical in every recorded number to a local ``train`` call with the
     same arguments.  Each generation's test probe runs on a worker, in the
     batch of one range of the next generation; only a probe still owed when
-    the run ends runs alone on the master.  Pass ``server``
-    to reuse an already-bound MasterServer (it stays open); otherwise one
-    is bound on ``listen`` and closed when training ends.
+    the run ends runs alone on the master.
     """
     if expected_workers < 1:
         raise ValueError("expected_workers must be >= 1")
     _training_strategy(env_id, variant, sigma0, lam, master_seed, test_every)
     fitness_spec = fitness_spec or FitnessSpec()
     run_id = run_id or f"{env_id}-{variant}-seed{master_seed}"
-    own = server is None
-    if own:
-        server = MasterServer(listen[0], listen[1])
-    try:
-        server.wait_for_workers(expected_workers, wait_timeout)
-        evaluator = distributed_evaluator(server, env_id, fitness_spec,
-                                          master_seed, run_id)
-        return train(env_id, variant, sigma0=sigma0, lam=lam,
-                     budget_timesteps=budget_timesteps, master_seed=master_seed,
-                     fitness_spec=fitness_spec, test_every=test_every,
-                     target_return=target_return,
-                     max_generations=max_generations, evaluator=evaluator,
-                     on_generation=on_generation)
-    finally:
-        if own:
-            server.close()
+    server.wait_for_workers(expected_workers, wait_timeout)
+    evaluator = distributed_evaluator(server, env_id, fitness_spec,
+                                      master_seed, run_id)
+    return train(env_id, variant, sigma0=sigma0, lam=lam,
+                 budget_timesteps=budget_timesteps, master_seed=master_seed,
+                 fitness_spec=fitness_spec, test_every=test_every,
+                 target_return=target_return,
+                 max_generations=max_generations, evaluator=evaluator,
+                 on_generation=on_generation)

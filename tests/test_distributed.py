@@ -4,7 +4,6 @@ import json
 import socket
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,9 +42,10 @@ def warmed_state(variant, n=6, sigma0=0.3, tells=3, seed=77, lam=None):
 
 def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
                        probe_generation=None):
-    """A strategy, its warmed normalizer, and a GEN message consistent with
-    both (generation = state.g, so a local ask reproduces the candidates).
-    With ``probe_generation`` the GEN owes the probe of the mean."""
+    """A strategy, its warmed normalizer, and the generation fields of TASKs
+    consistent with both (generation = state.g, so a local ask reproduces
+    the candidates).  With ``probe_generation`` the generation owes the
+    probe of the mean."""
     spec = env_spec(env_id)
     n = spec.obs_dim * spec.action_space.act_dim
     params, state = warmed_state(variant, n=n, tells=2, lam=lam)
@@ -67,11 +67,11 @@ def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
 
 
 def test_messages_round_trip_through_framing():
-    _, _, _, gen_msg = sample_gen_message(FULL_CMA)
+    _, _, _, gen_msg = sample_gen_message(FULL_CMA, probe_generation=1)
     samples = [
         hello_message("w-1"),
-        gen_msg,
-        task_message("r", 4, 2, 3),
+        task_message(gen_msg, range(2, 5)),
+        task_message(gen_msg, range(5, 6), probe=True),
         bye_message("shutdown"),
         {"type": "result", "run_id": "r", "generation": 1, "index": 2,
          "fitness": [1 / 3], "raw_return": [1e-300], "count": [17],
@@ -136,7 +136,8 @@ def test_gen_context_reconstructs_candidates_bitwise(variant):
     msg = build_gen_message(run_id="r", generation=state.g, master_seed=seed,
                             env_id="cartpole", lam=params.lam, state=state,
                             normalizer=norm, fitness_spec=FitnessSpec())
-    ctx = gen_context(decode_message(encode_message(msg)))
+    task = task_message(msg, range(params.lam))
+    ctx = gen_context(decode_message(encode_message(task)))
     assert ctx.master_seed == seed and ctx.lam == params.lam
     local_cands = ask(params, state, seed)
     for indexes in ([17], range(8, 20), [31, 0, 12]):
@@ -156,7 +157,7 @@ def test_gen_context_rejects_digest_mismatch_and_bad_shapes():
     with pytest.raises(ProtocolError):
         gen_context(short)
     with pytest.raises(ProtocolError):
-        gen_context(dict(msg, protocol_version=4))
+        gen_context(dict(msg, protocol_version=5))
 
 
 @pytest.mark.parametrize("probe", [{"generation": 1.0, "episodes": 5},
@@ -172,27 +173,30 @@ def test_gen_context_rejects_a_malformed_probe(probe):
 def test_run_task_runs_the_probe_as_test_policy_does():
     _, state, norm, msg = sample_gen_message(SEP_CMA, master_seed=912,
                                              probe_generation=1)
-    ctx = gen_context(decode_message(encode_message(msg)))
     spec = env_spec("cartpole")
     policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
     _, want = evaluate.test_policy(policy, norm, "cartpole", 912, 1)
-    plain = run_task(replace(ctx, probe=None), range(1, 3))
+
+    def reply(probe):
+        task = decode_message(encode_message(task_message(msg, range(1, 3), probe)))
+        return run_task(gen_context(task), range(1, 3))
+
+    plain = reply(False)
     assert plain["probe"] is None and len(plain["fitness"]) == 2
-    assert run_task(ctx, range(1, 3)) == dict(plain, probe=want)
+    assert reply(True) == dict(plain, probe=want)
 
 
 def test_run_task_ranges_match_local_generation_exactly():
     lam = 7
     params, state, norm, msg = sample_gen_message(SEP_CMA, master_seed=912, lam=lam)
     gen = msg["generation"]
-    ctx = gen_context(decode_message(encode_message(msg)))
+    ctx = gen_context(decode_message(encode_message(task_message(msg, range(lam)))))
     cands = ask(params, state, 912)
     local = evaluate_generation(cands, "cartpole", norm, FitnessSpec(), gen, 912)
 
     def remote(indexes):
         reply = decode_message(encode_message(run_task(ctx, indexes)))
-        scores, returns = scores_from_result(reply, "t", gen, indexes, None,
-                                             len(norm.mean))
+        scores, returns = scores_from_result(reply, task_message(msg, indexes))
         assert returns is None
         return indexes, scores
 
@@ -214,6 +218,21 @@ def test_run_task_ranges_match_local_generation_exactly():
     assert folded.fitnesses.tobytes() == local.fitnesses.tobytes()
     assert folded.raw_returns.tobytes() == local.raw_returns.tobytes()
     assert folded.delta.to_dict() == local.delta.to_dict()
+
+
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_result_counts_lie_within_the_episode_bounds(episodes):
+    # every training episode acts at least once and at most up to the limit
+    _, _, _, msg = sample_gen_message()
+    task = dict(task_message(msg, range(0, 2)),
+                fitness_spec=FitnessSpec(train_episodes=episodes).to_dict())
+    reply = run_task(gen_context(task), range(0, 2))
+    limit = episodes * env_spec("cartpole").max_episode_steps
+    scores, _ = scores_from_result(dict(reply, count=[episodes, limit]), task)
+    assert scores.count.tolist() == [episodes, limit]
+    for count in (episodes - 1, limit + 1, 2 ** 70):
+        with pytest.raises(ProtocolError):
+            scores_from_result(dict(reply, count=[limit, count]), task)
 
 
 def test_split_ranges_is_balanced_contiguous_and_larger_first():
@@ -267,8 +286,9 @@ class ScriptedWorker:
 
 
 def assert_matches_local(parts, params, state, norm, msg, master_seed):
-    """The ``(range, Scores)`` ``parts`` cover GEN ``msg``'s first candidates
-    and fold to what a local evaluation of those candidates gives."""
+    """The ``(range, Scores)`` ``parts`` cover the first candidates of the
+    generation ``msg`` describes and fold to what a local evaluation of
+    those candidates gives."""
     lam = sum(len(span) for span, _ in parts)
     got = collect_generation(parts, lam)
     want = evaluate_generation(ask(params, state, master_seed)[:lam], "cartpole",
@@ -278,8 +298,9 @@ def assert_matches_local(parts, params, state, norm, msg, master_seed):
     assert got.delta.to_dict() == want.delta.to_dict()
 
 
-def answer_honestly(ctx, task):
-    return run_task(ctx, range(task["index"], task["index"] + task["count"]))
+def answer_honestly(task):
+    return run_task(gen_context(task),
+                    range(task["index"], task["index"] + task["count"]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +312,7 @@ def test_single_worker_generation_matches_local():
     with MasterServer() as server:
         thread, out = start_real_worker(server)
         server.wait_for_workers(1, timeout=10)
-        parts, probe_returns = server.evaluate_generation(msg, 4)
+        parts, probe_returns = server.evaluate_generation(msg)
         assert [span for span, _ in parts] == [range(4)]
         assert probe_returns is None
         assert_matches_local(parts, params, state, norm, msg, 31)
@@ -300,8 +321,8 @@ def test_single_worker_generation_matches_local():
 
 
 def test_master_and_worker_sockets_disable_nagle(monkeypatch):
-    # a GEN followed by a TASK is two small writes; Nagle would hold the
-    # second until the peer's delayed ACK of the first
+    # Nagle would hold a small write while the peer delays its ACK of the
+    # one before
     opened = []
     connect = socket.create_connection
 
@@ -324,10 +345,10 @@ def test_master_and_worker_sockets_disable_nagle(monkeypatch):
 
 
 def worker_replies_to_task(edit, probe_generation=None):
-    """Start a real worker, send it a GEN (owing the probe of
-    ``probe_generation``, if given) and the TASK ``edit`` makes of a valid
-    one-candidate TASK, and return its first reply and its exit reason once
-    the connection is closed."""
+    """Start a real worker, send it the TASK ``edit`` makes of a valid
+    one-candidate TASK (naming the probe of ``probe_generation``, if given),
+    and return its first reply and its exit reason once the connection is
+    closed."""
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]
     out = {}
@@ -338,13 +359,15 @@ def worker_replies_to_task(edit, probe_generation=None):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     conn, _ = listener.accept()
+    conn.settimeout(10)             # a worker that ignores the TASK fails
     reader = _LineReader(conn)
     assert decode_message(reader.readline())["type"] == "hello"
     _, _, _, msg = sample_gen_message(probe_generation=probe_generation)
-    conn.sendall(encode_message(msg))
-    task = task_message(msg["run_id"], msg["generation"], 0, 1)
+    task = task_message(msg, range(0, 1), probe=probe_generation is not None)
     conn.sendall(encode_message(edit(task, msg["lambda"])))
-    got = decode_message(reader.readline())
+    reply = reader.readline()
+    assert reply is not None
+    got = decode_message(reply)
     conn.close()
     thread.join(timeout=10)
     listener.close()
@@ -366,18 +389,17 @@ def test_worker_says_bye_on_out_of_range_task_index():
     (lambda t, lam: {k: v for k, v in t.items() if k != "count"}, None),
     (lambda t, lam: dict(t, index=1, count=lam), None),
     (lambda t, lam: dict(t, index=-1, count=2), None),
-    (lambda t, lam: dict(t, run_id="another-run"), None),
+    # a probe is null or an object; protocol 5's bool flag is refused
     (lambda t, lam: dict(t, probe=1), None),
     (lambda t, lam: dict(t, probe="true"), None),
     (lambda t, lam: {k: v for k, v in t.items() if k != "probe"}, None),
     (lambda t, lam: dict(t, probe=True), None),
-    (lambda t, lam: dict(t, probe=True, count=0), None),
-    # a TASK names at least one index, even when its GEN owes a probe
-    (lambda t, lam: dict(t, probe=True, count=0), 1),
+    # a TASK names at least one index, even when it names a probe
+    (lambda t, lam: dict(t, count=0), 1),
 ], ids=["count-0", "count-negative", "count-float", "count-string",
         "count-bool", "count-missing", "past-lambda", "index-negative",
-        "foreign-run", "probe-int", "probe-string", "probe-missing",
-        "probe-not-owed", "probe-only-not-owed", "probe-only-owed"])
+        "probe-int", "probe-string", "probe-missing", "probe-bool",
+        "probe-only-owed"])
 def test_worker_says_bye_on_malformed_task_range(edit, owed):
     reply, reason = worker_replies_to_task(edit, probe_generation=owed)
     assert reply == bye_message("protocol")
@@ -394,18 +416,18 @@ def test_worker_answers_a_range_with_one_result_per_index():
 
 
 def test_worker_runs_the_owed_probe_only_when_flagged():
-    # the GEN is for generation 2 and owes the probe of generation 1
+    # the TASK is for generation 2 and names the probe of generation 1
     flagged, reason = worker_replies_to_task(
-        lambda t, lam: dict(t, index=1, count=2, probe=True), probe_generation=1)
+        lambda t, lam: dict(t, index=1, count=2), probe_generation=1)
     assert (flagged["type"], flagged["index"], flagged["generation"]) == ("result", 1, 2)
     assert len(flagged["fitness"]) == 2 and len(flagged["probe"]) == 5
     assert reason == "eof"
     unflagged, _ = worker_replies_to_task(
-        lambda t, lam: dict(t, index=1, count=2), probe_generation=1)
+        lambda t, lam: dict(t, index=1, count=2, probe=None), probe_generation=1)
     assert unflagged == dict(flagged, probe=None)
 
 
-def test_worker_says_bye_on_task_before_gen_and_raises_on_desync():
+def test_worker_says_bye_on_a_gen_message_and_raises_on_desync():
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]
 
@@ -421,27 +443,32 @@ def test_worker_says_bye_on_task_before_gen_and_raises_on_desync():
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
         conn, _ = listener.accept()
+        conn.settimeout(10)         # a worker that ignores the message fails
         reader = _LineReader(conn)
         decode_message(reader.readline())
         conn.sendall(encode_message(send_first))
-        assert decode_message(reader.readline()) == bye_message(expect_bye_reason)
+        reply = reader.readline()
+        assert reply is not None
+        assert decode_message(reply) == bye_message(expect_bye_reason)
         thread.join(timeout=10)
         conn.close()
         return out
 
-    out = check(task_message("t", 0, 0, 1), "protocol")
+    # protocol 5 sent each generation once as a GEN, before its TASKs
+    _, _, _, msg = sample_gen_message()
+    out = check(dict(msg, type="gen"), "protocol")
     assert out["reason"] == "protocol"
 
-    _, _, _, msg = sample_gen_message()
-    corrupted = dict(msg, cov_digest=str((int(msg["cov_digest"]) + 7) % 2 ** 64))
+    task = task_message(msg, range(0, 1))
+    corrupted = dict(task, cov_digest=str((int(task["cov_digest"]) + 7) % 2 ** 64))
     out = check(corrupted, "desync")
     assert isinstance(out.get("error"), DesyncError)
     listener.close()
 
 
 def test_master_rejects_wrong_protocol_version():
-    # 4 is the previous protocol, whose RESULT held one object per index
-    for version in (4, 99):
+    # 5 is the previous protocol, which sent each generation as a GEN
+    for version in (5, 99):
         with MasterServer() as server:
             sock = socket.create_connection(server.address)
             sock.sendall(encode_message(
@@ -451,7 +478,7 @@ def test_master_rejects_wrong_protocol_version():
                 server._pump(0.05)
                 if server.dropped:
                     break
-            assert server.dropped == [("<no-hello>", "protocol-version")]
+            assert server.dropped == [("old", "protocol-version")]
             reply = decode_message(_LineReader(sock).readline())
             assert reply == bye_message("protocol")
             assert server.worker_count() == 0
@@ -469,7 +496,7 @@ def test_generation_fails_with_zero_workers():
     _, _, _, msg = sample_gen_message()
     with MasterServer() as server:
         with pytest.raises(GenerationFailedError):
-            server.evaluate_generation(msg, 4)
+            server.evaluate_generation(msg)
 
 
 def test_generation_fails_when_only_worker_dies():
@@ -486,7 +513,7 @@ def test_generation_fails_when_only_worker_dies():
         thread.start()
         server.wait_for_workers(1, timeout=10)
         with pytest.raises(GenerationFailedError):
-            server.evaluate_generation(msg, 4)
+            server.evaluate_generation(msg)
         thread.join(timeout=10)
         assert any(reason == "eof" for _, reason in server.dropped)
 
@@ -500,8 +527,7 @@ def test_unsolicited_results_drop_the_worker():
 
         def duplicate():
             w = ScriptedWorker(address, "dup")
-            ctx = gen_context(w.read_until("gen"))
-            reply = answer_honestly(ctx, w.read_until("task"))
+            reply = answer_honestly(w.read_until("task"))
             # in one write, so that the master reads both in one tick
             w.sock.sendall(encode_message(reply) * 2)
             byes["dup"] = w.read_until("bye")
@@ -510,7 +536,7 @@ def test_unsolicited_results_drop_the_worker():
         thread = threading.Thread(target=duplicate, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        parts, _ = server.evaluate_generation(msg, 4)
+        parts, _ = server.evaluate_generation(msg)
         assert_matches_local(parts, params, state, norm, msg, 3)
 
         eager = ScriptedWorker(address, "eager")
@@ -535,8 +561,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
 
         def late():
             w = ScriptedWorker(address, "late")
-            ctx = gen_context(w.read_until("gen"))
-            reply = answer_honestly(ctx, w.read_until("task"))
+            reply = answer_honestly(w.read_until("task"))
             box["after_deadline"] = w.read()     # no BYE: the master hangs up
             try:
                 w.send(reply)
@@ -550,7 +575,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
         honest, out = start_real_worker(server, worker_id="honest")
         server.wait_for_workers(2, timeout=10)
         for run_id in ("first-seed", "second-seed"):
-            parts, _ = server.evaluate_generation(dict(msg, run_id=run_id), 4)
+            parts, _ = server.evaluate_generation(dict(msg, run_id=run_id))
             assert_matches_local(parts, params, state, norm, msg, 31)
         assert server.dropped == [("late", "timeout")]
     thread.join(timeout=10)
@@ -559,7 +584,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
     assert out.get("reason") == "shutdown"
 
 
-def test_late_joiner_receives_gen_and_takes_over_timed_out_task():
+def test_late_joiner_takes_over_timed_out_task():
     params, state, norm, msg = sample_gen_message(CSA, master_seed=31)
     server = MasterServer(task_timeout=1.0)
     try:
@@ -569,7 +594,7 @@ def test_late_joiner_receives_gen_and_takes_over_timed_out_task():
         box = {}
 
         def evaluate():
-            box["parts"], _ = server.evaluate_generation(msg, 2)
+            box["parts"], _ = server.evaluate_generation({**msg, "lambda": 2})
 
         ev_thread = threading.Thread(target=evaluate, daemon=True)
         ev_thread.start()
@@ -657,14 +682,22 @@ def test_worker_crash_mid_generation_does_not_change_results(monkeypatch):
 
 def test_each_worker_gets_one_task_per_generation(monkeypatch):
     tasks = []
+    received = {}
     scored = distributed.run_task
+    send = MasterServer._send
 
     def recording_run_task(ctx, indexes):
         tasks.append((ctx.generation, threading.current_thread().name, indexes,
                       None if ctx.probe is None else ctx.probe.generation))
         return scored(ctx, indexes)
 
+    def recording_send(self, conn, msg):
+        received.setdefault(conn.worker_id, []).append(
+            (msg["type"], msg.get("generation")))
+        return send(self, conn, msg)
+
     monkeypatch.setattr(distributed, "run_task", recording_run_task)
+    monkeypatch.setattr(MasterServer, "_send", recording_send)
     kw = dict(TRAIN_KW, max_generations=5)
     with MasterServer() as server:
         threads = [start_real_worker(server, worker_id=f"w{i}")[0]
@@ -683,6 +716,9 @@ def test_each_worker_gets_one_task_per_generation(monkeypatch):
         # the last (smallest) range
         probed = [(r.start, p) for g, _, r, p in tasks if g == gen and p is not None]
         assert probed == ([] if gen == 0 else [(2, gen - 1)])
+    # each TASK carries its generation: one message per worker and generation
+    want = [("task", gen) for gen in range(5)] + [("bye", None)]
+    assert received == {"w0": want, "w1": want}
 
 
 def test_master_runs_no_rollout_inside_evaluate_generation(monkeypatch):
@@ -725,30 +761,27 @@ def test_master_runs_no_rollout_inside_evaluate_generation(monkeypatch):
 
 
 def serve_until(w, flagged, on_reply):
-    """Serve TASKs honestly on ScriptedWorker ``w`` until one whose probe
-    flag is ``flagged``, then hand its RESULT to ``on_reply`` instead of
-    sending it."""
-    ctx = None
+    """Serve TASKs honestly on ScriptedWorker ``w`` until one that names a
+    probe if ``flagged`` (none if not), then hand its RESULT to ``on_reply``
+    instead of sending it."""
     while True:
         msg = w.read()
         if msg is None or msg["type"] == "bye":
             return
-        if msg["type"] == "gen":
-            ctx = gen_context(msg)
-        elif msg["type"] == "task":
-            reply = answer_honestly(ctx if msg["probe"] else replace(ctx, probe=None), msg)
-            if msg["probe"] == flagged:
-                return on_reply(reply)
-            w.send(reply)
+        reply = answer_honestly(msg)
+        if (msg["probe"] is not None) == flagged:
+            return on_reply(reply)
+        w.send(reply)
 
 
 def run_beside_a_scripted_worker(on_reply, kw, flagged=True, task_timeout=10.0):
     """A 2-worker run whose second worker, scripted, gives the RESULT of its
-    first TASK flagged ``flagged`` to ``on_reply(worker, result)``.  Each
-    generation queues one range per worker, the larger first, and only the
-    last (smallest, at least one index) carries the owed probe; the k-th
-    idle worker takes the k-th TASK.  So the scripted worker's first TASK
-    (generation 0) is unflagged and its second carries the first probe."""
+    first TASK that names a probe if ``flagged`` (none if not) to
+    ``on_reply(worker, result)``.  Each generation queues one range per
+    worker, the larger first, and only the last (smallest, at least one
+    index) names the owed probe; the k-th idle worker takes the k-th TASK.
+    So the scripted worker's first TASK (generation 0) names no probe and
+    its second names the first one."""
     with MasterServer(task_timeout=task_timeout) as server:
         honest, _ = start_real_worker(server, worker_id="honest")
         server.wait_for_workers(1, timeout=10)
@@ -826,8 +859,7 @@ def test_unasked_probe_drops_the_worker():
 
         def scripted():
             w = ScriptedWorker(address, "eager")
-            ctx = gen_context(w.read_until("gen"))
-            reply = answer_honestly(ctx, w.read_until("task"))
+            reply = answer_honestly(w.read_until("task"))
             w.send(dict(reply, probe=[0.0] * 5))
             w.read_until("bye")
             w.close()
@@ -836,7 +868,7 @@ def test_unasked_probe_drops_the_worker():
         thread.start()
         server.wait_for_workers(1, timeout=10)
         with pytest.raises(GenerationFailedError):
-            server.evaluate_generation(msg, 4)
+            server.evaluate_generation(msg)
         thread.join(timeout=10)
         assert server.dropped == [("eager", "protocol")]
 
@@ -866,10 +898,15 @@ def edit_columns(edit):
     edit_first("count", float),
     edit_first("count", lambda n: -1),
     edit_first("count", lambda n: True),
+    # one training episode (the default) acts at least once, at most up to
+    # the episode limit
+    edit_first("count", lambda n: 0),
+    edit_first("count", lambda n: env_spec("cartpole").max_episode_steps + 1),
 ], ids=["missing-fitness", "missing-index", "string-count", "nan-fitness",
         "infinite-raw-return", "short-delta", "nan-delta", "negative-delta-m2",
         "short-column", "bool-fitness", "string-raw-return", "fractional-count",
-        "float-count", "negative-count", "bool-count"])
+        "float-count", "negative-count", "bool-count", "count-zero",
+        "count-past-episode-limit"])
 def test_malformed_result_drops_the_worker_and_the_run_matches_local(edit):
     assert_dropped_and_matches_local(edit, flagged=False, max_generations=4)
 
@@ -900,8 +937,9 @@ def test_multi_worker_run_equals_single_worker_run():
 
 
 def test_train_distributed_validates_worker_count():
-    with pytest.raises(ValueError):
-        train_distributed("cartpole", CSA, expected_workers=0, **TRAIN_KW)
+    with MasterServer() as server, pytest.raises(ValueError):
+        train_distributed("cartpole", CSA, expected_workers=0, server=server,
+                          **TRAIN_KW)
 
 
 @pytest.mark.parametrize("bad", [{"test_every": 0}, {"env_id": "walker"},
@@ -910,10 +948,10 @@ def test_train_distributed_validates_worker_count():
                          ids=lambda bad: next(iter(bad)))
 def test_train_distributed_validates_arguments_before_waiting(bad):
     kw = {"env_id": "cartpole", "variant": CSA, **TRAIN_KW, **bad}
-    started = time.perf_counter()
-    with pytest.raises(ValueError):
+    with MasterServer() as server, pytest.raises(ValueError):
+        started = time.perf_counter()
         train_distributed(kw.pop("env_id"), kw.pop("variant"), expected_workers=1,
-                          wait_timeout=5.0, **kw)
+                          server=server, wait_timeout=5.0, **kw)
     assert time.perf_counter() - started < 1.0
 
 
