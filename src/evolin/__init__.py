@@ -3,7 +3,7 @@
 from .es import (CSA, SEP_CMA, FULL_CMA, VARIANTS, Candidate, CovTransform,
                  DistributionState, NumericalDegeneracyError, OptimizeResult,
                  StrategyParams, ask, candidate_z, cma_popsize, new_strategy,
-                 optimize, rl_popsize, sample, tell)
+                 optimize, rl_popsize, sample, tell, tell_arrays)
 from .policy import (ActionSpace, Box, Checkpoint, Discrete, LinearPolicy,
                      ObsNormalizer, act, genome_dim, load_checkpoint,
                      save_checkpoint)

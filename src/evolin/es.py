@@ -9,15 +9,20 @@ Three variants share one parameter set and one state layout:
                  lazily refreshed eigendecomposition.
 
 Sampling is reproducible from ``(master_seed, generation, index)`` alone:
-``sample`` regrows any of a generation's candidates as arrays, for ``ask``
-and for a distributed worker alike, without communication.  Candidate ``i``
-of generation ``g`` is drawn from the stream of
+``sample`` regrows any of a generation's candidates as ``(Z, X)`` arrays,
+for ``ask`` and for a distributed worker alike, without communication.
+Candidate ``i`` of generation ``g`` is drawn from the stream of
 ``np.random.default_rng([master_seed, 0, g, i])``.  Building that
-``SeedSequence`` and ``PCG64`` costs 13-18 us, ten times the draw
-itself, so ``candidate_z`` computes the same seeding in Python ints (a port
-of NumPy's ``SeedSequence`` mixing, NEP 19, and of PCG64's ``srandom``,
-O'Neill 2014) and loads the result into a reused generator.  ``tell`` is
-functional: it returns a new state and never mutates its inputs.
+``SeedSequence`` and ``PCG64`` costs 13-18 us, ten times the draw itself,
+so ``sample``'s one draw loop computes the same seeding in Python ints (a
+port of NumPy's ``SeedSequence`` mixing, NEP 19, and of PCG64's
+``srandom``, O'Neill 2014) and loads each row's state into a reused
+generator; ``candidate_z`` is that loop for one row.  At n = 10 a row costs
+about 7 us, 3.5 us of it the state load and the normals, so ``ask`` at
+lambda = 10 takes about 85 us.  ``tell_arrays`` takes a generation as arrays
+and ranks it with one ``lexsort``; ``tell`` is its ``Candidate``-list form
+and takes 30-50 us at n = lambda = 10.  Both return a new state and never
+mutate their inputs.
 """
 
 from __future__ import annotations
@@ -31,24 +36,10 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "CSA",
-    "SEP_CMA",
-    "FULL_CMA",
-    "VARIANTS",
-    "Candidate",
-    "StrategyParams",
-    "DistributionState",
-    "CovTransform",
-    "NumericalDegeneracyError",
-    "rl_popsize",
-    "cma_popsize",
-    "new_strategy",
-    "candidate_z",
-    "sample",
-    "ask",
-    "tell",
-    "optimize",
-    "OptimizeResult",
+    "CSA", "SEP_CMA", "FULL_CMA", "VARIANTS", "Candidate", "StrategyParams",
+    "DistributionState", "CovTransform", "NumericalDegeneracyError", "rl_popsize",
+    "cma_popsize", "new_strategy", "candidate_z", "sample", "ask", "tell",
+    "tell_arrays", "optimize", "OptimizeResult",
 ]
 
 CSA = "csa"
@@ -71,7 +62,7 @@ class NumericalDegeneracyError(RuntimeError):
         self.generation = generation
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     index: int
     z: np.ndarray
@@ -230,14 +221,6 @@ class CovTransform:
         # the bits of ``basis @ (scale * row)``
         return np.matmul(self.basis, (self.scale * z)[..., None])[..., 0]
 
-    def check_finite(self, generation: int) -> None:
-        for arr in (self.sqrt_diag, self.basis, self.scale):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise NumericalDegeneracyError(
-                    f"non-finite covariance factors at generation {generation}",
-                    generation,
-                )
-
 
 # NumPy's SeedSequence (NEP 19) hash constants and PCG64's 128-bit multiplier.
 _M32 = 0xFFFFFFFF
@@ -274,13 +257,6 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, hc: int) -> tuple[int, int]:
-    """SeedSequence's ``hashmix``: the hashed word and the next constant."""
-    hc_next = hc * _HASH_MULT_A & _M32
-    value = (value ^ hc) * hc_next & _M32
-    return value ^ value >> 16, hc_next
-
-
 def _mix(x: int, y: int) -> int:
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
     return r ^ r >> 16
@@ -289,9 +265,15 @@ def _mix(x: int, y: int) -> int:
 def _absorb(pool: list[int], word: int, hc: int) -> int:
     """Mix an entropy word past the pool's four into every slot."""
     for dst in range(4):
-        h, hc = _hashmix(word, hc)
-        pool[dst] = _mix(pool[dst], h)
+        hc_next = hc * _HASH_MULT_A & _M32
+        h = (word ^ hc) * hc_next & _M32
+        pool[dst] = _mix(pool[dst], h ^ h >> 16)
+        hc = hc_next
     return hc
+
+
+# the pool's 16 hashes: one per slot's word, then three per slot as it mixes
+_POOL_HASH, _HC_AFTER_POOL = _hash_consts(_HASH_INIT_A, _HASH_MULT_A, 16)
 
 
 @functools.lru_cache(maxsize=16)
@@ -311,28 +293,30 @@ def _lane_mix(master_seed: int, generation: int) -> tuple:
     further words start.
     """
     words = _words(master_seed) + _words(DOMAIN_SAMPLE) + _words(generation)
-    pool, hc = [], _HASH_INIT_A
+    consts = iter(_POOL_HASH)
+    pool = []
     for w in words[:4]:
-        v, hc = _hashmix(w, hc)
-        pool.append(v)
-    if len(pool) == 3:
-        hash4, hc = _hash_consts(hc, _HASH_MULT_A, 1)   # slot 3's own hash
+        v = (w ^ next(consts)) * next(consts) & _M32
+        pool.append(v ^ v >> 16)
+    shared = len(pool)
+    if shared == 3:
+        hash4 = (next(consts), next(consts))     # slot 3's own hash
     feed = []       # what the shared slots send slot 3 while they mix
-    for src in range(len(pool)):
+    for src in range(shared):
         for dst in range(4):
             if dst != src:
-                h, hc = _hashmix(pool[src], hc)
-                if dst < len(pool):
+                h = (pool[src] ^ next(consts)) * next(consts) & _M32
+                h ^= h >> 16
+                if dst < shared:
                     pool[dst] = _mix(pool[dst], h)
                 else:
-                    feed.append(h)
+                    feed.append(_MIX_MULT_R * h & _M32)
+    hc = _HC_AFTER_POOL
     for w in words[4:]:
         hc = _absorb(pool, w, hc)
-    if len(pool) == 4:
+    if shared == 4:
         return tuple(pool), hc, None
-    sends, hc = _hash_consts(hc, _HASH_MULT_A, 3)
-    return (), hc, (*hash4, *(_MIX_MULT_R * f & _M32 for f in feed), *sends,
-                    *(_MIX_MULT_L * p & _M32 for p in pool))
+    return (), hc, (*hash4, *feed, *consts, *(_MIX_MULT_L * p & _M32 for p in pool))
 
 
 _thread = threading.local()   # one reused generator per thread
@@ -341,74 +325,87 @@ _thread = threading.local()   # one reused generator per thread
 def candidate_z(master_seed: int, generation: int, index: int, n: int) -> np.ndarray:
     """Unit-Gaussian draw for one candidate: the first ``n`` normals of
     ``np.random.default_rng([master_seed, DOMAIN_SAMPLE, generation,
-    index]).standard_normal``, bit for bit.
+    index]).standard_normal``, bit for bit.  A one-row ``_draw``."""
+    return _draw(master_seed, generation, (index,), n)[0]
 
-    The seeding is ported rather than called, because building a
-    ``SeedSequence`` and a ``PCG64`` per candidate costs ten times the
-    draw.  The shared words are mixed once per ``(master_seed,
-    generation)`` by ``_lane_mix``.  Here the index's words finish the
-    4-word pool, ``generate_state(4, uint64)`` hashes it into PCG64's seed
-    and sequence, ``srandom``'s two LCG steps give the state, and this
-    thread's generator is loaded with it.
-    """
-    generation, index = int(generation), int(index)
-    if generation < 0 or index < 0:
+
+def _draw(master_seed: int, generation: int, indexes, n: int) -> np.ndarray:
+    """The ``candidate_z`` rows of ``indexes``, one generation's draw loop.
+    ``_lane_mix`` mixes the shared words once.  Per index, the index's words
+    finish the pool, ``generate_state(4, uint64)`` hashes it into PCG64's
+    seed and sequence, ``srandom``'s two LCG steps give the state, and this
+    thread's generator, loaded with it, writes the row in place."""
+    generation = int(generation)
+    if generation < 0:
         raise ValueError("generation and index must be non-negative")
-    pool, hc, fourth = _lane_mix(_check_seed(master_seed), generation)
-    if fourth is None:
-        pool = list(pool)
-        rest = _words(index)
-    else:
-        # the index's low word fills slot 3, takes the shared slots' feed,
-        # then mixes into each of them
+    shared, hc0, fourth = _lane_mix(_check_seed(master_seed), generation)
+    if fourth is not None:
         x, m, f0, f1, f2, x0, m0, x1, m1, x2, m2, lp0, lp1, lp2 = fourth
-        p3 = ((index & _M32) ^ x) * m & _M32
-        p3 = (_MIX_MULT_L * (p3 ^ p3 >> 16) - f0) & _M32
-        p3 = (_MIX_MULT_L * (p3 ^ p3 >> 16) - f1) & _M32
-        p3 = (_MIX_MULT_L * (p3 ^ p3 >> 16) - f2) & _M32
-        p3 ^= p3 >> 16
-        h = (p3 ^ x0) * m0 & _M32
-        p0 = (lp0 - _MIX_MULT_R * (h ^ h >> 16)) & _M32
-        h = (p3 ^ x1) * m1 & _M32
-        p1 = (lp1 - _MIX_MULT_R * (h ^ h >> 16)) & _M32
-        h = (p3 ^ x2) * m2 & _M32
-        p2 = (lp2 - _MIX_MULT_R * (h ^ h >> 16)) & _M32
-        pool = [p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3]
-        rest = _words(index >> 32) if index > _M32 else ()
-    for w in rest:
-        hc = _absorb(pool, w, hc)
-    p0, p1, p2, p3 = pool
-    x0, m0, x1, m1, x2, m2, x3, m3, x4, m4, x5, m5, x6, m6, x7, m7 = _STATE_HASH
-    # generate_state's 8 words, packed as PCG64 reads them: the uint64
-    # pairs (0, 1) and (2, 3) are the high and low halves of its seed, the
-    # pairs (4, 5) and (6, 7) of its sequence
-    seed = ((p2 ^ x2) * m2 & _M32 | ((p3 ^ x3) * m3 & _M32) << 32
-            | ((p0 ^ x0) * m0 & _M32) << 64 | ((p1 ^ x1) * m1 & _M32) << 96)
-    seq = ((p2 ^ x6) * m6 & _M32 | ((p3 ^ x7) * m7 & _M32) << 32
-           | ((p0 ^ x4) * m4 & _M32) << 64 | ((p1 ^ x5) * m5 & _M32) << 96)
-    seed ^= seed >> 16 & _LANES_LOW16
-    seq ^= seq >> 16 & _LANES_LOW16
-    # srandom: inc = 2 seq + 1; two LCG steps from 0, adding seed between
-    inc = (seq << 1 | 1) & _M128
-    state = ((inc + seed) * _PCG_MULT + inc) & _M128
+    sx0, sm0, sx1, sm1, sx2, sm2, sx3, sm3, sx4, sm4, sx5, sm5, sx6, sm6, sx7, sm7 = _STATE_HASH
+    M32, L, R, LOW16, M128, PCG = _M32, _MIX_MULT_L, _MIX_MULT_R, _LANES_LOW16, _M128, _PCG_MULT
     try:
         gen = _thread.generator
     except AttributeError:
         gen = _thread.generator = np.random.Generator(np.random.PCG64(0))
-    gen.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return gen.standard_normal(n)
+    bitgen, normal = gen.bit_generator, gen.standard_normal
+    out = np.empty((len(indexes), n))
+    for row, index in enumerate(indexes):
+        index = int(index)
+        if index < 0:
+            raise ValueError("generation and index must be non-negative")
+        if fourth is None:
+            pool, rest = list(shared), _words(index)
+        else:
+            # the index's low word fills slot 3, takes the shared slots'
+            # feed, then mixes into each of them
+            p3 = ((index & M32) ^ x) * m & M32
+            p3 = (L * (p3 ^ p3 >> 16) - f0) & M32
+            p3 = (L * (p3 ^ p3 >> 16) - f1) & M32
+            p3 = (L * (p3 ^ p3 >> 16) - f2) & M32
+            p3 ^= p3 >> 16
+            h = (p3 ^ x0) * m0 & M32
+            p0 = (lp0 - R * (h ^ h >> 16)) & M32
+            h = (p3 ^ x1) * m1 & M32
+            p1 = (lp1 - R * (h ^ h >> 16)) & M32
+            h = (p3 ^ x2) * m2 & M32
+            p2 = (lp2 - R * (h ^ h >> 16)) & M32
+            pool = [p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3]
+            rest = _words(index >> 32) if index > M32 else ()
+        hc = hc0
+        for w in rest:
+            hc = _absorb(pool, w, hc)
+        p0, p1, p2, p3 = pool
+        # generate_state's 8 words, packed as PCG64 reads them: the uint64
+        # pairs (0, 1) and (2, 3) are the high and low halves of its seed,
+        # the pairs (4, 5) and (6, 7) of its sequence
+        seed = ((p2 ^ sx2) * sm2 & M32 | ((p3 ^ sx3) * sm3 & M32) << 32
+                | ((p0 ^ sx0) * sm0 & M32) << 64 | ((p1 ^ sx1) * sm1 & M32) << 96)
+        seq = ((p2 ^ sx6) * sm6 & M32 | ((p3 ^ sx7) * sm7 & M32) << 32
+               | ((p0 ^ sx4) * sm4 & M32) << 64 | ((p1 ^ sx5) * sm5 & M32) << 96)
+        seed ^= seed >> 16 & LOW16
+        seq ^= seq >> 16 & LOW16
+        # srandom: inc = 2 seq + 1; two LCG steps from 0, adding seed between
+        inc = (seq << 1 | 1) & M128
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": ((inc + seed) * PCG + inc) & M128, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        normal(out=out[row])
+    return out
 
 
 def sample(master_seed: int, generation: int, indexes, m: np.ndarray, sigma: float,
            transform: CovTransform) -> tuple[np.ndarray, np.ndarray]:
     """Regrow candidates ``indexes`` of a generation from seeds alone, as
     ``(Z, X)``: one ``candidate_z`` row per index and ``X = m + sigma * A Z``.
-    A row's bits do not depend on which other indexes are drawn with it."""
-    transform.check_finite(generation)
-    z = np.stack([candidate_z(master_seed, generation, i, len(m)) for i in indexes])
-    return z, m + sigma * transform.apply(z)
+    A row's bits do not depend on which other indexes are drawn with it.
+    A non-finite ``X``, from non-finite covariance factors or from a step
+    size grown past float range, raises ``NumericalDegeneracyError``."""
+    z = _draw(master_seed, generation, indexes, len(m))
+    x = m + sigma * transform.apply(z)
+    if not np.isfinite(x).all():
+        raise NumericalDegeneracyError(f"non-finite candidates at generation {generation}",
+                                       generation)
+    return z, x
 
 
 def ask(params: StrategyParams, state: DistributionState, master_seed: int) -> list[Candidate]:
@@ -420,42 +417,41 @@ def ask(params: StrategyParams, state: DistributionState, master_seed: int) -> l
     """
     if not (math.isfinite(state.sigma) and state.sigma > 0):
         raise ValueError("state.sigma must be positive and finite")
-    if not np.all(np.isfinite(state.m)):
+    if not np.isfinite(state.m).all():
         raise ValueError("state.m must be finite")
     z, x = sample(master_seed, state.g, range(params.lam), state.m, state.sigma,
                   CovTransform.from_state(params, state))
-    return [Candidate(index=i, z=z[i], x=x[i]) for i in range(params.lam)]
+    return list(map(Candidate, range(params.lam), z, x))
 
 
-def _rank(candidates: list[Candidate], mode: str) -> list[Candidate]:
-    if mode not in ("maximize", "minimize"):
-        raise ValueError(f"mode must be 'maximize' or 'minimize', got {mode!r}")
-    for c in candidates:
-        if c.fitness is None or not math.isfinite(c.fitness):
-            raise ValueError(f"candidate {c.index} has no finite fitness")
-    sign = -1.0 if mode == "maximize" else 1.0
-    # ties resolve toward the lower candidate index, deterministically
-    return sorted(candidates, key=lambda c: (sign * c.fitness, c.index))
-
-
-def tell(
-    params: StrategyParams,
-    state: DistributionState,
-    candidates: list[Candidate],
-    mode: str = "maximize",
-) -> DistributionState:
-    """Consume one evaluated generation; returns the successor state."""
+def tell(params: StrategyParams, state: DistributionState, candidates: list[Candidate],
+         mode: str = "maximize") -> DistributionState:
+    """``tell_arrays`` for a list of evaluated ``Candidate``s."""
     if len(candidates) != params.lam:
         raise ValueError(f"expected {params.lam} candidates, got {len(candidates)}")
-    if len({c.index for c in candidates}) != params.lam:
+    index = [c.index for c in candidates]
+    if len(set(index)) != params.lam:
         raise ValueError("candidate indexes must be unique")
-    n = params.n
-    ranked = _rank(candidates, mode)
-    sel = ranked[: params.mu]
-    w = params.weights
+    f = [math.nan if c.fitness is None else c.fitness for c in candidates]
+    return tell_arrays(params, state, np.array(index), np.array([c.z for c in candidates]),
+                       np.array([c.x for c in candidates]), np.array(f, dtype=float), mode)
 
-    xs = np.stack([c.x for c in sel])
-    zs = np.stack([c.z for c in sel])
+
+def tell_arrays(params: StrategyParams, state: DistributionState, index: np.ndarray,
+                Z: np.ndarray, X: np.ndarray, f: np.ndarray,
+                mode: str = "maximize") -> DistributionState:
+    """Consume one evaluated generation: row ``k`` is candidate ``index[k]``,
+    drawn as ``Z[k]``, placed at ``X[k]`` and scored ``f[k]``, in any row
+    order.  Fitness ties go to the lower index.  Returns the successor state
+    and never mutates its inputs."""
+    if mode not in ("maximize", "minimize"):
+        raise ValueError(f"mode must be 'maximize' or 'minimize', got {mode!r}")
+    finite = np.isfinite(f)
+    if not finite.all():
+        raise ValueError(f"candidate {index[finite.argmin()]} has no finite fitness")
+    sel = np.lexsort((index, -f if mode == "maximize" else f))[: params.mu]
+    n, w = params.n, params.weights
+    xs, zs = X[sel], Z[sel]
 
     # mean: weighted recombination of the selected candidates themselves
     m_new = state.m + params.c_m * (w @ (xs - state.m))
@@ -471,7 +467,7 @@ def tell(
     cs = params.c_sigma
     p_sigma = (1.0 - cs) * state.p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_eff) * ps_in
 
-    ps_norm = float(np.linalg.norm(p_sigma))
+    ps_norm = math.sqrt(p_sigma.dot(p_sigma))   # np.linalg.norm's own sum
     unbias = math.sqrt(1.0 - (1.0 - cs) ** (2 * (state.g + 1)))
     h_sigma = ps_norm / unbias < (1.4 + 2.0 / (n + 1.0)) * params.chi_n
 
@@ -485,7 +481,7 @@ def tell(
     if not (math.isfinite(sigma_new) and sigma_new > 0):
         raise NumericalDegeneracyError(
             f"step size became non-finite at generation {g_new}", g_new)
-    if not np.all(np.isfinite(m_new)):
+    if not np.isfinite(m_new).all():
         # finite candidates far apart can overflow the recombination
         raise NumericalDegeneracyError(
             f"mean became non-finite at generation {g_new}", g_new)
@@ -507,7 +503,7 @@ def tell(
             + c1 * (p_c * p_c + (1.0 - h_sigma) * cc * (2.0 - cc) * state.c_diag)
             + cmu * rank_mu
         )
-        if not np.all(np.isfinite(d_new)) or np.any(d_new <= 0):
+        if not np.isfinite(d_new).all() or (d_new <= 0).any():
             raise NumericalDegeneracyError(
                 f"diagonal covariance lost positivity at generation {g_new}", g_new)
         new.c_diag = d_new
@@ -517,7 +513,7 @@ def tell(
         rank_mu = ys.T @ (w[:, None] * ys)
         c_new = (
             (1.0 - c1 - cmu) * state.c_full
-            + c1 * (np.outer(p_c, p_c) + (1.0 - h_sigma) * cc * (2.0 - cc) * state.c_full)
+            + c1 * (p_c[:, None] * p_c + (1.0 - h_sigma) * cc * (2.0 - cc) * state.c_full)
             + cmu * rank_mu
         )
         c_new = (c_new + c_new.T) * 0.5
@@ -558,7 +554,7 @@ class OptimizeResult:
     best_x: np.ndarray
     best_f: float
     evals: int
-    status: str                      # "target_reached" | "budget_exhausted"
+    status: str          # "target_reached" | "budget_exhausted" | "degenerate"
     history: list[OptRecord] = field(default_factory=list)
 
 
@@ -588,15 +584,19 @@ def optimize(
 
     status = "budget_exhausted"
     while evals + params.lam <= budget_evals:
-        cands = ask(params, state, seed)
-        for c in cands:
-            c.fitness = float(objective(c.x))
-        evals += params.lam
-        gen_best = min(c.fitness for c in cands)
-        if gen_best < best_f:
-            best = min(cands, key=lambda c: (c.fitness, c.index))
-            best_f, best_x = best.fitness, best.x.copy()
-        state = tell(params, state, cands, mode="minimize")
+        try:
+            cands = ask(params, state, seed)
+            f = [float(objective(c.x)) for c in cands]
+            for c, fc in zip(cands, f):
+                c.fitness = fc
+            evals += params.lam
+            gen_best = min(f)
+            if gen_best < best_f:   # the first of any ties
+                best_f, best_x = gen_best, cands[f.index(gen_best)].x.copy()
+            state = tell(params, state, cands, mode="minimize")
+        except NumericalDegeneracyError:     # a diverging run ends with what it found
+            status = "degenerate"
+            break
         if on_generation is not None:
             on_generation(params, state, cands)
         history.append(OptRecord(state.g - 1, evals, gen_best, best_f, state.sigma))

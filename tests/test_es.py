@@ -6,7 +6,7 @@ import pytest
 
 from evolin import (CSA, SEP_CMA, FULL_CMA, VARIANTS, NumericalDegeneracyError,
                     ask, cma_popsize, new_strategy, optimize, rl_popsize,
-                    sample, tell)
+                    sample, tell, tell_arrays)
 from evolin.es import Candidate, CovTransform, candidate_z
 from evolin.testfuncs import ellipsoid, sphere
 
@@ -327,7 +327,64 @@ def test_tell_raises_on_mean_overflow() -> None:
     assert err.value.generation == 1
 
 
+def state_bytes(state) -> tuple:
+    arrays = (state.m, state.p_sigma, state.p_c, state.c_diag, state.c_full,
+              state.eig_basis, state.eig_scale)
+    return (state.sigma, state.g, state.eig_age,
+            *(None if a is None else a.tobytes() for a in arrays))
+
+
+TIE_FITNESS = {
+    "distinct": lambda rng, lam: rng.standard_normal(lam),
+    "ties": lambda rng, lam: rng.integers(0, 3, lam).astype(float),
+    "signed-zeros": lambda rng, lam: rng.choice([-0.0, 0.0, 1.0, -1.0], lam),
+    "all-equal": lambda rng, lam: np.full(lam, -0.0),
+}
+
+
+@pytest.mark.parametrize("fitness", TIE_FITNESS)
+@pytest.mark.parametrize("mode", ["maximize", "minimize"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tell_arrays_equals_list_tell(variant, mode, fitness) -> None:
+    rng = np.random.default_rng([VARIANTS.index(variant), len(mode), len(fitness)])
+    for trial in range(12):
+        params, state = make_random_tell_inputs(rng, variant, int(rng.integers(2, 9)),
+                                                int(rng.integers(4, 13)))
+        cands = ask(params, state, trial)
+        for c, f in zip(cands, TIE_FITNESS[fitness](rng, params.lam)):
+            c.fitness = float(f)
+        want = state_bytes(tell(params, state, cands, mode))
+        shuffled = [cands[k] for k in rng.permutation(params.lam)]
+        assert state_bytes(tell(params, state, shuffled, mode)) == want
+        new = tell_arrays(params, state, np.array([c.index for c in shuffled]),
+                          np.stack([c.z for c in shuffled]), np.stack([c.x for c in shuffled]),
+                          np.array([c.fitness for c in shuffled]), mode)
+        assert state_bytes(new) == want
+        # the mean recombines the mu best by (+-f, index), in that order
+        best = selection_oracle(cands, params.mu, mode)
+        m = state.m + params.c_m * (params.weights @ (np.stack([c.x for c in best]) - state.m))
+        assert new.m.tobytes() == m.tobytes()
+
+
+def test_sample_raises_on_overflowing_rows() -> None:
+    with pytest.raises(NumericalDegeneracyError) as err, np.errstate(over="ignore"):
+        sample(0, 5, range(4), np.zeros(3), 1e308, CovTransform("diag", sqrt_diag=np.full(3, 1e10)))
+    assert err.value.generation == 5
+
+
 # ------------------------------------------------------------------- optimize
+
+def test_optimize_ends_degenerate_when_diverging() -> None:
+    # sigma grows until m + sigma * A z leaves float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = optimize(lambda x: float(-x[0]), CSA, np.zeros(3), 1.0, budget_evals=10**6, seed=0)
+    assert res.status == "degenerate"
+    assert res.history and res.evals < 10**6
+    # it ends in an ask (no evaluation) or in a tell (one unrecorded generation)
+    assert res.evals - 1 - len(res.history) * cma_popsize(3) in (0, cma_popsize(3))
+    assert res.best_f == -res.best_x[0] and np.isfinite(res.best_x).all()
+    assert res.best_f <= min(r.best_f_gen for r in res.history)
+
 
 def test_optimize_descends_on_sphere() -> None:
     res = optimize(sphere(5), FULL_CMA, np.full(5, 3.0), 1.0, 6000,
