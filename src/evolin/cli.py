@@ -3,7 +3,7 @@ masters and workers, checkpoint evaluation, and curve aggregation.
 
 Exit codes: 0 success; 1 failed checks or runtime errors; 2 bad usage
 (unknown environment or variant, empty seed list, out-of-range seed, step
-size or population, missing inputs);
+size or population, malformed config or curve file, missing inputs);
 3 unwritable output directory; 4 network bind/connect failure.
 """
 
@@ -24,7 +24,8 @@ from .distributed import (DesyncError, GenerationFailedError, MasterServer,
                           serve_worker, train_distributed)
 from .envs import ENV_IDS, env_spec
 from .es import CSA, FULL_CMA, SEP_CMA, VARIANTS, optimize
-from .evaluate import FitnessSpec, read_curve_csv, test_policy, train, write_curve_csv
+from .evaluate import (TEST_EPISODES, FitnessSpec, _training_strategy, read_curve_csv,
+                       test_policy, train, write_curve_csv)
 from .policy import load_checkpoint, save_checkpoint
 from .testfuncs import quadratic2d, rotated_ellipsoid, sphere
 
@@ -59,18 +60,13 @@ def default_output_dir() -> str:
 # experiment configuration
 
 
-def _parse_lambda(value) -> int | str:
-    if value is None:
-        return "default"
-    if isinstance(value, int):
-        return value
-    text = str(value)
-    if text in ("default", "rl", "cma"):
-        return text
+def _parse_lambda(value):
+    """A numeric string as an int; anything else as given, for
+    ``new_strategy`` to accept or refuse."""
     try:
-        return int(text)
+        return int(value) if isinstance(value, str) else value
     except ValueError:
-        raise CliError(EXIT_USAGE, f"bad lambda value {value!r}") from None
+        return value
 
 
 def _parse_seeds(value) -> list[int]:
@@ -93,7 +89,8 @@ def _number(value, what: str, whole: bool = False):
 
 
 def resolve_config(args) -> dict:
-    """Merge env defaults, config file, and flags (flags win) and validate."""
+    """Merge env defaults, config file, and flags (flags win) and validate
+    them as ``train`` would, for every seed, before anything is written."""
     file_cfg: dict = {}
     if getattr(args, "config", None):
         try:
@@ -117,10 +114,6 @@ def resolve_config(args) -> dict:
         raise CliError(EXIT_USAGE,
                        f"unknown environment {env_id!r}; choose from {sorted(ENV_IDS)}")
     variant = pick("variant", "variant")
-    if variant not in VARIANTS:
-        raise CliError(EXIT_USAGE,
-                       f"unknown variant {variant!r}; choose from {list(VARIANTS)}")
-
     env_defaults = ENV_DEFAULTS[env_id]
     try:
         sigma0 = _number(pick("sigma0", "sigma0", env_defaults["sigma0"]), "sigma0")
@@ -139,25 +132,27 @@ def resolve_config(args) -> dict:
 
     if not seeds:
         raise CliError(EXIT_USAGE, "seed list is empty")
-    if not all(0 <= s < 2**64 for s in seeds):
-        raise CliError(EXIT_USAGE, "seeds must lie in [0, 2^64)")
-    if not (math.isfinite(sigma0) and sigma0 > 0):
-        raise CliError(EXIT_USAGE, "sigma0 must be positive and finite")
-    if isinstance(lam, int) and lam < 2:
-        raise CliError(EXIT_USAGE, "lambda must be at least 2")
     if budget < 1:
         raise CliError(EXIT_USAGE, "budget_timesteps must be positive")
-    if test_every < 1:
-        raise CliError(EXIT_USAGE, "test_every must be >= 1")
-
     try:
-        fitness_spec = FitnessSpec.from_dict(
-            {**FitnessSpec().to_dict(), **file_cfg.get("fitness_spec", {})})
+        for seed in seeds:
+            _training_strategy(env_id, variant, sigma0, lam, seed, test_every)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from exc
+
+    spec_doc = file_cfg.get("fitness_spec", {})
+    if not isinstance(spec_doc, dict):
+        raise CliError(EXIT_USAGE, "fitness_spec must be a JSON object")
+    settings = FitnessSpec().to_dict()
+    # from_dict ignores other keys, so a mistyped one would change nothing
+    unknown = sorted(spec_doc.keys() - settings.keys())
+    if unknown:
+        raise CliError(EXIT_USAGE, f"fitness_spec.{unknown[0]} is not a setting; "
+                       f"the settings are {', '.join(settings)}")
+    try:
+        fitness_spec = FitnessSpec.from_dict({**settings, **spec_doc})
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad fitness_spec: {exc}") from exc
-    if fitness_spec.test_episodes != 5:
-        raise CliError(EXIT_USAGE, "fitness_spec.test_episodes must be 5: "
-                       "curve files hold five test returns per row")
 
     return {
         "env_id": env_id,
@@ -271,18 +266,18 @@ def run_trials(cfg: dict, runner) -> tuple[dict, str]:
     return summary, path
 
 
+def train_kwargs(cfg: dict, seed: int) -> dict:
+    """``train``'s arguments for trial ``seed`` of ``cfg``."""
+    return {"env_id": cfg["env_id"], "variant": cfg["variant"],
+            "sigma0": cfg["sigma0"], "lam": cfg["lambda"],
+            "budget_timesteps": cfg["budget_timesteps"], "master_seed": seed,
+            "fitness_spec": FitnessSpec.from_dict(cfg["fitness_spec"]),
+            "test_every": cfg["test_every"], "target_return": cfg["target_return"]}
+
+
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-
-    def runner(seed: int):
-        return train(cfg["env_id"], cfg["variant"], sigma0=cfg["sigma0"],
-                     lam=cfg["lambda"], budget_timesteps=cfg["budget_timesteps"],
-                     master_seed=seed,
-                     fitness_spec=FitnessSpec.from_dict(cfg["fitness_spec"]),
-                     test_every=cfg["test_every"],
-                     target_return=cfg["target_return"])
-
-    run_trials(cfg, runner)
+    run_trials(cfg, lambda seed: train(**train_kwargs(cfg, seed)))
     return 0
 
 
@@ -301,13 +296,9 @@ def cmd_train_distributed(args) -> int:
           f"waiting for {args.expected_workers} worker(s)")
 
     def runner(seed: int):
-        return train_distributed(
-            cfg["env_id"], cfg["variant"], sigma0=cfg["sigma0"],
-            lam=cfg["lambda"], budget_timesteps=cfg["budget_timesteps"],
-            master_seed=seed, expected_workers=args.expected_workers,
-            server=server, wait_timeout=args.wait_timeout,
-            fitness_spec=FitnessSpec.from_dict(cfg["fitness_spec"]),
-            test_every=cfg["test_every"], target_return=cfg["target_return"])
+        return train_distributed(**train_kwargs(cfg, seed),
+                                 expected_workers=args.expected_workers,
+                                 server=server, wait_timeout=args.wait_timeout)
 
     try:
         run_trials(cfg, runner)
@@ -549,10 +540,13 @@ def cmd_plot_data(args) -> int:
     found = find_curves(run_dir)
     if not found:
         raise CliError(EXIT_USAGE, f"no curve files found in {run_dir!r}")
+    try:
+        tables = {env: aggregate_env(curves) for env, curves in sorted(found.items())}
+    except (OSError, ValueError) as exc:
+        raise CliError(EXIT_USAGE, f"cannot read curves: {exc}") from exc
     out_dir = args.output_dir or run_dir
     ensure_output_dir(out_dir)
-    for env, curves in sorted(found.items()):
-        grid, table = aggregate_env(curves)
+    for env, (grid, table) in tables.items():
         variants = [v for v in VARIANTS if v in table]
         header = ["cumulative_timesteps"]
         for variant in variants:
@@ -567,7 +561,7 @@ def cmd_plot_data(args) -> int:
                     cells.append(repr(float(table[variant]["std"][i])))
                 fh.write(",".join(cells) + "\n")
         print(f"wrote {path} ({len(grid)} grid points, "
-              f"{sum(len(p) for p in curves.values())} curves)")
+              f"{sum(len(p) for p in found[env].values())} curves)")
     return 0
 
 
@@ -631,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="replay a checkpoint's test protocol")
     p.add_argument("--checkpoint", required=True, help="checkpoint JSON path")
-    p.add_argument("--episodes", type=int, default=5)
+    p.add_argument("--episodes", type=int, default=TEST_EPISODES)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot-data",

@@ -14,17 +14,18 @@ reproduces a single-process run bit for bit.
 
 The master plans each generation once: one contiguous range of at least one
 index per worker, the larger first, each a TASK on one queue from which idle
-workers take in turn.  The last (smallest) range's TASK also names the test
-probe owed by the previous generation, if any; its inputs are the TASK's own
-mean and normalizer, so the worker adds the probe's episodes to its batch
-and returns their raw returns.  The master runs no rollout.
+workers take in turn.  The last (smallest) range's TASK also names, by its
+generation, the test probe owed by the previous generation, if any; its
+inputs are the TASK's own mean and normalizer, so the worker adds the
+probe's ``TEST_EPISODES`` episodes to its batch and returns their raw
+returns.  Every other TASK's probe is null.  The master runs no rollout.
 
 Each TASK gets exactly one RESULT.  A worker that is lost, times out or
 sends a reply that does not answer its TASK exactly is dropped and its whole
 TASK queued again, so no live connection holds a TASK between generations
 and no late reply is ever read.
 
-Wire format (protocol version 6): one JSON object per line, UTF-8, field
+Wire format (protocol version 7): one JSON object per line, UTF-8, field
 "type" selecting HELLO / TASK / RESULT / BYE.  Reals use shortest-roundtrip
 decimal form (the json module's default); 64-bit seeds travel as decimal
 strings.
@@ -48,12 +49,12 @@ import numpy as np
 
 from .envs import env_spec, make_env
 from .es import CovTransform, DistributionState, sample
-from .evaluate import (FitnessSpec, Probe, Scores, TrainResult,
+from .evaluate import (TEST_EPISODES, FitnessSpec, Probe, Scores, TrainResult,
                        _training_strategy, collect_generation, score_candidates,
                        train)
 from .policy import LinearPolicy, ObsNormalizer
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
@@ -216,8 +217,7 @@ def build_gen_message(*, run_id: str, generation: int, master_seed: int,
         "cov_digest": cov_digest(payload),
         "normalizer": normalizer.to_dict(),
         "fitness_spec": fitness_spec.to_dict(),
-        "probe": None if probe is None else {"generation": int(probe.generation),
-                                             "episodes": int(probe.episodes)},
+        "probe": None if probe is None else int(probe.generation),
     }
 
 
@@ -275,8 +275,8 @@ def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | Non
     one row per index in every column, finite fitness and raw return,
     counts no fewer than one step per training episode and no more than
     the episode limit allows, moments of the env's ``obs_dim`` finite
-    entries (m2 not negative), and the probe's episode count of finite
-    returns or none."""
+    entries (m2 not negative), and ``TEST_EPISODES`` finite probe returns
+    or none."""
     if (msg.get("type") != "result" or msg.get("run_id") != task["run_id"]
             or msg.get("generation") != task["generation"]
             or _count(msg.get("index"), "RESULT index") != task["index"]):
@@ -285,9 +285,8 @@ def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | Non
     if probe is None:
         if returns is not None:
             raise ProtocolError("RESULT carries a probe its TASK did not ask for")
-    elif not isinstance(returns, list) or len(returns) != probe["episodes"]:
-        raise ProtocolError(
-            f"RESULT probe must be a list of {probe['episodes']} numbers")
+    elif not isinstance(returns, list) or len(returns) != TEST_EPISODES:
+        raise ProtocolError(f"RESULT probe must be a list of {TEST_EPISODES} numbers")
     else:
         returns = [_real(r, "RESULT probe return") for r in returns]
     rows, spec = task["count"], env_spec(task["env_id"])
@@ -326,8 +325,8 @@ class WorkerContext:
 
 def gen_context(msg: dict) -> WorkerContext:
     """Validate a TASK's generation fields and rebuild the sampling context
-    they carry, with the probe it names: the policy ``m`` for the given
-    episode count."""
+    they carry, with the probe it names: the policy ``m``, tested on the
+    seeds of an earlier generation."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
         raise ProtocolError("unsupported protocol version in TASK")
     payload = msg["cov"]
@@ -337,18 +336,15 @@ def gen_context(msg: dict) -> WorkerContext:
     m = np.asarray(msg["m"], dtype=float)
     if m.shape != (int(payload["n"]),):
         raise ProtocolError("mean length disagrees with covariance payload")
-    env_id = str(msg["env_id"])
+    env_id, generation = str(msg["env_id"]), int(msg["generation"])
     probe = msg["probe"]
     if probe is not None:
-        gen, episodes = probe["generation"], probe["episodes"]
-        if type(gen) is not int or type(episodes) is not int or episodes < 1:
-            raise ProtocolError("TASK probe needs an int generation and episode count")
         spec = env_spec(env_id)
         probe = Probe(LinearPolicy.from_genome(m, spec.obs_dim, spec.action_space),
-                      gen, episodes)
+                      _count(probe, "TASK probe", 0, generation - 1))
     return WorkerContext(
         run_id=str(msg["run_id"]),
-        generation=int(msg["generation"]),
+        generation=generation,
         master_seed=int(msg["master_seed"]),
         env_id=env_id,
         lam=int(msg["lambda"]),
@@ -576,8 +572,11 @@ class MasterServer:
         return out
 
     def wait_for_workers(self, count: int, timeout: float | None = None) -> None:
-        """Block until ``count`` workers have completed their HELLO.  No
-        TASK is out, so any reply drops its worker."""
+        """Block until ``count`` workers have completed their HELLO, or
+        raise TimeoutError after ``timeout`` seconds (None waits forever).
+        No TASK is out, so any reply drops its worker."""
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"wait timeout must be >= 0, not {timeout!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
         while self.worker_count() < count:
             if deadline is not None and time.monotonic() > deadline:

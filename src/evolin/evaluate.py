@@ -11,16 +11,17 @@ a worker's range all give identical numbers.  Results travel as ``Scores``,
 one array row per lane or per candidate: raw and shaped return, and the
 moments (count, mean, M2) of the observations its policy acted on, whose
 count is also its timesteps.  Progress is measured by a separate
-deterministic test protocol (median raw return over five fixed-seed episodes)
-whose steps never count against the budget.  The probe of generation g needs
-only the state and normalizer that generation g + 1 starts from, so ``train``
-runs it as further lanes of g + 1's batch (in a distributed run, of one
-worker's range of g + 1); only a probe still owed when the run ends runs
-alone, through ``test_policy``.
+deterministic test protocol (median raw return over ``TEST_EPISODES``
+fixed-seed episodes) whose steps never count against the budget.  The probe
+of generation g needs only the state and normalizer that generation g + 1
+starts from, so ``train`` runs it as further lanes of g + 1's batch (in a
+distributed run, of one worker's range of g + 1); only a probe still owed
+when the run ends runs alone, through ``test_policy``.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable
@@ -54,11 +55,15 @@ __all__ = [
     "write_curve_csv",
     "read_curve_csv",
     "CURVE_COLUMNS",
+    "TEST_EPISODES",
 ]
 
 # Seed-stream domains; 0 is reserved for candidate sampling in es.py.
 DOMAIN_TRAIN_EP = 1
 DOMAIN_TEST_EP = 2
+
+# Episodes of the test protocol: one test probe, one row of a curve file.
+TEST_EPISODES = 5
 
 
 @dataclass(frozen=True)
@@ -69,35 +74,40 @@ class Shaping:
     def __post_init__(self):
         if self.mode not in ("identity", "drop_alive_bonus"):
             raise ValueError(f"unknown shaping mode: {self.mode!r}")
+        if (isinstance(self.bonus, bool) or not isinstance(self.bonus, (int, float))
+                or not math.isfinite(self.bonus)):
+            raise ValueError(f"shaping bonus must be a finite number, not {self.bonus!r}")
+        object.__setattr__(self, "bonus", float(self.bonus))
 
 
 @dataclass(frozen=True)
 class FitnessSpec:
     train_episodes: int = 1
-    test_episodes: int = 5
     shaping: Shaping = field(default_factory=Shaping)
     common_random_numbers: bool = True
 
     def __post_init__(self):
-        if self.train_episodes < 1 or self.test_episodes < 1:
-            raise ValueError("episode counts must be positive")
+        if type(self.train_episodes) is not int or self.train_episodes < 1:
+            raise ValueError("train_episodes must be an int >= 1, "
+                             f"not {self.train_episodes!r}")
+        if not isinstance(self.common_random_numbers, bool):
+            raise ValueError("common_random_numbers must be a bool, "
+                             f"not {self.common_random_numbers!r}")
 
     def to_dict(self) -> dict:
         return {
             "train_episodes": self.train_episodes,
-            "test_episodes": self.test_episodes,
             "shaping": {"mode": self.shaping.mode, "bonus": self.shaping.bonus},
             "common_random_numbers": self.common_random_numbers,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "FitnessSpec":
-        return FitnessSpec(
-            train_episodes=int(d["train_episodes"]),
-            test_episodes=int(d["test_episodes"]),
-            shaping=Shaping(d["shaping"]["mode"], float(d["shaping"]["bonus"])),
-            common_random_numbers=bool(d["common_random_numbers"]),
-        )
+        """Inverse of ``to_dict``: values are checked, not coerced.  Other
+        keys are ignored."""
+        return FitnessSpec(d["train_episodes"],
+                           Shaping(d["shaping"]["mode"], d["shaping"]["bonus"]),
+                           d["common_random_numbers"])
 
 
 def shape_reward(reward: float, shaping: Shaping) -> float:
@@ -211,7 +221,7 @@ class Probe:
 
     policy: LinearPolicy
     generation: int
-    episodes: int = 5
+    episodes: int = TEST_EPISODES
 
     def lanes(self, master_seed: int) -> tuple[np.ndarray, list]:
         """The probe's per-lane weights and episode seeds."""
@@ -318,7 +328,7 @@ def collect_generation(parts, lam: int,
 
 def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer, env_id: str,
                 master_seed: int, generation: int,
-                episodes: int = 5) -> tuple[float, list[float]]:
+                episodes: int = TEST_EPISODES) -> tuple[float, list[float]]:
     """Deterministic progress probe: median raw return over fixed seeds."""
     if episodes < 1:
         raise ValueError(f"test_policy needs at least one episode, got {episodes}")
@@ -417,8 +427,7 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
                                    best_fitness, sigma))
         if median > best_median:
             best_median = median
-            best = Checkpoint(env_id, state.m.copy(), spec.obs_dim,
-                              spec.action_space, normalizer.frozen_view(),
+            best = Checkpoint(env_id, state.m.copy(), normalizer.frozen_view(),
                               probe.generation, master_seed)
         return target_return is not None and median >= target_return
 
@@ -448,8 +457,8 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
             status = "degenerate"
             break
         if gen % test_every == 0:
-            probe = Probe(LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space),
-                          gen, fitness_spec.test_episodes)
+            policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
+            probe = Probe(policy, gen)
             owed = (probe, cumulative, float(np.max(result.fitnesses)), state.sigma)
 
     if owed is not None:
@@ -463,19 +472,17 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
                        cumulative, params, state)
 
 
-CURVE_COLUMNS = (
-    "generation", "cumulative_timesteps", "median_test_return",
-    "test_return_1", "test_return_2", "test_return_3", "test_return_4",
-    "test_return_5", "best_train_fitness", "sigma",
-)
+CURVE_COLUMNS = ("generation", "cumulative_timesteps", "median_test_return",
+                 *(f"test_return_{i}" for i in range(1, TEST_EPISODES + 1)),
+                 "best_train_fitness", "sigma")
 
 
 def write_curve_csv(path: str, records: list[TrainRecord]) -> None:
     """Training curve as CSV; floats keep full round-trip precision."""
     lines = [",".join(CURVE_COLUMNS)]
     for r in records:
-        if len(r.test_returns) != 5:
-            raise ValueError("curve rows require the 5-episode test protocol")
+        if len(r.test_returns) != TEST_EPISODES:
+            raise ValueError(f"curve rows hold {TEST_EPISODES} test returns")
         cells = [str(r.generation), str(r.cumulative_timesteps),
                  repr(r.median_test_return)]
         cells += [repr(v) for v in r.test_returns]
@@ -486,19 +493,21 @@ def write_curve_csv(path: str, records: list[TrainRecord]) -> None:
 
 
 def read_curve_csv(path: str) -> list[TrainRecord]:
+    """Records of a file ``write_curve_csv`` wrote.  Raises ValueError,
+    naming the file and line, on a malformed one."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != ",".join(CURVE_COLUMNS):
+        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln]
+    if not lines or lines[0][1] != ",".join(CURVE_COLUMNS):
         raise ValueError(f"{path} is not a training curve file")
     out = []
-    for ln in lines[1:]:
+    for number, ln in lines[1:]:
         cells = ln.split(",")
-        out.append(TrainRecord(
-            generation=int(cells[0]),
-            cumulative_timesteps=int(cells[1]),
-            median_test_return=float(cells[2]),
-            test_returns=[float(v) for v in cells[3:8]],
-            best_train_fitness=float(cells[8]),
-            sigma=float(cells[9]),
-        ))
+        try:
+            if len(cells) != len(CURVE_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, not {len(CURVE_COLUMNS)}")
+            out.append(TrainRecord(int(cells[0]), int(cells[1]), float(cells[2]),
+                                   [float(v) for v in cells[3:-2]],
+                                   float(cells[-2]), float(cells[-1])))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
     return out

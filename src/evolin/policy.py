@@ -214,39 +214,26 @@ def act(policy: LinearPolicy, normalizer: ObsNormalizer, obs: np.ndarray):
     return int(action) if isinstance(policy.space, Discrete) else action
 
 
-def _space_to_dict(space: ActionSpace) -> dict:
-    if isinstance(space, Discrete):
-        return {"kind": "discrete", "n": space.n}
-    return {"kind": "box", "low": space.low.tolist(), "high": space.high.tolist()}
-
-
-def _space_from_dict(d: dict) -> ActionSpace:
-    if d["kind"] == "discrete":
-        return Discrete(int(d["n"]))
-    if d["kind"] == "box":
-        return Box(np.asarray(d["low"], dtype=float), np.asarray(d["high"], dtype=float))
-    raise ValueError(f"unknown action space kind: {d['kind']!r}")
-
-
 @dataclass
 class Checkpoint:
+    """A policy's genome and frozen normalizer, and the run they came from.
+    Shapes are not stored: the environment's spec fixes them."""
+
     env_id: str
     genome: np.ndarray
-    obs_dim: int
-    space: ActionSpace
     normalizer: ObsNormalizer
     generation: int
     master_seed: int
 
     def policy(self) -> LinearPolicy:
-        return LinearPolicy.from_genome(self.genome, self.obs_dim, self.space)
+        from .envs import env_spec      # envs imports this module
+        spec = env_spec(self.env_id)
+        return LinearPolicy.from_genome(self.genome, spec.obs_dim, spec.action_space)
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     doc = {
         "env_id": ckpt.env_id,
-        "obs_dim": ckpt.obs_dim,
-        "action_space": _space_to_dict(ckpt.space),
         "genome": np.asarray(ckpt.genome, dtype=float).tolist(),
         "normalizer": ckpt.normalizer.to_dict(),
         "generation": ckpt.generation,
@@ -258,8 +245,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint.  Raises ValueError if its environment is unknown,
-    or its obs_dim, genome length or normalizer moments do not fit that
-    environment's spec."""
+    or its genome length or normalizer moments do not fit that environment's
+    spec.  Keys other than those ``save_checkpoint`` writes are ignored."""
     from .envs import env_spec      # envs imports this module
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -267,15 +254,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     ckpt = Checkpoint(
         env_id=doc["env_id"],
         genome=np.asarray(doc["genome"], dtype=float),
-        obs_dim=int(doc["obs_dim"]),
-        space=_space_from_dict(doc["action_space"]),
         normalizer=ObsNormalizer.from_dict(doc["normalizer"]),
         generation=int(doc["generation"]),
         master_seed=int(doc["master_seed"]),
     )
-    if ckpt.obs_dim != spec.obs_dim:
-        raise ValueError(f"{spec.env_id} observations have {spec.obs_dim} "
-                         f"entries, the checkpoint says {ckpt.obs_dim}")
     expect = genome_dim(spec.obs_dim, spec.action_space)
     if ckpt.genome.shape != (expect,):
         raise ValueError(f"{spec.env_id} genomes have {expect} entries, "

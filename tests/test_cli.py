@@ -12,7 +12,7 @@ import pytest
 
 from evolin.cli import SANITY_CHECKS, main, parse_address
 from evolin.distributed import serve_worker
-from evolin.evaluate import read_curve_csv
+from evolin.evaluate import CURVE_COLUMNS, read_curve_csv
 
 
 def run_cli(*argv):
@@ -46,7 +46,9 @@ def test_empty_seed_list_exits_2(tmp_path):
 @pytest.mark.parametrize("flag,value", [("--lambda", "1"), ("--lambda", "-4"),
                                         ("--sigma0", "nan"), ("--sigma0", "inf"),
                                         ("--seeds", "0,-1"),
-                                        ("--seeds", str(2**64))])
+                                        ("--seeds", str(2**64)),
+                                        ("--lambda", "many"),
+                                        ("--test-every", "0")])
 def test_out_of_range_inputs_exit_2_before_training(tmp_path, capsys, flag, value):
     out = tmp_path / "run"
     assert run_cli("train", "--env", "cartpole", "--variant", "csa",
@@ -117,12 +119,25 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
                                  {"seeds": [0.5, 1.9]}, {"budget_timesteps": 2.5},
                                  {"seeds": [True]}, {"test_every": 1.7},
                                  {"threshold": float("nan")},
-                                 {"target_return": float("nan")}],
+                                 {"target_return": float("nan")},
+                                 {"fitness_spec": {"common_random_numbers": "false"}},
+                                 {"fitness_spec": {"train_episodes": 2.7}},
+                                 {"fitness_spec": {"train_episodes": True}},
+                                 {"fitness_spec": {"train_episodes": 0}},
+                                 {"fitness_spec": {"shaping": {"mode": "drop_alive_bonus",
+                                                               "bonus": "nan"}}},
+                                 {"fitness_spec": {"shaping": {"mode": "drop_alive_bonus",
+                                                               "bonus": float("nan")}}},
+                                 {"fitness_spec": {"shaping": {"mode": 0, "bonus": 0.0}}},
+                                 {"fitness_spec": {"train_episode": 2}}],
                          ids=["not-an-object", "sigma0", "budget", "seeds",
                               "test-every", "target", "fitness-spec",
                               "fractional-seeds", "fractional-budget",
                               "bool-seeds", "fractional-test-every",
-                              "nan-threshold", "nan-target"])
+                              "nan-threshold", "nan-target", "string-crn",
+                              "fractional-train-episodes", "bool-train-episodes",
+                              "zero-train-episodes", "string-bonus", "nan-bonus",
+                              "number-mode", "mistyped-key"])
 def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(doc))
@@ -158,6 +173,24 @@ def test_worker_port_out_of_range_exits_2(capsys):
 
 def test_plot_data_without_curves_exits_2(tmp_path):
     assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("body", ["1,100,9.0,9.0,9.0\n", "1,100,x,1,2,3,4,5,6,0.1\n",
+                                  "1,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1,7\n"],
+                         ids=["truncated", "not-a-number", "too-wide"])
+def test_plot_data_on_a_malformed_curve_exits_2(tmp_path, capsys, body):
+    good = "0,50,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n"
+    path = tmp_path / "cartpole_csa_seed0.csv"
+    path.write_text(",".join(CURVE_COLUMNS) + "\n" + good + body)
+    assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path} line 3" in err
+
+
+def test_plot_data_on_a_foreign_csv_exits_2(tmp_path, capsys):
+    (tmp_path / "cartpole_csa_seed0.csv").write_text("a,b\n1,2\n")
+    assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 2
+    assert "not a training curve file" in capsys.readouterr().err
 
 
 def test_parse_address_forms():
@@ -254,10 +287,8 @@ def test_eval_replays_checkpoint_median(tmp_path, capsys):
     lambda d: dict(d, genome=d["genome"][:2]),
     lambda d: dict(d, normalizer={"count": 3, "mean": [0.0] * 3, "m2": [1.0] * 3}),
     lambda d: dict(d, env_id="walker"),
-    lambda d: dict(d, obs_dim=3),
     lambda d: [d],
-], ids=["short-genome", "3-dim-normalizer", "unknown-env", "wrong-obs-dim",
-        "not-an-object"])
+], ids=["short-genome", "3-dim-normalizer", "unknown-env", "not-an-object"])
 def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, edit):
     fixture = os.path.join(os.path.dirname(__file__), "fixtures",
                            "cartpole_solved.json")

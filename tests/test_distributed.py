@@ -160,10 +160,12 @@ def test_gen_context_rejects_digest_mismatch_and_bad_shapes():
         gen_context(dict(msg, protocol_version=5))
 
 
-@pytest.mark.parametrize("probe", [{"generation": 1.0, "episodes": 5},
-                                   {"generation": 1, "episodes": 0},
-                                   {"generation": 1, "episodes": True}],
-                         ids=["float-generation", "no-episodes", "bool-episodes"])
+# a probe is null or an int generation before the TASK's own (here 2)
+@pytest.mark.parametrize("probe", [1.0, True, "1", {"generation": 1, "episodes": 5},
+                                   2, -1],
+                         ids=["float-generation", "bool-generation",
+                              "string-generation", "v6-object", "own-generation",
+                              "negative-generation"])
 def test_gen_context_rejects_a_malformed_probe(probe):
     _, _, _, msg = sample_gen_message(probe_generation=1)
     with pytest.raises(ProtocolError):
@@ -389,8 +391,10 @@ def test_worker_says_bye_on_out_of_range_task_index():
     (lambda t, lam: {k: v for k, v in t.items() if k != "count"}, None),
     (lambda t, lam: dict(t, index=1, count=lam), None),
     (lambda t, lam: dict(t, index=-1, count=2), None),
-    # a probe is null or an object; protocol 5's bool flag is refused
-    (lambda t, lam: dict(t, probe=1), None),
+    # a probe is null or an earlier generation; protocol 6's object and
+    # protocol 5's bool flag are refused
+    (lambda t, lam: dict(t, probe=t["generation"]), None),
+    (lambda t, lam: dict(t, probe={"generation": 1, "episodes": 5}), None),
     (lambda t, lam: dict(t, probe="true"), None),
     (lambda t, lam: {k: v for k, v in t.items() if k != "probe"}, None),
     (lambda t, lam: dict(t, probe=True), None),
@@ -398,10 +402,24 @@ def test_worker_says_bye_on_out_of_range_task_index():
     (lambda t, lam: dict(t, count=0), 1),
 ], ids=["count-0", "count-negative", "count-float", "count-string",
         "count-bool", "count-missing", "past-lambda", "index-negative",
-        "probe-int", "probe-string", "probe-missing", "probe-bool",
+        "probe-int", "probe-object", "probe-string", "probe-missing", "probe-bool",
         "probe-only-owed"])
 def test_worker_says_bye_on_malformed_task_range(edit, owed):
     reply, reason = worker_replies_to_task(edit, probe_generation=owed)
+    assert reply == bye_message("protocol")
+    assert reason == "protocol"
+
+
+@pytest.mark.parametrize("spec", [{"common_random_numbers": "false"},
+                                  {"train_episodes": 2.7},
+                                  {"train_episodes": True},
+                                  {"shaping": {"mode": "drop_alive_bonus", "bonus": "nan"}},
+                                  {"shaping": {"mode": 1, "bonus": 0.0}}],
+                         ids=["string-crn", "fractional-episodes", "bool-episodes",
+                              "string-bonus", "number-mode"])
+def test_worker_says_bye_on_a_malformed_fitness_spec(spec):
+    reply, reason = worker_replies_to_task(
+        lambda t, lam: dict(t, fitness_spec={**t["fitness_spec"], **spec}))
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
@@ -944,15 +962,24 @@ def test_train_distributed_validates_worker_count():
 
 @pytest.mark.parametrize("bad", [{"test_every": 0}, {"env_id": "walker"},
                                  {"variant": "bfgs"}, {"sigma0": -1.0},
-                                 {"lam": 1}, {"master_seed": -1}],
+                                 {"lam": 1}, {"master_seed": -1},
+                                 {"wait_timeout": float("nan")}],
                          ids=lambda bad: next(iter(bad)))
 def test_train_distributed_validates_arguments_before_waiting(bad):
-    kw = {"env_id": "cartpole", "variant": CSA, **TRAIN_KW, **bad}
+    kw = {"env_id": "cartpole", "variant": CSA, "wait_timeout": 5.0, **TRAIN_KW, **bad}
     with MasterServer() as server, pytest.raises(ValueError):
         started = time.perf_counter()
         train_distributed(kw.pop("env_id"), kw.pop("variant"), expected_workers=1,
-                          server=server, wait_timeout=5.0, **kw)
+                          server=server, **kw)
     assert time.perf_counter() - started < 1.0
+
+
+def test_wait_for_workers_refuses_a_nan_or_negative_timeout():
+    # a NaN deadline is never passed, so the wait would never end
+    with MasterServer() as server:
+        for timeout in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                server.wait_for_workers(1, timeout)
 
 
 def test_worker_connect_failure_raises_os_error():

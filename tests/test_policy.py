@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,7 @@ def test_checkpoint_round_trip(tmp_path) -> None:
     for row in rng.standard_normal((20, 4)):
         norm.update(row)
     genome = rng.standard_normal(8)
-    ckpt = Checkpoint("cartpole", genome, 4, Discrete(2), norm.frozen_view(),
+    ckpt = Checkpoint("cartpole", genome, norm.frozen_view(),
                       generation=12, master_seed=31)
     path = tmp_path / "best.json"
     save_checkpoint(path, ckpt)
@@ -230,7 +232,7 @@ def test_checkpoint_round_trip(tmp_path) -> None:
     assert back.env_id == "cartpole"
     assert back.generation == 12 and back.master_seed == 31
     np.testing.assert_array_equal(back.genome, genome)
-    assert back.space == Discrete(2)
+    assert back.policy().space == Discrete(2)
     assert back.normalizer.count == norm.count
     np.testing.assert_array_equal(back.normalizer.mean, norm.mean)
     np.testing.assert_array_equal(back.normalizer.m2, norm.m2)
@@ -244,10 +246,21 @@ def test_checkpoint_round_trip(tmp_path) -> None:
 
 def test_checkpoint_box_space_round_trip(tmp_path) -> None:
     space = Box(np.array([-2.0]), np.array([2.0]))
-    ckpt = Checkpoint("pendulum", np.array([0.5, -1.0, 2.0]), 3, space,
+    ckpt = Checkpoint("pendulum", np.array([0.5, -1.0, 2.0]),
                       ObsNormalizer.create(3).frozen_view(), 0, 7)
     path = tmp_path / "p.json"
     save_checkpoint(path, ckpt)
-    back = load_checkpoint(path)
-    np.testing.assert_array_equal(back.space.low, space.low)
-    np.testing.assert_array_equal(back.space.high, space.high)
+    back = load_checkpoint(path).policy().space
+    np.testing.assert_array_equal(back.low, space.low)
+    np.testing.assert_array_equal(back.high, space.high)
+
+
+def test_checkpoint_stores_no_shapes(tmp_path) -> None:
+    # the env's spec owns the observation and action shapes
+    ckpt = Checkpoint("cartpole", np.zeros(8), ObsNormalizer.create(4).frozen_view(),
+                      3, 2**64 - 1)
+    path = tmp_path / "c.json"
+    save_checkpoint(path, ckpt)
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"env_id", "genome", "normalizer", "generation", "master_seed"}
+    assert load_checkpoint(path).master_seed == 2**64 - 1
