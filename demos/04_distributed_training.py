@@ -1,12 +1,13 @@
 """
-Seed-sharing distributed training in one process
-================================================
+Distributed training in one process
+====================================
 
-Workers never receive policy weights: each task is a generation and a
-range of candidate indexes, and the worker regrows those candidates from
-the shared distribution state and the master seed.  Because every number is derived, not transmitted,
-a distributed run reproduces the single-process run bit for bit.  Here
-two workers run as threads; across machines the protocol is identical.
+The master draws each generation with ``ask``; each task is a range of
+its candidate indexes with their genome rows, and the worker scores those
+rows.  JSON writes every float as its shortest round-trip decimal, so a
+row arrives with the master's exact bits and a distributed run reproduces
+the single-process run bit for bit.  Here two workers run as threads;
+across machines the protocol is identical.
 """
 
 import threading

@@ -15,7 +15,7 @@ from .evaluate import (FitnessSpec, GenerationEval, Probe, Scores, Shaping,
                        TrainRecord, TrainResult, evaluate_candidate,
                        evaluate_generation, read_curve_csv, rollout,
                        shape_reward, test_policy, train, write_curve_csv)
-from .distributed import (DesyncError, GenerationFailedError, MasterServer,
-                          ProtocolError, serve_worker, train_distributed)
+from .distributed import (GenerationFailedError, MasterServer, ProtocolError,
+                          serve_worker, train_distributed)
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .distributed import (DesyncError, GenerationFailedError, MasterServer,
-                          serve_worker, train_distributed)
+from .distributed import (GenerationFailedError, MasterServer, serve_worker,
+                          train_distributed)
 from .envs import ENV_IDS, env_spec
 from .es import CSA, FULL_CMA, SEP_CMA, VARIANTS, optimize
 from .evaluate import (TEST_EPISODES, FitnessSpec, _training_strategy, read_curve_csv,
@@ -311,9 +311,6 @@ def cmd_serve_worker(args) -> int:
     host, port = parse_address(args.connect, default_port=5789)
     try:
         reason = serve_worker(host, port, worker_id=args.worker_id)
-    except DesyncError as exc:
-        print(f"worker desynchronized: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except OSError as exc:
         print(f"cannot connect to {host}:{port} ({exc}); "
               f"start the master first, then retry", file=sys.stderr)
@@ -517,13 +514,21 @@ def step_values(records, grid: list[int]) -> list[float]:
 
 
 def aggregate_env(curves: dict[str, list[str]]) -> tuple[list[int], dict]:
+    """Median and spread of each variant's curves on their shared step grid.
+    A curve with no records (a run that ended at generation 0) is skipped."""
     per_variant = {}
     grid_points: set[int] = set()
     for variant, paths in curves.items():
-        series = [read_curve_csv(p) for p in paths]
-        per_variant[variant] = series
-        for records in series:
+        series = []
+        for path in paths:
+            records = read_curve_csv(path)
+            if not records:
+                print(f"skipped {path}: the curve has no records")
+                continue
+            series.append(records)
             grid_points.update(r.cumulative_timesteps for r in records)
+        if series:
+            per_variant[variant] = series
     grid = sorted(grid_points)
     table = {}
     for variant, series in per_variant.items():

@@ -1,16 +1,16 @@
-"""Seed-sharing master/worker evaluation over newline-delimited JSON on TCP.
+"""Master/worker evaluation over newline-delimited JSON on TCP.
 
-The master never ships genomes: it hands each idle worker one contiguous
-range of a generation's candidate indexes as a TASK, which also carries the
-generation itself: the search distribution (mean, step size, covariance
-payload), the normalizer snapshot and the fitness spec.  A worker keeps no
-state between TASKs.  It regrows its range's candidates from (master_seed,
-generation, index) with ``es.sample``, the sampler ``ask`` uses, scores the
-range as one lockstep batch, and answers with one RESULT holding the range's
-``Scores`` in columns ``fitness``, ``raw_return``, ``count`` (timesteps and
+The master hands each idle worker one contiguous range of a generation's
+candidate indexes as a TASK.  The TASK carries the range's genome rows
+``x``, which ``ask`` drew on the master, and the rest of the generation: the
+search mean, the normalizer snapshot and the fitness spec.  A worker keeps
+no state between TASKs and draws no candidate.  It scores the range as one
+lockstep batch and answers with one RESULT holding the range's ``Scores``
+in columns ``fitness``, ``raw_return``, ``count`` (timesteps and
 observation count), ``mean`` and ``m2``, one row per index.  A candidate's
-result does not depend on the batch it is scored in, so a distributed run
-reproduces a single-process run bit for bit.
+result does not depend on the batch it is scored in, and a row reaches the
+worker with the master's exact bits, so a distributed run reproduces a
+single-process run bit for bit.
 
 The master plans each generation once: one contiguous range of at least one
 index per worker, the larger first, each a TASK on one queue from which idle
@@ -25,7 +25,7 @@ sends a reply that does not answer its TASK exactly is dropped and its whole
 TASK queued again, so no live connection holds a TASK between generations
 and no late reply is ever read.
 
-Wire format (protocol version 7): one JSON object per line, UTF-8, field
+Wire format (protocol version 8): one JSON object per line, UTF-8, field
 "type" selecting HELLO / TASK / RESULT / BYE.  Reals use shortest-roundtrip
 decimal form (the json module's default); 64-bit seeds travel as decimal
 strings.
@@ -33,12 +33,10 @@ strings.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import selectors
 import socket
-import struct
 import time
 import uuid
 from collections import deque
@@ -48,22 +46,18 @@ from typing import Callable
 import numpy as np
 
 from .envs import env_spec, make_env
-from .es import CovTransform, DistributionState, sample
+from .es import Candidate, DistributionState, _check_seed
 from .evaluate import (TEST_EPISODES, FitnessSpec, Probe, Scores, TrainResult,
                        _training_strategy, collect_generation, score_candidates,
                        train)
-from .policy import LinearPolicy, ObsNormalizer
+from .policy import LinearPolicy, ObsNormalizer, genome_dim
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
 class ProtocolError(RuntimeError):
     """A peer sent a message this end cannot act on."""
-
-
-class DesyncError(RuntimeError):
-    """Received covariance payload does not match its digest."""
 
 
 class GenerationFailedError(RuntimeError):
@@ -145,76 +139,32 @@ def bye_message(reason: str) -> dict:
 
 def task_message(gen_msg: dict, span: range, probe: bool = False) -> dict:
     """Score candidates ``span`` (at least one) of the generation
-    ``gen_msg`` describes, and with ``probe`` the probe it owes."""
+    ``gen_msg`` describes, whose rows the TASK carries as ``x``, and with
+    ``probe`` the probe it owes."""
     return dict(gen_msg, type="task", index=span.start, count=len(span),
+                x=gen_msg["x"][span.start:span.stop],
                 probe=gen_msg["probe"] if probe else None)
 
 
-def cov_payload(state: DistributionState) -> dict:
-    """Distribution shape as a wire payload: the eigenfactors the sampling
-    map uses, so the worker applies the identical map rather than
-    refactorizing."""
-    n = len(state.m)
-    if state.c_full is not None:
-        return {"kind": "full", "n": n,
-                "basis": [float(v) for v in state.eig_basis.ravel()],
-                "scale": [float(v) for v in state.eig_scale]}
-    if state.c_diag is not None:
-        return {"kind": "diag", "n": n,
-                "d": [float(v) for v in state.c_diag]}
-    return {"kind": "unit", "n": n}
-
-
-def cov_digest(payload: dict) -> str:
-    """64-bit hash of the covariance payload, as a decimal string."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(payload["kind"].encode("ascii"))
-    h.update(struct.pack("<Q", int(payload["n"])))
-    for key in ("d", "basis", "scale"):
-        if key in payload:
-            h.update(np.asarray(payload[key], dtype="<f8").tobytes())
-    return str(int.from_bytes(h.digest(), "little"))
-
-
-def transform_from_payload(payload: dict) -> CovTransform:
-    """Rebuild the sampling map exactly as CovTransform.from_state does."""
-    kind = payload.get("kind")
-    n = int(payload["n"])
-    if kind == "unit":
-        return CovTransform("unit")
-    if kind == "diag":
-        d = np.asarray(payload["d"], dtype=float)
-        if d.shape != (n,):
-            raise ProtocolError("diag payload has wrong length")
-        return CovTransform("diag", sqrt_diag=np.sqrt(d))
-    if kind == "full":
-        basis = np.asarray(payload["basis"], dtype=float)
-        scale = np.asarray(payload["scale"], dtype=float)
-        if basis.shape != (n * n,) or scale.shape != (n,):
-            raise ProtocolError("full payload has wrong shape")
-        return CovTransform("full", basis=basis.reshape(n, n), scale=scale)
-    raise ProtocolError(f"unknown covariance kind {kind!r}")
-
-
 def build_gen_message(*, run_id: str, generation: int, master_seed: int,
-                      env_id: str, lam: int, state: DistributionState,
-                      normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
+                      env_id: str, state: DistributionState,
+                      cands: list[Candidate], normalizer: ObsNormalizer,
+                      fitness_spec: FitnessSpec,
                       probe: Probe | None = None) -> dict:
-    """The fields every TASK of ``generation`` carries.  ``probe``, the test
-    probe owed by the previous generation, must be of the policy
-    ``state.m``: the worker rebuilds it from the TASK's mean."""
-    payload = cov_payload(state)
+    """The fields the TASKs of ``generation`` carry, with the genome rows
+    ``x`` of all its candidates ``cands``, in index order, from which
+    ``task_message`` cuts each TASK's range.  ``probe``, the test probe owed
+    by the previous generation, must be of the policy ``state.m``: the
+    worker rebuilds it from the TASK's mean."""
     return {
         "protocol_version": PROTOCOL_VERSION,
         "run_id": run_id,
         "generation": int(generation),
         "master_seed": str(int(master_seed)),
         "env_id": env_id,
-        "lambda": int(lam),
-        "m": [float(v) for v in state.m],
-        "sigma": float(state.sigma),
-        "cov": payload,
-        "cov_digest": cov_digest(payload),
+        "lambda": len(cands),
+        "m": state.m.tolist(),
+        "x": [c.x.tolist() for c in cands],
         "normalizer": normalizer.to_dict(),
         "fitness_spec": fitness_spec.to_dict(),
         "probe": None if probe is None else int(probe.generation),
@@ -253,18 +203,18 @@ def _count(value, what: str, low: int = 0, high: float = math.inf) -> int:
 
 
 def _column(msg: dict, key: str, rows: int, width: int | None = None,
-            parse=_real) -> np.ndarray:
-    """RESULT column ``key``: a list of ``rows`` entries, each a list of
-    ``width`` entries unless that is None, every entry passed through
-    ``parse``."""
-    col = msg.get(key)
+            parse=_real, where: str = "RESULT") -> np.ndarray:
+    """Column ``key`` of a ``where`` message: a list of ``rows`` entries,
+    each a list of ``width`` entries unless that is None, every entry passed
+    through ``parse``."""
+    col, key = msg.get(key), f"{where} {key}"
     if not isinstance(col, list) or len(col) != rows:
-        raise ProtocolError(f"RESULT {key} must be a list of {rows} rows")
+        raise ProtocolError(f"{key} must be a list of {rows} rows")
     if width is not None:
         if not all(isinstance(row, list) and len(row) == width for row in col):
-            raise ProtocolError(f"RESULT {key} rows must be lists of {width} entries")
+            raise ProtocolError(f"{key} rows must be lists of {width} entries")
         col = [v for row in col for v in row]
-    values = np.array([parse(v, f"RESULT {key}") for v in col])
+    values = np.array([parse(v, key) for v in col])
     return values if width is None else values.reshape(rows, width)
 
 
@@ -308,50 +258,50 @@ def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | Non
 
 @dataclass
 class WorkerContext:
-    """Everything a worker needs to regenerate and score one TASK's range."""
+    """Everything a worker needs to score one TASK's range."""
 
     run_id: str
     generation: int
     master_seed: int
     env_id: str
-    lam: int
-    m: np.ndarray
-    sigma: float
-    transform: CovTransform
+    indexes: range                    # the TASK's range
+    x: np.ndarray                     # its genome rows, one per index
     normalizer: ObsNormalizer
     fitness_spec: FitnessSpec
     probe: Probe | None               # the probe the task runs with its range
 
 
 def gen_context(msg: dict) -> WorkerContext:
-    """Validate a TASK's generation fields and rebuild the sampling context
-    they carry, with the probe it names: the policy ``m``, tested on the
-    seeds of an earlier generation."""
+    """Validate a TASK and build what scoring it needs, with the probe it
+    names: the policy ``m``, tested on the seeds of an earlier generation.
+    Raises ProtocolError (or KeyError, TypeError, ValueError) on a TASK the
+    worker cannot score."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
         raise ProtocolError("unsupported protocol version in TASK")
-    payload = msg["cov"]
-    if cov_digest(payload) != msg.get("cov_digest"):
-        raise DesyncError(
-            f"covariance digest mismatch at generation {msg.get('generation')}")
-    m = np.asarray(msg["m"], dtype=float)
-    if m.shape != (int(payload["n"]),):
-        raise ProtocolError("mean length disagrees with covariance payload")
-    env_id, generation = str(msg["env_id"]), int(msg["generation"])
+    env_id = str(msg["env_id"])
+    spec = env_spec(env_id)
+    n = genome_dim(spec.obs_dim, spec.action_space)
+    generation = _count(msg.get("generation"), "TASK generation")
+    indexes = _task_range(msg, _count(msg.get("lambda"), "TASK lambda", 1))
+    m = _column(msg, "m", n, where="TASK")
+    norm = msg["normalizer"]
+    m2 = _column(norm, "m2", spec.obs_dim, where="TASK normalizer")
+    if (m2 < 0).any():
+        raise ProtocolError("TASK normalizer m2 must not be negative")
     probe = msg["probe"]
     if probe is not None:
-        spec = env_spec(env_id)
         probe = Probe(LinearPolicy.from_genome(m, spec.obs_dim, spec.action_space),
                       _count(probe, "TASK probe", 0, generation - 1))
     return WorkerContext(
         run_id=str(msg["run_id"]),
         generation=generation,
-        master_seed=int(msg["master_seed"]),
+        master_seed=_check_seed(int(msg["master_seed"])),
         env_id=env_id,
-        lam=int(msg["lambda"]),
-        m=m,
-        sigma=float(msg["sigma"]),
-        transform=transform_from_payload(payload),
-        normalizer=ObsNormalizer.from_dict(msg["normalizer"]),
+        indexes=indexes,
+        x=_column(msg, "x", len(indexes), n, where="TASK"),
+        normalizer=ObsNormalizer(
+            _count(norm.get("count"), "TASK normalizer count"),
+            _column(norm, "mean", spec.obs_dim, where="TASK normalizer"), m2),
         fitness_spec=FitnessSpec.from_dict(msg["fitness_spec"]),
         probe=probe,
     )
@@ -367,14 +317,14 @@ def _task_range(msg: dict, lam: int) -> range:
 
 
 def run_task(ctx: WorkerContext, indexes: range) -> dict:
-    """Regrow the candidates ``indexes`` with ``es.sample``, the sampler
-    ``ask`` uses, and score them as one batch, ``ctx.probe``'s episodes
-    included when it is set.  Returns the one RESULT answering the TASK."""
-    genomes = sample(ctx.master_seed, ctx.generation, indexes, ctx.m,
-                     ctx.sigma, ctx.transform)[1]
-    scores, returns = score_candidates(genomes, indexes, make_env(ctx.env_id),
-                                       ctx.normalizer, ctx.fitness_spec,
-                                       ctx.generation, ctx.master_seed, ctx.probe)
+    """Score the rows of candidates ``indexes``, a sub-range of the TASK's,
+    as one batch, ``ctx.probe``'s episodes included when it is set.
+    Returns the one RESULT answering them."""
+    first = indexes.start - ctx.indexes.start
+    scores, returns = score_candidates(ctx.x[first:first + len(indexes)], indexes,
+                                       make_env(ctx.env_id), ctx.normalizer,
+                                       ctx.fitness_spec, ctx.generation,
+                                       ctx.master_seed, ctx.probe)
     return result_message(ctx.run_id, ctx.generation, indexes.start, scores, returns)
 
 
@@ -384,9 +334,8 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
     stop.
 
     Returns the reason the loop ended ("eof", "protocol", or the reason
-    carried by the master's BYE).  Raises DesyncError after replying
-    BYE{desync} to a TASK whose payload fails its digest check, and
-    OSError if the master cannot be reached at all.
+    carried by the master's BYE).  Raises OSError if the master cannot be
+    reached at all.
     """
     sock = socket.create_connection((host, port), timeout=connect_timeout)
     sock.settimeout(None)
@@ -413,14 +362,10 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                 if msg["type"] != "task":
                     raise ProtocolError(f"unexpected {msg['type']!r} message")
                 ctx = gen_context(msg)
-                indexes = _task_range(msg, ctx.lam)
-            except DesyncError:
-                send(bye_message("desync"))
-                raise
             except (ProtocolError, KeyError, TypeError, ValueError):
                 send(bye_message("protocol"))
                 return "protocol"
-            send(run_task(ctx, indexes))
+            send(run_task(ctx, ctx.indexes))
     finally:
         sock.close()
 
@@ -673,12 +618,11 @@ def distributed_evaluator(server: MasterServer, env_id: str,
                           run_id: str) -> Callable:
     """Generation evaluator that scores candidates, and the owed test probe
     with them, on connected workers; the master itself runs no rollout."""
-    def evaluator(_params, state, cands, normalizer, gen, probe):
-        msg = build_gen_message(run_id=run_id, generation=gen,
+    def evaluator(state, cands, normalizer, probe):
+        msg = build_gen_message(run_id=run_id, generation=state.g,
                                 master_seed=master_seed, env_id=env_id,
-                                lam=len(cands), state=state,
-                                normalizer=normalizer, fitness_spec=fitness_spec,
-                                probe=probe)
+                                state=state, cands=cands, normalizer=normalizer,
+                                fitness_spec=fitness_spec, probe=probe)
         parts, probe_returns = server.evaluate_generation(msg)
         return collect_generation(parts, len(cands), probe_returns)
 

@@ -8,9 +8,9 @@ Three variants share one parameter set and one state layout:
 * ``cma``     -- full covariance with rank-one and rank-mu updates and a
                  lazily refreshed eigendecomposition.
 
-Sampling is reproducible from ``(master_seed, generation, index)`` alone:
-``sample`` regrows any of a generation's candidates as ``(Z, X)`` arrays,
-for ``ask`` and for a distributed worker alike, without communication.
+Sampling is reproducible from ``(master_seed, generation, index)`` and the
+distribution alone: ``sample`` draws any of a generation's candidates as
+``(Z, X)`` arrays, and a row's bits do not depend on the rows drawn with it.
 Candidate ``i`` of generation ``g`` is drawn from the stream of
 ``np.random.default_rng([master_seed, 0, g, i])``.  Building that
 ``SeedSequence`` and ``PCG64`` costs 13-18 us, ten times the draw itself,
@@ -194,9 +194,8 @@ def new_strategy(
 class CovTransform:
     """Linear map A with A A^T = C, applied to unit-Gaussian draws.
 
-    Built either from local state or from a received distribution payload;
-    both constructions apply the identical expression so samples agree
-    bitwise across processes.
+    Built from the strategy state; ``ask`` maps a generation's draws through
+    it and ``tell`` its selected draws.
     """
 
     kind: str                              # "unit" | "diag" | "full"
@@ -395,7 +394,7 @@ def _draw(master_seed: int, generation: int, indexes, n: int) -> np.ndarray:
 
 def sample(master_seed: int, generation: int, indexes, m: np.ndarray, sigma: float,
            transform: CovTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Regrow candidates ``indexes`` of a generation from seeds alone, as
+    """Draw candidates ``indexes`` of a generation from their seeds, as
     ``(Z, X)``: one ``candidate_z`` row per index and ``X = m + sigma * A Z``.
     A row's bits do not depend on which other indexes are drawn with it.
     A non-finite ``X``, from non-finite covariance factors or from a step

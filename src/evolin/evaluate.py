@@ -383,12 +383,13 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
     """Search policy weights by ask/evaluate/tell until the budget is spent.
 
     The test probe of generation g is owed until generation g + 1 is
-    evaluated, and runs with it: ``evaluator(params, state, cands,
-    normalizer, gen, probe)`` gets the owed ``Probe`` (or None) and returns a
-    ``GenerationEval`` whose ``probe_returns`` answer it.  g's record, best
-    checkpoint and target check come before g + 1's results are merged or
-    told, and a met target drops those results, so every recorded number is
-    what probing right after g's tell would give.  A probe still owed when
+    evaluated, and runs with it: ``evaluator(state, cands, normalizer,
+    probe)`` gets generation ``state.g``'s candidates and the owed ``Probe``
+    (or None) and returns a ``GenerationEval`` whose ``probe_returns``
+    answer it.  g's record, best checkpoint and target check come before
+    g + 1's results are merged or told, and a met target drops those
+    results, so every recorded number is what probing right after g's tell
+    would give.  A probe still owed when
     the loop ends runs alone through ``test_policy``.
 
     ``evaluator`` may replace local rollout evaluation (the distributed
@@ -403,9 +404,9 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
     normalizer = ObsNormalizer.create(spec.obs_dim)
 
     if evaluator is None:
-        def evaluator(prm, st, cands, norm, gen, probe):
+        def evaluator(st, cands, norm, probe):
             return evaluate_generation(cands, env_id, norm, fitness_spec,
-                                       gen, master_seed, probe)
+                                       st.g, master_seed, probe)
 
     records: list[TrainRecord] = []
     best: Checkpoint | None = None
@@ -442,7 +443,7 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
         except NumericalDegeneracyError:
             status = "degenerate"
             break
-        result = evaluator(params, state, cands, normalizer, gen,
+        result = evaluator(state, cands, normalizer,
                            None if owed is None else owed[0])
         if owed is not None and settle(result.probe_returns):
             status = "target_reached"

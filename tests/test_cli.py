@@ -12,7 +12,7 @@ import pytest
 
 from evolin.cli import SANITY_CHECKS, main, parse_address
 from evolin.distributed import serve_worker
-from evolin.evaluate import CURVE_COLUMNS, read_curve_csv
+from evolin.evaluate import CURVE_COLUMNS, TrainRecord, read_curve_csv, write_curve_csv
 
 
 def run_cli(*argv):
@@ -191,6 +191,20 @@ def test_plot_data_on_a_foreign_csv_exits_2(tmp_path, capsys):
     (tmp_path / "cartpole_csa_seed0.csv").write_text("a,b\n1,2\n")
     assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 2
     assert "not a training curve file" in capsys.readouterr().err
+
+
+def test_plot_data_skips_a_curve_without_records(tmp_path, capsys):
+    # a run whose generation 0 ends degenerate writes a header-only curve
+    empty = [tmp_path / "cartpole_csa_seed0.csv", tmp_path / "cartpole_cma_seed0.csv"]
+    for path in empty:
+        write_curve_csv(str(path), [])
+    write_curve_csv(str(tmp_path / "cartpole_csa_seed1.csv"),
+                    [TrainRecord(0, 50, 9.0, [9.0] * 5, 12.0, 0.1)])
+    assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert all(f"skipped {path}: the curve has no records" in out for path in empty)
+    lines = (tmp_path / "cartpole_aggregate.csv").read_text().splitlines()
+    assert lines == ["cumulative_timesteps,csa_median,csa_std", "50,9.0,0.0"]
 
 
 def test_parse_address_forms():

@@ -11,17 +11,14 @@ import pytest
 from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, LinearPolicy,
                     MasterServer, ObsNormalizer, Probe, ask, env_spec,
                     evaluate_candidate, evaluate_generation, new_strategy,
-                    sample, tell, train)
+                    tell, train)
 from evolin import distributed, evaluate
-from evolin.distributed import (DesyncError, GenerationFailedError,
-                                ProtocolError, _LineReader, build_gen_message,
-                                bye_message, cov_digest, cov_payload,
+from evolin.distributed import (GenerationFailedError, ProtocolError,
+                                _LineReader, build_gen_message, bye_message,
                                 decode_message, encode_message,
                                 gen_context, hello_message, run_task,
                                 scores_from_result, serve_worker, split_ranges,
-                                task_message, train_distributed,
-                                transform_from_payload)
-from evolin.es import CovTransform
+                                task_message, train_distributed)
 from evolin.evaluate import collect_generation, write_curve_csv
 
 
@@ -42,10 +39,9 @@ def warmed_state(variant, n=6, sigma0=0.3, tells=3, seed=77, lam=None):
 
 def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
                        probe_generation=None):
-    """A strategy, its warmed normalizer, and the generation fields of TASKs
-    consistent with both (generation = state.g, so a local ask reproduces
-    the candidates).  With ``probe_generation`` the generation owes the
-    probe of the mean."""
+    """A strategy, its warmed normalizer, and the generation fields of the
+    TASKs of generation ``state.g``, whose rows a local ask draws.  With
+    ``probe_generation`` the generation owes the probe of the mean."""
     spec = env_spec(env_id)
     n = spec.obs_dim * spec.action_space.act_dim
     params, state = warmed_state(variant, n=n, tells=2, lam=lam)
@@ -58,8 +54,8 @@ def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
         probe_generation)
     return params, state, norm, build_gen_message(
         run_id="t", generation=state.g, master_seed=master_seed,
-        env_id=env_id, lam=params.lam, state=state, normalizer=norm,
-        fitness_spec=FitnessSpec(), probe=probe)
+        env_id=env_id, state=state, cands=ask(params, state, master_seed),
+        normalizer=norm, fitness_spec=FitnessSpec(), probe=probe)
 
 
 # ---------------------------------------------------------------------------
@@ -93,71 +89,73 @@ def test_decode_rejects_garbage():
             decode_message(line)
 
 
-def test_cov_digest_is_64_bit_decimal_and_content_sensitive():
-    _, state = warmed_state(SEP_CMA)
-    payload = cov_payload(state)
-    digest = cov_digest(payload)
-    assert digest == str(int(digest)) and 0 <= int(digest) < 2 ** 64
-    assert cov_digest(payload) == digest
-    tampered = dict(payload, d=list(payload["d"]))
-    tampered["d"][0] += 1e-12
-    assert cov_digest(tampered) != digest
-
-
-def test_full_payload_carries_only_the_sampling_factors():
-    # the worker samples from basis and scale; the digest covers exactly those
-    _, state = warmed_state(FULL_CMA)
-    payload = cov_payload(state)
-    assert set(payload) == {"kind", "n", "basis", "scale"}
-    digest = cov_digest(payload)
-    for key in ("basis", "scale"):
-        tampered = dict(payload, **{key: list(payload[key])})
-        tampered[key][-1] += 1e-12
-        assert cov_digest(tampered) != digest
-
-
-@pytest.mark.parametrize("variant", [CSA, SEP_CMA, FULL_CMA])
-def test_wire_payload_reproduces_sampling_map_bitwise(variant):
-    params, state = warmed_state(variant)
-    local = CovTransform.from_state(params, state)
-    payload = decode_message(encode_message({"type": "x", "cov": cov_payload(state)}))["cov"]
-    wire = transform_from_payload(payload)
-    z = np.random.default_rng(1).standard_normal(params.n)
-    assert np.array_equal(local.apply(z), wire.apply(z))
+def test_task_carries_its_generation_and_its_range_rows():
+    _, _, _, msg = sample_gen_message(probe_generation=1)
+    task = task_message(msg, range(1, 3), probe=True)
+    assert set(task) == {"type", "protocol_version", "run_id", "generation",
+                         "master_seed", "env_id", "lambda", "m", "x",
+                         "normalizer", "fitness_spec", "index", "count", "probe"}
+    assert task["x"] == msg["x"][1:3] and len(msg["x"]) == msg["lambda"]
 
 
 @pytest.mark.parametrize("variant", [CSA, SEP_CMA, FULL_CMA])
 def test_gen_context_reconstructs_candidates_bitwise(variant):
-    spec = env_spec("cartpole")
-    n = spec.obs_dim * spec.action_space.act_dim
-    params, state = warmed_state(variant, n=n)
-    norm = ObsNormalizer.create(spec.obs_dim)
+    # every row reaches the worker with the bits ask drew on the master
     seed = 2 ** 63 + 5
-    msg = build_gen_message(run_id="r", generation=state.g, master_seed=seed,
-                            env_id="cartpole", lam=params.lam, state=state,
-                            normalizer=norm, fitness_spec=FitnessSpec())
-    task = task_message(msg, range(params.lam))
-    ctx = gen_context(decode_message(encode_message(task)))
-    assert ctx.master_seed == seed and ctx.lam == params.lam
-    local_cands = ask(params, state, seed)
-    for indexes in ([17], range(8, 20), [31, 0, 12]):
-        z, x = sample(seed, ctx.generation, indexes, ctx.m, ctx.sigma,
-                      ctx.transform)
-        for row, i in enumerate(indexes):
-            assert x[row].tobytes() == local_cands[i].x.tobytes()
-            assert z[row].tobytes() == local_cands[i].z.tobytes()
+    params, state, _, msg = sample_gen_message(variant, master_seed=seed, lam=7)
+    cands = ask(params, state, seed)
+    for span in (range(7), range(0, 1), range(1, 4), range(6, 7)):
+        wire = decode_message(encode_message(task_message(msg, span)))
+        ctx = gen_context(wire)
+        assert ctx.master_seed == seed and ctx.indexes == span
+        assert ctx.x.shape == (len(span), params.n)
+        for row, i in enumerate(span):
+            assert ctx.x[row].tobytes() == cands[i].x.tobytes()
 
 
-def test_gen_context_rejects_digest_mismatch_and_bad_shapes():
+def edit_normalizer(**fields):
+    return lambda t: dict(t, normalizer={**t["normalizer"], **fields})
+
+
+def edit_first_row(value):
+    return lambda t: dict(t, x=[[value] + t["x"][0][1:]] + t["x"][1:])
+
+
+# edits of a valid cartpole TASK (obs_dim 4, genome_dim 4) of range(0, 2)
+MALFORMED_TASKS = {
+    "old-protocol": lambda t: dict(t, protocol_version=7),
+    "short-mean": lambda t: dict(t, m=t["m"][:-1]),
+    "unknown-env": lambda t: dict(t, env_id="mountaincar"),
+    "negative-generation": lambda t: dict(t, generation=-1),
+    "negative-seed": lambda t: dict(t, master_seed="-1"),
+    "x-missing": lambda t: {k: v for k, v in t.items() if k != "x"},
+    "x-short": lambda t: dict(t, x=t["x"][:-1]),
+    "x-long": lambda t: dict(t, x=t["x"] + t["x"][:1]),
+    "x-narrow": lambda t: dict(t, x=[row[:-1] for row in t["x"]]),
+    "x-flat": lambda t: dict(t, x=[v for row in t["x"] for v in row]),
+    "x-nan": edit_first_row(float("nan")),
+    "x-infinite": edit_first_row(float("inf")),
+    "x-string": edit_first_row("0.5"),
+    "x-bool": edit_first_row(True),
+    "normalizer-short": edit_normalizer(mean=[0.0] * 3, m2=[1.0] * 3),
+    "normalizer-m2-short": edit_normalizer(m2=[1.0] * 3),
+    "normalizer-m2-negative": edit_normalizer(m2=[1.0, 1.0, 1.0, -1.0]),
+    "normalizer-nan": edit_normalizer(mean=[0.0, 0.0, 0.0, float("nan")]),
+    "normalizer-count-negative": edit_normalizer(count=-1),
+    "normalizer-count-float": edit_normalizer(count=10.0),
+    "normalizer-count-missing": lambda t: dict(
+        t, normalizer={k: v for k, v in t["normalizer"].items() if k != "count"}),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_TASKS.values(), ids=MALFORMED_TASKS.keys())
+def test_gen_context_rejects_a_malformed_task(edit):
+    # each of these a worker refuses with BYE protocol
     _, _, _, msg = sample_gen_message()
-    bad = dict(msg, cov_digest=str((int(msg["cov_digest"]) + 1) % 2 ** 64))
-    with pytest.raises(DesyncError):
-        gen_context(bad)
-    short = dict(msg, m=msg["m"][:-1])
-    with pytest.raises(ProtocolError):
-        gen_context(short)
-    with pytest.raises(ProtocolError):
-        gen_context(dict(msg, protocol_version=5))
+    task = task_message(msg, range(0, 2))
+    gen_context(task)
+    with pytest.raises((ProtocolError, KeyError, TypeError, ValueError)):
+        gen_context(edit(task))
 
 
 # a probe is null or an int generation before the TASK's own (here 2)
@@ -346,9 +344,9 @@ def test_master_and_worker_sockets_disable_nagle(monkeypatch):
     assert out.get("reason") == "shutdown"
 
 
-def worker_replies_to_task(edit, probe_generation=None):
-    """Start a real worker, send it the TASK ``edit`` makes of a valid
-    one-candidate TASK (naming the probe of ``probe_generation``, if given),
+def worker_replies_to_task(edit, probe_generation=None, span=range(0, 1)):
+    """Start a real worker, send it the TASK ``edit`` makes of a valid TASK
+    of range ``span`` (naming the probe of ``probe_generation``, if given),
     and return its first reply and its exit reason once the connection is
     closed."""
     listener = socket.create_server(("127.0.0.1", 0))
@@ -365,8 +363,9 @@ def worker_replies_to_task(edit, probe_generation=None):
     reader = _LineReader(conn)
     assert decode_message(reader.readline())["type"] == "hello"
     _, _, _, msg = sample_gen_message(probe_generation=probe_generation)
-    task = task_message(msg, range(0, 1), probe=probe_generation is not None)
-    conn.sendall(encode_message(edit(task, msg["lambda"])))
+    task = task_message(msg, span, probe=probe_generation is not None)
+    # json.dumps, unlike encode_message, writes NaN and Infinity
+    conn.sendall((json.dumps(edit(task, msg["lambda"])) + "\n").encode())
     reply = reader.readline()
     assert reply is not None
     got = decode_message(reply)
@@ -426,7 +425,7 @@ def test_worker_says_bye_on_a_malformed_fitness_spec(spec):
 
 def test_worker_answers_a_range_with_one_result_per_index():
     # one RESULT for the whole range, each column holding one row per index
-    reply, reason = worker_replies_to_task(lambda t, lam: dict(t, index=1, count=2))
+    reply, reason = worker_replies_to_task(lambda t, lam: t, span=range(1, 3))
     assert (reply["type"], reply["run_id"], reply["index"]) == ("result", "t", 1)
     assert all(len(reply[key]) == 2 for key in COLUMNS) and reply["probe"] is None
     assert all(len(row) == 4 for key in ("mean", "m2") for row in reply[key])
@@ -436,57 +435,38 @@ def test_worker_answers_a_range_with_one_result_per_index():
 def test_worker_runs_the_owed_probe_only_when_flagged():
     # the TASK is for generation 2 and names the probe of generation 1
     flagged, reason = worker_replies_to_task(
-        lambda t, lam: dict(t, index=1, count=2), probe_generation=1)
+        lambda t, lam: t, probe_generation=1, span=range(1, 3))
     assert (flagged["type"], flagged["index"], flagged["generation"]) == ("result", 1, 2)
     assert len(flagged["fitness"]) == 2 and len(flagged["probe"]) == 5
     assert reason == "eof"
     unflagged, _ = worker_replies_to_task(
-        lambda t, lam: dict(t, index=1, count=2, probe=None), probe_generation=1)
+        lambda t, lam: dict(t, probe=None), probe_generation=1, span=range(1, 3))
     assert unflagged == dict(flagged, probe=None)
 
 
-def test_worker_says_bye_on_a_gen_message_and_raises_on_desync():
-    listener = socket.create_server(("127.0.0.1", 0))
-    host, port = listener.getsockname()[:2]
-
-    def check(send_first, expect_bye_reason):
-        out = {}
-
-        def run():
-            try:
-                out["reason"] = serve_worker(host, port)
-            except DesyncError as exc:
-                out["error"] = exc
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        conn, _ = listener.accept()
-        conn.settimeout(10)         # a worker that ignores the message fails
-        reader = _LineReader(conn)
-        decode_message(reader.readline())
-        conn.sendall(encode_message(send_first))
-        reply = reader.readline()
-        assert reply is not None
-        assert decode_message(reply) == bye_message(expect_bye_reason)
-        thread.join(timeout=10)
-        conn.close()
-        return out
-
+def test_worker_says_bye_on_a_gen_message():
     # protocol 5 sent each generation once as a GEN, before its TASKs
-    _, _, _, msg = sample_gen_message()
-    out = check(dict(msg, type="gen"), "protocol")
-    assert out["reason"] == "protocol"
+    reply, reason = worker_replies_to_task(
+        lambda t, lam: {k: v for k, v in t.items() if k not in ("index", "count")}
+        | {"type": "gen"})
+    assert reply == bye_message("protocol")
+    assert reason == "protocol"
 
-    task = task_message(msg, range(0, 1))
-    corrupted = dict(task, cov_digest=str((int(task["cov_digest"]) + 7) % 2 ** 64))
-    out = check(corrupted, "desync")
-    assert isinstance(out.get("error"), DesyncError)
-    listener.close()
+
+@pytest.mark.parametrize("name", ["x-missing", "x-short", "x-long", "x-narrow",
+                                  "x-nan", "x-string", "normalizer-short",
+                                  "unknown-env"])
+def test_worker_says_bye_on_a_task_it_cannot_score(name):
+    # the TASK names range(0, 1); the edits cut and extend its one row
+    reply, reason = worker_replies_to_task(lambda t, lam: MALFORMED_TASKS[name](t))
+    assert reply == bye_message("protocol")
+    assert reason == "protocol"
 
 
 def test_master_rejects_wrong_protocol_version():
-    # 5 is the previous protocol, which sent each generation as a GEN
-    for version in (5, 99):
+    # 5 sent each generation as a GEN; 7, the previous protocol, sent the
+    # search distribution for workers to draw the candidates from
+    for version in (5, 7, 99):
         with MasterServer() as server:
             sock = socket.create_connection(server.address)
             sock.sendall(encode_message(

@@ -77,7 +77,7 @@ def test_stacked_matmul_equals_per_row_matmul(act_dim, obs_dim) -> None:
 
 @pytest.mark.parametrize("n", [3, 8, 10, 18])
 def test_full_covariance_transform_equals_per_row_product(n) -> None:
-    # ask, the worker and tell all map draws through CovTransform.apply; a
+    # ask and tell both map draws through CovTransform.apply; a
     # stack of draws must give each row the bits of the 1-D product
     rng = np.random.default_rng(n)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
