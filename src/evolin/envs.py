@@ -3,10 +3,14 @@
 Dynamics, reset distributions, episode limits, and reward conventions follow
 the standard v1 task definitions (cart-pole balance, acrobot swing-up,
 pendulum swing-up) so returns are comparable to published numbers.  Each
-environment's dynamics exist once, as numpy operations over a batch of
-episodes whose states are ``(k, L)`` float64 arrays; a single env is a batch
-of one.  Episodes are deterministic given the reset seed and the action
-sequence, and bit-identical whatever else shares their batch.
+environment is written once, as numpy operations over a batch of episodes
+whose states are ``(k, L)`` float64 arrays; a single env is a batch of one.
+A step is split into the part that feeds back (``transition``: the next
+state and the termination flags) and the part that does not (``reward``),
+so a batched rollout can step only the first and score a whole recorded
+trajectory with one ``reward`` call.  Episodes are deterministic given the
+reset seed and the action sequence, and bit-identical whatever else shares
+their batch.
 """
 
 from __future__ import annotations
@@ -48,14 +52,29 @@ class EnvSpec:
 
 
 class _EnvBase:
-    """One environment's dynamics, written once over a batch of episodes.
+    """One environment, written once over a batch of episodes.
 
     State arrays have shape ``(k, L)``: row ``i`` holds state variable ``i``
-    of ``L`` episodes.  ``initial_state`` draws one episode's start state,
-    ``observe`` maps states to ``(L, obs_dim)`` observations, and
-    ``dynamics`` advances every episode by one step.  Each operation is
-    elementwise per episode, so an episode's numbers do not depend on which
-    others share its batch.  ``reset``/``step`` drive a batch of one.
+    of ``L`` episodes.  Actions are ``(L,)`` discrete indexes or
+    ``(L, act_dim)`` box actions.  A subclass defines:
+
+    * ``initial_state(rng)``: one episode's ``(k,)`` start state;
+    * ``observe(state, out)``: writes the ``(L, obs_dim)`` observations into
+      ``out`` and returns it;
+    * ``transition(state, actions, out)``: writes the next ``(k, L)`` states
+      into ``out`` (never ``state`` itself) and returns the ``(L,)``
+      terminated flags, or None for an env that never terminates;
+    * ``reward(state, actions, next_state)``: the rewards of transitions,
+      elementwise over any trailing shape, so one call scores a recorded
+      ``(k, T, L)`` trajectory with the bits of T single steps.
+
+    The caller sees to the actions: discrete ones in range, box ones finite
+    and within the bounds.  ``step`` checks a discrete action and clips a box
+    one; ``act_batch`` gives in-range indexes and box actions within the
+    bounds up to the rounding of ``high - low`` (exact for pendulum).  Every
+    operation is elementwise per episode, so an episode's numbers do not
+    depend on which others share its batch.  ``reset``/``step`` drive a
+    batch of one; ``step`` calls ``transition`` and then ``reward``.
     """
 
     spec: EnvSpec
@@ -69,37 +88,47 @@ class _EnvBase:
         self._state = self.initial_state(np.random.default_rng(seed))[:, None]
         self._steps = 0
         self._done = False
-        return self.observe(self._state)[0]
+        return self._observe_one()
 
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         self._steps += 1
-        self._state, reward, terminated = self.dynamics(self._state,
-                                                        self._one_action(action))
-        terminated = bool(terminated[0])
+        state, actions = self._state, self._one_action(action)
+        next_state = np.empty_like(state)
+        terminated = self.transition(state, actions, next_state)
+        reward = self.reward(state, actions, next_state)
+        self._state = next_state
+        terminated = terminated is not None and bool(terminated[0])
         truncated = self._steps >= self.spec.max_episode_steps
         if terminated or truncated:
             self._done = True
-        return StepResult(self.observe(self._state)[0], float(reward[0]),
-                          terminated, truncated)
+        return StepResult(self._observe_one(), float(reward[0]), terminated, truncated)
+
+    def _observe_one(self) -> np.ndarray:
+        return self.observe(self._state, np.empty((1, self.spec.obs_dim)))[0]
 
     def _one_action(self, action) -> np.ndarray:
         space = self.spec.action_space
         if isinstance(space, Discrete):
             return np.array([_check_discrete(action, space.n)])
-        return np.asarray(action, dtype=float).reshape(1, -1)
+        actions = np.asarray(action, dtype=float).reshape(1, -1)
+        if actions.shape[1] != space.act_dim or not np.isfinite(actions).all():
+            raise ValueError(f"action must be {space.act_dim} finite number(s)")
+        return np.minimum(np.maximum(actions, space.low), space.high)
 
     def initial_state(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def observe(self, state: np.ndarray) -> np.ndarray:
+    def observe(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def dynamics(self, state: np.ndarray, actions: np.ndarray):
-        """Advance ``(k, L)`` states by ``(L,)`` discrete or ``(L, act_dim)``
-        box actions; returns the new states, the ``(L,)`` rewards and the
-        ``(L,)`` terminated flags."""
+    def transition(self, state: np.ndarray, actions: np.ndarray,
+                   out: np.ndarray) -> np.ndarray | None:
+        raise NotImplementedError
+
+    def reward(self, state: np.ndarray, actions: np.ndarray,
+               next_state: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -121,12 +150,6 @@ def _check_discrete(action, n: int) -> int:
     if a != action or not 0 <= a < n:
         raise ValueError(f"action must be an integer in [0, {n})")
     return a
-
-
-def _check_discrete_batch(actions: np.ndarray, n: int) -> np.ndarray:
-    if actions.min() < 0 or actions.max() >= n:
-        raise ValueError(f"action must be an integer in [0, {n})")
-    return actions
 
 
 class CartPole(_EnvBase):
@@ -151,12 +174,13 @@ class CartPole(_EnvBase):
     def initial_state(self, rng):
         return rng.uniform(-0.05, 0.05, size=4)
 
-    def observe(self, state):
-        return state.T.copy()
+    def observe(self, state, out):
+        out[...] = state.T
+        return out
 
-    def dynamics(self, state, actions):
-        force = self.FORCES[_check_discrete_batch(actions, 2)]
-        x, x_dot, th, th_dot = state
+    def transition(self, state, actions, out):
+        force = self.FORCES[actions]
+        x_dot, th, th_dot = state[1], state[2], state[3]
 
         costh = np.cos(th)
         sinth = np.sin(th)
@@ -166,18 +190,21 @@ class CartPole(_EnvBase):
         x_acc = temp - self.POLEMASS_LENGTH * th_acc * costh / self.TOTAL_MASS
 
         # semi-explicit Euler, positions advanced with the old velocities
-        state = state + self.TAU * np.array([x_dot, x_acc, th_dot, th_acc])
+        np.add(state, self.TAU * np.array([x_dot, x_acc, th_dot, th_acc]), out=out)
+        return (np.abs(out[0]) > self.X_LIMIT) | (np.abs(out[2]) > self.THETA_LIMIT)
 
-        terminated = ((np.abs(state[0]) > self.X_LIMIT)
-                      | (np.abs(state[2]) > self.THETA_LIMIT))
-        return state, np.ones(len(x)), terminated
+    def reward(self, state, actions, next_state):
+        return np.ones(state.shape[1:])       # the falling step still pays
 
 
 def _wrap(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Shift each entry of ``x`` into ``[lo, hi]`` one period ``hi - lo`` at a
+    time; infinite and NaN entries pass through unchanged."""
     diff = hi - lo
-    while (over := x > hi).any():
+    finite = np.isfinite(x)
+    while (over := finite & (x > hi)).any():
         x = np.where(over, x - diff, x)
-    while (under := x < lo).any():
+    while (under := finite & (x < lo)).any():
         x = np.where(under, x + diff, x)
     return x
 
@@ -210,10 +237,14 @@ class Acrobot(_EnvBase):
     def initial_state(self, rng):
         return rng.uniform(-0.1, 0.1, size=4)
 
-    def observe(self, state):
-        th1, th2, dth1, dth2 = state
-        return np.array([np.cos(th1), np.sin(th1), np.cos(th2), np.sin(th2),
-                         dth1, dth2]).T.copy()
+    def observe(self, state, out):
+        th1, th2 = state[0], state[1]
+        np.cos(th1, out=out[:, 0])
+        np.sin(th1, out=out[:, 1])
+        np.cos(th2, out=out[:, 2])
+        np.sin(th2, out=out[:, 3])
+        out[:, 4:] = state[2:].T
+        return out
 
     def _dsdt(self, s, torque):
         m1 = self.LINK_MASS_1
@@ -223,7 +254,7 @@ class Acrobot(_EnvBase):
         lc2 = self.LINK_COM_2
         i1 = i2 = self.LINK_MOI
         g = self.GRAVITY
-        th1, th2, dth1, dth2 = s
+        th1, th2, dth1, dth2 = s[0], s[1], s[2], s[3]
         cos2 = np.cos(th2)
         sin2 = np.sin(th2)
 
@@ -240,8 +271,8 @@ class Acrobot(_EnvBase):
         ddth1 = -(d2 * ddth2 + phi1) / d1
         return np.array([dth1, dth2, ddth1, ddth2])
 
-    def dynamics(self, state, actions):
-        torque = self.TORQUES[_check_discrete_batch(actions, 3)]
+    def transition(self, state, actions, out):
+        torque = self.TORQUES[actions]
         s = state
         dt = self.DT
 
@@ -252,13 +283,18 @@ class Acrobot(_EnvBase):
         k4 = self._dsdt(s + dt * k3, torque)
         ns = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        th1, th2 = _wrap(ns[:2], -math.pi, math.pi)
-        dth1 = np.minimum(np.maximum(ns[2], -self.MAX_VEL_1), self.MAX_VEL_1)
-        dth2 = np.minimum(np.maximum(ns[3], -self.MAX_VEL_2), self.MAX_VEL_2)
+        out[:2] = _wrap(ns[:2], -math.pi, math.pi)
+        np.minimum(np.maximum(ns[2], -self.MAX_VEL_1), self.MAX_VEL_1, out=out[2])
+        np.minimum(np.maximum(ns[3], -self.MAX_VEL_2), self.MAX_VEL_2, out=out[3])
+        return self._at_goal(out)
 
-        terminated = -np.cos(th1) - np.cos(th2 + th1) > 1.0
-        reward = terminated - 1.0          # 0 at the goal, else -1
-        return np.array([th1, th2, dth1, dth2]), reward, terminated
+    def reward(self, state, actions, next_state):
+        return self._at_goal(next_state) - 1.0    # 0 at the goal, else -1
+
+    @staticmethod
+    def _at_goal(state):
+        th1, th2 = state[0], state[1]
+        return -np.cos(th1) - np.cos(th2 + th1) > 1.0
 
 
 def _angle_normalize(x):
@@ -268,14 +304,18 @@ def _angle_normalize(x):
 class Pendulum(_EnvBase):
     """Torque-limited swing-up; cost penalizes angle, speed, and effort."""
 
-    spec = EnvSpec("pendulum", 3, Box(np.array([-2.0]), np.array([2.0])), 200, -100.0)
+    MAX_TORQUE = 2.0                  # the action space's bounds
+    spec = EnvSpec("pendulum", 3, Box(np.array([-MAX_TORQUE]), np.array([MAX_TORQUE])),
+                   200, -100.0)
 
     MAX_SPEED = 8.0
-    MAX_TORQUE = 2.0
     DT = 0.05
     GRAVITY = 10.0
     MASS = 1.0
     LENGTH = 1.0
+    # angular acceleration: 3 g / (2 l) sin(th) + 3 / (m l^2) u
+    SIN_GAIN = 3 * GRAVITY / (2 * LENGTH)
+    TORQUE_GAIN = 3.0 / (MASS * LENGTH * LENGTH)
 
     _th, _thdot = _StateVar(0), _StateVar(1)
 
@@ -283,25 +323,29 @@ class Pendulum(_EnvBase):
         th = rng.uniform(-math.pi, math.pi)
         return np.array([th, rng.uniform(-1.0, 1.0)])
 
-    def observe(self, state):
-        th, thdot = state
-        return np.array([np.cos(th), np.sin(th), thdot]).T.copy()
+    def observe(self, state, out):
+        th = state[0]
+        np.cos(th, out=out[:, 0])
+        np.sin(th, out=out[:, 1])
+        out[:, 2] = state[1]
+        return out
 
-    def dynamics(self, state, actions):
-        if actions.shape[1:] != (1,) or not np.isfinite(actions).all():
-            raise ValueError("action must be a finite scalar torque")
-        u = np.minimum(np.maximum(actions[:, 0], -self.MAX_TORQUE), self.MAX_TORQUE)
-        th, thdot = state
-        g, m, length, dt = self.GRAVITY, self.MASS, self.LENGTH, self.DT
+    def transition(self, state, actions, out):
+        th, thdot, newthdot = state[0], state[1], out[1]
+        np.add(thdot, (self.SIN_GAIN * np.sin(th) + self.TORQUE_GAIN * actions[:, 0])
+               * self.DT, out=newthdot)
+        np.maximum(newthdot, -self.MAX_SPEED, out=newthdot)
+        np.minimum(newthdot, self.MAX_SPEED, out=newthdot)
+        np.add(th, newthdot * self.DT, out=out[0])
+        return None
 
+    def reward(self, state, actions, next_state):
+        u = actions[..., 0]
+        th, thdot = state[0], state[1]
         # float_power calls libm's pow, as float ** 2 does; x * x can differ
         cost = (np.float_power(_angle_normalize(th), 2.0) + 0.1 * thdot * thdot
                 + 0.001 * u * u)
-        newthdot = thdot + (3 * g / (2 * length) * np.sin(th)
-                            + 3.0 / (m * length * length) * u) * dt
-        newthdot = np.minimum(np.maximum(newthdot, -self.MAX_SPEED), self.MAX_SPEED)
-        return (np.array([th + newthdot * dt, newthdot]), -cost,
-                np.zeros(len(th), dtype=bool))
+        return -cost
 
 
 _ENV_CLASSES = {cls.spec.env_id: cls for cls in (CartPole, Acrobot, Pendulum)}

@@ -31,7 +31,7 @@ import numpy as np
 from .envs import env_spec, make_env
 from .es import (Candidate, NumericalDegeneracyError, StrategyParams,
                  DistributionState, _check_seed, ask, new_strategy, tell)
-from .policy import (Checkpoint, LinearPolicy, ObsNormalizer, act_batch,
+from .policy import (Box, Checkpoint, LinearPolicy, ObsNormalizer, act_batch,
                      genome_dim, welford_update)
 
 __all__ = [
@@ -166,45 +166,104 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
 
     Lane ``i`` resets from ``seeds[i]`` and acts with the linear policy
     ``weights[i]`` (``weights`` is ``(L, act_dim, obs_dim)``) until its own
-    termination or truncation, where it leaves the batch and its results
-    become row ``i``.  The passed normalizer is read once and never touched;
-    each lane's observations go into its own moments, covering exactly the
-    observations its policy acted on.  Every operation is elementwise per
-    lane or a stacked matmul, so a lane's result does not depend on the
-    other lanes.
+    termination or truncation; its results become row ``i``.  Equal seeds
+    (ints, or lists of ints) share one ``initial_state`` draw.  The passed
+    normalizer is read once and never touched; each lane's observations go
+    into its own moments, covering exactly the observations its policy acted
+    on.
+
+    A step computes only what feeds back: the observations (checked finite
+    for every running lane), their moments, the normalized policy input, the
+    actions and the next states.  Observations, actions and states go into
+    arrays allocated once per batch: states are recorded as a
+    ``(k, T + 1, L)`` trajectory, actions as ``(T, L)`` or
+    ``(T, L, act_dim)``.  A finished lane keeps stepping with the others,
+    since a step costs about the same for any number of lanes; its row is
+    taken when it finishes, and nothing it computes later is checked or
+    reaches a result.  After the loop the box actions the lanes acted with
+    are checked finite, one ``env.reward`` call scores the whole trajectory,
+    and each lane's rewards are summed in step order from 0.0, with the bits
+    of adding them up step by step.  Every operation is elementwise per lane
+    or a stacked matmul, so a lane's result does not depend on the other
+    lanes.
     """
     spec = env.spec
+    space = spec.action_space
     limit = spec.max_episode_steps
     shift, scale = normalizer.affine()
     weights = np.ascontiguousarray(weights, dtype=float)
-    state = np.stack([env.initial_state(np.random.default_rng(s)) for s in seeds],
-                     axis=1)
-    out = Scores.zeros(len(seeds), spec.obs_dim)
-    lanes = np.arange(len(seeds))
-    raw = np.zeros(len(seeds))
-    shaped = np.zeros(len(seeds))
-    mean = m2 = np.zeros((len(seeds), spec.obs_dim))
-    obs = env.observe(state)
-    for t in range(1, limit + 1):
-        if not np.isfinite(obs).all():
-            raise ValueError("observation must be finite")
-        mean, m2 = welford_update(t, mean, m2, obs)
-        actions = act_batch(weights, spec.action_space, (obs - shift) / scale)
-        state, reward, terminated = env.dynamics(state, actions)
-        raw += reward
-        shaped += shape_reward(reward, shaping)
-        done = terminated if t < limit else np.ones_like(terminated)
-        if done.any():
-            rows = lanes[done]
-            out.raw[rows], out.shaped[rows], out.count[rows] = raw[done], shaped[done], t
-            out.mean[rows], out.m2[rows] = mean[done], m2[done]
-            keep = ~done
-            if not keep.any():
+    start = _start_states(env, seeds)
+    lanes = start.shape[1]
+    states = np.empty((len(start), limit + 1, lanes))
+    states[:, 0] = start
+    box = isinstance(space, Box)
+    actions = (np.empty((limit, lanes, space.act_dim)) if box
+               else np.empty((limit, lanes), dtype=np.intp))
+    obs = np.empty((lanes, spec.obs_dim))
+    mean = m2 = np.zeros((lanes, spec.obs_dim))
+    out = Scores.zeros(lanes, spec.obs_dim)
+    running = np.ones(lanes, dtype=bool)
+
+    def finish(done, steps):
+        out.count[done] = steps
+        out.mean[done], out.m2[done] = mean[done], m2[done]
+
+    for t in range(limit):
+        state = states[:, t]
+        env.observe(state, obs)
+        # a finite sum means every entry is finite; else look closer
+        if not math.isfinite(np.add.reduce(obs, None)):
+            # a non-finite action shows up here first, one step late
+            if box and t and not np.isfinite(actions[t - 1, running]).all():
+                raise ValueError("action must be finite")
+            if not np.isfinite(obs[running]).all():
+                raise ValueError("observation must be finite")
+        mean, m2 = welford_update(t + 1, mean, m2, obs)
+        z = (obs - shift) / scale
+        terminated = env.transition(state, act_batch(weights, space, z, out=actions[t]),
+                                    states[:, t + 1])
+        if terminated is not None and (terminated := terminated & running).any():
+            finish(terminated, t + 1)
+            running &= ~terminated
+            if not running.any():
                 break
-            lanes, state, weights = lanes[keep], state[:, keep], weights[keep]
-            raw, shaped, mean, m2 = raw[keep], shaped[keep], mean[keep], m2[keep]
-        obs = env.observe(state)
+    else:
+        finish(running, limit)
+    steps = t + 1
+
+    acted = actions[:steps]
+    if box and not np.isfinite(acted[np.arange(steps)[:, None] < out.count]).all():
+        raise ValueError("action must be finite")
+    rewards = env.reward(states[:, :steps], acted, states[:, 1:steps + 1])
+    out.raw[:] = _returns(rewards, out.count)
+    shaped = shape_reward(rewards, shaping)
+    out.shaped[:] = out.raw if shaped is rewards else _returns(shaped, out.count)
     return out
+
+
+def _start_states(env, seeds) -> np.ndarray:
+    """``(k, L)`` start states, one ``initial_state`` draw per distinct seed.
+    Only ints and lists of ints are shared: a generator given twice must
+    draw twice."""
+    drawn = {}
+    columns = []
+    for seed in seeds:
+        key = (tuple(seed) if isinstance(seed, list)
+               else seed if isinstance(seed, int) else object())
+        if key not in drawn:
+            drawn[key] = env.initial_state(np.random.default_rng(seed))
+        columns.append(drawn[key])
+    return np.stack(columns, axis=1)
+
+
+def _returns(rewards: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Lane ``i``'s first ``count[i]`` rewards of ``(T, L)`` ``rewards``,
+    summed in step order from 0.0: ``np.add.accumulate`` adds one step at a
+    time, where ``sum`` would add pairwise and change the bits.  The leading
+    zero also makes an all ``-0.0`` episode return ``+0.0``."""
+    totals = np.add.accumulate(
+        np.concatenate([np.zeros((1, rewards.shape[1])), rewards]), axis=0)
+    return totals[count, np.arange(len(count))]
 
 
 def rollout(env, policy: LinearPolicy, normalizer: ObsNormalizer, episode_seed,

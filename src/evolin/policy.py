@@ -61,6 +61,8 @@ class Box:
             raise ValueError("box bounds must be finite")
         if not np.all(low < high):
             raise ValueError("box bounds must satisfy low < high elementwise")
+        # not a field: derived from the bounds, for act_batch
+        object.__setattr__(self, "half_width", 0.5 * (high - low))
 
     @property
     def act_dim(self) -> int:
@@ -188,20 +190,28 @@ def welford_update(count: int, mean: np.ndarray, m2: np.ndarray,
     return mean, m2 + delta * (obs - mean)
 
 
-def act_batch(weights: np.ndarray, space: ActionSpace, z: np.ndarray) -> np.ndarray:
+def act_batch(weights: np.ndarray, space: ActionSpace, z: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Actions of L linear policies, lane ``i`` acting on normalized ``z[i]``.
 
     ``weights`` is a C-contiguous ``(L, act_dim, obs_dim)`` stack.  The
     stacked matmul computes each lane with the same BLAS call, and so the
     same bits, as ``weights[i] @ z[i]``; discrete spaces return ``(L,)``
-    indexes, box spaces ``(L, act_dim)`` actions.
+    indexes, box spaces ``(L, act_dim)`` actions, written into ``out`` when
+    it is given.
     """
     logits = np.matmul(weights, z[:, :, None])[:, :, 0]
     if isinstance(space, Discrete):
         # np.argmax resolves ties toward the lowest action index
-        return logits.argmax(axis=1)
-    low, high = space.low, space.high
-    return low + (np.tanh(logits) + 1.0) * 0.5 * (high - low)
+        return logits.argmax(axis=1, out=out)
+    # low + (tanh(logits) + 1) * 0.5 * (high - low), in place.  Halving is
+    # exact for t + 1 (0 or at least 2**-53) and for any width above 2**-1021,
+    # so (t + 1) * half_width has the bits of ((t + 1) * 0.5) * (high - low)
+    actions = np.tanh(logits, out=out)
+    actions += 1.0
+    actions *= space.half_width
+    actions += space.low
+    return actions
 
 
 def act(policy: LinearPolicy, normalizer: ObsNormalizer, obs: np.ndarray):

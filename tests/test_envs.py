@@ -1,10 +1,12 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from evolin import env_spec, make_env
+from evolin.envs import _wrap
 from evolin.policy import Box, Discrete
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -184,6 +186,22 @@ def test_acrobot_state_stays_bounded() -> None:
         assert abs(env._s[0]) <= math.pi and abs(env._s[1]) <= math.pi
         if res.terminated or res.truncated:
             break
+
+
+def test_wrap_passes_non_finite_angles_through() -> None:
+    x = np.array([np.inf, -np.inf, np.nan, 4.0, -10.0, 1.0, math.pi])
+    done = {}
+    # in a thread, so that a wrap that never returns fails instead of hanging
+    worker = threading.Thread(target=lambda: done.setdefault(
+        "out", _wrap(x, -math.pi, math.pi)), daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert "out" in done, "_wrap did not return within 5 s"
+    out = done["out"]
+    assert out[0] == np.inf and out[1] == -np.inf and math.isnan(out[2])
+    # finite entries still move one period at a time, with the same bits
+    period = math.pi - -math.pi
+    assert out[3:].tolist() == [4.0 - period, -10.0 + period + period, 1.0, math.pi]
 
 
 def test_acrobot_terminal_pays_zero_and_matches_height() -> None:

@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, LinearPolicy,
+from evolin import (CSA, ENV_IDS, FULL_CMA, SEP_CMA, FitnessSpec, LinearPolicy,
                     ObsNormalizer,
                     Shaping, ask, env_spec, make_env, new_strategy,
                     read_curve_csv, rollout, shape_reward, train,
                     write_curve_csv)
 from evolin import test_policy as run_test_protocol
 from evolin import evaluate
+from evolin.envs import CartPole, Pendulum
 from evolin.evaluate import (collect_generation, evaluate_candidate,
-                             evaluate_generation, train_episode_seed)
+                             evaluate_generation, run_episodes,
+                             train_episode_seed)
 from evolin.evaluate import test_episode_seed as probe_episode_seed
-from evolin.policy import genome_dim
+from evolin.policy import Discrete, act_batch, genome_dim
 
 
 def zero_policy(env_id: str) -> LinearPolicy:
@@ -80,6 +84,125 @@ def test_rollout_delta_counts_acted_on_observations() -> None:
     assert res.delta(0).count == seen.count == res.count[0]
     assert res.mean[0].tobytes() == seen.mean.tobytes()
     assert res.m2[0].tobytes() == seen.m2.tobytes()
+
+
+# ------------------------------------------ returns scored after the loop
+
+def stepped_returns(env, weights, normalizer, seed, shaping):
+    """One episode through ``env.step``, its raw and shaped rewards summed
+    from 0.0 step by step, and its length."""
+    space = env.spec.action_space
+    shift, scale = normalizer.affine()
+    obs = env.reset(seed)
+    raw = shaped = 0.0
+    steps = 0
+    while True:
+        action = act_batch(weights[None], space, ((obs - shift) / scale)[None])[0]
+        res = env.step(int(action) if isinstance(space, Discrete) else action)
+        raw += res.reward
+        shaped += shape_reward(res.reward, shaping)
+        steps += 1
+        if res.terminated or res.truncated:
+            return raw, shaped, steps
+        obs = res.obs
+
+
+@pytest.mark.parametrize("shaping", [Shaping(), Shaping("drop_alive_bonus", 1.0)],
+                         ids=["identity", "drop_alive_bonus"])
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_batched_returns_equal_stepped_sums(env_id, shaping) -> None:
+    env = make_env(env_id)
+    spec = env.spec
+    rng = np.random.default_rng(3)
+    weights = rng.standard_normal((4, spec.action_space.act_dim, spec.obs_dim))
+    norm = ObsNormalizer(10, 0.1 * rng.standard_normal(spec.obs_dim),
+                         rng.uniform(5.0, 15.0, spec.obs_dim))
+    seeds = [[7, 1, 0, lane] for lane in range(4)]
+    scores = run_episodes(env, weights, norm, seeds, shaping)
+    for lane, seed in enumerate(seeds):
+        raw, shaped, steps = stepped_returns(make_env(env_id), weights[lane], norm,
+                                             seed, shaping)
+        assert scores.count[lane] == steps
+        assert scores.raw[lane].hex() == raw.hex()
+        assert scores.shaped[lane].hex() == shaped.hex()
+
+
+class _UprightPendulum(Pendulum):
+    """Starts at upright rest, where zero torque keeps it and costs nothing."""
+
+    def initial_state(self, rng):
+        return np.zeros(2)
+
+
+def test_all_minus_zero_rewards_return_plus_zero() -> None:
+    env = _UprightPendulum()
+    env.reset(0)
+    assert math.copysign(1.0, env.step([0.0]).reward) == -1.0
+    # zero weights act 0.0: low + (tanh(0) + 1) * 0.5 * (high - low)
+    scores = run_episodes(env, np.zeros((1, 1, 3)), ObsNormalizer.create(3), [0])
+    assert scores.count[0] == 200
+    assert math.copysign(1.0, scores.raw[0]) == math.copysign(1.0, scores.shaped[0]) == 1.0
+    raw, shaped, _ = stepped_returns(env, np.zeros((1, 3)), ObsNormalizer.create(3),
+                                     0, Shaping())
+    assert scores.raw[0].hex() == raw.hex() and scores.shaped[0].hex() == shaped.hex()
+
+
+def test_equal_seeds_share_a_start_but_a_generator_draws_twice() -> None:
+    env = make_env("pendulum")
+    weights, norm = np.zeros((2, 1, 3)), ObsNormalizer.create(3)
+    same = run_episodes(env, weights, norm, [[4, 1, 0, 0], [4, 1, 0, 0]])
+    assert same.raw[0].hex() == same.raw[1].hex()
+    rng = np.random.default_rng(5)
+    drawn = run_episodes(env, weights, norm, [rng, rng])
+    assert drawn.raw[0] != drawn.raw[1]
+
+
+def balancing_and_falling_cartpole_lanes() -> np.ndarray:
+    """Lanes 0-2 balance for 500 steps; lane 3's zero weights always push
+    left, so it falls near step 10."""
+    weights = np.zeros((4, 2, 4))
+    weights[:3, 1] = [[0.1, 0.5, 10.0, 2.0], [0.05, 0.3, 8.0, 1.5],
+                      [0.2, 0.6, 12.0, 2.5]]
+    return weights
+
+
+def assert_same_row(a, row_a, b, row_b) -> None:
+    for name in ("raw", "shaped", "count", "mean", "m2"):
+        assert getattr(a, name)[row_a].tobytes() == getattr(b, name)[row_b].tobytes(), name
+
+
+def test_mixed_length_batch_rows_equal_their_batches_of_one() -> None:
+    env = make_env("cartpole")
+    weights = balancing_and_falling_cartpole_lanes()
+    seeds = [[0, 1, 0, lane] for lane in range(4)]
+    norm = ObsNormalizer.create(4)
+    batch = run_episodes(env, weights, norm, seeds)
+    assert batch.count[:3].tolist() == [500, 500, 500]
+    assert 5 <= batch.count[3] <= 20
+    for lane in range(4):
+        alone = run_episodes(env, weights[lane:lane + 1], norm, seeds[lane:lane + 1])
+        assert_same_row(batch, lane, alone, 0)
+
+
+class _DriftingCartPole(CartPole):
+    """Past its limits, which a lane only is after its episode ended, the
+    state turns to NaN."""
+
+    def transition(self, state, actions, out):
+        terminated = super().transition(state, actions, out)
+        past = (np.abs(state[0]) > self.X_LIMIT) | (np.abs(state[2]) > self.THETA_LIMIT)
+        out[:, past] = np.nan
+        return terminated
+
+
+def test_finished_lanes_are_not_checked_and_reach_no_result() -> None:
+    weights = balancing_and_falling_cartpole_lanes()
+    seeds = [[0, 1, 0, lane] for lane in range(4)]
+    norm = ObsNormalizer.create(4)
+    drifting = run_episodes(_DriftingCartPole(), weights, norm, seeds)
+    plain = run_episodes(make_env("cartpole"), weights, norm, seeds)
+    for lane in range(4):
+        assert_same_row(drifting, lane, plain, lane)
 
 
 # ------------------------------------------------------------ episode seeding
