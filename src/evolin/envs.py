@@ -6,11 +6,11 @@ pendulum swing-up) so returns are comparable to published numbers.  Each
 environment is written once, as numpy operations over a batch of episodes
 whose states are ``(k, L)`` float64 arrays; a single env is a batch of one.
 A step is split into the part that feeds back (``transition``: the next
-state and the termination flags) and the part that does not (``reward``),
-so a batched rollout can step only the first and score a whole recorded
-trajectory with one ``reward`` call.  Episodes are deterministic given the
-reset seed and the action sequence, and bit-identical whatever else shares
-their batch.
+state) and the parts that do not (``terminal``: the termination flags of
+states, and ``reward``), so a batched rollout can step only the first and
+check or score a whole recorded block of states with one call of the
+others.  Episodes are deterministic given the reset seed and the action
+sequence, and bit-identical whatever else shares their batch.
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ class _EnvBase:
     * ``observe(state, out)``: writes the ``(L, obs_dim)`` observations into
       ``out`` and returns it;
     * ``transition(state, actions, out)``: writes the next ``(k, L)`` states
-      into ``out`` (never ``state`` itself) and returns the ``(L,)``
-      terminated flags, or None for an env that never terminates;
+      into ``out`` (never ``state`` itself) and returns nothing;
+    * ``terminal(state)``: the termination flags of states, elementwise over
+      any trailing shape, so one call checks a recorded ``(k, T, L)`` block;
+      None for an env that never terminates;
     * ``reward(state, actions, next_state)``: the rewards of transitions,
       elementwise over any trailing shape, so one call scores a recorded
       ``(k, T, L)`` trajectory with the bits of T single steps.
@@ -74,7 +76,8 @@ class _EnvBase:
     bounds up to the rounding of ``high - low`` (exact for pendulum).  Every
     operation is elementwise per episode, so an episode's numbers do not
     depend on which others share its batch.  ``reset``/``step`` drive a
-    batch of one; ``step`` calls ``transition`` and then ``reward``.
+    batch of one; ``step`` calls ``transition``, then ``terminal`` on the
+    next state, then ``reward``.
     """
 
     spec: EnvSpec
@@ -96,10 +99,10 @@ class _EnvBase:
         self._steps += 1
         state, actions = self._state, self._one_action(action)
         next_state = np.empty_like(state)
-        terminated = self.transition(state, actions, next_state)
+        self.transition(state, actions, next_state)
+        terminated = self.terminal is not None and bool(self.terminal(next_state)[0])
         reward = self.reward(state, actions, next_state)
         self._state = next_state
-        terminated = terminated is not None and bool(terminated[0])
         truncated = self._steps >= self.spec.max_episode_steps
         if terminated or truncated:
             self._done = True
@@ -124,7 +127,10 @@ class _EnvBase:
         raise NotImplementedError
 
     def transition(self, state: np.ndarray, actions: np.ndarray,
-                   out: np.ndarray) -> np.ndarray | None:
+                   out: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def terminal(self, state: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def reward(self, state: np.ndarray, actions: np.ndarray,
@@ -191,7 +197,9 @@ class CartPole(_EnvBase):
 
         # semi-explicit Euler, positions advanced with the old velocities
         np.add(state, self.TAU * np.array([x_dot, x_acc, th_dot, th_acc]), out=out)
-        return (np.abs(out[0]) > self.X_LIMIT) | (np.abs(out[2]) > self.THETA_LIMIT)
+
+    def terminal(self, state):
+        return (np.abs(state[0]) > self.X_LIMIT) | (np.abs(state[2]) > self.THETA_LIMIT)
 
     def reward(self, state, actions, next_state):
         return np.ones(state.shape[1:])       # the falling step still pays
@@ -199,9 +207,16 @@ class CartPole(_EnvBase):
 
 def _wrap(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Shift each entry of ``x`` into ``[lo, hi]`` one period ``hi - lo`` at a
-    time; infinite and NaN entries pass through unchanged."""
+    time; infinite and NaN entries pass through unchanged.  An entry more
+    than 16 periods outside takes ``lo + remainder(x - lo, hi - lo)``
+    instead, since one period at a time may take forever (or never move it,
+    once a period is below its spacing)."""
     diff = hi - lo
     finite = np.isfinite(x)
+    far = finite & ((x > hi + 16 * diff) | (x < lo - 16 * diff))
+    if far.any():
+        x = x.copy()
+        x[far] = lo + np.remainder(x[far] - lo, diff)
     while (over := finite & (x > hi)).any():
         x = np.where(over, x - diff, x)
     while (under := finite & (x < lo)).any():
@@ -286,13 +301,13 @@ class Acrobot(_EnvBase):
         out[:2] = _wrap(ns[:2], -math.pi, math.pi)
         np.minimum(np.maximum(ns[2], -self.MAX_VEL_1), self.MAX_VEL_1, out=out[2])
         np.minimum(np.maximum(ns[3], -self.MAX_VEL_2), self.MAX_VEL_2, out=out[3])
-        return self._at_goal(out)
 
     def reward(self, state, actions, next_state):
-        return self._at_goal(next_state) - 1.0    # 0 at the goal, else -1
+        return self.terminal(next_state) - 1.0    # 0 at the goal, else -1
 
     @staticmethod
-    def _at_goal(state):
+    def terminal(state):
+        """True where the tip is above the goal height."""
         th1, th2 = state[0], state[1]
         return -np.cos(th1) - np.cos(th2 + th1) > 1.0
 
@@ -337,7 +352,8 @@ class Pendulum(_EnvBase):
         np.maximum(newthdot, -self.MAX_SPEED, out=newthdot)
         np.minimum(newthdot, self.MAX_SPEED, out=newthdot)
         np.add(th, newthdot * self.DT, out=out[0])
-        return None
+
+    terminal = None                   # the swing-up never terminates
 
     def reward(self, state, actions, next_state):
         u = actions[..., 0]

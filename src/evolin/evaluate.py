@@ -32,7 +32,7 @@ from .envs import env_spec, make_env
 from .es import (Candidate, NumericalDegeneracyError, StrategyParams,
                  DistributionState, _check_seed, ask, new_strategy, tell)
 from .policy import (Box, Checkpoint, LinearPolicy, ObsNormalizer, act_batch,
-                     genome_dim, welford_update)
+                     chan_merge, genome_dim, welford_update)
 
 __all__ = [
     "Shaping",
@@ -64,6 +64,9 @@ DOMAIN_TEST_EP = 2
 
 # Episodes of the test protocol: one test probe, one row of a curve file.
 TEST_EPISODES = 5
+
+# Steps between run_episodes' termination checks.
+TERMINATION_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -172,24 +175,32 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
     into its own moments, covering exactly the observations its policy acted
     on.
 
-    A step computes only what feeds back: the observations (checked finite
-    for every running lane), their moments, the normalized policy input, the
-    actions and the next states.  Observations, actions and states go into
-    arrays allocated once per batch: states are recorded as a
-    ``(k, T + 1, L)`` trajectory, actions as ``(T, L)`` or
-    ``(T, L, act_dim)``.  A finished lane keeps stepping with the others,
-    since a step costs about the same for any number of lanes; its row is
-    taken when it finishes, and nothing it computes later is checked or
-    reaches a result.  After the loop the box actions the lanes acted with
-    are checked finite, one ``env.reward`` call scores the whole trajectory,
-    and each lane's rewards are summed in step order from 0.0, with the bits
-    of adding them up step by step.  Every operation is elementwise per lane
-    or a stacked matmul, so a lane's result does not depend on the other
-    lanes.
+    A step computes only what feeds back: the observations, their moments,
+    the normalized policy input, the actions and the next states, all
+    recorded in arrays allocated once per batch (states as a ``(k, T + 1,
+    L)`` trajectory, observations as ``(T, L, obs_dim)``, actions as
+    ``(T, L)`` or ``(T, L, act_dim)``).  Every ``TERMINATION_BLOCK`` steps,
+    and at the limit, one ``env.terminal`` call checks the block's recorded
+    next states: a running lane's first flag sets its timesteps and its
+    moments, which are kept for each step of the block.  A block of 8 leaves
+    the check out of 7 steps in 8, and a batch steps at most 7 steps past
+    its last lane's end.  A finished lane keeps stepping with the others,
+    since a step costs about the same for any number of lanes; nothing it
+    computes after its end reaches a result, and ``np.errstate`` keeps its
+    non-finite values from raising warnings.  After the loop the
+    observations of every acting step are checked finite at once: a
+    non-finite state or box action of a running lane reaches them, and the
+    action is named when the step before acted with a non-finite one.  Then
+    the box actions acted with are checked finite, one ``env.reward`` call
+    scores the whole trajectory, and each lane's rewards are summed in step
+    order from 0.0, with the bits of adding them up step by step.  Every
+    operation is elementwise per lane or a stacked matmul, so a lane's
+    result does not depend on the other lanes.
     """
     spec = env.spec
     space = spec.action_space
     limit = spec.max_episode_steps
+    terminal = env.terminal
     shift, scale = normalizer.affine()
     weights = np.ascontiguousarray(weights, dtype=float)
     start = _start_states(env, seeds)
@@ -199,42 +210,53 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
     box = isinstance(space, Box)
     actions = (np.empty((limit, lanes, space.act_dim)) if box
                else np.empty((limit, lanes), dtype=np.intp))
-    obs = np.empty((lanes, spec.obs_dim))
+    obs = np.empty((limit, lanes, spec.obs_dim))
     mean = m2 = np.zeros((lanes, spec.obs_dim))
     out = Scores.zeros(lanes, spec.obs_dim)
     running = np.ones(lanes, dtype=bool)
+    block = []                        # (mean, m2) after each step of the block
 
-    def finish(done, steps):
-        out.count[done] = steps
-        out.mean[done], out.m2[done] = mean[done], m2[done]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(limit):
+            state = states[:, t]
+            observed = env.observe(state, obs[t])
+            mean, m2 = welford_update(t + 1, mean, m2, observed)
+            z = (observed - shift) / scale
+            env.transition(state, act_batch(weights, space, z, out=actions[t]),
+                           states[:, t + 1])
+            if terminal is None:
+                continue
+            block.append((mean, m2))
+            if len(block) < TERMINATION_BLOCK and t + 1 < limit:
+                continue
+            first = t + 1 - len(block)    # the block's first step
+            hit = terminal(states[:, first + 1:t + 2]) & running
+            if hit.any():
+                ended = np.flatnonzero(hit.any(axis=0))
+                for lane, j in zip(ended, hit[:, ended].argmax(axis=0)):
+                    out.count[lane] = first + j + 1
+                    out.mean[lane], out.m2[lane] = block[j][0][lane], block[j][1][lane]
+                running[ended] = False
+                if not running.any():
+                    break
+            block = []
+        else:
+            out.count[running] = limit
+            out.mean[running], out.m2[running] = mean[running], m2[running]
+        steps = t + 1
 
-    for t in range(limit):
-        state = states[:, t]
-        env.observe(state, obs)
-        # a finite sum means every entry is finite; else look closer
-        if not math.isfinite(np.add.reduce(obs, None)):
-            # a non-finite action shows up here first, one step late
-            if box and t and not np.isfinite(actions[t - 1, running]).all():
+        acting = np.arange(steps)[:, None] < out.count
+        bad = acting & ~np.isfinite(obs[:steps]).all(axis=2)
+        if bad.any():
+            step = int(bad.any(axis=1).argmax())
+            # a non-finite action shows up in the next observation
+            if box and step and not np.isfinite(actions[step - 1, bad[step]]).all():
                 raise ValueError("action must be finite")
-            if not np.isfinite(obs[running]).all():
-                raise ValueError("observation must be finite")
-        mean, m2 = welford_update(t + 1, mean, m2, obs)
-        z = (obs - shift) / scale
-        terminated = env.transition(state, act_batch(weights, space, z, out=actions[t]),
-                                    states[:, t + 1])
-        if terminated is not None and (terminated := terminated & running).any():
-            finish(terminated, t + 1)
-            running &= ~terminated
-            if not running.any():
-                break
-    else:
-        finish(running, limit)
-    steps = t + 1
-
-    acted = actions[:steps]
-    if box and not np.isfinite(acted[np.arange(steps)[:, None] < out.count]).all():
-        raise ValueError("action must be finite")
-    rewards = env.reward(states[:, :steps], acted, states[:, 1:steps + 1])
+            raise ValueError("observation must be finite")
+        acted = actions[:steps]
+        if box and not np.isfinite(acted[acting]).all():
+            raise ValueError("action must be finite")
+        rewards = env.reward(states[:, :steps], acted, states[:, 1:steps + 1])
     out.raw[:] = _returns(rewards, out.count)
     shaped = shape_reward(rewards, shaping)
     out.shaped[:] = out.raw if shaped is rewards else _returns(shaped, out.count)
@@ -302,9 +324,13 @@ def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
     """
     spec = env.spec
     k = fitness_spec.train_episodes
-    weights = np.repeat(np.stack([
-        LinearPolicy.from_genome(g, spec.obs_dim, spec.action_space).weights
-        for g in genomes]), k, axis=0)
+    genomes = np.asarray(genomes, dtype=float)
+    expect = genome_dim(spec.obs_dim, spec.action_space)
+    if genomes.shape[1:] != (expect,):
+        raise ValueError(f"genome must have length {expect}, got {genomes.shape[1:]}")
+    # row-major by action, as LinearPolicy.from_genome
+    weights = np.repeat(genomes.reshape(-1, spec.action_space.act_dim, spec.obs_dim),
+                        k, axis=0)
     seeds = [train_episode_seed(master_seed, generation, index, ep,
                                 fitness_spec.common_random_numbers)
              for index in indexes for ep in range(k)]
@@ -324,11 +350,16 @@ def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
         raw_sum = raw_sum + lanes.raw[ep:train_lanes:k]
         shaped_sum = shaped_sum + lanes.shaped[ep:train_lanes:k]
     out.raw[:], out.shaped[:] = raw_sum / k, shaped_sum / k
-    for c in range(len(indexes)):
-        delta = ObsNormalizer.create(spec.obs_dim)
-        for lane in range(c * k, (c + 1) * k):
-            delta.merge(lanes.delta(lane))
-        out.count[c], out.mean[c], out.m2[c] = delta.count, delta.mean, delta.m2
+    # fold every candidate's lanes one episode at a time, as merging them
+    # into a fresh ObsNormalizer would; counts as (rows, 1) columns
+    def episode(ep):
+        rows = slice(ep, train_lanes, k)
+        return lanes.count[rows, None], lanes.mean[rows], lanes.m2[rows]
+
+    count, mean, m2 = episode(0)
+    for ep in range(1, k):
+        count, mean, m2 = chan_merge(count, mean, m2, *episode(ep))
+    out.count[:], out.mean[:], out.m2[:] = count[:, 0], mean, m2
     return out, probe_returns
 
 
@@ -374,13 +405,15 @@ def collect_generation(parts, lam: int,
                    for r, index in enumerate(indexes)), key=lambda row: row[0])
     if [index for index, _, _ in rows] != list(range(lam)):
         raise ValueError("candidate evaluations must cover indexes 0..lambda-1")
-    delta = ObsNormalizer.create(parts[0][1].mean.shape[1])
-    for _, scores, r in rows:
-        delta.merge(scores.delta(r))
+    _, scores, r = rows[0]
+    count, mean, m2 = int(scores.count[r]), scores.mean[r].copy(), scores.m2[r].copy()
+    for _, scores, r in rows[1:]:
+        count, mean, m2 = chan_merge(count, mean, m2, int(scores.count[r]),
+                                     scores.mean[r], scores.m2[r])
     return GenerationEval(
         fitnesses=np.array([scores.shaped[r] for _, scores, r in rows]),
         raw_returns=np.array([scores.raw[r] for _, scores, r in rows]),
-        delta=delta,
+        delta=ObsNormalizer(count, mean, m2),
         probe_returns=probe_returns,
     )
 

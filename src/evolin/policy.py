@@ -24,6 +24,7 @@ __all__ = [
     "act",
     "act_batch",
     "welford_update",
+    "chan_merge",
     "save_checkpoint",
     "load_checkpoint",
     "Checkpoint",
@@ -139,11 +140,8 @@ class ObsNormalizer:
             self.mean = other.mean.copy()
             self.m2 = other.m2.copy()
             return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.count / total)
-        self.m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / total)
-        self.count = total
+        self.count, self.mean, self.m2 = chan_merge(
+            self.count, self.mean, self.m2, other.count, other.mean, other.m2)
 
     def std(self) -> np.ndarray:
         var = self.m2 / max(self.count - 1, 1)
@@ -188,6 +186,20 @@ def welford_update(count: int, mean: np.ndarray, m2: np.ndarray,
     delta = obs - mean
     mean = mean + delta / count
     return mean, m2 + delta * (obs - mean)
+
+
+def chan_merge(count, mean: np.ndarray, m2: np.ndarray, other_count,
+               other_mean: np.ndarray, other_m2: np.ndarray):
+    """Merge two accumulators' ``(count, mean, m2)``, both counts at least 1,
+    and return the merged triple (Chan et al.).
+
+    Takes int counts with ``(dim,)`` moments, or ``(rows, 1)`` counts with
+    ``(rows, dim)`` moments, whose rows merge as separate accumulators
+    would."""
+    total = count + other_count
+    delta = other_mean - mean
+    return (total, mean + delta * (other_count / total),
+            m2 + other_m2 + delta * delta * (count * other_count / total))
 
 
 def act_batch(weights: np.ndarray, space: ActionSpace, z: np.ndarray,

@@ -204,6 +204,65 @@ def test_wrap_passes_non_finite_angles_through() -> None:
     assert out[3:].tolist() == [4.0 - period, -10.0 + period + period, 1.0, math.pi]
 
 
+def _old_wrap(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The one-period-at-a-time loop as it was before far angles were
+    reduced with ``remainder``."""
+    diff = hi - lo
+    finite = np.isfinite(x)
+    while (over := finite & (x > hi)).any():
+        x = np.where(over, x - diff, x)
+    while (under := finite & (x < lo)).any():
+        x = np.where(under, x + diff, x)
+    return x
+
+
+def test_wrap_returns_on_huge_finite_angles() -> None:
+    x = np.array([1e17, -1e17, 1e6, -1e6])
+    done = {}
+    worker = threading.Thread(target=lambda: done.setdefault(
+        "out", _wrap(x, -math.pi, math.pi)), daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert "out" in done, "_wrap did not return within 5 s"
+    out = done["out"]
+    assert ((-math.pi <= out) & (out <= math.pi)).all()
+
+
+def test_wrap_keeps_the_loop_bits_within_sixteen_periods() -> None:
+    x = np.random.default_rng(8).uniform(-20 * math.pi, 20 * math.pi, 10_000)
+    assert _wrap(x, -math.pi, math.pi).tobytes() == _old_wrap(x, -math.pi, math.pi).tobytes()
+
+
+@pytest.mark.parametrize("env_id", ["cartpole", "acrobot"])
+def test_terminal_over_a_recorded_trajectory_matches_step_flags(env_id) -> None:
+    """One ``terminal`` call on a ``(k, T, L)`` block gives the flags that
+    ``step()`` reported one step at a time; after an episode ends its
+    columns stay NaN, which no env flags."""
+    steps, lanes = 30, 8
+    env = make_env(env_id)
+    rng = np.random.default_rng(4)
+    states = np.full((4, steps, lanes), np.nan)
+    flags = np.zeros((steps, lanes), dtype=bool)
+    for lane in range(lanes):
+        env.reset(lane)
+        if env_id == "acrobot" and lane % 2:
+            # just below the goal height, so some torques end the episode
+            env._s = [math.pi - 0.1 - 0.01 * lane, 0.0, 2.0, 0.0]
+        for t in range(steps):
+            res = env.step(int(rng.integers(env.spec.action_space.n)))
+            states[:, t, lane] = env._state[:, 0]
+            flags[t, lane] = res.terminated
+            if res.terminated:
+                break
+    ended = flags.any(axis=0)
+    assert ended.any() and not ended.all()
+    assert env.terminal(states).tobytes() == flags.tobytes()
+
+
+def test_pendulum_has_no_terminal() -> None:
+    assert make_env("pendulum").terminal is None
+
+
 def test_acrobot_terminal_pays_zero_and_matches_height() -> None:
     # plant the state just below the target height so one torque kick ends it
     env = make_env("acrobot")

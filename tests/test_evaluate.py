@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from evolin.evaluate import (collect_generation, evaluate_candidate,
                              evaluate_generation, run_episodes,
                              train_episode_seed)
 from evolin.evaluate import test_episode_seed as probe_episode_seed
-from evolin.policy import Discrete, act_batch, genome_dim
+from evolin.policy import Discrete, act, act_batch, genome_dim
 
 
 def zero_policy(env_id: str) -> LinearPolicy:
@@ -205,6 +206,100 @@ def test_finished_lanes_are_not_checked_and_reach_no_result() -> None:
         assert_same_row(drifting, lane, plain, lane)
 
 
+class _PlacedCartPole(CartPole):
+    """Starts its episodes from ``starts``, one per ``initial_state`` call."""
+
+    def __init__(self, starts):
+        super().__init__()
+        self._starts = iter(starts)
+
+    def initial_state(self, rng):
+        return np.array(next(self._starts), dtype=float)
+
+
+# under the balancing policy, these end at steps 1, 7, 8, 9 and 17 (the cart
+# runs off the track) and 500 (truncated)
+PLACED_STARTS = [[2.399, 1.0, 0.0, 0.0], [2.3, 0.6, 0.0, 0.0], [2.3, 0.55, 0.0, 0.0],
+                 [2.3, 0.5, 0.0, 0.0], [2.0, 1.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+
+
+def stepped_episode(env, policy, normalizer, shaping):
+    """One episode through ``env.step`` and ``act``: the raw and shaped
+    returns summed from 0.0 step by step, and the moments of the
+    observations acted on through ``ObsNormalizer.update``."""
+    seen = ObsNormalizer.create(env.spec.obs_dim)
+    obs = env.reset(0)
+    raw = shaped = 0.0
+    while True:
+        seen.update(obs)
+        res = env.step(act(policy, normalizer, obs))
+        raw += res.reward
+        shaped += shape_reward(res.reward, shaping)
+        if res.terminated or res.truncated:
+            return raw, shaped, seen
+        obs = res.obs
+
+
+def test_lanes_ending_around_termination_blocks_match_stepped_episodes() -> None:
+    assert evaluate.TERMINATION_BLOCK == 8
+    policy = LinearPolicy(balancing_and_falling_cartpole_lanes()[0], Discrete(2), 4)
+    lanes = len(PLACED_STARTS)
+    weights = np.repeat(policy.weights[None], lanes, axis=0)
+    norm = ObsNormalizer.create(4)
+    shaping = Shaping("drop_alive_bonus", 1.0)
+    seeds = list(range(lanes))
+    batch = run_episodes(_PlacedCartPole(PLACED_STARTS), weights, norm, seeds, shaping)
+    assert batch.count.tolist() == [1, 7, 8, 9, 17, 500]
+    for lane, start in enumerate(PLACED_STARTS):
+        alone = run_episodes(_PlacedCartPole([start]), weights[:1], norm, [0], shaping)
+        assert_same_row(batch, lane, alone, 0)
+        raw, shaped, seen = stepped_episode(_PlacedCartPole([start]), policy, norm,
+                                            shaping)
+        assert batch.raw[lane].hex() == raw.hex()
+        assert batch.shaped[lane].hex() == shaped.hex()
+        assert batch.count[lane] == seen.count
+        assert batch.mean[lane].tobytes() == seen.mean.tobytes()
+        assert batch.m2[lane].tobytes() == seen.m2.tobytes()
+
+
+class _SpoiledCartPole(CartPole):
+    """Lane ``lane``'s next velocities turn to ``value`` at step ``step``,
+    which no limit test flags."""
+
+    def __init__(self, lane, step, value):
+        super().__init__()
+        self.lane, self.step_at, self.value, self.steps = lane, step, value, 0
+
+    def transition(self, state, actions, out):
+        super().transition(state, actions, out)
+        self.steps += 1
+        if self.steps == self.step_at:
+            out[[1, 3], self.lane] = self.value
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_state_in_a_running_lane_mid_block_raises_without_warnings(
+        value) -> None:
+    weights = balancing_and_falling_cartpole_lanes()
+    seeds = [[0, 1, 0, lane] for lane in range(4)]
+    # lane 1 balances; its state spoils at step 11, inside the second block
+    env = _SpoiledCartPole(1, 11, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="observation must be finite"):
+            run_episodes(env, weights, ObsNormalizer.create(4), seeds)
+
+
+def test_nan_torque_raises_without_warnings() -> None:
+    weights = np.zeros((3, 1, 3))
+    weights[1, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="action must be finite"):
+            run_episodes(make_env("pendulum"), weights, ObsNormalizer.create(3),
+                         [[0, 1, 0, lane] for lane in range(3)])
+
+
 # ------------------------------------------------------------ episode seeding
 
 def test_common_random_numbers_share_episodes_across_candidates() -> None:
@@ -268,6 +363,29 @@ def test_collect_generation_requires_complete_index_cover() -> None:
         collect_generation(evals[:-1], 8)
     with pytest.raises(ValueError):
         collect_generation(evals + [evals[0]], 8)
+
+
+def test_three_episode_generation_delta_equals_merge_folds() -> None:
+    params, state = new_strategy(CSA, 8, 0.5, lam=6)
+    cands = ask(params, state, 21)
+    norm = warmed_normalizer()
+    result = evaluate_generation(cands, "cartpole", norm, FitnessSpec(train_episodes=3),
+                                 0, 21)
+    want = ObsNormalizer.create(4)
+    counts = set()
+    for c in cands:
+        policy = LinearPolicy.from_genome(c.x, 4, Discrete(2))
+        candidate = ObsNormalizer.create(4)
+        for ep in range(3):
+            seed = train_episode_seed(21, 0, c.index, ep, True)
+            lane = rollout(make_env("cartpole"), policy, norm, seed)
+            counts.add(int(lane.count[0]))
+            candidate.merge(lane.delta(0))
+        want.merge(candidate)
+    assert len(counts) > 1
+    assert result.delta.count == want.count
+    assert result.delta.mean.tobytes() == want.mean.tobytes()
+    assert result.delta.m2.tobytes() == want.m2.tobytes()
 
 
 def test_multi_episode_fitness_is_mean_over_episodes() -> None:
