@@ -2,11 +2,14 @@
 Distributed training in one process
 ====================================
 
-The master draws each generation with ``ask``; each task is a range of
-its candidate indexes with their genome rows, and the worker scores those
-rows.  JSON writes every float as its shortest round-trip decimal, so a
-row arrives with the master's exact bits and a distributed run reproduces
-the single-process run bit for bit.  Here two workers run as threads;
+``train`` and ``train_distributed`` run the same loop, which hands out
+each generation as one ``Batch``: the genome rows ``ask`` drew on the
+master, the mean, the normalizer snapshot, the fitness spec and the owed
+test probe.  ``train`` scores it in-process; the master cuts it into one
+task per worker, a range of its rows, and the worker scores the batch of
+its range.  JSON writes every float as its shortest round-trip decimal, so
+a row arrives with the master's exact bits and a distributed run
+reproduces the single-process run bit for bit.  Here two workers run as threads;
 across machines the protocol is identical.
 """
 

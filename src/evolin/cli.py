@@ -2,9 +2,9 @@
 masters and workers, checkpoint evaluation, and curve aggregation.
 
 Exit codes: 0 success; 1 failed checks or runtime errors; 2 bad usage
-(unknown environment or variant, empty seed list, out-of-range seed, step
-size or population, malformed config or curve file, missing inputs);
-3 unwritable output directory; 4 network bind/connect failure.
+(unknown environment or variant, empty or repeating seed list, bad seed,
+step size or population, malformed config, checkpoint or curve file,
+missing inputs); 3 unwritable output directory; 4 network bind/connect failure.
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ def resolve_config(args) -> dict:
 
     if not seeds:
         raise CliError(EXIT_USAGE, "seed list is empty")
+    if len(set(seeds)) < len(seeds):
+        raise CliError(EXIT_USAGE, f"seed list {seeds} repeats a seed")
     if budget < 1:
         raise CliError(EXIT_USAGE, "budget_timesteps must be positive")
     try:

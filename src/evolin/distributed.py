@@ -1,16 +1,17 @@
 """Master/worker evaluation over newline-delimited JSON on TCP.
 
-The master hands each idle worker one contiguous range of a generation's
-candidate indexes as a TASK.  The TASK carries the range's genome rows
-``x``, which ``ask`` drew on the master, and the rest of the generation: the
-search mean, the normalizer snapshot and the fitness spec.  A worker keeps
-no state between TASKs and draws no candidate.  It scores the range as one
-lockstep batch and answers with one RESULT holding the range's ``Scores``
-in columns ``fitness``, ``raw_return``, ``count`` (timesteps and
-observation count), ``mean`` and ``m2``, one row per index.  A candidate's
-result does not depend on the batch it is scored in, and a row reaches the
-worker with the master's exact bits, so a distributed run reproduces a
-single-process run bit for bit.
+``train_distributed`` runs ``train``'s loop and cuts each generation's
+``Batch`` into TASKs, one contiguous range of candidate indexes for each
+idle worker.  A TASK carries a ``Batch``'s fields: the range's genome rows
+``x``, which ``ask`` drew on the master, the mean, the normalizer snapshot,
+the fitness spec and the owed probe.  A worker keeps no state between TASKs
+and draws no candidate.  It parses a TASK back into the ``Batch`` of its
+range, scores it as ``train`` scores a whole generation, and answers with
+one RESULT holding the range's ``Scores`` in columns ``fitness``,
+``raw_return``, ``count`` (timesteps and observation count), ``mean`` and
+``m2``, one row per index.  A candidate's result does not depend on the
+batch it is scored in, and a row reaches the worker with the master's exact
+bits, so a distributed run reproduces a single-process run bit for bit.
 
 The master plans each generation once: one contiguous range of at least one
 index per worker, the larger first, each a TASK on one queue from which idle
@@ -40,17 +41,17 @@ import socket
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from .envs import env_spec, make_env
-from .es import Candidate, DistributionState, _check_seed
-from .evaluate import (TEST_EPISODES, FitnessSpec, Probe, Scores, TrainResult,
-                       _training_strategy, collect_generation, score_candidates,
-                       train)
-from .policy import LinearPolicy, ObsNormalizer, genome_dim
+from .envs import env_spec
+from .es import _check_seed
+from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, GenerationEval, Scores,
+                       TrainResult, _drive, _run, _training_strategy,
+                       collect_generation, score_candidates)
+from .policy import ObsNormalizer, genome_dim
 
 PROTOCOL_VERSION = 8
 DEFAULT_TASK_TIMEOUT = 60.0
@@ -146,28 +147,23 @@ def task_message(gen_msg: dict, span: range, probe: bool = False) -> dict:
                 probe=gen_msg["probe"] if probe else None)
 
 
-def build_gen_message(*, run_id: str, generation: int, master_seed: int,
-                      env_id: str, state: DistributionState,
-                      cands: list[Candidate], normalizer: ObsNormalizer,
-                      fitness_spec: FitnessSpec,
-                      probe: Probe | None = None) -> dict:
-    """The fields the TASKs of ``generation`` carry, with the genome rows
-    ``x`` of all its candidates ``cands``, in index order, from which
-    ``task_message`` cuts each TASK's range.  ``probe``, the test probe owed
-    by the previous generation, must be of the policy ``state.m``: the
-    worker rebuilds it from the TASK's mean."""
+def build_gen_message(batch: Batch, run_id: str) -> dict:
+    """The fields the TASKs of a whole generation's ``batch`` carry, with the
+    genome rows ``x`` of all its candidates, in index order, from which
+    ``task_message`` cuts each TASK's range.  A worker tests the owed probe's
+    policy from the TASK's mean ``m``."""
     return {
         "protocol_version": PROTOCOL_VERSION,
         "run_id": run_id,
-        "generation": int(generation),
-        "master_seed": str(int(master_seed)),
-        "env_id": env_id,
-        "lambda": len(cands),
-        "m": state.m.tolist(),
-        "x": [c.x.tolist() for c in cands],
-        "normalizer": normalizer.to_dict(),
-        "fitness_spec": fitness_spec.to_dict(),
-        "probe": None if probe is None else int(probe.generation),
+        "generation": int(batch.generation),
+        "master_seed": str(int(batch.master_seed)),
+        "env_id": batch.env_id,
+        "lambda": len(batch.indexes),
+        "m": batch.m.tolist(),
+        "x": batch.x.tolist(),
+        "normalizer": batch.normalizer.to_dict(),
+        "fitness_spec": batch.fitness_spec.to_dict(),
+        "probe": batch.probe,
     }
 
 
@@ -256,26 +252,10 @@ def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | Non
 # worker side
 
 
-@dataclass
-class WorkerContext:
-    """Everything a worker needs to score one TASK's range."""
-
-    run_id: str
-    generation: int
-    master_seed: int
-    env_id: str
-    indexes: range                    # the TASK's range
-    x: np.ndarray                     # its genome rows, one per index
-    normalizer: ObsNormalizer
-    fitness_spec: FitnessSpec
-    probe: Probe | None               # the probe the task runs with its range
-
-
-def gen_context(msg: dict) -> WorkerContext:
-    """Validate a TASK and build what scoring it needs, with the probe it
-    names: the policy ``m``, tested on the seeds of an earlier generation.
-    Raises ProtocolError (or KeyError, TypeError, ValueError) on a TASK the
-    worker cannot score."""
+def gen_context(msg: dict) -> tuple[str, Batch]:
+    """Validate a TASK and parse it into its run id and the ``Batch`` of its
+    range.  Raises ProtocolError (or KeyError, TypeError, ValueError) on a
+    TASK the worker cannot score."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
         raise ProtocolError("unsupported protocol version in TASK")
     env_id = str(msg["env_id"])
@@ -283,27 +263,23 @@ def gen_context(msg: dict) -> WorkerContext:
     n = genome_dim(spec.obs_dim, spec.action_space)
     generation = _count(msg.get("generation"), "TASK generation")
     indexes = _task_range(msg, _count(msg.get("lambda"), "TASK lambda", 1))
-    m = _column(msg, "m", n, where="TASK")
     norm = msg["normalizer"]
     m2 = _column(norm, "m2", spec.obs_dim, where="TASK normalizer")
     if (m2 < 0).any():
         raise ProtocolError("TASK normalizer m2 must not be negative")
     probe = msg["probe"]
-    if probe is not None:
-        probe = Probe(LinearPolicy.from_genome(m, spec.obs_dim, spec.action_space),
-                      _count(probe, "TASK probe", 0, generation - 1))
-    return WorkerContext(
-        run_id=str(msg["run_id"]),
-        generation=generation,
-        master_seed=_check_seed(int(msg["master_seed"])),
+    return str(msg["run_id"]), Batch(
         env_id=env_id,
+        master_seed=_check_seed(int(msg["master_seed"])),
+        generation=generation,
         indexes=indexes,
         x=_column(msg, "x", len(indexes), n, where="TASK"),
+        m=_column(msg, "m", n, where="TASK"),
         normalizer=ObsNormalizer(
             _count(norm.get("count"), "TASK normalizer count"),
             _column(norm, "mean", spec.obs_dim, where="TASK normalizer"), m2),
         fitness_spec=FitnessSpec.from_dict(msg["fitness_spec"]),
-        probe=probe,
+        probe=None if probe is None else _count(probe, "TASK probe", 0, generation - 1),
     )
 
 
@@ -316,16 +292,12 @@ def _task_range(msg: dict, lam: int) -> range:
     return range(index, index + count)
 
 
-def run_task(ctx: WorkerContext, indexes: range) -> dict:
-    """Score the rows of candidates ``indexes``, a sub-range of the TASK's,
-    as one batch, ``ctx.probe``'s episodes included when it is set.
-    Returns the one RESULT answering them."""
-    first = indexes.start - ctx.indexes.start
-    scores, returns = score_candidates(ctx.x[first:first + len(indexes)], indexes,
-                                       make_env(ctx.env_id), ctx.normalizer,
-                                       ctx.fitness_spec, ctx.generation,
-                                       ctx.master_seed, ctx.probe)
-    return result_message(ctx.run_id, ctx.generation, indexes.start, scores, returns)
+def run_task(batch: Batch, indexes: range) -> tuple[Scores, list[float] | None]:
+    """``score_candidates`` on the rows of candidates ``indexes``, a
+    sub-range of ``batch``'s, with the probe ``batch`` owes, if any."""
+    first = indexes.start - batch.indexes.start
+    return score_candidates(replace(batch, indexes=indexes,
+                                    x=batch.x[first:first + len(indexes)]))
 
 
 def serve_worker(host: str, port: int, *, worker_id: str | None = None,
@@ -361,11 +333,12 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                     return str(msg.get("reason", ""))
                 if msg["type"] != "task":
                     raise ProtocolError(f"unexpected {msg['type']!r} message")
-                ctx = gen_context(msg)
+                run_id, batch = gen_context(msg)
             except (ProtocolError, KeyError, TypeError, ValueError):
                 send(bye_message("protocol"))
                 return "protocol"
-            send(run_task(ctx, ctx.indexes))
+            send(result_message(run_id, batch.generation, batch.indexes.start,
+                                *run_task(batch, batch.indexes)))
     finally:
         sock.close()
 
@@ -613,22 +586,6 @@ class MasterServer:
 # training entry point
 
 
-def distributed_evaluator(server: MasterServer, env_id: str,
-                          fitness_spec: FitnessSpec, master_seed: int,
-                          run_id: str) -> Callable:
-    """Generation evaluator that scores candidates, and the owed test probe
-    with them, on connected workers; the master itself runs no rollout."""
-    def evaluator(state, cands, normalizer, probe):
-        msg = build_gen_message(run_id=run_id, generation=state.g,
-                                master_seed=master_seed, env_id=env_id,
-                                state=state, cands=cands, normalizer=normalizer,
-                                fitness_spec=fitness_spec, probe=probe)
-        parts, probe_returns = server.evaluate_generation(msg)
-        return collect_generation(parts, len(cands), probe_returns)
-
-    return evaluator
-
-
 def train_distributed(env_id: str, variant: str, *, sigma0: float,
                       lam: int | str | None, budget_timesteps: int,
                       master_seed: int, expected_workers: int,
@@ -639,8 +596,9 @@ def train_distributed(env_id: str, variant: str, *, sigma0: float,
                       max_generations: int | None = None,
                       run_id: str | None = None,
                       on_generation: Callable | None = None) -> TrainResult:
-    """Run a training loop whose candidate evaluations happen on the workers
-    of ``server``, which stays open.
+    """Run ``train``'s loop with each generation's ``Batch`` cut into TASKs
+    for the workers of ``server``, which stays open; the master itself runs
+    no rollout.
 
     Identical in every recorded number to a local ``train`` call with the
     same arguments.  Each generation's test probe runs on a worker, in the
@@ -650,14 +608,16 @@ def train_distributed(env_id: str, variant: str, *, sigma0: float,
     if expected_workers < 1:
         raise ValueError("expected_workers must be >= 1")
     _training_strategy(env_id, variant, sigma0, lam, master_seed, test_every)
-    fitness_spec = fitness_spec or FitnessSpec()
     run_id = run_id or f"{env_id}-{variant}-seed{master_seed}"
     server.wait_for_workers(expected_workers, wait_timeout)
-    evaluator = distributed_evaluator(server, env_id, fitness_spec,
-                                      master_seed, run_id)
-    return train(env_id, variant, sigma0=sigma0, lam=lam,
-                 budget_timesteps=budget_timesteps, master_seed=master_seed,
-                 fitness_spec=fitness_spec, test_every=test_every,
-                 target_return=target_return,
-                 max_generations=max_generations, evaluator=evaluator,
-                 on_generation=on_generation)
+
+    def evaluate(batch: Batch) -> GenerationEval:
+        parts, returns = server.evaluate_generation(build_gen_message(batch, run_id))
+        return collect_generation(parts, len(batch.indexes), returns)
+
+    return _drive(_run(env_id, variant, sigma0=sigma0, lam=lam,
+                       budget_timesteps=budget_timesteps, master_seed=master_seed,
+                       fitness_spec=fitness_spec, test_every=test_every,
+                       target_return=target_return, max_generations=max_generations,
+                       on_generation=on_generation),
+                  evaluate)

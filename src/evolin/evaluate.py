@@ -12,11 +12,12 @@ one array row per lane or per candidate: raw and shaped return, and the
 moments (count, mean, M2) of the observations its policy acted on, whose
 count is also its timesteps.  Progress is measured by a separate
 deterministic test protocol (median raw return over ``TEST_EPISODES``
-fixed-seed episodes) whose steps never count against the budget.  The probe
-of generation g needs only the state and normalizer that generation g + 1
-starts from, so ``train`` runs it as further lanes of g + 1's batch (in a
-distributed run, of one worker's range of g + 1); only a probe still owed
-when the run ends runs alone, through ``test_policy``.
+fixed-seed episodes) whose steps never count against the budget.  A
+generation is scored as one ``Batch``, the fields a distributed TASK
+carries.  The probe of generation g needs only the mean and normalizer that
+g + 1 starts from, so g + 1's ``Batch`` owes it and runs it as further
+lanes (in a distributed run, of one worker's range); only a probe still
+owed when the run ends runs alone, through ``test_policy``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
 from .envs import env_spec, make_env
-from .es import (Candidate, NumericalDegeneracyError, StrategyParams,
-                 DistributionState, _check_seed, ask, new_strategy, tell)
+from .es import (NumericalDegeneracyError, StrategyParams, DistributionState,
+                 _check_seed, ask, new_strategy, tell)
 from .policy import (Box, Checkpoint, LinearPolicy, ObsNormalizer, act_batch,
                      chan_merge, genome_dim, welford_update)
 
@@ -41,7 +42,7 @@ __all__ = [
     "Scores",
     "run_episodes",
     "rollout",
-    "Probe",
+    "Batch",
     "score_candidates",
     "evaluate_candidate",
     "GenerationEval",
@@ -296,52 +297,61 @@ def rollout(env, policy: LinearPolicy, normalizer: ObsNormalizer, episode_seed,
 
 
 @dataclass(frozen=True)
-class Probe:
-    """A test probe: ``episodes`` fixed-seed episodes of ``policy`` (the
-    mean after ``generation``'s tell), scored by raw return."""
+class Batch:
+    """A generation's evaluation request, or a range of one: exactly what a
+    TASK carries.
 
-    policy: LinearPolicy
+    Row ``r`` of ``x`` is the genome of candidate ``indexes[r]``, drawn
+    around the mean ``m`` of generation ``generation``; every lane
+    normalizes with the ``normalizer`` snapshot.  ``probe``, if not None, is
+    the generation whose test probe the batch owes: the policy ``m`` on that
+    generation's ``TEST_EPISODES`` test seeds.
+    """
+
+    env_id: str
+    master_seed: int
     generation: int
-    episodes: int = TEST_EPISODES
+    indexes: range
+    x: np.ndarray
+    m: np.ndarray
+    normalizer: ObsNormalizer
+    fitness_spec: FitnessSpec
+    probe: int | None = None
 
-    def lanes(self, master_seed: int) -> tuple[np.ndarray, list]:
-        """The probe's per-lane weights and episode seeds."""
-        seeds = [test_episode_seed(master_seed, self.generation, ep)
-                 for ep in range(self.episodes)]
-        return np.repeat(self.policy.weights[None], self.episodes, axis=0), seeds
 
+def score_candidates(batch: Batch) -> tuple[Scores, list[float] | None]:
+    """Fitness of a batch's genomes, all their training episodes as one
+    lockstep batch.
 
-def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
-                     fitness_spec: FitnessSpec, generation: int, master_seed: int,
-                     probe: Probe | None = None) -> tuple[Scores, list[float] | None]:
-    """Fitness of several genomes, all their training episodes as one batch.
-
-    Returns one row per genome, in the order given, and with ``probe`` the
+    Returns one row per genome, in index order, and with an owed probe the
     raw returns of its episodes, which run as further lanes of the same
     batch (None without).  Each row depends only on its genome and index,
     never on which other candidates share the batch; probe lanes feed no
-    row.  ``indexes`` must not be empty.
+    row.  ``batch.indexes`` must not be empty.
     """
+    env = make_env(batch.env_id)
     spec = env.spec
+    fitness_spec = batch.fitness_spec
     k = fitness_spec.train_episodes
-    genomes = np.asarray(genomes, dtype=float)
+    genomes = np.asarray(batch.x, dtype=float)
     expect = genome_dim(spec.obs_dim, spec.action_space)
-    if genomes.shape[1:] != (expect,):
-        raise ValueError(f"genome must have length {expect}, got {genomes.shape[1:]}")
+    if genomes.shape != (len(batch.indexes), expect):
+        raise ValueError(f"x must be {len(batch.indexes)} rows of {expect}, got {genomes.shape}")
     # row-major by action, as LinearPolicy.from_genome
-    weights = np.repeat(genomes.reshape(-1, spec.action_space.act_dim, spec.obs_dim),
-                        k, axis=0)
-    seeds = [train_episode_seed(master_seed, generation, index, ep,
+    shape = (-1, spec.action_space.act_dim, spec.obs_dim)
+    weights = np.repeat(genomes.reshape(shape), k, axis=0)
+    seeds = [train_episode_seed(batch.master_seed, batch.generation, index, ep,
                                 fitness_spec.common_random_numbers)
-             for index in indexes for ep in range(k)]
-    if probe is not None:
-        probe_weights, probe_seeds = probe.lanes(master_seed)
-        weights = np.concatenate([weights, probe_weights])
-        seeds += probe_seeds
-    lanes = run_episodes(env, weights, normalizer, seeds, fitness_spec.shaping)
-    train_lanes = len(indexes) * k
-    probe_returns = None if probe is None else lanes.raw[train_lanes:].tolist()
-    out = Scores.zeros(len(indexes), spec.obs_dim)
+             for index in batch.indexes for ep in range(k)]
+    if batch.probe is not None:
+        weights = np.concatenate(
+            [weights, np.repeat(batch.m.reshape(shape), TEST_EPISODES, axis=0)])
+        seeds += [test_episode_seed(batch.master_seed, batch.probe, ep)
+                  for ep in range(TEST_EPISODES)]
+    lanes = run_episodes(env, weights, batch.normalizer, seeds, fitness_spec.shaping)
+    train_lanes = len(batch.indexes) * k
+    probe_returns = None if batch.probe is None else lanes.raw[train_lanes:].tolist()
+    out = Scores.zeros(len(batch.indexes), spec.obs_dim)
     # candidate c's lanes are c * k .. c * k + k - 1.  Sum each candidate's
     # returns one episode at a time from 0.0: numpy's sum turns pairwise at
     # 8 terms, which would change the bits
@@ -366,9 +376,12 @@ def score_candidates(genomes, indexes, env, normalizer: ObsNormalizer,
 def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
                        normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
                        generation: int, master_seed: int) -> Scores:
-    """Fitness of one genome: ``score_candidates`` on a batch of one."""
-    return score_candidates([genome], [index], make_env(env_id), normalizer,
-                            fitness_spec, generation, master_seed)[0]
+    """Fitness of one genome: ``score_candidates`` on a batch of one, which
+    owes no probe and so never reads its mean."""
+    genome = np.asarray(genome, dtype=float)
+    return score_candidates(Batch(env_id, master_seed, generation,
+                                  range(index, index + 1), genome[None], genome,
+                                  normalizer, fitness_spec))[0]
 
 
 @dataclass
@@ -379,22 +392,17 @@ class GenerationEval:
     probe_returns: list[float] | None = None
 
 
-def evaluate_generation(candidates: list[Candidate], env_id: str,
-                        normalizer: ObsNormalizer, fitness_spec: FitnessSpec,
-                        generation: int, master_seed: int,
-                        probe: Probe | None = None) -> GenerationEval:
-    """Evaluate a full generation as one batch.
+def evaluate_generation(batch: Batch) -> GenerationEval:
+    """Evaluate a whole generation's ``batch`` in this process, as one
+    lockstep batch.
 
-    With ``probe``, the probe's episodes ride in the same batch and their
-    raw returns come back as ``probe_returns``, bit for bit what
-    ``test_policy`` gives; they feed neither the fitnesses nor the
-    normalizer delta.
+    An owed probe's episodes ride in the same batch and their raw returns
+    come back as ``probe_returns``, bit for bit what ``test_policy`` gives;
+    they feed neither the fitnesses nor the normalizer delta.
     """
-    indexes = [c.index for c in candidates]
-    scores, probe_returns = score_candidates(
-        [c.x for c in candidates], indexes, make_env(env_id), normalizer,
-        fitness_spec, generation, master_seed, probe)
-    return collect_generation([(indexes, scores)], len(candidates), probe_returns)
+    scores, probe_returns = score_candidates(batch)
+    return collect_generation([(batch.indexes, scores)], len(batch.indexes),
+                              probe_returns)
 
 
 def collect_generation(parts, lam: int,
@@ -424,7 +432,8 @@ def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer, env_id: str,
     """Deterministic progress probe: median raw return over fixed seeds."""
     if episodes < 1:
         raise ValueError(f"test_policy needs at least one episode, got {episodes}")
-    weights, seeds = Probe(policy, generation, episodes).lanes(master_seed)
+    weights = np.repeat(policy.weights[None], episodes, axis=0)
+    seeds = [test_episode_seed(master_seed, generation, ep) for ep in range(episodes)]
     returns = run_episodes(make_env(env_id), weights, normalizer, seeds).raw.tolist()
     return float(statistics.median(returns)), returns
 
@@ -470,58 +479,76 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
           fitness_spec: FitnessSpec | None = None, test_every: int = 1,
           target_return: float | None = None,
           max_generations: int | None = None,
-          evaluator: Callable | None = None,
           on_generation: Callable | None = None) -> TrainResult:
-    """Search policy weights by ask/evaluate/tell until the budget is spent.
+    """Search policy weights by ask/evaluate/tell until the budget is spent,
+    scoring each generation's ``Batch`` in this process with
+    ``evaluate_generation``.
 
     The test probe of generation g is owed until generation g + 1 is
-    evaluated, and runs with it: ``evaluator(state, cands, normalizer,
-    probe)`` gets generation ``state.g``'s candidates and the owed ``Probe``
-    (or None) and returns a ``GenerationEval`` whose ``probe_returns``
-    answer it.  g's record, best checkpoint and target check come before
-    g + 1's results are merged or told, and a met target drops those
-    results, so every recorded number is what probing right after g's tell
-    would give.  A probe still owed when
-    the loop ends runs alone through ``test_policy``.
-
-    ``evaluator`` may replace local rollout evaluation (the distributed
-    master does); it must honor the evaluate_generation contract so runs
-    remain bitwise comparable.  ``on_generation(params, state)`` fires at
-    the start of every generation, including one whose results a met target
-    then drops.
+    evaluated, and runs in g + 1's batch.  g's record, best checkpoint and
+    target check come before g + 1's results are merged or told, and a met
+    target drops those results, so every recorded number is what probing
+    right after g's tell would give.  A probe still owed when the loop ends
+    runs alone through ``test_policy``.  ``on_generation(params, state)``
+    fires at the start of every generation, including one whose results a
+    met target then drops.
     """
+    return _drive(_run(env_id, variant, sigma0=sigma0, lam=lam,
+                       budget_timesteps=budget_timesteps, master_seed=master_seed,
+                       fitness_spec=fitness_spec, test_every=test_every,
+                       target_return=target_return, max_generations=max_generations,
+                       on_generation=on_generation),
+                  evaluate_generation)
+
+
+def _drive(run: Generator[Batch, GenerationEval, TrainResult],
+           evaluate: Callable[[Batch], GenerationEval]) -> TrainResult:
+    """Answer each ``Batch`` ``run`` yields with ``evaluate(batch)``, which
+    must give what ``evaluate_generation`` would, and return its result."""
+    try:
+        batch = next(run)
+        while True:
+            batch = run.send(evaluate(batch))
+    except StopIteration as done:
+        return done.value
+
+
+def _run(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
+         budget_timesteps: int, master_seed: int,
+         fitness_spec: FitnessSpec | None = None, test_every: int = 1,
+         target_return: float | None = None,
+         max_generations: int | None = None,
+         on_generation: Callable | None = None
+         ) -> Generator[Batch, GenerationEval, TrainResult]:
+    """``train``'s loop: yields each generation's ``Batch``, with the probe
+    the previous generation owes, takes back its ``GenerationEval`` and
+    returns the ``TrainResult``."""
     spec, params, state = _training_strategy(env_id, variant, sigma0, lam,
                                              master_seed, test_every)
     fitness_spec = fitness_spec or FitnessSpec()
     normalizer = ObsNormalizer.create(spec.obs_dim)
-
-    if evaluator is None:
-        def evaluator(st, cands, norm, probe):
-            return evaluate_generation(cands, env_id, norm, fitness_spec,
-                                       st.g, master_seed, probe)
-
     records: list[TrainRecord] = []
     best: Checkpoint | None = None
     best_median = -np.inf
     cumulative = 0
     status = "budget_exhausted"
-    # probe, budget spent, best training fitness and sigma of the last
-    # tested generation, whose record waits for the probe's returns
-    owed: tuple[Probe, int, float, float] | None = None
+    # generation, budget spent, best training fitness and sigma of the last
+    # tested generation, whose record waits for its probe's returns
+    owed: tuple[int, int, float, float] | None = None
 
     def settle(returns: list[float]) -> bool:
         """Record the owed generation; ``state`` and ``normalizer`` are still
         the ones its probe saw.  True when the record meets the target."""
         nonlocal owed, best, best_median
-        probe, spent, best_fitness, sigma = owed
+        generation, spent, best_fitness, sigma = owed
         owed = None
         median = float(statistics.median(returns))
-        records.append(TrainRecord(probe.generation, spent, median, returns,
+        records.append(TrainRecord(generation, spent, median, returns,
                                    best_fitness, sigma))
         if median > best_median:
             best_median = median
             best = Checkpoint(env_id, state.m.copy(), normalizer.frozen_view(),
-                              probe.generation, master_seed)
+                              generation, master_seed)
         return target_return is not None and median >= target_return
 
     while cumulative < budget_timesteps:
@@ -535,8 +562,10 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
         except NumericalDegeneracyError:
             status = "degenerate"
             break
-        result = evaluator(state, cands, normalizer,
-                           None if owed is None else owed[0])
+        result = yield Batch(env_id, master_seed, gen, range(params.lam),
+                             np.array([c.x for c in cands]), state.m,
+                             normalizer.copy(), fitness_spec,
+                             None if owed is None else owed[0])
         if owed is not None and settle(result.probe_returns):
             status = "target_reached"
             break
@@ -550,14 +579,11 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
             status = "degenerate"
             break
         if gen % test_every == 0:
-            policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
-            probe = Probe(policy, gen)
-            owed = (probe, cumulative, float(np.max(result.fitnesses)), state.sigma)
+            owed = (gen, cumulative, float(np.max(result.fitnesses)), state.sigma)
 
     if owed is not None:
-        probe = owed[0]
-        _, returns = test_policy(probe.policy, normalizer, env_id, master_seed,
-                                 probe.generation, probe.episodes)
+        policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
+        _, returns = test_policy(policy, normalizer, env_id, master_seed, owed[0])
         if settle(returns):
             status = "target_reached"
 

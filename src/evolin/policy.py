@@ -267,8 +267,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint.  Raises ValueError if its environment is unknown,
-    or its genome length or normalizer moments do not fit that environment's
-    spec.  Keys other than those ``save_checkpoint`` writes are ignored."""
+    its genome or normalizer moments do not fit that environment's spec or
+    are not finite, or its normalizer count or m2 is negative.  Keys other
+    than those ``save_checkpoint`` writes are ignored."""
     from .envs import env_spec      # envs imports this module
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -287,5 +288,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     norm = ckpt.normalizer
     if norm.mean.shape != (spec.obs_dim,) or norm.m2.shape != (spec.obs_dim,):
         raise ValueError(f"normalizer moments must have {spec.obs_dim} entries")
+    if not all(np.isfinite(v).all() for v in (ckpt.genome, norm.mean, norm.m2)):
+        raise ValueError("genome and normalizer moments must be finite")
+    if norm.count < 0 or (norm.m2 < 0).any():
+        raise ValueError("normalizer count and m2 must not be negative")
     norm.frozen = True
     return ckpt

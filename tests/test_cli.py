@@ -1,6 +1,7 @@
 """Exit codes, artifacts, and recomputation oracles for the command line."""
 
 import json
+import math
 import os
 import socket
 import statistics
@@ -129,7 +130,8 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
                                  {"fitness_spec": {"shaping": {"mode": "drop_alive_bonus",
                                                                "bonus": float("nan")}}},
                                  {"fitness_spec": {"shaping": {"mode": 0, "bonus": 0.0}}},
-                                 {"fitness_spec": {"train_episode": 2}}],
+                                 {"fitness_spec": {"train_episode": 2}},
+                                 {"seeds": [0, 0]}],
                          ids=["not-an-object", "sigma0", "budget", "seeds",
                               "test-every", "target", "fitness-spec",
                               "fractional-seeds", "fractional-budget",
@@ -137,7 +139,7 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
                               "nan-threshold", "nan-target", "string-crn",
                               "fractional-train-episodes", "bool-train-episodes",
                               "zero-train-episodes", "string-bonus", "nan-bonus",
-                              "number-mode", "mistyped-key"])
+                              "number-mode", "mistyped-key", "repeated-seeds"])
 def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(doc))
@@ -297,12 +299,34 @@ def test_eval_replays_checkpoint_median(tmp_path, capsys):
     assert float(median_line.split()[1]) == row["max_median_return"]
 
 
+def edit_normalizer(**fields):
+    return lambda d: dict(d, normalizer={**d["normalizer"], **fields})
+
+
+def pendulum(genome=(0.0, 0.0, 0.0), mean=(0.0, 0.0, 0.0), m2=(1.0, 1.0, 1.0)):
+    """An edit giving a pendulum checkpoint of these entries."""
+    return lambda d: dict(d, env_id="pendulum", genome=list(genome),
+                          normalizer={"count": 3, "mean": list(mean), "m2": list(m2)})
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: dict(d, genome=d["genome"][:2]),
     lambda d: dict(d, normalizer={"count": 3, "mean": [0.0] * 3, "m2": [1.0] * 3}),
     lambda d: dict(d, env_id="walker"),
     lambda d: [d],
-], ids=["short-genome", "3-dim-normalizer", "unknown-env", "not-an-object"])
+    lambda d: dict(d, genome=[math.nan] + d["genome"][1:]),
+    lambda d: dict(d, genome=d["genome"][:-1] + [math.inf]),
+    edit_normalizer(mean=[0.0, 0.0, 0.0, math.nan]),
+    edit_normalizer(m2=[1.0, 1.0, 1.0, math.inf]),
+    edit_normalizer(m2=[1.0, 1.0, 1.0, -1.0]),
+    edit_normalizer(count=-1),
+    pendulum(genome=(math.nan, 0.0, 0.0)),
+    pendulum(m2=(1.0, -1.0, 1.0)),
+    pendulum(mean=(0.0, math.inf, 0.0)),
+], ids=["short-genome", "3-dim-normalizer", "unknown-env", "not-an-object",
+        "nan-genome", "infinite-genome", "nan-mean", "infinite-m2", "negative-m2",
+        "negative-count", "pendulum-nan-genome", "pendulum-negative-m2",
+        "pendulum-infinite-mean"])
 def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, edit):
     fixture = os.path.join(os.path.dirname(__file__), "fixtures",
                            "cartpole_solved.json")

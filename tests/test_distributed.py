@@ -4,20 +4,21 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evolin import (CSA, FULL_CMA, SEP_CMA, FitnessSpec, LinearPolicy,
-                    MasterServer, ObsNormalizer, Probe, ask, env_spec,
+from evolin import (CSA, FULL_CMA, SEP_CMA, Batch, FitnessSpec, LinearPolicy,
+                    MasterServer, ObsNormalizer, ask, env_spec,
                     evaluate_candidate, evaluate_generation, new_strategy,
                     tell, train)
 from evolin import distributed, evaluate
 from evolin.distributed import (GenerationFailedError, ProtocolError,
                                 _LineReader, build_gen_message, bye_message,
                                 decode_message, encode_message,
-                                gen_context, hello_message, run_task,
-                                scores_from_result, serve_worker, split_ranges,
+                                gen_context, hello_message, result_message,
+                                run_task, scores_from_result, serve_worker, split_ranges,
                                 task_message, train_distributed)
 from evolin.evaluate import collect_generation, write_curve_csv
 
@@ -39,9 +40,10 @@ def warmed_state(variant, n=6, sigma0=0.3, tells=3, seed=77, lam=None):
 
 def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
                        probe_generation=None):
-    """A strategy, its warmed normalizer, and the generation fields of the
-    TASKs of generation ``state.g``, whose rows a local ask draws.  With
-    ``probe_generation`` the generation owes the probe of the mean."""
+    """The ``Batch`` of generation ``state.g`` of a warmed strategy, whose
+    rows a local ask draws, with a warmed normalizer, and the generation
+    fields of its TASKs for run "t".  With ``probe_generation`` the batch
+    owes that generation's probe of the mean."""
     spec = env_spec(env_id)
     n = spec.obs_dim * spec.action_space.act_dim
     params, state = warmed_state(variant, n=n, tells=2, lam=lam)
@@ -49,13 +51,17 @@ def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
     rng = np.random.default_rng(5)
     for _ in range(10):
         norm.update(rng.standard_normal(spec.obs_dim))
-    probe = None if probe_generation is None else Probe(
-        LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space),
-        probe_generation)
-    return params, state, norm, build_gen_message(
-        run_id="t", generation=state.g, master_seed=master_seed,
-        env_id=env_id, state=state, cands=ask(params, state, master_seed),
-        normalizer=norm, fitness_spec=FitnessSpec(), probe=probe)
+    cands = ask(params, state, master_seed)
+    batch = Batch(env_id, master_seed, state.g, range(len(cands)),
+                  np.array([c.x for c in cands]), state.m, norm, FitnessSpec(),
+                  probe_generation)
+    return batch, build_gen_message(batch, "t")
+
+
+def answer(batch, indexes, run_id="t"):
+    """The RESULT a worker sends for candidates ``indexes`` of ``batch``."""
+    return result_message(run_id, batch.generation, indexes.start,
+                          *run_task(batch, indexes))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +69,7 @@ def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
 
 
 def test_messages_round_trip_through_framing():
-    _, _, _, gen_msg = sample_gen_message(FULL_CMA, probe_generation=1)
+    _, gen_msg = sample_gen_message(FULL_CMA, probe_generation=1)
     samples = [
         hello_message("w-1"),
         task_message(gen_msg, range(2, 5)),
@@ -90,7 +96,7 @@ def test_decode_rejects_garbage():
 
 
 def test_task_carries_its_generation_and_its_range_rows():
-    _, _, _, msg = sample_gen_message(probe_generation=1)
+    _, msg = sample_gen_message(probe_generation=1)
     task = task_message(msg, range(1, 3), probe=True)
     assert set(task) == {"type", "protocol_version", "run_id", "generation",
                          "master_seed", "env_id", "lambda", "m", "x",
@@ -100,17 +106,22 @@ def test_task_carries_its_generation_and_its_range_rows():
 
 @pytest.mark.parametrize("variant", [CSA, SEP_CMA, FULL_CMA])
 def test_gen_context_reconstructs_candidates_bitwise(variant):
-    # every row reaches the worker with the bits ask drew on the master
+    # a TASK parses back into its range of the master's Batch, every row
+    # with the bits ask drew on the master
     seed = 2 ** 63 + 5
-    params, state, _, msg = sample_gen_message(variant, master_seed=seed, lam=7)
-    cands = ask(params, state, seed)
+    batch, msg = sample_gen_message(variant, master_seed=seed, lam=7,
+                                    probe_generation=1)
     for span in (range(7), range(0, 1), range(1, 4), range(6, 7)):
-        wire = decode_message(encode_message(task_message(msg, span)))
-        ctx = gen_context(wire)
-        assert ctx.master_seed == seed and ctx.indexes == span
-        assert ctx.x.shape == (len(span), params.n)
-        for row, i in enumerate(span):
-            assert ctx.x[row].tobytes() == cands[i].x.tobytes()
+        wire = decode_message(encode_message(task_message(msg, span, probe=True)))
+        run_id, got = gen_context(wire)
+        assert run_id == "t" and got.indexes == span
+        assert (got.env_id, got.master_seed, got.generation, got.probe) == (
+            "cartpole", seed, batch.generation, 1)
+        assert got.x.shape == (len(span), batch.x.shape[1])
+        assert got.x.tobytes() == batch.x[span.start:span.stop].tobytes()
+        assert got.m.tobytes() == batch.m.tobytes()
+        assert got.normalizer.to_dict() == batch.normalizer.to_dict()
+        assert got.fitness_spec == batch.fitness_spec
 
 
 def edit_normalizer(**fields):
@@ -151,7 +162,7 @@ MALFORMED_TASKS = {
 @pytest.mark.parametrize("edit", MALFORMED_TASKS.values(), ids=MALFORMED_TASKS.keys())
 def test_gen_context_rejects_a_malformed_task(edit):
     # each of these a worker refuses with BYE protocol
-    _, _, _, msg = sample_gen_message()
+    _, msg = sample_gen_message()
     task = task_message(msg, range(0, 2))
     gen_context(task)
     with pytest.raises((ProtocolError, KeyError, TypeError, ValueError)):
@@ -165,21 +176,20 @@ def test_gen_context_rejects_a_malformed_task(edit):
                               "string-generation", "v6-object", "own-generation",
                               "negative-generation"])
 def test_gen_context_rejects_a_malformed_probe(probe):
-    _, _, _, msg = sample_gen_message(probe_generation=1)
+    _, msg = sample_gen_message(probe_generation=1)
     with pytest.raises(ProtocolError):
         gen_context(dict(msg, probe=probe))
 
 
 def test_run_task_runs_the_probe_as_test_policy_does():
-    _, state, norm, msg = sample_gen_message(SEP_CMA, master_seed=912,
-                                             probe_generation=1)
+    batch, msg = sample_gen_message(SEP_CMA, master_seed=912, probe_generation=1)
     spec = env_spec("cartpole")
-    policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
-    _, want = evaluate.test_policy(policy, norm, "cartpole", 912, 1)
+    policy = LinearPolicy.from_genome(batch.m, spec.obs_dim, spec.action_space)
+    _, want = evaluate.test_policy(policy, batch.normalizer, "cartpole", 912, 1)
 
     def reply(probe):
         task = decode_message(encode_message(task_message(msg, range(1, 3), probe)))
-        return run_task(gen_context(task), range(1, 3))
+        return answer(gen_context(task)[1], range(1, 3))
 
     plain = reply(False)
     assert plain["probe"] is None and len(plain["fitness"]) == 2
@@ -188,14 +198,13 @@ def test_run_task_runs_the_probe_as_test_policy_does():
 
 def test_run_task_ranges_match_local_generation_exactly():
     lam = 7
-    params, state, norm, msg = sample_gen_message(SEP_CMA, master_seed=912, lam=lam)
+    batch, msg = sample_gen_message(SEP_CMA, master_seed=912, lam=lam)
     gen = msg["generation"]
-    ctx = gen_context(decode_message(encode_message(task_message(msg, range(lam)))))
-    cands = ask(params, state, 912)
-    local = evaluate_generation(cands, "cartpole", norm, FitnessSpec(), gen, 912)
+    _, parsed = gen_context(decode_message(encode_message(task_message(msg, range(lam)))))
+    local = evaluate_generation(batch)
 
     def remote(indexes):
-        reply = decode_message(encode_message(run_task(ctx, indexes)))
+        reply = decode_message(encode_message(answer(parsed, indexes)))
         scores, returns = scores_from_result(reply, task_message(msg, indexes))
         assert returns is None
         return indexes, scores
@@ -205,8 +214,8 @@ def test_run_task_ranges_match_local_generation_exactly():
         _, scores = remote(indexes)
         assert len(scores.raw) == len(indexes)
         for row, i in enumerate(indexes):
-            alone = evaluate_candidate(cands[i].x, i, "cartpole",
-                                       norm, FitnessSpec(), gen, 912)
+            alone = evaluate_candidate(batch.x[i], i, "cartpole",
+                                       batch.normalizer, FitnessSpec(), gen, 912)
             assert scores.shaped[row] == local.fitnesses[i] == alone.shaped[0]
             assert scores.raw[row] == local.raw_returns[i]
             assert scores.count[row] == alone.count[0]
@@ -223,10 +232,10 @@ def test_run_task_ranges_match_local_generation_exactly():
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_result_counts_lie_within_the_episode_bounds(episodes):
     # every training episode acts at least once and at most up to the limit
-    _, _, _, msg = sample_gen_message()
+    _, msg = sample_gen_message()
     task = dict(task_message(msg, range(0, 2)),
                 fitness_spec=FitnessSpec(train_episodes=episodes).to_dict())
-    reply = run_task(gen_context(task), range(0, 2))
+    reply = answer_honestly(task)
     limit = episodes * env_spec("cartpole").max_episode_steps
     scores, _ = scores_from_result(dict(reply, count=[episodes, limit]), task)
     assert scores.count.tolist() == [episodes, limit]
@@ -285,22 +294,21 @@ class ScriptedWorker:
         self.sock.close()
 
 
-def assert_matches_local(parts, params, state, norm, msg, master_seed):
-    """The ``(range, Scores)`` ``parts`` cover the first candidates of the
-    generation ``msg`` describes and fold to what a local evaluation of
-    those candidates gives."""
+def assert_matches_local(parts, batch):
+    """The ``(range, Scores)`` ``parts`` cover the first candidates of
+    ``batch`` and fold to what a local evaluation of those candidates
+    gives."""
     lam = sum(len(span) for span, _ in parts)
     got = collect_generation(parts, lam)
-    want = evaluate_generation(ask(params, state, master_seed)[:lam], "cartpole",
-                               norm, FitnessSpec(), msg["generation"], master_seed)
+    want = evaluate_generation(replace(batch, indexes=range(lam), x=batch.x[:lam]))
     assert got.fitnesses.tobytes() == want.fitnesses.tobytes()
     assert got.raw_returns.tobytes() == want.raw_returns.tobytes()
     assert got.delta.to_dict() == want.delta.to_dict()
 
 
 def answer_honestly(task):
-    return run_task(gen_context(task),
-                    range(task["index"], task["index"] + task["count"]))
+    run_id, batch = gen_context(task)
+    return answer(batch, batch.indexes, run_id)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +316,14 @@ def answer_honestly(task):
 
 
 def test_single_worker_generation_matches_local():
-    params, state, norm, msg = sample_gen_message(CSA, master_seed=31)
+    batch, msg = sample_gen_message(CSA, master_seed=31)
     with MasterServer() as server:
         thread, out = start_real_worker(server)
         server.wait_for_workers(1, timeout=10)
         parts, probe_returns = server.evaluate_generation(msg)
         assert [span for span, _ in parts] == [range(4)]
         assert probe_returns is None
-        assert_matches_local(parts, params, state, norm, msg, 31)
+        assert_matches_local(parts, batch)
     thread.join(timeout=10)
     assert out.get("reason") == "shutdown"
 
@@ -362,7 +370,7 @@ def worker_replies_to_task(edit, probe_generation=None, span=range(0, 1)):
     conn.settimeout(10)             # a worker that ignores the TASK fails
     reader = _LineReader(conn)
     assert decode_message(reader.readline())["type"] == "hello"
-    _, _, _, msg = sample_gen_message(probe_generation=probe_generation)
+    _, msg = sample_gen_message(probe_generation=probe_generation)
     task = task_message(msg, span, probe=probe_generation is not None)
     # json.dumps, unlike encode_message, writes NaN and Infinity
     conn.sendall((json.dumps(edit(task, msg["lambda"])) + "\n").encode())
@@ -491,14 +499,14 @@ def test_master_rejects_a_task_timeout_that_is_not_finite_and_positive(timeout):
 
 
 def test_generation_fails_with_zero_workers():
-    _, _, _, msg = sample_gen_message()
+    _, msg = sample_gen_message()
     with MasterServer() as server:
         with pytest.raises(GenerationFailedError):
             server.evaluate_generation(msg)
 
 
 def test_generation_fails_when_only_worker_dies():
-    _, _, _, msg = sample_gen_message()
+    _, msg = sample_gen_message()
     with MasterServer() as server:
         address = server.address
 
@@ -518,7 +526,7 @@ def test_generation_fails_when_only_worker_dies():
 
 def test_unsolicited_results_drop_the_worker():
     # a second answer to a TASK, and an answer sent before any TASK
-    params, state, norm, msg = sample_gen_message()
+    batch, msg = sample_gen_message()
     with MasterServer() as server:
         address = server.address
         byes = {}
@@ -535,7 +543,7 @@ def test_unsolicited_results_drop_the_worker():
         thread.start()
         server.wait_for_workers(1, timeout=10)
         parts, _ = server.evaluate_generation(msg)
-        assert_matches_local(parts, params, state, norm, msg, 3)
+        assert_matches_local(parts, batch)
 
         eager = ScriptedWorker(address, "eager")
         eager.send({"type": "result", "run_id": "t", "generation": 0, "index": 0,
@@ -552,7 +560,7 @@ def test_unsolicited_results_drop_the_worker():
 def test_late_result_drops_the_worker_and_the_next_run_is_correct():
     # a worker that answers after its deadline is dropped unheard, so a
     # server reused for the next seed never reads its late reply
-    params, state, norm, msg = sample_gen_message(CSA, master_seed=31)
+    batch, msg = sample_gen_message(CSA, master_seed=31)
     with MasterServer(task_timeout=1.0) as server:
         address = server.address
         box = {}
@@ -574,7 +582,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
         server.wait_for_workers(2, timeout=10)
         for run_id in ("first-seed", "second-seed"):
             parts, _ = server.evaluate_generation(dict(msg, run_id=run_id))
-            assert_matches_local(parts, params, state, norm, msg, 31)
+            assert_matches_local(parts, batch)
         assert server.dropped == [("late", "timeout")]
     thread.join(timeout=10)
     honest.join(timeout=10)
@@ -583,7 +591,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
 
 
 def test_late_joiner_takes_over_timed_out_task():
-    params, state, norm, msg = sample_gen_message(CSA, master_seed=31)
+    batch, msg = sample_gen_message(CSA, master_seed=31)
     server = MasterServer(task_timeout=1.0)
     try:
         address = server.address
@@ -600,7 +608,7 @@ def test_late_joiner_takes_over_timed_out_task():
         worker_thread, out = start_real_worker(server)
         ev_thread.join(timeout=30)
         assert "parts" in box
-        assert_matches_local(box["parts"], params, state, norm, msg, 31)
+        assert_matches_local(box["parts"], batch)
         assert server.dropped == [("silent", "timeout")]
         silent.close()
     finally:
@@ -684,10 +692,10 @@ def test_each_worker_gets_one_task_per_generation(monkeypatch):
     scored = distributed.run_task
     send = MasterServer._send
 
-    def recording_run_task(ctx, indexes):
-        tasks.append((ctx.generation, threading.current_thread().name, indexes,
-                      None if ctx.probe is None else ctx.probe.generation))
-        return scored(ctx, indexes)
+    def recording_run_task(batch, indexes):
+        tasks.append((batch.generation, threading.current_thread().name, indexes,
+                      batch.probe))
+        return scored(batch, indexes)
 
     def recording_send(self, conn, msg):
         received.setdefault(conn.worker_id, []).append(
@@ -851,7 +859,7 @@ def test_malformed_probe_drops_the_worker_and_the_run_matches_local(edit):
 
 
 def test_unasked_probe_drops_the_worker():
-    _, _, _, msg = sample_gen_message()
+    _, msg = sample_gen_message()
     with MasterServer() as server:
         address = server.address
 

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from evolin import (CSA, ENV_IDS, FULL_CMA, SEP_CMA, FitnessSpec, LinearPolicy,
-                    ObsNormalizer,
+from evolin import (CSA, ENV_IDS, FULL_CMA, SEP_CMA, Batch, FitnessSpec,
+                    LinearPolicy, ObsNormalizer,
                     Shaping, ask, env_spec, make_env, new_strategy,
                     read_curve_csv, rollout, shape_reward, train,
                     write_curve_csv)
@@ -33,6 +33,15 @@ def test_shaping_modes() -> None:
     assert shape_reward(-2.0, Shaping("drop_alive_bonus", 0.5)) == -2.5
     with pytest.raises(ValueError):
         Shaping("raise_alive_bonus")
+
+
+def test_fitness_spec_from_dict_round_trips_and_ignores_other_keys() -> None:
+    # a TASK's fitness spec before protocol 7 also held test_episodes
+    spec = FitnessSpec(train_episodes=3, shaping=Shaping("drop_alive_bonus", 0.5),
+                       common_random_numbers=False)
+    assert FitnessSpec.from_dict(spec.to_dict()) == spec
+    assert FitnessSpec.from_dict({**spec.to_dict(), "test_episodes": 5,
+                                  "note": None}) == spec
 
 
 def test_drop_alive_bonus_zeroes_survival_returns() -> None:
@@ -330,11 +339,17 @@ def warmed_normalizer() -> ObsNormalizer:
     return norm
 
 
+def cartpole_batch(sigma0=0.1, lam=8, fitness_spec=FitnessSpec()) -> Batch:
+    """Generation 0 of a cartpole run with master seed 21, as ``train``
+    hands it out, with a warmed normalizer."""
+    params, state = new_strategy(CSA, 8, sigma0, lam=lam)
+    x = np.array([c.x for c in ask(params, state, 21)])
+    return Batch("cartpole", 21, 0, range(lam), x, state.m, warmed_normalizer(),
+                 fitness_spec)
+
+
 def evaluate_cartpole_generation():
-    params, state = new_strategy(CSA, 8, 0.1, lam=8)
-    cands = ask(params, state, 21)
-    return evaluate_generation(cands, "cartpole", warmed_normalizer(),
-                               FitnessSpec(), 0, 21)
+    return evaluate_generation(cartpole_batch())
 
 
 def test_generation_timesteps_are_summed_exactly() -> None:
@@ -366,18 +381,16 @@ def test_collect_generation_requires_complete_index_cover() -> None:
 
 
 def test_three_episode_generation_delta_equals_merge_folds() -> None:
-    params, state = new_strategy(CSA, 8, 0.5, lam=6)
-    cands = ask(params, state, 21)
-    norm = warmed_normalizer()
-    result = evaluate_generation(cands, "cartpole", norm, FitnessSpec(train_episodes=3),
-                                 0, 21)
+    batch = cartpole_batch(0.5, 6, FitnessSpec(train_episodes=3))
+    norm = batch.normalizer
+    result = evaluate_generation(batch)
     want = ObsNormalizer.create(4)
     counts = set()
-    for c in cands:
-        policy = LinearPolicy.from_genome(c.x, 4, Discrete(2))
+    for index, x in zip(batch.indexes, batch.x):
+        policy = LinearPolicy.from_genome(x, 4, Discrete(2))
         candidate = ObsNormalizer.create(4)
         for ep in range(3):
-            seed = train_episode_seed(21, 0, c.index, ep, True)
+            seed = train_episode_seed(21, 0, index, ep, True)
             lane = rollout(make_env("cartpole"), policy, norm, seed)
             counts.add(int(lane.count[0]))
             candidate.merge(lane.delta(0))

@@ -5,24 +5,24 @@ holds, for a few fixed generations of each environment, every candidate's
 fitness, raw return, timesteps and observation delta and the test-probe
 returns, all as ``float.hex``; a candidate's timesteps are its delta's
 count.  Every way of scoring a candidate must
-reproduce those bits: alone, inside its full generation, and inside a
-reversed or split batch of its generation.  The probe's returns must be the
-same whether it runs alone or as lanes of a generation's batch.
+reproduce those bits: alone, inside its full generation's ``Batch``, and
+inside uneven ranges of it, whose results fold to the same generation in
+either order.  The probe's returns must be the same whether it runs alone
+or as lanes of a generation's batch.
 """
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, Probe, env_spec,
-                    make_env)
+from evolin import (Batch, FitnessSpec, LinearPolicy, ObsNormalizer, env_spec)
 from evolin import test_policy as run_test_protocol
-from evolin.es import Candidate
 from evolin.envs import CartPole
-from evolin.evaluate import (evaluate_candidate, evaluate_generation, rollout,
-                             score_candidates)
+from evolin.evaluate import (collect_generation, evaluate_candidate,
+                             evaluate_generation, rollout, score_candidates)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_rollouts.json")
 
@@ -38,11 +38,17 @@ def normalizer(doc) -> ObsNormalizer:
     return ObsNormalizer(doc["count"], floats(doc["mean"]), floats(doc["m2"]))
 
 
-def setup(case):
-    cands = [Candidate(i, np.zeros(0), floats(c["genome"]))
-             for i, c in enumerate(case["candidates"])]
-    return (cands, normalizer(case["normalizer"]),
-            FitnessSpec.from_dict(case["fitness_spec"]))
+def setup(case) -> Batch:
+    """The case's generation as a ``Batch`` whose mean, the policy of any
+    probe it owes, is genome 0: the fixture probes that policy."""
+    x = np.array([floats(c["genome"]) for c in case["candidates"]])
+    return Batch(case["env_id"], case["master_seed"], case["generation"],
+                 range(len(x)), x, x[0], normalizer(case["normalizer"]),
+                 FitnessSpec.from_dict(case["fitness_spec"]))
+
+
+def part(batch: Batch, indexes: range) -> Batch:
+    return replace(batch, indexes=indexes, x=batch.x[indexes.start:indexes.stop])
 
 
 def assert_same_bits(a: ObsNormalizer, b: ObsNormalizer) -> None:
@@ -67,43 +73,46 @@ def expected_generation_delta(case) -> ObsNormalizer:
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_candidate_scored_alone_matches_fixture(case) -> None:
-    cands, norm, spec = setup(case)
-    for cand, want in zip(cands, case["candidates"]):
-        scores = evaluate_candidate(cand.x, cand.index, case["env_id"], norm, spec,
+    batch = setup(case)
+    for index, want in zip(batch.indexes, case["candidates"]):
+        scores = evaluate_candidate(batch.x[index], index, case["env_id"],
+                                    batch.normalizer, batch.fitness_spec,
                                     case["generation"], case["master_seed"])
         assert len(scores.raw) == 1
         assert_matches(scores, 0, want)
 
 
-def sub_batches(lam: int) -> list[list[int]]:
-    """The full generation, reversed, and split unevenly (ragged halves and
-    every other index), so each candidate meets different neighbours."""
-    idx = list(range(lam))
+def sub_ranges(lam: int) -> list[range]:
+    """The full generation and uneven ranges of it (ragged halves, and all
+    but the first or the last index), so each candidate meets different
+    neighbours."""
     half = lam // 2 + 1
-    return [idx, idx[::-1], idx[:half], idx[half:], idx[::2], idx[1::2][::-1]]
+    return [range(lam), range(half), range(half, lam), range(1, lam),
+            range(lam - 1)]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_candidate_results_do_not_depend_on_batch(case) -> None:
-    cands, norm, spec = setup(case)
-    env = make_env(case["env_id"])
-    for batch in sub_batches(len(cands)):
-        scores, returns = score_candidates([cands[i].x for i in batch], batch, env,
-                                           norm, spec, case["generation"],
-                                           case["master_seed"])
-        assert len(scores.raw) == len(batch) and returns is None
-        for row, index in enumerate(batch):
+    batch = setup(case)
+    for indexes in sub_ranges(len(batch.indexes)):
+        scores, returns = score_candidates(part(batch, indexes))
+        assert len(scores.raw) == len(indexes) and returns is None
+        for row, index in enumerate(indexes):
             assert_matches(scores, row, case["candidates"][index])
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_generation_batches_match_fixture(case, order) -> None:
-    cands, norm, spec = setup(case)
-    if order == "reversed":
-        cands = cands[::-1]
-    gen = evaluate_generation(cands, case["env_id"], norm, spec, case["generation"],
-                              case["master_seed"])
+    # the whole generation as one batch, or as batches of one candidate
+    # folded from the last index to the first
+    batch = setup(case)
+    if order == "forward":
+        gen = evaluate_generation(batch)
+    else:
+        singles = [range(i, i + 1) for i in reversed(batch.indexes)]
+        gen = collect_generation([(r, score_candidates(part(batch, r))[0])
+                                  for r in singles], len(batch.indexes))
     want = case["candidates"]
     assert [f.hex() for f in gen.fitnesses] == [c["fitness"] for c in want]
     assert [r.hex() for r in gen.raw_returns] == [c["raw_return"] for c in want]
@@ -113,10 +122,10 @@ def test_generation_batches_match_fixture(case, order) -> None:
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_probe_matches_fixture(case) -> None:
-    cands, norm, _ = setup(case)
+    batch = setup(case)
     spec = env_spec(case["env_id"])
-    policy = LinearPolicy.from_genome(cands[0].x, spec.obs_dim, spec.action_space)
-    median, returns = run_test_protocol(policy, norm, case["env_id"],
+    policy = LinearPolicy.from_genome(batch.m, spec.obs_dim, spec.action_space)
+    median, returns = run_test_protocol(policy, batch.normalizer, case["env_id"],
                                         case["master_seed"], case["generation"])
     assert [r.hex() for r in returns] == case["probe"]["returns"]
     assert median.hex() == case["probe"]["median"]
@@ -124,14 +133,13 @@ def test_probe_matches_fixture(case) -> None:
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_probe_lanes_in_a_generation_batch_match_fixture(case) -> None:
-    cands, norm, spec = setup(case)
+    batch = setup(case)
     env_id, generation, seed = case["env_id"], case["generation"], case["master_seed"]
     espec = env_spec(env_id)
-    policy = LinearPolicy.from_genome(cands[0].x, espec.obs_dim, espec.action_space)
-    alone = evaluate_generation(cands, env_id, norm, spec, generation, seed)
-    merged = evaluate_generation(cands, env_id, norm, spec, generation, seed,
-                                 probe=Probe(policy, generation))
-    _, returns = run_test_protocol(policy, norm, env_id, seed, generation)
+    policy = LinearPolicy.from_genome(batch.m, espec.obs_dim, espec.action_space)
+    alone = evaluate_generation(batch)
+    merged = evaluate_generation(replace(batch, probe=generation))
+    _, returns = run_test_protocol(policy, batch.normalizer, env_id, seed, generation)
 
     assert alone.probe_returns is None
     assert [r.hex() for r in merged.probe_returns] == case["probe"]["returns"]

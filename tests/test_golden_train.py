@@ -5,12 +5,14 @@ for a few training runs, the curve CSV bytes, the status, the budget spent,
 the final distribution and the best checkpoint.  The runs cover the ways a
 run ends: the generation cap, a met target, a spent budget and a degenerate
 ``ask``, with probes every generation and every second or third one.  A
-distributed run must replay them too.
+distributed run must replay them too, and so must the training loop when
+each generation's ``Batch`` is cut into ranges scored separately.
 """
 
 import json
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from evolin import (MasterServer, serve_worker, train, train_distributed,
                     write_curve_csv)
 from evolin import evaluate
+from evolin.evaluate import collect_generation, score_candidates
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_train.json")
 
@@ -85,4 +88,31 @@ def test_distributed_training_run_matches_fixture(case, monkeypatch, tmp_path) -
         result = run_case(case, monkeypatch, lambda *a, **kw: train_distributed(
             *a, **kw, expected_workers=1, server=server, wait_timeout=30.0))
     worker.join(timeout=10)
+    assert_matches_fixture(result, case, tmp_path)
+
+
+def answer_in_parts(batch):
+    """Answer a generation's ``Batch`` as workers would, without sockets:
+    cut it into uneven ranges, score each with ``score_candidates``, the
+    owed probe with the middle one, and fold them in reverse order."""
+    lam = len(batch.indexes)
+    assert batch.indexes == range(lam) and batch.x.shape[0] == lam
+    bounds = sorted({0, 1, lam // 2 + 1, lam})
+    spans = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    parts, returns = [], None
+    for span in reversed(spans):
+        owes = span is spans[len(spans) // 2]
+        scores, probe = score_candidates(replace(
+            batch, indexes=span, x=batch.x[span.start:span.stop],
+            probe=batch.probe if owes else None))
+        parts.append((span, scores))
+        if owes:
+            returns = probe
+    return collect_generation(parts, lam, returns)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_run_answered_in_ranges_matches_fixture(case, monkeypatch, tmp_path) -> None:
+    result = run_case(case, monkeypatch, lambda *a, **kw: evaluate._drive(
+        evaluate._run(*a, **kw), answer_in_parts))
     assert_matches_fixture(result, case, tmp_path)

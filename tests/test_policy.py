@@ -264,3 +264,20 @@ def test_checkpoint_stores_no_shapes(tmp_path) -> None:
     doc = json.loads(path.read_text())
     assert set(doc) == {"env_id", "genome", "normalizer", "generation", "master_seed"}
     assert load_checkpoint(path).master_seed == 2**64 - 1
+
+
+def test_checkpoint_load_ignores_other_keys(tmp_path) -> None:
+    # checkpoints written before the spec owned the shapes also hold
+    # obs_dim and action_space
+    norm = ObsNormalizer(3, np.array([0.1, -0.2, 0.3]), np.array([1.0, 2.0, 0.5]))
+    ckpt = Checkpoint("pendulum", np.array([0.5, -1.0, 2.0]), norm.frozen_view(), 4, 9)
+    path = tmp_path / "c.json"
+    save_checkpoint(path, ckpt)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "obs_dim": 99, "note": None,
+                                "action_space": {"kind": "discrete", "n": 7}}))
+    back = load_checkpoint(path)
+    assert (back.env_id, back.generation, back.master_seed) == ("pendulum", 4, 9)
+    assert back.genome.tobytes() == ckpt.genome.tobytes()
+    assert back.normalizer.to_dict() == norm.to_dict()
+    assert isinstance(back.policy().space, Box)
