@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .envs import env_spec
-from .es import _check_seed
+from .es import _parse_seed
 from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, GenerationEval, Scores,
                        TrainResult, _drive, _run, _training_strategy,
                        collect_generation, score_candidates)
@@ -270,7 +270,7 @@ def gen_context(msg: dict) -> tuple[str, Batch]:
     probe = msg["probe"]
     return str(msg["run_id"]), Batch(
         env_id=env_id,
-        master_seed=_check_seed(int(msg["master_seed"])),
+        master_seed=_parse_seed(msg["master_seed"]),
         generation=generation,
         indexes=indexes,
         x=_column(msg, "x", len(indexes), n, where="TASK"),

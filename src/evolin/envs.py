@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import ActionSpace, Box, Discrete
+from .policy import ActionSpace, Box, Discrete, _f64
 
 __all__ = [
     "StepResult",
@@ -78,6 +78,14 @@ class _EnvBase:
     depend on which others share its batch.  ``reset``/``step`` drive a
     batch of one; ``step`` calls ``transition``, then ``terminal`` on the
     next state, then ``reward``.
+
+    Each elementwise numpy call in ``observe``, ``transition`` and
+    ``terminal`` takes arrays of its output's shape or 0-d float64 arrays
+    built once from the class's constants (``_f64``), never a Python scalar
+    and never an array it must broadcast: numpy converts a Python scalar
+    operand on every call, and on a few dozen lanes that costs as much as
+    the operation.  A 0-d array holds the same float64 value, so every
+    operation keeps its bits.
     """
 
     spec: EnvSpec
@@ -174,6 +182,10 @@ class CartPole(_EnvBase):
     TAU = 0.02
     THETA_LIMIT = 12 * 2 * math.pi / 360
     X_LIMIT = 2.4
+    # the step's constant operands (see _EnvBase)
+    _GRAVITY, _TOTAL_MASS, _LENGTH, _MASSPOLE, _POLEMASS_LENGTH, _TAU = map(
+        _f64, (GRAVITY, TOTAL_MASS, LENGTH, MASSPOLE, POLEMASS_LENGTH, TAU))
+    _FOUR_THIRDS, _THETA_LIMIT, _X_LIMIT = map(_f64, (4.0 / 3.0, THETA_LIMIT, X_LIMIT))
 
     _x, _x_dot, _th, _th_dot = (_StateVar(i) for i in range(4))
 
@@ -186,42 +198,54 @@ class CartPole(_EnvBase):
 
     def transition(self, state, actions, out):
         force = self.FORCES[actions]
-        x_dot, th, th_dot = state[1], state[2], state[3]
+        th, th_dot = state[2], state[3]
 
         costh = np.cos(th)
         sinth = np.sin(th)
-        temp = (force + self.POLEMASS_LENGTH * th_dot * th_dot * sinth) / self.TOTAL_MASS
-        th_acc = (self.GRAVITY * sinth - costh * temp) / (
-            self.LENGTH * (4.0 / 3.0 - self.MASSPOLE * costh * costh / self.TOTAL_MASS))
-        x_acc = temp - self.POLEMASS_LENGTH * th_acc * costh / self.TOTAL_MASS
+        temp = (force + self._POLEMASS_LENGTH * th_dot * th_dot * sinth) / self._TOTAL_MASS
+        th_acc = (self._GRAVITY * sinth - costh * temp) / (self._LENGTH * (
+            self._FOUR_THIRDS - self._MASSPOLE * costh * costh / self._TOTAL_MASS))
+        x_acc = temp - self._POLEMASS_LENGTH * th_acc * costh / self._TOTAL_MASS
 
-        # semi-explicit Euler, positions advanced with the old velocities
-        np.add(state, self.TAU * np.array([x_dot, x_acc, th_dot, th_acc]), out=out)
+        # semi-explicit Euler, positions advanced with the old velocities:
+        # state + TAU * (x_dot, x_acc, th_dot, th_acc), whose two operations
+        # commute, so taking their operands the other way round keeps the bits
+        out[0::2] = state[1::2]
+        out[1], out[3] = x_acc, th_acc
+        out *= self._TAU
+        out += state
 
     def terminal(self, state):
-        return (np.abs(state[0]) > self.X_LIMIT) | (np.abs(state[2]) > self.THETA_LIMIT)
+        return (np.abs(state[0]) > self._X_LIMIT) | (np.abs(state[2]) > self._THETA_LIMIT)
 
     def reward(self, state, actions, next_state):
         return np.ones(state.shape[1:])       # the falling step still pays
 
 
-def _wrap(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Shift each entry of ``x`` into ``[lo, hi]`` one period ``hi - lo`` at a
-    time; infinite and NaN entries pass through unchanged.  An entry more
-    than 16 periods outside takes ``lo + remainder(x - lo, hi - lo)``
-    instead, since one period at a time may take forever (or never move it,
-    once a period is below its spacing)."""
+def _wrapper(lo: float, hi: float):
+    """The function that shifts each entry of an array ``x`` into ``[lo,
+    hi]`` one period ``hi - lo`` at a time; infinite and NaN entries pass
+    through unchanged.  An entry more than 16 periods outside takes ``lo +
+    remainder(x - lo, hi - lo)`` instead, since one period at a time may take
+    forever (or never move it, once a period is below its spacing)."""
     diff = hi - lo
-    finite = np.isfinite(x)
-    far = finite & ((x > hi + 16 * diff) | (x < lo - 16 * diff))
-    if far.any():
-        x = x.copy()
-        x[far] = lo + np.remainder(x[far] - lo, diff)
-    while (over := finite & (x > hi)).any():
-        x = np.where(over, x - diff, x)
-    while (under := finite & (x < lo)).any():
-        x = np.where(under, x + diff, x)
-    return x
+    lo, hi, diff, top, bottom = map(_f64, (lo, hi, diff, hi + 16 * diff, lo - 16 * diff))
+
+    def wrap(x: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(x)
+        far = finite & ((x > top) | (x < bottom))
+        if far.any():
+            x = x.copy()
+            x[far] = lo + np.remainder(x[far] - lo, diff)
+        while (over := finite & (x > hi)).any():
+            x = np.where(over, x - diff, x)
+        while (under := finite & (x < lo)).any():
+            x = np.where(under, x + diff, x)
+        return x
+    return wrap
+
+
+_wrap_angle = _wrapper(-math.pi, math.pi)
 
 
 class Acrobot(_EnvBase):
@@ -240,6 +264,20 @@ class Acrobot(_EnvBase):
     MAX_VEL_2 = 9 * math.pi
     TORQUES = np.array([-1.0, 0.0, 1.0])
     GRAVITY = 9.8
+
+    # the step's constant operands (see _EnvBase), each computed from the
+    # attributes above as the Python-float expression the step used to form
+    m1, m2, l1, lc1, lc2, g = (LINK_MASS_1, LINK_MASS_2, LINK_LENGTH_1,
+                               LINK_COM_1, LINK_COM_2, GRAVITY)
+    i1 = i2 = LINK_MOI
+    _DSDT_FACTORS = tuple(map(_f64, (
+        m2, i1, i2, m1 * lc1 * lc1, l1 * l1 + lc2 * lc2, 2 * l1 * lc2, lc2 * lc2, l1 * lc2,
+        m2 * lc2 * g, math.pi / 2, -m2 * l1 * lc2, 2 * m2 * l1 * lc2,
+        (m1 * lc1 + m2 * l1) * g, m2 * l1 * lc2, m2 * lc2 * lc2 + i2)))
+    del m1, m2, l1, lc1, lc2, i1, i2, g
+    _RK4_FACTORS = tuple(map(_f64, (DT, DT / 2, DT / 6, 2)))
+    _VEL_LIMITS = tuple(map(_f64, (-MAX_VEL_1, MAX_VEL_1, -MAX_VEL_2, MAX_VEL_2)))
+    _GOAL_HEIGHT = _f64(1.0)          # of the tip above the pivot, in link lengths
 
     @property
     def _s(self) -> list[float]:
@@ -262,54 +300,50 @@ class Acrobot(_EnvBase):
         return out
 
     def _dsdt(self, s, torque):
-        m1 = self.LINK_MASS_1
-        m2 = self.LINK_MASS_2
-        l1 = self.LINK_LENGTH_1
-        lc1 = self.LINK_COM_1
-        lc2 = self.LINK_COM_2
-        i1 = i2 = self.LINK_MOI
-        g = self.GRAVITY
+        (m2, i1, i2, m1_lc1_lc1, l1_l1_lc2_lc2, two_l1_lc2, lc2_lc2, l1_lc2, m2_lc2_g,
+         half_pi, neg_m2_l1_lc2, two_m2_l1_lc2, m1_lc1_m2_l1_g, m2_l1_lc2,
+         m2_lc2_lc2_i2) = self._DSDT_FACTORS
         th1, th2, dth1, dth2 = s[0], s[1], s[2], s[3]
         cos2 = np.cos(th2)
         sin2 = np.sin(th2)
 
-        d1 = m1 * lc1 * lc1 + m2 * (l1 * l1 + lc2 * lc2 + 2 * l1 * lc2 * cos2) + i1 + i2
-        d2 = m2 * (lc2 * lc2 + l1 * lc2 * cos2) + i2
-        phi2 = m2 * lc2 * g * np.cos(th1 + th2 - math.pi / 2)
-        phi1 = (-m2 * l1 * lc2 * dth2 * dth2 * sin2
-                - 2 * m2 * l1 * lc2 * dth2 * dth1 * sin2
-                + (m1 * lc1 + m2 * l1) * g * np.cos(th1 - math.pi / 2)
+        d1 = m1_lc1_lc1 + m2 * (l1_l1_lc2_lc2 + two_l1_lc2 * cos2) + i1 + i2
+        d2 = m2 * (lc2_lc2 + l1_lc2 * cos2) + i2
+        phi2 = m2_lc2_g * np.cos(th1 + th2 - half_pi)
+        phi1 = (neg_m2_l1_lc2 * dth2 * dth2 * sin2
+                - two_m2_l1_lc2 * dth2 * dth1 * sin2
+                + m1_lc1_m2_l1_g * np.cos(th1 - half_pi)
                 + phi2)
         ddth2 = ((torque + d2 / d1 * phi1
-                  - m2 * l1 * lc2 * dth1 * dth1 * sin2 - phi2)
-                 / (m2 * lc2 * lc2 + i2 - d2 * d2 / d1))
+                  - m2_l1_lc2 * dth1 * dth1 * sin2 - phi2)
+                 / (m2_lc2_lc2_i2 - d2 * d2 / d1))
         ddth1 = -(d2 * ddth2 + phi1) / d1
         return np.array([dth1, dth2, ddth1, ddth2])
 
     def transition(self, state, actions, out):
         torque = self.TORQUES[actions]
         s = state
-        dt = self.DT
+        dt, half_dt, sixth_dt, two = self._RK4_FACTORS
 
         # one classical Runge-Kutta step across the full control interval
         k1 = self._dsdt(s, torque)
-        k2 = self._dsdt(s + dt / 2 * k1, torque)
-        k3 = self._dsdt(s + dt / 2 * k2, torque)
+        k2 = self._dsdt(s + half_dt * k1, torque)
+        k3 = self._dsdt(s + half_dt * k2, torque)
         k4 = self._dsdt(s + dt * k3, torque)
-        ns = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ns = s + sixth_dt * (k1 + two * k2 + two * k3 + k4)
 
-        out[:2] = _wrap(ns[:2], -math.pi, math.pi)
-        np.minimum(np.maximum(ns[2], -self.MAX_VEL_1), self.MAX_VEL_1, out=out[2])
-        np.minimum(np.maximum(ns[3], -self.MAX_VEL_2), self.MAX_VEL_2, out=out[3])
+        out[:2] = _wrap_angle(ns[:2])
+        low1, high1, low2, high2 = self._VEL_LIMITS
+        np.minimum(np.maximum(ns[2], low1), high1, out=out[2])
+        np.minimum(np.maximum(ns[3], low2), high2, out=out[3])
 
     def reward(self, state, actions, next_state):
         return self.terminal(next_state) - 1.0    # 0 at the goal, else -1
 
-    @staticmethod
-    def terminal(state):
+    def terminal(self, state):
         """True where the tip is above the goal height."""
         th1, th2 = state[0], state[1]
-        return -np.cos(th1) - np.cos(th2 + th1) > 1.0
+        return -np.cos(th1) - np.cos(th2 + th1) > self._GOAL_HEIGHT
 
 
 def _angle_normalize(x):
@@ -332,6 +366,10 @@ class Pendulum(_EnvBase):
     SIN_GAIN = 3 * GRAVITY / (2 * LENGTH)
     TORQUE_GAIN = 3.0 / (MASS * LENGTH * LENGTH)
 
+    # the step's constant operands (see _EnvBase)
+    _SIN_GAIN, _TORQUE_GAIN, _DT, _MAX_SPEED, _NEG_MAX_SPEED = map(
+        _f64, (SIN_GAIN, TORQUE_GAIN, DT, MAX_SPEED, -MAX_SPEED))
+
     _th, _thdot = _StateVar(0), _StateVar(1)
 
     def initial_state(self, rng):
@@ -347,11 +385,11 @@ class Pendulum(_EnvBase):
 
     def transition(self, state, actions, out):
         th, thdot, newthdot = state[0], state[1], out[1]
-        np.add(thdot, (self.SIN_GAIN * np.sin(th) + self.TORQUE_GAIN * actions[:, 0])
-               * self.DT, out=newthdot)
-        np.maximum(newthdot, -self.MAX_SPEED, out=newthdot)
-        np.minimum(newthdot, self.MAX_SPEED, out=newthdot)
-        np.add(th, newthdot * self.DT, out=out[0])
+        np.add(thdot, (self._SIN_GAIN * np.sin(th) + self._TORQUE_GAIN * actions[:, 0])
+               * self._DT, out=newthdot)
+        np.maximum(newthdot, self._NEG_MAX_SPEED, out=newthdot)
+        np.minimum(newthdot, self._MAX_SPEED, out=newthdot)
+        np.add(th, newthdot * self._DT, out=out[0])
 
     terminal = None                   # the swing-up never terminates
 

@@ -131,6 +131,14 @@ def _check_seed(master_seed: int) -> int:
     return master_seed
 
 
+def _parse_seed(text) -> int:
+    """The master seed a checkpoint or TASK carries as text, which must be
+    ASCII decimal digits: ``int`` would also take signs, spaces, floats."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError("master_seed must be a string of decimal digits")
+    return _check_seed(int(text))
+
+
 def new_strategy(
     variant: str,
     n: int,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Generator
 
 import numpy as np
@@ -179,20 +180,26 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
     A step computes only what feeds back: the observations, their moments,
     the normalized policy input, the actions and the next states, all
     recorded in arrays allocated once per batch (states as a ``(k, T + 1,
-    L)`` trajectory, observations as ``(T, L, obs_dim)``, actions as
-    ``(T, L)`` or ``(T, L, act_dim)``).  Every ``TERMINATION_BLOCK`` steps,
-    and at the limit, one ``env.terminal`` call checks the block's recorded
-    next states: a running lane's first flag sets its timesteps and its
-    moments, which are kept for each step of the block.  A block of 8 leaves
-    the check out of 7 steps in 8, and a batch steps at most 7 steps past
-    its last lane's end.  A finished lane keeps stepping with the others,
-    since a step costs about the same for any number of lanes; nothing it
-    computes after its end reaches a result, and ``np.errstate`` keeps its
-    non-finite values from raising warnings.  After the loop the
-    observations of every acting step are checked finite at once: a
-    non-finite state or box action of a running lane reaches them, and the
-    action is named when the step before acted with a non-finite one.  Then
-    the box actions acted with are checked finite, one ``env.reward`` call
+    L)`` trajectory, observations as ``(T, L, obs_dim)``, actions as ``(T,
+    L)`` or ``(T, L, act_dim)``).  Each elementwise numpy call of a step
+    takes arrays of the lanes' shape or 0-d arrays (see ``_EnvBase``): the
+    normalizer's shift and scale and a box's bounds are tiled to the lanes
+    once per batch, and Welford's count is a 0-d float.  Every
+    ``TERMINATION_BLOCK`` steps, and at the limit, one ``env.terminal`` call
+    checks the block's recorded next states: a running lane's first flag
+    sets its timesteps and its moments, which are kept for each step of the
+    block.  A block of 8 leaves the check out of 7 steps in 8, and a batch
+    steps at most 7 steps past its last lane's end.  A finished lane keeps
+    stepping with the others, since a step costs about the same for any
+    number of lanes; nothing it computes after its end reaches a result, and
+    ``np.errstate`` keeps its non-finite values from raising warnings.
+    After the loop the observations of every acting step are checked finite
+    at once: a non-finite state or box action of a running lane reaches
+    them, and the action is named when the step before acted with a
+    non-finite one.  Then the box actions acted with are checked finite.
+    Both checks first test the whole recorded arrays, and search for an
+    acting step only if that test fails, since a finished lane may leave
+    non-finite values that count for nothing.  Then one ``env.reward`` call
     scores the whole trajectory, and each lane's rewards are summed in step
     order from 0.0, with the bits of adding them up step by step.  Every
     operation is elementwise per lane or a stacked matmul, so a lane's
@@ -202,17 +209,21 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
     space = spec.action_space
     limit = spec.max_episode_steps
     terminal = env.terminal
-    shift, scale = normalizer.affine()
     weights = np.ascontiguousarray(weights, dtype=float)
     start = _start_states(env, seeds)
     lanes = start.shape[1]
+    shift, scale = (np.tile(v, (lanes, 1)) for v in normalizer.affine())
     states = np.empty((len(start), limit + 1, lanes))
     states[:, 0] = start
     box = isinstance(space, Box)
     actions = (np.empty((limit, lanes, space.act_dim)) if box
                else np.empty((limit, lanes), dtype=np.intp))
+    if box:                           # act_batch's bounds, tiled to the lanes
+        space = SimpleNamespace(half_width=np.tile(space.half_width, (lanes, 1)),
+                                low=np.tile(space.low, (lanes, 1)))
     obs = np.empty((limit, lanes, spec.obs_dim))
     mean = m2 = np.zeros((lanes, spec.obs_dim))
+    count = np.empty(())              # Welford's count, a 0-d float operand
     out = Scores.zeros(lanes, spec.obs_dim)
     running = np.ones(lanes, dtype=bool)
     block = []                        # (mean, m2) after each step of the block
@@ -221,7 +232,8 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
         for t in range(limit):
             state = states[:, t]
             observed = env.observe(state, obs[t])
-            mean, m2 = welford_update(t + 1, mean, m2, observed)
+            count[()] = t + 1
+            mean, m2 = welford_update(count, mean, m2, observed)
             z = (observed - shift) / scale
             env.transition(state, act_batch(weights, space, z, out=actions[t]),
                            states[:, t + 1])
@@ -231,9 +243,9 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
             if len(block) < TERMINATION_BLOCK and t + 1 < limit:
                 continue
             first = t + 1 - len(block)    # the block's first step
-            hit = terminal(states[:, first + 1:t + 2]) & running
-            if hit.any():
-                ended = np.flatnonzero(hit.any(axis=0))
+            hit = terminal(states[:, first + 1:t + 2])
+            ended = np.flatnonzero(hit.any(axis=0) & running)
+            if ended.size:
                 for lane, j in zip(ended, hit[:, ended].argmax(axis=0)):
                     out.count[lane] = first + j + 1
                     out.mean[lane], out.m2[lane] = block[j][0][lane], block[j][1][lane]
@@ -246,17 +258,19 @@ def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
             out.mean[running], out.m2[running] = mean[running], m2[running]
         steps = t + 1
 
-        acting = np.arange(steps)[:, None] < out.count
-        bad = acting & ~np.isfinite(obs[:steps]).all(axis=2)
-        if bad.any():
-            step = int(bad.any(axis=1).argmax())
-            # a non-finite action shows up in the next observation
-            if box and step and not np.isfinite(actions[step - 1, bad[step]]).all():
-                raise ValueError("action must be finite")
-            raise ValueError("observation must be finite")
         acted = actions[:steps]
-        if box and not np.isfinite(acted[acting]).all():
-            raise ValueError("action must be finite")
+        # the masked search for an acting step runs only if the whole array fails
+        if not np.isfinite(obs[:steps]).all() or box and not np.isfinite(acted).all():
+            acting = np.arange(steps)[:, None] < out.count
+            bad = acting & ~np.isfinite(obs[:steps]).all(axis=2)
+            if bad.any():
+                step = int(bad.any(axis=1).argmax())
+                # a non-finite action shows up in the next observation
+                if box and step and not np.isfinite(actions[step - 1, bad[step]]).all():
+                    raise ValueError("action must be finite")
+                raise ValueError("observation must be finite")
+            if box and not np.isfinite(acted[acting]).all():
+                raise ValueError("action must be finite")
         rewards = env.reward(states[:, :steps], acted, states[:, 1:steps + 1])
     out.raw[:] = _returns(rewards, out.count)
     shaped = shape_reward(rewards, shaping)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .es import _parse_seed
+
 __all__ = [
     "Discrete",
     "Box",
@@ -31,6 +33,17 @@ __all__ = [
 ]
 
 EPS = 1e-8  # std() never falls below sqrt(EPS)
+
+
+def _f64(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array: a constant operand that
+    numpy takes without the conversion a Python float costs on every call."""
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+_ONE = _f64(1.0)
 
 
 @dataclass(frozen=True)
@@ -210,7 +223,10 @@ def act_batch(weights: np.ndarray, space: ActionSpace, z: np.ndarray,
     stacked matmul computes each lane with the same BLAS call, and so the
     same bits, as ``weights[i] @ z[i]``; discrete spaces return ``(L,)``
     indexes, box spaces ``(L, act_dim)`` actions, written into ``out`` when
-    it is given.
+    it is given.  For a box, any ``space`` with ``half_width`` and ``low``
+    arrays will do: ``run_episodes`` passes them tiled to ``(L, act_dim)``,
+    since numpy takes an operand of the actions' shape faster than one it
+    must broadcast.
     """
     logits = np.matmul(weights, z[:, :, None])[:, :, 0]
     if isinstance(space, Discrete):
@@ -220,7 +236,7 @@ def act_batch(weights: np.ndarray, space: ActionSpace, z: np.ndarray,
     # exact for t + 1 (0 or at least 2**-53) and for any width above 2**-1021,
     # so (t + 1) * half_width has the bits of ((t + 1) * 0.5) * (high - low)
     actions = np.tanh(logits, out=out)
-    actions += 1.0
+    actions += _ONE
     actions *= space.half_width
     actions += space.low
     return actions
@@ -268,18 +284,23 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint.  Raises ValueError if its environment is unknown,
     its genome or normalizer moments do not fit that environment's spec or
-    are not finite, or its normalizer count or m2 is negative.  Keys other
-    than those ``save_checkpoint`` writes are ignored."""
+    are not finite, its normalizer m2 is negative, its generation or
+    normalizer count is not a non-negative int, or its master seed is not a
+    string of decimal digits that fits in 64 bits.  Keys other than those
+    ``save_checkpoint`` writes are ignored."""
     from .envs import env_spec      # envs imports this module
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     spec = env_spec(doc["env_id"])
+    for value in (doc["generation"], doc["normalizer"]["count"]):
+        if type(value) is not int or value < 0:
+            raise ValueError("generation and normalizer count must be non-negative ints")
     ckpt = Checkpoint(
         env_id=doc["env_id"],
         genome=np.asarray(doc["genome"], dtype=float),
         normalizer=ObsNormalizer.from_dict(doc["normalizer"]),
-        generation=int(doc["generation"]),
-        master_seed=int(doc["master_seed"]),
+        generation=doc["generation"],
+        master_seed=_parse_seed(doc["master_seed"]),
     )
     expect = genome_dim(spec.obs_dim, spec.action_space)
     if ckpt.genome.shape != (expect,):
@@ -290,7 +311,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ValueError(f"normalizer moments must have {spec.obs_dim} entries")
     if not all(np.isfinite(v).all() for v in (ckpt.genome, norm.mean, norm.m2)):
         raise ValueError("genome and normalizer moments must be finite")
-    if norm.count < 0 or (norm.m2 < 0).any():
-        raise ValueError("normalizer count and m2 must not be negative")
+    if (norm.m2 < 0).any():
+        raise ValueError("normalizer m2 must not be negative")
     norm.frozen = True
     return ckpt

@@ -323,10 +323,16 @@ def pendulum(genome=(0.0, 0.0, 0.0), mean=(0.0, 0.0, 0.0), m2=(1.0, 1.0, 1.0)):
     pendulum(genome=(math.nan, 0.0, 0.0)),
     pendulum(m2=(1.0, -1.0, 1.0)),
     pendulum(mean=(0.0, math.inf, 0.0)),
+    lambda d: dict(d, master_seed="-1"),
+    lambda d: dict(d, generation=-1),
+    lambda d: dict(d, generation=2.5),
+    edit_normalizer(count=3.7),
+    edit_normalizer(count=True),
 ], ids=["short-genome", "3-dim-normalizer", "unknown-env", "not-an-object",
         "nan-genome", "infinite-genome", "nan-mean", "infinite-m2", "negative-m2",
         "negative-count", "pendulum-nan-genome", "pendulum-negative-m2",
-        "pendulum-infinite-mean"])
+        "pendulum-infinite-mean", "negative-seed", "negative-generation",
+        "float-generation", "float-count", "bool-count"])
 def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, edit):
     fixture = os.path.join(os.path.dirname(__file__), "fixtures",
                            "cartpole_solved.json")

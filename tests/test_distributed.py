@@ -139,6 +139,16 @@ MALFORMED_TASKS = {
     "unknown-env": lambda t: dict(t, env_id="mountaincar"),
     "negative-generation": lambda t: dict(t, generation=-1),
     "negative-seed": lambda t: dict(t, master_seed="-1"),
+    # the master sends seeds as decimal strings; int() would read these too
+    "seed-float": lambda t: dict(t, master_seed=3.7),
+    "seed-bool": lambda t: dict(t, master_seed=True),
+    "seed-number": lambda t: dict(t, master_seed=3),
+    "seed-plus": lambda t: dict(t, master_seed="+3"),
+    "seed-space": lambda t: dict(t, master_seed=" 3"),
+    "seed-underscore": lambda t: dict(t, master_seed="3_0"),
+    "seed-empty": lambda t: dict(t, master_seed=""),
+    "seed-non-ascii-digit": lambda t: dict(t, master_seed="\u0663"),
+    "seed-too-big": lambda t: dict(t, master_seed=str(2**64)),
     "x-missing": lambda t: {k: v for k, v in t.items() if k != "x"},
     "x-short": lambda t: dict(t, x=t["x"][:-1]),
     "x-long": lambda t: dict(t, x=t["x"] + t["x"][:1]),
@@ -463,7 +473,7 @@ def test_worker_says_bye_on_a_gen_message():
 
 @pytest.mark.parametrize("name", ["x-missing", "x-short", "x-long", "x-narrow",
                                   "x-nan", "x-string", "normalizer-short",
-                                  "unknown-env"])
+                                  "unknown-env", "seed-float", "seed-plus"])
 def test_worker_says_bye_on_a_task_it_cannot_score(name):
     # the TASK names range(0, 1); the edits cut and extend its one row
     reply, reason = worker_replies_to_task(lambda t, lam: MALFORMED_TASKS[name](t))

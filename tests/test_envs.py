@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evolin import env_spec, make_env
-from evolin.envs import _wrap
+from evolin.envs import _wrapper
 from evolin.policy import Box, Discrete
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -193,7 +193,7 @@ def test_wrap_passes_non_finite_angles_through() -> None:
     done = {}
     # in a thread, so that a wrap that never returns fails instead of hanging
     worker = threading.Thread(target=lambda: done.setdefault(
-        "out", _wrap(x, -math.pi, math.pi)), daemon=True)
+        "out", _wrapper(-math.pi, math.pi)(x)), daemon=True)
     worker.start()
     worker.join(timeout=5.0)
     assert "out" in done, "_wrap did not return within 5 s"
@@ -220,7 +220,7 @@ def test_wrap_returns_on_huge_finite_angles() -> None:
     x = np.array([1e17, -1e17, 1e6, -1e6])
     done = {}
     worker = threading.Thread(target=lambda: done.setdefault(
-        "out", _wrap(x, -math.pi, math.pi)), daemon=True)
+        "out", _wrapper(-math.pi, math.pi)(x)), daemon=True)
     worker.start()
     worker.join(timeout=5.0)
     assert "out" in done, "_wrap did not return within 5 s"
@@ -230,7 +230,7 @@ def test_wrap_returns_on_huge_finite_angles() -> None:
 
 def test_wrap_keeps_the_loop_bits_within_sixteen_periods() -> None:
     x = np.random.default_rng(8).uniform(-20 * math.pi, 20 * math.pi, 10_000)
-    assert _wrap(x, -math.pi, math.pi).tobytes() == _old_wrap(x, -math.pi, math.pi).tobytes()
+    assert _wrapper(-math.pi, math.pi)(x).tobytes() == _old_wrap(x, -math.pi, math.pi).tobytes()
 
 
 @pytest.mark.parametrize("env_id", ["cartpole", "acrobot"])

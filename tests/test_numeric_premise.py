@@ -155,3 +155,34 @@ def test_concurrent_samples_keep_their_streams() -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong, f"{len(wrong)} of {len(runs) * 300} concurrent samples differ"
+
+
+# the elementwise ufuncs of a rollout step, which takes its constants as 0-d
+# arrays and its normalizer and box bounds tiled to the lanes
+STEP_UFUNCS = (np.add, np.subtract, np.multiply, np.divide, np.maximum, np.minimum,
+               np.greater, np.less, np.greater_equal, np.less_equal)
+
+
+@pytest.mark.parametrize("ufunc", STEP_UFUNCS, ids=lambda u: u.__name__)
+def test_zero_d_operand_matches_python_float(values, ufunc) -> None:
+    for c in (0.02, 4.0 / 3.0, -math.pi, 9.8, *values[:4].tolist()):
+        zero_d = np.array(c)
+        for length in LENGTHS:
+            x = values[length:2 * length]
+            assert ufunc(x, zero_d).tobytes() == ufunc(x, c).tobytes(), \
+                f"{ufunc.__name__}(x, {c!r}) differs at length {length}"
+            assert ufunc(zero_d, x).tobytes() == ufunc(c, x).tobytes(), \
+                f"{ufunc.__name__}({c!r}, x) differs at length {length}"
+
+
+@pytest.mark.parametrize("ufunc", STEP_UFUNCS, ids=lambda u: u.__name__)
+def test_tiled_operand_matches_broadcast_row(values, ufunc) -> None:
+    for d in (1, 3, 4, 6):
+        row = values[-d:]
+        for length in LENGTHS:
+            x = values[:length * d].reshape(length, d)
+            tiled = np.tile(row, (length, 1))
+            assert ufunc(x, tiled).tobytes() == ufunc(x, row).tobytes(), \
+                f"{ufunc.__name__} differs at ({length}, {d})"
+            assert ufunc(tiled, x).tobytes() == ufunc(row, x).tobytes(), \
+                f"{ufunc.__name__} differs at ({length}, {d}), row first"
