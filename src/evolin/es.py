@@ -14,21 +14,24 @@ distribution alone: ``sample`` draws any of a generation's candidates as
 Candidate ``i`` of generation ``g`` is drawn from the stream of
 ``np.random.default_rng([master_seed, 0, g, i])``.  Building that
 ``SeedSequence`` and ``PCG64`` costs 13-18 us, ten times the draw itself,
-so ``sample``'s one draw loop computes the same seeding in Python ints (a
-port of NumPy's ``SeedSequence`` mixing, NEP 19, and of PCG64's
-``srandom``, O'Neill 2014) and loads each row's state into a reused
-generator; ``candidate_z`` is that loop for one row.  At n = 10 a row costs
-about 7 us, 3.5 us of it the state load and the normals, so ``ask`` at
-lambda = 10 takes about 85 us.  ``tell_arrays`` takes a generation as arrays
-and ranks it with one ``lexsort``; ``tell`` is its ``Candidate``-list form
-and takes 30-50 us at n = lambda = 10.  Both return a new state and never
-mutate their inputs.
+so ``sample`` computes the same seeding itself (a port of NumPy's
+``SeedSequence`` mixing, NEP 19, and of PCG64's ``srandom``, O'Neill 2014)
+for all its rows at once, on Python ints that hold a 256-bit lane per row.
+It writes each row's state into a reused generator through ``ctypes`` and
+lets ``standard_normal`` fill the row; ``candidate_z`` is a one-row draw.
+On 2 shared cores with NumPy 2.4, at n = 10, a lone row costs about 13 us,
+a row of a lambda = 10 draw 3.9 us and one of a lambda = 128 draw 2.5 us.
+``tell_arrays`` takes a generation as arrays and ranks it with one
+``lexsort``; ``tell`` is its ``Candidate``-list form and takes 30-70 us at
+n = lambda = 10.  Both return a new state and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -236,8 +239,8 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# ``v ^= v >> 16`` in each 32-bit lane of a packed int
-_LANES_LOW16 = sum(0xFFFF << (32 * k) for k in range(4))
+# ``v ^= v >> 16`` in each 32-bit word of a 128-bit value
+_WORDS_LOW16 = sum(0xFFFF << (32 * k) for k in range(4))
 
 
 def _hash_consts(hc: int, mult: int, count: int) -> tuple[tuple[int, ...], int]:
@@ -253,6 +256,29 @@ def _hash_consts(hc: int, mult: int, count: int) -> tuple[tuple[int, ...], int]:
 
 # generate_state(4, uint64) hashes the pool into 8 32-bit words
 _STATE_HASH, _ = _hash_consts(_HASH_INIT_B, _HASH_MULT_B, 8)
+_STATE_XOR, _STATE_MULT = _STATE_HASH[::2], _STATE_HASH[1::2]
+
+
+# The seeding runs on packed ints: row k's hash variables sit in bits
+# [256 k, 256 k + 256) of one Python int, a 256-bit lane per row, so each
+# big-int operation hashes every row at once.  ``one`` has a 1 in each lane,
+# and ``c * one`` puts the constant c in each.  No operation may carry or
+# borrow across a lane: right shifts are masked to their lane, a
+# subtraction first adds 2**64 to each lane, and every multiplier is a hash
+# constant below 2**32, so 32-bit lane values stay below 2**64, or PCG64's
+# multiplier, below 2**126, applied to a sum below 2**129.  One lane is the
+# scalar case.
+@functools.lru_cache(maxsize=64)
+def _lanes(rows: int) -> tuple[int, ...]:
+    """``(one, k32, k16, borrow, k128, low16)`` for ``rows`` lanes: the unit,
+    the 32-, 16- and 128-bit masks, 2**64 in each lane, and the 16-bit masks
+    of the four 32-bit words of each lane's low 128 bits."""
+    one = int.from_bytes(b"\x01".ljust(32, b"\0") * rows, "little")
+    return (one, _M32 * one, 0xFFFF * one, one << 64, _M128 * one,
+            _WORDS_LOW16 * one)
+
+
+_SCALAR = _lanes(1)
 
 
 def _words(value: int) -> list[int]:
@@ -264,17 +290,25 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-    return r ^ r >> 16
+def _hash(v: int, x: int, m: int, lanes: tuple) -> int:
+    """SeedSequence's ``hashmix`` of each lane of ``v`` from hash constant
+    ``x``, whose successor is ``m``."""
+    one, k32, k16, _, _, _ = lanes
+    h = (v ^ x * one) * m & k32
+    return h ^ h >> 16 & k16
 
 
-def _absorb(pool: list[int], word: int, hc: int) -> int:
+def _mix(x: int, y: int, lanes: tuple) -> int:
+    _, k32, k16, borrow, _, _ = lanes
+    r = (_MIX_MULT_L * x + borrow - _MIX_MULT_R * y) & k32
+    return r ^ r >> 16 & k16
+
+
+def _absorb(pool: list[int], word: int, hc: int, lanes: tuple) -> int:
     """Mix an entropy word past the pool's four into every slot."""
     for dst in range(4):
         hc_next = hc * _HASH_MULT_A & _M32
-        h = (word ^ hc) * hc_next & _M32
-        pool[dst] = _mix(pool[dst], h ^ h >> 16)
+        pool[dst] = _mix(pool[dst], _hash(word, hc, hc_next, lanes), lanes)
         hc = hc_next
     return hc
 
@@ -287,46 +321,152 @@ _POOL_HASH, _HC_AFTER_POOL = _hash_consts(_HASH_INIT_A, _HASH_MULT_A, 16)
 def _lane_mix(master_seed: int, generation: int) -> tuple:
     """Run SeedSequence's pool mixing over the entropy words all of a
     generation's candidates share, ``(master_seed, DOMAIN_SAMPLE,
-    generation)``, up to the first step that reads a word of the index.
+    generation)``, as far as it goes without a word of the index.
 
-    Returns ``(pool, hc, fourth)``.  Four or more shared words fill the
-    pool, which is mixed completely; ``fourth`` is None and the index's
-    words are absorbed after the pool from hash constant ``hc``.  Three
-    shared words leave the pool's fourth slot to the index's low word;
-    ``fourth`` then holds, flat, that slot's hash constants, the feed the
-    other slots send it while they mix (times ``mix``'s right multiplier),
-    the hash constants of its sends to them, and those slots as it meets
-    them (times ``mix``'s left multiplier).  ``hc`` is where the index's
-    further words start.
+    Returns ``(pool, hc, slot3)``.  Four or more shared words fill the pool,
+    which is mixed completely; ``slot3`` is None and the index's words are
+    absorbed after the pool from hash constant ``hc``.  Three shared words
+    leave the pool's slot 3 to the index's low word; ``slot3`` then holds
+    that slot's hash constants, the hashes the shared slots feed it while
+    they mix, and the hash constants of its sends to them, ``pool`` holds
+    the shared slots as those sends meet them, and ``hc`` is where the
+    index's further words start.
     """
     words = _words(master_seed) + _words(DOMAIN_SAMPLE) + _words(generation)
     consts = iter(_POOL_HASH)
-    pool = []
-    for w in words[:4]:
-        v = (w ^ next(consts)) * next(consts) & _M32
-        pool.append(v ^ v >> 16)
+    pool = [_hash(w, next(consts), next(consts), _SCALAR) for w in words[:4]]
     shared = len(pool)
-    if shared == 3:
-        hash4 = (next(consts), next(consts))     # slot 3's own hash
-    feed = []       # what the shared slots send slot 3 while they mix
+    own = (next(consts), next(consts)) if shared == 3 else None
+    feeds = []
     for src in range(shared):
         for dst in range(4):
             if dst != src:
-                h = (pool[src] ^ next(consts)) * next(consts) & _M32
-                h ^= h >> 16
+                h = _hash(pool[src], next(consts), next(consts), _SCALAR)
                 if dst < shared:
-                    pool[dst] = _mix(pool[dst], h)
+                    pool[dst] = _mix(pool[dst], h, _SCALAR)
                 else:
-                    feed.append(_MIX_MULT_R * h & _M32)
+                    feeds.append(h)
     hc = _HC_AFTER_POOL
     for w in words[4:]:
-        hc = _absorb(pool, w, hc)
-    if shared == 4:
+        hc = _absorb(pool, w, hc, _SCALAR)
+    if own is None:
         return tuple(pool), hc, None
-    return (), hc, (*hash4, *feed, *consts, *(_MIX_MULT_L * p & _M32 for p in pool))
+    return tuple(pool), hc, (own, tuple(feeds), tuple(zip(consts, consts)))
+
+
+def _pcg_states(shared: tuple, index_words: list[int], lanes: tuple) -> int:
+    """Each lane's PCG64 state in its low 128 bits and increment in its high
+    128, seeded from ``_lane_mix``'s ``shared`` and the lane's index, whose
+    32-bit words, low first, ``index_words`` packs.  The index's words
+    finish the pool, ``generate_state(4, uint64)`` hashes it into PCG64's
+    seed and sequence, and ``srandom``'s two LCG steps give the state."""
+    pool, hc, slot3 = shared
+    one, k32, _, _, k128, low16 = lanes
+    pool = [p * one for p in pool]
+    if slot3 is not None:
+        # the index's low word fills slot 3, takes the shared slots' feed,
+        # then mixes into each of them
+        own, feeds, sends = slot3
+        p3 = _hash(index_words[0], *own, lanes)
+        for h in feeds:
+            p3 = _mix(p3, h * one, lanes)
+        pool = [_mix(p, _hash(p3, x, m, lanes), lanes) for p, (x, m) in zip(pool, sends)]
+        pool.append(p3)
+        index_words = index_words[1:]
+    for w in index_words:
+        hc = _absorb(pool, w, hc, lanes)
+    # generate_state's 8 words, packed as PCG64 reads them: the uint64 pairs
+    # (0, 1) and (2, 3) are the high and low halves of its seed, the pairs
+    # (4, 5) and (6, 7) of its sequence
+    w = [(p ^ x * one) * m & k32 for p, x, m in zip(pool + pool, _STATE_XOR, _STATE_MULT)]
+    seed = w[2] | w[3] << 32 | w[0] << 64 | w[1] << 96
+    seq = w[6] | w[7] << 32 | w[4] << 64 | w[5] << 96
+    seed ^= seed >> 16 & low16
+    seq ^= seq >> 16 & low16
+    # srandom: inc = 2 seq + 1; two LCG steps from 0, adding seed between
+    inc = (seq << 1 | one) & k128
+    return ((inc + seed) * _PCG_MULT + inc) & k128 | inc << 128
+
+
+class _StateSetter:
+    """Loads a generator through PCG64's public ``state`` setter, from the
+    32 bytes a ``_state_view`` takes: where that view is not safe."""
+
+    def __init__(self, bit_generator: np.random.PCG64):
+        self.bit_generator = bit_generator
+
+    def __setitem__(self, _, words) -> None:
+        words = bytes(words)
+        self.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": int.from_bytes(words[:16], "little"),
+                      "inc": int.from_bytes(words[16:], "little")},
+            "has_uint32": 0, "uinteger": 0}
+
+
+# the fixed state and increment the probe loads
+_PROBE_STATE = (0x0123456789ABCDEF_FEDCBA9876543210, 0x5851F42D4C957F2D_14057B7EF767814F)
+
+
+def _state_view(gen: np.random.Generator) -> memoryview | None:
+    """A writable view of the 32 bytes that hold ``gen``'s PCG64 state and
+    increment, or None where they are not laid out as this host's NumPy does.
+
+    ``bit_generator.ctypes.state_address`` points at NumPy's ``pcg64_state``,
+    whose first field points at ``{state, inc}``, two 128-bit integers
+    stored low half first where the compiler has ``__uint128_t`` on a
+    little-endian host.  That is NumPy's C internals, not its API, so the
+    view is used only if it lies inside the bit generator object, reads the
+    state the ``state`` getter reports, and a fixed state written through it
+    reads back through the getter, with no buffered 32-bit half, and gives
+    the normals the setter-loaded state gives."""
+    bitgen = gen.bit_generator
+    base, size = id(bitgen), sys.getsizeof(bitgen)
+    address = bitgen.ctypes.state_address
+    if sys.byteorder != "little" or not base <= address <= base + size - 8:
+        return None
+    pointer = ctypes.c_void_p.from_address(address).value
+    if pointer is None or not base <= pointer <= base + size - 32:
+        return None
+    view = memoryview((ctypes.c_char * 32).from_address(pointer)).cast("B")
+    now = bitgen.state["state"]
+    if bytes(view) != (now["state"] | now["inc"] << 128).to_bytes(32, "little"):
+        return None
+    state, inc = _PROBE_STATE
+    view[:] = (state | inc << 128).to_bytes(32, "little")
+    loaded = bitgen.state
+    reference = np.random.PCG64(0)
+    _StateSetter(reference)[:] = bytes(view)
+    if (loaded["state"] != {"state": state, "inc": inc} or loaded["has_uint32"] != 0
+            or not np.array_equal(gen.standard_normal(8),
+                                  np.random.Generator(reference).standard_normal(8))):
+        return None
+    return view
 
 
 _thread = threading.local()   # one reused generator per thread
+
+
+def _thread_generator() -> tuple:
+    """This thread's reused generator's state writer and ``standard_normal``:
+    ``writer[:] = words`` loads the 32 bytes of a ``_pcg_states`` lane."""
+    try:
+        return _thread.generator
+    except AttributeError:
+        gen = np.random.Generator(np.random.PCG64(0))
+        writer = _state_view(gen)
+        if writer is None:
+            writer = _StateSetter(gen.bit_generator)
+        # the bound method keeps the generator, and so the viewed struct, alive
+        _thread.generator = writer, gen.standard_normal
+        return _thread.generator
+
+
+def _check_count(value) -> int:
+    """A generation or an index: a non-negative Python or NumPy integer."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    raise ValueError("generation and index must be non-negative integers")
 
 
 def candidate_z(master_seed: int, generation: int, index: int, n: int) -> np.ndarray:
@@ -337,66 +477,39 @@ def candidate_z(master_seed: int, generation: int, index: int, n: int) -> np.nda
 
 
 def _draw(master_seed: int, generation: int, indexes, n: int) -> np.ndarray:
-    """The ``candidate_z`` rows of ``indexes``, one generation's draw loop.
-    ``_lane_mix`` mixes the shared words once.  Per index, the index's words
-    finish the pool, ``generate_state(4, uint64)`` hashes it into PCG64's
-    seed and sequence, ``srandom``'s two LCG steps give the state, and this
-    thread's generator, loaded with it, writes the row in place."""
-    generation = int(generation)
-    if generation < 0:
-        raise ValueError("generation and index must be non-negative")
-    shared, hc0, fourth = _lane_mix(_check_seed(master_seed), generation)
-    if fourth is not None:
-        x, m, f0, f1, f2, x0, m0, x1, m1, x2, m2, lp0, lp1, lp2 = fourth
-    sx0, sm0, sx1, sm1, sx2, sm2, sx3, sm3, sx4, sm4, sx5, sm5, sx6, sm6, sx7, sm7 = _STATE_HASH
-    M32, L, R, LOW16, M128, PCG = _M32, _MIX_MULT_L, _MIX_MULT_R, _LANES_LOW16, _M128, _PCG_MULT
-    try:
-        gen = _thread.generator
-    except AttributeError:
-        gen = _thread.generator = np.random.Generator(np.random.PCG64(0))
-    bitgen, normal = gen.bit_generator, gen.standard_normal
+    """The ``candidate_z`` rows of ``indexes``, which must be non-negative
+    Python or NumPy integers, as must ``generation``.
+
+    ``_lane_mix`` mixes the words every row shares once.  ``_pcg_states``
+    then seeds, in one packed int, all rows whose indexes have the same
+    number of 32-bit words: usually all of them.  Lane k of its result holds
+    the k-th such row's PCG64 state and increment, and its 32 little-endian
+    bytes are those of NumPy's ``{state, inc}`` struct.  Per row, this
+    thread's generator takes those bytes, through a view of that struct
+    where ``_state_view``'s probe accepted it and through the ``state``
+    setter otherwise, and ``standard_normal`` writes the row in place."""
+    shared = _lane_mix(_check_seed(master_seed), _check_count(generation))
+    indexes = [i if type(i) is int and i >= 0 else _check_count(i) for i in indexes]
     out = np.empty((len(indexes), n))
-    for row, index in enumerate(indexes):
-        index = int(index)
-        if index < 0:
-            raise ValueError("generation and index must be non-negative")
-        if fourth is None:
-            pool, rest = list(shared), _words(index)
-        else:
-            # the index's low word fills slot 3, takes the shared slots'
-            # feed, then mixes into each of them
-            p3 = ((index & M32) ^ x) * m & M32
-            p3 = (L * (p3 ^ p3 >> 16) - f0) & M32
-            p3 = (L * (p3 ^ p3 >> 16) - f1) & M32
-            p3 = (L * (p3 ^ p3 >> 16) - f2) & M32
-            p3 ^= p3 >> 16
-            h = (p3 ^ x0) * m0 & M32
-            p0 = (lp0 - R * (h ^ h >> 16)) & M32
-            h = (p3 ^ x1) * m1 & M32
-            p1 = (lp1 - R * (h ^ h >> 16)) & M32
-            h = (p3 ^ x2) * m2 & M32
-            p2 = (lp2 - R * (h ^ h >> 16)) & M32
-            pool = [p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3]
-            rest = _words(index >> 32) if index > M32 else ()
-        hc = hc0
-        for w in rest:
-            hc = _absorb(pool, w, hc)
-        p0, p1, p2, p3 = pool
-        # generate_state's 8 words, packed as PCG64 reads them: the uint64
-        # pairs (0, 1) and (2, 3) are the high and low halves of its seed,
-        # the pairs (4, 5) and (6, 7) of its sequence
-        seed = ((p2 ^ sx2) * sm2 & M32 | ((p3 ^ sx3) * sm3 & M32) << 32
-                | ((p0 ^ sx0) * sm0 & M32) << 64 | ((p1 ^ sx1) * sm1 & M32) << 96)
-        seq = ((p2 ^ sx6) * sm6 & M32 | ((p3 ^ sx7) * sm7 & M32) << 32
-               | ((p0 ^ sx4) * sm4 & M32) << 64 | ((p1 ^ sx5) * sm5 & M32) << 96)
-        seed ^= seed >> 16 & LOW16
-        seq ^= seq >> 16 & LOW16
-        # srandom: inc = 2 seq + 1; two LCG steps from 0, adding seed between
-        inc = (seq << 1 | 1) & M128
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": ((inc + seed) * PCG + inc) & M128, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        normal(out=out[row])
+    if not indexes:
+        return out
+    if max(indexes) <= _M32:
+        groups = {1: range(len(indexes))}
+    else:
+        groups = {}
+        for row, index in enumerate(indexes):
+            groups.setdefault(len(_words(index)), []).append(row)
+    writer, normal = _thread_generator()
+    for count, rows in groups.items():
+        index_words = [
+            int.from_bytes(b"".join([(indexes[row] >> shift & _M32).to_bytes(32, "little")
+                                     for row in rows]), "little")
+            for shift in range(0, 32 * count, 32)]
+        states = memoryview(_pcg_states(shared, index_words, _lanes(len(rows)))
+                            .to_bytes(32 * len(rows), "little"))
+        for row, start in zip(rows, range(0, len(states), 32)):
+            writer[:] = states[start:start + 32]
+            normal(out=out[row])
     return out
 
 

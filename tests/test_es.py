@@ -183,9 +183,17 @@ def test_sample_matches_ask_rows(indexes) -> None:
 
 
 def test_candidate_z_rejects_bad_seed() -> None:
-    for seed, g, i in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1)):
+    for seed, g, i in ((-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1),
+                       (0, 0, 2.7), (0, 2.9, 1), (0, 0, True), (0, True, 0),
+                       (0, 0, "3"), (0, "2", 0), (0, 0, np.float64(1.0)),
+                       (0, 0, np.True_), (0, 0, np.int64(-1))):
         with pytest.raises(ValueError):
             candidate_z(seed, g, i, 3)
+    with pytest.raises(ValueError):
+        sample(5, 1, np.array([0.5, 1.5]), np.zeros(3), 1.0, CovTransform("unit"))
+    # numpy integers are read as the ints they hold
+    assert candidate_z(0, np.uint64(2), np.int32(3), 3).tobytes() == \
+        candidate_z(0, 2, 3, 3).tobytes()
 
 
 # ----------------------------------------------------------------------- tell

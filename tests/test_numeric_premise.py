@@ -21,6 +21,7 @@ import threading
 import numpy as np
 import pytest
 
+from evolin import es
 from evolin.es import CovTransform, candidate_z, sample
 
 LENGTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128)
@@ -125,6 +126,22 @@ def test_sample_rows_equal_default_rng_streams() -> None:
         want = np.stack([reference_z(seed, g, i, n) for i in indexes])
         assert z.tobytes() == want.tobytes() == x.tobytes(), \
             f"case {case}: seed {seed}, generation {g}, indexes {indexes}"
+    # wide calls, up to rl_popsize's cap of 128 rows, each mixing indexes of
+    # one, two and three 32-bit words; the seed and generation decide whether
+    # three or more words are shared by all rows
+    shapes = set()
+    for case in range(60, 72):
+        seed, g = r.choice(SEEDS)(r), r.choice(COUNTERS)(r)
+        n = r.choice((3, 8, 10, 18))
+        indexes = [r.randrange(2**32), r.randrange(2**32, 2**64), r.randrange(2**64, 2**96)]
+        indexes += [r.choice(COUNTERS)(r) for _ in range(r.randrange(1, 126))]
+        r.shuffle(indexes)
+        z, x = sample(seed, g, indexes, np.zeros(n), 1.0, unit)
+        want = np.stack([reference_z(seed, g, i, n) for i in indexes])
+        assert z.tobytes() == want.tobytes() == x.tobytes(), \
+            f"case {case}: seed {seed}, generation {g}, {len(indexes)} indexes"
+        shapes.add(seed < 2**32 and g < 2**32)
+    assert shapes == {True, False}
 
 
 def test_concurrent_samples_keep_their_streams() -> None:
@@ -155,6 +172,40 @@ def test_concurrent_samples_keep_their_streams() -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong, f"{len(wrong)} of {len(runs) * 300} concurrent samples differ"
+
+
+def test_setter_fallback_keeps_the_streams(monkeypatch) -> None:
+    # a thread's generator takes states through a view of NumPy's PCG64
+    # struct only where a probe, run when the generator is made, finds the
+    # layout it expects; elsewhere, as on a big-endian host, the public
+    # ``state`` setter loads the same states
+    if sys.byteorder == "little":
+        assert isinstance(es._thread_generator()[0], memoryview)
+    r = random.Random(20240211)
+    cases = []
+    for _ in range(40):
+        seed = r.choice(SEEDS)(r)
+        g, i = r.choice(COUNTERS)(r), r.choice(COUNTERS)(r)
+        cases.append((seed, g, i, r.choice((3, 8, 10, 18))))
+    key, indexes = (2**40 + 1, 2**33), range(12)
+    got = {}
+
+    def draw():
+        got["writer"] = es._thread_generator()[0]
+        got["z"] = [candidate_z(*case) for case in cases]
+        got["sample"], _ = sample(*key, indexes, np.zeros(10), 1.0, CovTransform("unit"))
+
+    monkeypatch.setattr(sys, "byteorder", "big")
+    thread = threading.Thread(target=draw)
+    thread.start()
+    thread.join(timeout=60)
+    monkeypatch.undo()
+    assert not thread.is_alive()
+    assert isinstance(got["writer"], es._StateSetter)
+    for case, z in zip(cases, got["z"], strict=True):
+        assert z.tobytes() == reference_z(*case).tobytes(), f"case {case}"
+    want = np.stack([reference_z(*key, i, 10) for i in indexes])
+    assert got["sample"].tobytes() == want.tobytes()
 
 
 # the elementwise ufuncs of a rollout step, which takes its constants as 0-d
