@@ -26,7 +26,7 @@ from .envs import ENV_IDS, env_spec
 from .es import CSA, FULL_CMA, SEP_CMA, VARIANTS, optimize
 from .evaluate import (TEST_EPISODES, FitnessSpec, _training_strategy, read_curve_csv,
                        test_policy, train, write_curve_csv)
-from .policy import load_checkpoint, save_checkpoint
+from .policy import _count, _real, load_checkpoint, save_checkpoint
 from .testfuncs import quadratic2d, rotated_ellipsoid, sphere
 
 EXIT_FAIL = 1
@@ -60,37 +60,27 @@ def default_output_dir() -> str:
 # experiment configuration
 
 
-def _parse_lambda(value):
-    """A numeric string as an int; anything else as given, for
-    ``new_strategy`` to accept or refuse."""
+def _parse_lambda(value: str):
+    """A ``--lambda`` flag: a numeric string as an int; anything else as
+    given, for ``new_strategy`` to accept or refuse."""
     try:
-        return int(value) if isinstance(value, str) else value
+        return int(value)
     except ValueError:
         return value
 
 
-def _parse_seeds(value) -> list[int]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            raise CliError(EXIT_USAGE, f"bad seeds value {value!r}") from None
-    return [_number(s, "seeds", whole=True) for s in value]
-
-
-def _number(value, what: str, whole: bool = False):
-    """``value`` as a float, or as an int if ``whole``.  A bool, a NaN and,
-    if ``whole``, a fraction are errors, not truncated."""
-    number = math.nan if isinstance(value, bool) else float(value)
-    if math.isnan(number) or whole and not number.is_integer():
-        raise CliError(EXIT_USAGE, f"{what} must be a {'whole ' * whole}number, not {value!r}")
-    return int(value) if whole else number
+def _parse_seeds(value: str) -> list[int]:
+    """A ``--seeds`` flag: comma-separated ints."""
+    try:
+        return [int(p) for p in value.split(",") if p.strip() != ""]
+    except ValueError:
+        raise CliError(EXIT_USAGE, f"bad seeds value {value!r}") from None
 
 
 def resolve_config(args) -> dict:
     """Merge env defaults, config file, and flags (flags win) and validate
-    them as ``train`` would, for every seed, before anything is written."""
+    them as ``train`` would, for every seed, before anything is written.
+    The file's values are checked, not coerced."""
     file_cfg: dict = {}
     if getattr(args, "config", None):
         try:
@@ -103,10 +93,10 @@ def resolve_config(args) -> dict:
         if not isinstance(file_cfg, dict):
             raise CliError(EXIT_USAGE, "config must be a JSON object")
 
-    def pick(flag_name, file_name, fallback=None):
+    def pick(flag_name, file_name, fallback=None, parse_flag=None):
         flag = getattr(args, flag_name, None)
         if flag is not None:
-            return flag
+            return flag if parse_flag is None else parse_flag(flag)
         return file_cfg.get(file_name, fallback)
 
     env_id = pick("env", "env_id")
@@ -115,18 +105,19 @@ def resolve_config(args) -> dict:
                        f"unknown environment {env_id!r}; choose from {sorted(ENV_IDS)}")
     variant = pick("variant", "variant")
     env_defaults = ENV_DEFAULTS[env_id]
+    lam = pick("lam", "lambda", env_defaults["lambda"], _parse_lambda)
+    seeds = pick("seeds", "seeds", DEFAULT_SEEDS, _parse_seeds)
     try:
-        sigma0 = _number(pick("sigma0", "sigma0", env_defaults["sigma0"]), "sigma0")
-        lam = _parse_lambda(pick("lam", "lambda", env_defaults["lambda"]))
-        budget = _number(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]),
-                         "budget_timesteps", whole=True)
-        seeds = _parse_seeds(pick("seeds", "seeds", DEFAULT_SEEDS))
-        test_every = _number(pick("test_every", "test_every", 1), "test_every", whole=True)
-        threshold = _number(pick("threshold", "threshold",
-                                 env_spec(env_id).solved_threshold), "threshold")
+        sigma0 = _real(pick("sigma0", "sigma0", env_defaults["sigma0"]), "sigma0")
+        budget = _count(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]),
+                        "budget_timesteps", 1)
+        seeds = [_count(seed, "seeds") for seed in seeds]
+        test_every = _count(pick("test_every", "test_every", 1), "test_every")
+        threshold = _real(pick("threshold", "threshold",
+                               env_spec(env_id).solved_threshold), "threshold")
         target = pick("target_return", "target_return")
-        target = None if target is None else _number(target, "target_return")
-    except (TypeError, ValueError, OverflowError) as exc:
+        target = None if target is None else _real(target, "target_return")
+    except (TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad config value: {exc}") from exc
     output_dir = pick("output_dir", "output_dir", default_output_dir())
 
@@ -134,8 +125,6 @@ def resolve_config(args) -> dict:
         raise CliError(EXIT_USAGE, "seed list is empty")
     if len(set(seeds)) < len(seeds):
         raise CliError(EXIT_USAGE, f"seed list {seeds} repeats a seed")
-    if budget < 1:
-        raise CliError(EXIT_USAGE, "budget_timesteps must be positive")
     try:
         for seed in seeds:
             _training_strategy(env_id, variant, sigma0, lam, seed, test_every)

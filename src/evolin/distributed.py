@@ -29,7 +29,8 @@ and no late reply is ever read.
 Wire format (protocol version 8): one JSON object per line, UTF-8, field
 "type" selecting HELLO / TASK / RESULT / BYE.  Reals use shortest-roundtrip
 decimal form (the json module's default); 64-bit seeds travel as decimal
-strings.
+strings.  Both ends read a message through ``policy``'s checked readers, so
+its values are checked, not coerced.
 """
 
 from __future__ import annotations
@@ -44,21 +45,15 @@ from collections import deque
 from dataclasses import replace
 from typing import Callable
 
-import numpy as np
-
 from .envs import env_spec
 from .es import _parse_seed
 from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, GenerationEval, Scores,
                        TrainResult, _drive, _run, _training_strategy,
                        collect_generation, score_candidates)
-from .policy import ObsNormalizer, genome_dim
+from .policy import ObsNormalizer, ProtocolError, _column, _count, _real, genome_dim
 
 PROTOCOL_VERSION = 8
 DEFAULT_TASK_TIMEOUT = 60.0
-
-
-class ProtocolError(RuntimeError):
-    """A peer sent a message this end cannot act on."""
 
 
 class GenerationFailedError(RuntimeError):
@@ -74,14 +69,9 @@ def encode_message(msg: dict) -> bytes:
 
 
 def decode_message(line: bytes | str) -> dict:
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable message bytes: {exc}") from exc
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except ValueError as exc:   # bad UTF-8, bad JSON, an int past str's digit limit
         raise ProtocolError(f"malformed message line: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise ProtocolError("message must be an object with a string 'type'")
@@ -186,34 +176,6 @@ def result_message(run_id: str, generation: int, index: int,
     }
 
 
-def _real(value, what: str) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ProtocolError(f"{what} must be a finite number")
-    return float(value)
-
-
-def _count(value, what: str, low: int = 0, high: float = math.inf) -> int:
-    if type(value) is not int or not low <= value <= high:
-        raise ProtocolError(f"{what} must be an int in [{low}, {high}]")
-    return value
-
-
-def _column(msg: dict, key: str, rows: int, width: int | None = None,
-            parse=_real, where: str = "RESULT") -> np.ndarray:
-    """Column ``key`` of a ``where`` message: a list of ``rows`` entries,
-    each a list of ``width`` entries unless that is None, every entry passed
-    through ``parse``."""
-    col, key = msg.get(key), f"{where} {key}"
-    if not isinstance(col, list) or len(col) != rows:
-        raise ProtocolError(f"{key} must be a list of {rows} rows")
-    if width is not None:
-        if not all(isinstance(row, list) and len(row) == width for row in col):
-            raise ProtocolError(f"{key} rows must be lists of {width} entries")
-        col = [v for row in col for v in row]
-    values = np.array([parse(v, key) for v in col])
-    return values if width is None else values.reshape(rows, width)
-
-
 def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | None]:
     """Parse the reply to ``task``.  Returns the range's ``Scores`` and the
     probe's raw returns (None unless ``task`` names a probe).  Raises
@@ -224,7 +186,7 @@ def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | Non
     entries (m2 not negative), and ``TEST_EPISODES`` finite probe returns
     or none."""
     if (msg.get("type") != "result" or msg.get("run_id") != task["run_id"]
-            or msg.get("generation") != task["generation"]
+            or _count(msg.get("generation"), "RESULT generation") != task["generation"]
             or _count(msg.get("index"), "RESULT index") != task["index"]):
         raise ProtocolError("reply answers another TASK")
     returns, probe = msg.get("probe"), task["probe"]
@@ -254,8 +216,8 @@ def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | Non
 
 def gen_context(msg: dict) -> tuple[str, Batch]:
     """Validate a TASK and parse it into its run id and the ``Batch`` of its
-    range.  Raises ProtocolError (or KeyError, TypeError, ValueError) on a
-    TASK the worker cannot score."""
+    range.  Values are checked, not coerced.  Raises ProtocolError (or
+    KeyError, TypeError, ValueError) on a TASK the worker cannot score."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
         raise ProtocolError("unsupported protocol version in TASK")
     env_id = str(msg["env_id"])
@@ -263,10 +225,6 @@ def gen_context(msg: dict) -> tuple[str, Batch]:
     n = genome_dim(spec.obs_dim, spec.action_space)
     generation = _count(msg.get("generation"), "TASK generation")
     indexes = _task_range(msg, _count(msg.get("lambda"), "TASK lambda", 1))
-    norm = msg["normalizer"]
-    m2 = _column(norm, "m2", spec.obs_dim, where="TASK normalizer")
-    if (m2 < 0).any():
-        raise ProtocolError("TASK normalizer m2 must not be negative")
     probe = msg["probe"]
     return str(msg["run_id"]), Batch(
         env_id=env_id,
@@ -275,9 +233,7 @@ def gen_context(msg: dict) -> tuple[str, Batch]:
         indexes=indexes,
         x=_column(msg, "x", len(indexes), n, where="TASK"),
         m=_column(msg, "m", n, where="TASK"),
-        normalizer=ObsNormalizer(
-            _count(norm.get("count"), "TASK normalizer count"),
-            _column(norm, "mean", spec.obs_dim, where="TASK normalizer"), m2),
+        normalizer=ObsNormalizer.from_dict(msg.get("normalizer"), spec.obs_dim),
         fitness_spec=FitnessSpec.from_dict(msg["fitness_spec"]),
         probe=None if probe is None else _count(probe, "TASK probe", 0, generation - 1),
     )
@@ -285,11 +241,8 @@ def gen_context(msg: dict) -> tuple[str, Batch]:
 
 def _task_range(msg: dict, lam: int) -> range:
     """The candidate indexes a TASK names: at least one, all below ``lam``."""
-    index, count = msg.get("index"), msg.get("count")
-    if (type(index) is not int or type(count) is not int
-            or index < 0 or count < 1 or index + count > lam):
-        raise ProtocolError("TASK must name at least one index below lambda")
-    return range(index, index + count)
+    index = _count(msg.get("index"), "TASK index", 0, lam - 1)
+    return range(index, index + _count(msg.get("count"), "TASK count", 1, lam - index))
 
 
 def run_task(batch: Batch, indexes: range) -> tuple[Scores, list[float] | None]:
@@ -334,7 +287,7 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                 if msg["type"] != "task":
                     raise ProtocolError(f"unexpected {msg['type']!r} message")
                 run_id, batch = gen_context(msg)
-            except (ProtocolError, KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError):
                 send(bye_message("protocol"))
                 return "protocol"
             send(result_message(run_id, batch.generation, batch.indexes.start,

@@ -689,7 +689,12 @@ def optimize(
     lam: int | str | None = "cma",
     on_generation: Callable[[StrategyParams, DistributionState, list[Candidate]], None] | None = None,
 ) -> OptimizeResult:
-    """Minimize a black-box function under an evaluation budget."""
+    """Minimize a black-box function under an evaluation budget.
+
+    Ends with status ``degenerate``, and the best finite point found so far,
+    when the distribution leaves float range or a generation's objective
+    value is not finite; that generation's evaluations count in ``evals``.
+    A non-finite value at ``m0`` ends it at once, with ``m0`` as the best."""
     m0 = np.asarray(m0, dtype=float)
     params, state = new_strategy(variant, len(m0), sigma0, m0, lam)
     if budget_evals < params.lam:
@@ -699,6 +704,8 @@ def optimize(
     best_x = m0.copy()
     evals = 1
     history: list[OptRecord] = []
+    if not math.isfinite(best_f):
+        return OptimizeResult(best_x, best_f, evals, "degenerate", history)
     if target is not None and best_f <= target:
         return OptimizeResult(best_x, best_f, evals, "target_reached", history)
 
@@ -710,9 +717,16 @@ def optimize(
             for c, fc in zip(cands, f):
                 c.fitness = fc
             evals += params.lam
+            # a sum of finite values is finite unless it overflows
+            diverged = not math.isfinite(sum(f)) and not all(map(math.isfinite, f))
+            if diverged:        # only finite values can be the best
+                f = [fc if math.isfinite(fc) else math.inf for fc in f]
             gen_best = min(f)
             if gen_best < best_f:   # the first of any ties
                 best_f, best_x = gen_best, cands[f.index(gen_best)].x.copy()
+            if diverged:        # end as a run whose distribution diverged does
+                status = "degenerate"
+                break
             state = tell(params, state, cands, mode="minimize")
         except NumericalDegeneracyError:     # a diverging run ends with what it found
             status = "degenerate"

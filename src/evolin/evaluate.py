@@ -82,6 +82,8 @@ class Shaping:
         if (isinstance(self.bonus, bool) or not isinstance(self.bonus, (int, float))
                 or not math.isfinite(self.bonus)):
             raise ValueError(f"shaping bonus must be a finite number, not {self.bonus!r}")
+        if self.mode == "identity" and self.bonus != 0:
+            raise ValueError(f"shaping mode 'identity' takes no bonus, not {self.bonus!r}")
         object.__setattr__(self, "bonus", float(self.bonus))
 
 

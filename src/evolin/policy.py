@@ -1,15 +1,23 @@
-"""Linear policies over normalized observations.
+"""Linear policies over normalized observations, and the checked readers of
+data from outside the process.
 
 A policy is a single weight matrix, one row per action dimension, no bias.
 Discrete action spaces take the argmax over logits; box spaces squash each
 logit through tanh and rescale into the bounds.  Observation statistics are
 tracked online (Welford) and can be merged across workers, so distributed
 and local runs see identical normalization.
+
+``_real``, ``_count``, ``_column`` and ``ObsNormalizer.from_dict`` are the
+only code that turns parsed JSON from a config file, a checkpoint or a
+message into numbers.  Values are checked, not coerced: a string, a bool, a
+non-finite real or a whole-number float where an int belongs raises
+``ProtocolError``, a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "Checkpoint",
+    "ProtocolError",
 ]
 
 EPS = 1e-8  # std() never falls below sqrt(EPS)
@@ -44,6 +53,45 @@ def _f64(value: float) -> np.ndarray:
 
 
 _ONE = _f64(1.0)
+
+
+class ProtocolError(ValueError):
+    """A file or a peer sent data this end cannot act on."""
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number: an int or a float,
+    not a bool or a string."""
+    try:
+        # an int too large for a float overflows instead of being infinite
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ProtocolError(f"{what} must be a finite number, not {value!r}")
+
+
+def _count(value, what: str, low: int = 0, high: float = math.inf) -> int:
+    """``value`` if it is an int, not a bool or a float, in ``[low, high]``."""
+    if type(value) is not int or not low <= value <= high:
+        raise ProtocolError(f"{what} must be an int in [{low}, {high}], not {value!r}")
+    return value
+
+
+def _column(doc: dict, key: str, rows: int, width: int | None = None,
+            parse=_real, where: str = "RESULT") -> np.ndarray:
+    """Column ``key`` of a ``where`` object: a list of ``rows`` entries,
+    each a list of ``width`` entries unless that is None, every entry passed
+    through ``parse``."""
+    col, key = doc.get(key), f"{where} {key}"
+    if not isinstance(col, list) or len(col) != rows:
+        raise ProtocolError(f"{key} must be a list of {rows} rows")
+    if width is not None:
+        if not all(isinstance(row, list) and len(row) == width for row in col):
+            raise ProtocolError(f"{key} rows must be lists of {width} entries")
+        col = [v for row in col for v in row]
+    values = np.array([parse(v, key) for v in col])
+    return values if width is None else values.reshape(rows, width)
 
 
 @dataclass(frozen=True)
@@ -107,9 +155,6 @@ class LinearPolicy:
         # row-major by action: row a holds the weights feeding action logit a
         w = genome.reshape(space.act_dim, obs_dim)
         return LinearPolicy(w, space, obs_dim)
-
-    def flatten(self) -> np.ndarray:
-        return self.weights.ravel().copy()
 
 
 @dataclass
@@ -185,9 +230,18 @@ class ObsNormalizer:
         return {"count": self.count, "mean": self.mean.tolist(), "m2": self.m2.tolist()}
 
     @staticmethod
-    def from_dict(d: dict) -> "ObsNormalizer":
-        return ObsNormalizer(int(d["count"]), np.asarray(d["mean"], dtype=float),
-                             np.asarray(d["m2"], dtype=float))
+    def from_dict(d: dict, dim: int) -> "ObsNormalizer":
+        """Inverse of ``to_dict``, the one reader of a snapshot from a file
+        or a message.  Raises ProtocolError unless ``d`` is an object whose
+        ``count`` is an int >= 0 and whose ``mean`` and ``m2`` are lists of
+        ``dim`` finite numbers, m2 not negative."""
+        if not isinstance(d, dict):
+            raise ProtocolError(f"a normalizer must be an object, not {d!r}")
+        m2 = _column(d, "m2", dim, where="normalizer")
+        if (m2 < 0).any():
+            raise ProtocolError("normalizer m2 must not be negative")
+        return ObsNormalizer(_count(d.get("count"), "normalizer count"),
+                             _column(d, "mean", dim, where="normalizer"), m2)
 
 
 def welford_update(count: int, mean: np.ndarray, m2: np.ndarray,
@@ -282,36 +336,23 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint.  Raises ValueError if its environment is unknown,
-    its genome or normalizer moments do not fit that environment's spec or
-    are not finite, its normalizer m2 is negative, its generation or
-    normalizer count is not a non-negative int, or its master seed is not a
-    string of decimal digits that fits in 64 bits.  Keys other than those
-    ``save_checkpoint`` writes are ignored."""
+    """Read a checkpoint.  Its environment must be known, and its values are
+    checked, not coerced: its genome and normalizer must fit that
+    environment's spec (``ObsNormalizer.from_dict``), its generation must be
+    an int >= 0 and its master seed a string of decimal digits that fits in
+    64 bits; ValueError otherwise.  Keys other than those ``save_checkpoint``
+    writes are ignored."""
     from .envs import env_spec      # envs imports this module
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     spec = env_spec(doc["env_id"])
-    for value in (doc["generation"], doc["normalizer"]["count"]):
-        if type(value) is not int or value < 0:
-            raise ValueError("generation and normalizer count must be non-negative ints")
-    ckpt = Checkpoint(
+    normalizer = ObsNormalizer.from_dict(doc["normalizer"], spec.obs_dim)
+    normalizer.frozen = True
+    return Checkpoint(
         env_id=doc["env_id"],
-        genome=np.asarray(doc["genome"], dtype=float),
-        normalizer=ObsNormalizer.from_dict(doc["normalizer"]),
-        generation=doc["generation"],
+        genome=_column(doc, "genome", genome_dim(spec.obs_dim, spec.action_space),
+                       where="checkpoint"),
+        normalizer=normalizer,
+        generation=_count(doc["generation"], "checkpoint generation"),
         master_seed=_parse_seed(doc["master_seed"]),
     )
-    expect = genome_dim(spec.obs_dim, spec.action_space)
-    if ckpt.genome.shape != (expect,):
-        raise ValueError(f"{spec.env_id} genomes have {expect} entries, "
-                         f"got shape {ckpt.genome.shape}")
-    norm = ckpt.normalizer
-    if norm.mean.shape != (spec.obs_dim,) or norm.m2.shape != (spec.obs_dim,):
-        raise ValueError(f"normalizer moments must have {spec.obs_dim} entries")
-    if not all(np.isfinite(v).all() for v in (ckpt.genome, norm.mean, norm.m2)):
-        raise ValueError("genome and normalizer moments must be finite")
-    if (norm.m2 < 0).any():
-        raise ValueError("normalizer m2 must not be negative")
-    norm.frozen = True
-    return ckpt

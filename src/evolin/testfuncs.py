@@ -18,7 +18,6 @@ __all__ = [
     "ellipsoid",
     "rotated_ellipsoid",
     "rastrigin",
-    "make_test_function",
     "eval_test_function",
 ]
 
@@ -104,19 +103,3 @@ def rastrigin(n: int) -> TestFunction:
 
     return TestFunction("rastrigin", n, f, optimum_point=np.zeros(n))
 
-
-def make_test_function(name: str, n: int, cond: float = 1e6, seed: int = 0) -> TestFunction:
-    """Look up a test function by name; dimension checks happen per function."""
-    if name == "sphere":
-        return sphere(n)
-    if name == "quadratic2d":
-        if n != 2:
-            raise ValueError("quadratic2d is fixed at n=2")
-        return quadratic2d()
-    if name == "ellipsoid":
-        return ellipsoid(n, cond)
-    if name == "rotated_ellipsoid":
-        return rotated_ellipsoid(n, cond, seed)
-    if name == "rastrigin":
-        return rastrigin(n)
-    raise ValueError(f"unknown test function: {name!r}")

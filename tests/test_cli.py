@@ -131,7 +131,14 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
                                                                "bonus": float("nan")}}},
                                  {"fitness_spec": {"shaping": {"mode": 0, "bonus": 0.0}}},
                                  {"fitness_spec": {"train_episode": 2}},
-                                 {"seeds": [0, 0]}],
+                                 {"seeds": [0, 0]},
+                                 {"fitness_spec": {"shaping": {"mode": "identity",
+                                                               "bonus": 5.0}}},
+                                 {"sigma0": "0.1"}, {"budget_timesteps": "600"},
+                                 {"test_every": "1"}, {"seeds": ["1"]},
+                                 {"threshold": "400"}, {"seeds": "1,2"},
+                                 {"lambda": "4"}, {"threshold": float("inf")},
+                                 {"budget_timesteps": 600.0}, {"seeds": [0.0]}],
                          ids=["not-an-object", "sigma0", "budget", "seeds",
                               "test-every", "target", "fitness-spec",
                               "fractional-seeds", "fractional-budget",
@@ -139,7 +146,11 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
                               "nan-threshold", "nan-target", "string-crn",
                               "fractional-train-episodes", "bool-train-episodes",
                               "zero-train-episodes", "string-bonus", "nan-bonus",
-                              "number-mode", "mistyped-key", "repeated-seeds"])
+                              "number-mode", "mistyped-key", "repeated-seeds",
+                              "identity-bonus", "string-sigma0", "string-budget",
+                              "string-test-every", "string-seed", "string-threshold",
+                              "seeds-string", "string-lambda", "infinite-threshold",
+                              "float-budget", "float-seed"])
 def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(doc))
@@ -328,11 +339,16 @@ def pendulum(genome=(0.0, 0.0, 0.0), mean=(0.0, 0.0, 0.0), m2=(1.0, 1.0, 1.0)):
     lambda d: dict(d, generation=2.5),
     edit_normalizer(count=3.7),
     edit_normalizer(count=True),
+    lambda d: dict(d, genome=[repr(v) for v in d["genome"]]),
+    lambda d: dict(d, normalizer={**d["normalizer"],
+                                  "mean": [repr(v) for v in d["normalizer"]["mean"]]}),
+    lambda d: dict(d, genome=[True] * 8),
 ], ids=["short-genome", "3-dim-normalizer", "unknown-env", "not-an-object",
         "nan-genome", "infinite-genome", "nan-mean", "infinite-m2", "negative-m2",
         "negative-count", "pendulum-nan-genome", "pendulum-negative-m2",
         "pendulum-infinite-mean", "negative-seed", "negative-generation",
-        "float-generation", "float-count", "bool-count"])
+        "float-generation", "float-count", "bool-count", "string-genome",
+        "string-mean", "bool-genome"])
 def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, edit):
     fixture = os.path.join(os.path.dirname(__file__), "fixtures",
                            "cartpole_solved.json")

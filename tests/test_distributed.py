@@ -90,7 +90,8 @@ def test_messages_round_trip_through_framing():
 
 
 def test_decode_rejects_garbage():
-    for line in [b"not json", b"[1,2]", b"{\"no_type\":1}", b"\xff\xfe"]:
+    # the last holds an int past the digit limit of Python's int parsing
+    for line in [b"not json", b"[1,2]", b"{\"no_type\":1}", b"\xff\xfe", b"9" * 5000]:
         with pytest.raises(ProtocolError):
             decode_message(line)
 
@@ -158,6 +159,7 @@ MALFORMED_TASKS = {
     "x-infinite": edit_first_row(float("inf")),
     "x-string": edit_first_row("0.5"),
     "x-bool": edit_first_row(True),
+    "x-huge-int": edit_first_row(10 ** 400),
     "normalizer-short": edit_normalizer(mean=[0.0] * 3, m2=[1.0] * 3),
     "normalizer-m2-short": edit_normalizer(m2=[1.0] * 3),
     "normalizer-m2-negative": edit_normalizer(m2=[1.0, 1.0, 1.0, -1.0]),
@@ -166,6 +168,9 @@ MALFORMED_TASKS = {
     "normalizer-count-float": edit_normalizer(count=10.0),
     "normalizer-count-missing": lambda t: dict(
         t, normalizer={k: v for k, v in t["normalizer"].items() if k != "count"}),
+    "normalizer-list": lambda t: dict(t, normalizer=[]),
+    "normalizer-number": lambda t: dict(t, normalizer=5),
+    "normalizer-null": lambda t: dict(t, normalizer=None),
 }
 
 
@@ -431,9 +436,10 @@ def test_worker_says_bye_on_malformed_task_range(edit, owed):
                                   {"train_episodes": 2.7},
                                   {"train_episodes": True},
                                   {"shaping": {"mode": "drop_alive_bonus", "bonus": "nan"}},
-                                  {"shaping": {"mode": 1, "bonus": 0.0}}],
+                                  {"shaping": {"mode": 1, "bonus": 0.0}},
+                                  {"shaping": {"mode": "identity", "bonus": 5.0}}],
                          ids=["string-crn", "fractional-episodes", "bool-episodes",
-                              "string-bonus", "number-mode"])
+                              "string-bonus", "number-mode", "identity-bonus"])
 def test_worker_says_bye_on_a_malformed_fitness_spec(spec):
     reply, reason = worker_replies_to_task(
         lambda t, lam: dict(t, fitness_spec={**t["fitness_spec"], **spec}))
@@ -472,7 +478,8 @@ def test_worker_says_bye_on_a_gen_message():
 
 
 @pytest.mark.parametrize("name", ["x-missing", "x-short", "x-long", "x-narrow",
-                                  "x-nan", "x-string", "normalizer-short",
+                                  "x-nan", "x-string", "x-huge-int",
+                                  "normalizer-short", "normalizer-null",
                                   "unknown-env", "seed-float", "seed-plus"])
 def test_worker_says_bye_on_a_task_it_cannot_score(name):
     # the TASK names range(0, 1); the edits cut and extend its one row
@@ -918,11 +925,13 @@ def edit_columns(edit):
     # the episode limit
     edit_first("count", lambda n: 0),
     edit_first("count", lambda n: env_spec("cartpole").max_episode_steps + 1),
+    # past float range: an int JSON number, not an infinity
+    edit_first("fitness", lambda f: 10 ** 400),
 ], ids=["missing-fitness", "missing-index", "string-count", "nan-fitness",
         "infinite-raw-return", "short-delta", "nan-delta", "negative-delta-m2",
         "short-column", "bool-fitness", "string-raw-return", "fractional-count",
         "float-count", "negative-count", "bool-count", "count-zero",
-        "count-past-episode-limit"])
+        "count-past-episode-limit", "huge-int-fitness"])
 def test_malformed_result_drops_the_worker_and_the_run_matches_local(edit):
     assert_dropped_and_matches_local(edit, flagged=False, max_generations=4)
 
@@ -934,8 +943,9 @@ def test_malformed_result_drops_the_worker_and_the_run_matches_local(edit):
     edit_columns(lambda col: col + col[-1:]),
     lambda r: dict(r, fitness=dict(enumerate(r["fitness"]))),
     edit_first("mean", lambda row: 0.0),
+    lambda r: dict(r, generation=float(r["generation"])),
 ], ids=["not-a-result", "other-range-start", "short-columns", "long-columns",
-        "column-not-a-list", "row-not-a-list"])
+        "column-not-a-list", "row-not-a-list", "float-generation"])
 def test_reply_not_answering_its_task_drops_the_worker_and_the_run_matches_local(edit):
     assert_dropped_and_matches_local(edit, flagged=False, max_generations=3)
 

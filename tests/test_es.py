@@ -394,6 +394,31 @@ def test_optimize_ends_degenerate_when_diverging() -> None:
     assert res.best_f <= min(r.best_f_gen for r in res.history)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_optimize_ends_degenerate_when_the_objective_overflows(variant) -> None:
+    # -x.x is unbounded below: it reaches -inf before sigma leaves float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = optimize(lambda x: -float(np.dot(x, x)), variant, np.ones(3), 1.0,
+                       budget_evals=200_000, seed=0)
+    assert res.status == "degenerate" and res.history and res.evals < 200_000
+    # the generation that overflowed counts, unrecorded, as in the test above
+    assert res.evals - 1 - len(res.history) * cma_popsize(3) in (0, cma_popsize(3))
+    assert np.isfinite(res.best_f) and np.isfinite(res.best_x).all()
+    assert res.best_f == -float(np.dot(res.best_x, res.best_x))
+    assert res.best_f <= min(r.best_f_gen for r in res.history)
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_optimize_ends_degenerate_at_a_non_finite_start(start) -> None:
+    # no finite point to start from, so none to report as the best
+    def f(x):
+        return start if (x == 1.0).all() else float(np.dot(x, x))
+
+    res = optimize(f, CSA, np.ones(3), 1.0, budget_evals=700, seed=0)
+    assert (res.status, res.evals, res.history) == ("degenerate", 1, [])
+    assert res.best_x.tolist() == [1.0] * 3 and repr(res.best_f) == repr(start)
+
+
 def test_optimize_descends_on_sphere() -> None:
     res = optimize(sphere(5), FULL_CMA, np.full(5, 3.0), 1.0, 6000,
                    target=1e-6, seed=3)

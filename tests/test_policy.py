@@ -39,7 +39,7 @@ def test_genome_layout_is_row_major_by_action() -> None:
     pol = LinearPolicy.from_genome(genome, 3, Discrete(2))
     np.testing.assert_array_equal(pol.weights[0], [0.0, 1.0, 2.0])
     np.testing.assert_array_equal(pol.weights[1], [3.0, 4.0, 5.0])
-    np.testing.assert_array_equal(pol.flatten(), genome)
+    np.testing.assert_array_equal(pol.weights.ravel(), genome)
 
 
 def test_genome_round_trip_is_exact() -> None:
@@ -47,7 +47,7 @@ def test_genome_round_trip_is_exact() -> None:
     space = Box(np.array([-1.0, 0.0]), np.array([1.0, 3.0]))
     genome = rng.standard_normal(genome_dim(5, space))
     pol = LinearPolicy.from_genome(genome, 5, space)
-    np.testing.assert_array_equal(pol.flatten(), genome)
+    np.testing.assert_array_equal(pol.weights.ravel(), genome)
 
 
 def test_from_genome_rejects_wrong_length() -> None:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from evolin.testfuncs import (ellipsoid, eval_test_function, make_test_function,
-                              quadratic2d, random_rotation, rastrigin,
-                              rotated_ellipsoid, sphere)
+from evolin.testfuncs import (ellipsoid, eval_test_function, quadratic2d,
+                              random_rotation, rastrigin, rotated_ellipsoid, sphere)
 
 
 def test_sphere_values() -> None:
@@ -65,15 +64,3 @@ def test_dimension_validation() -> None:
         sphere(0)
     with pytest.raises(ValueError):
         ellipsoid(3, cond=0.5)
-    with pytest.raises(ValueError):
-        make_test_function("quadratic2d", 3)
-    with pytest.raises(ValueError):
-        make_test_function("branin", 2)
-
-
-def test_factory_matches_direct_constructors() -> None:
-    x = np.array([0.5, -1.5])
-    assert make_test_function("sphere", 2)(x) == sphere(2)(x)
-    assert make_test_function("rastrigin", 2)(x) == rastrigin(2)(x)
-    assert (make_test_function("rotated_ellipsoid", 2, cond=10.0, seed=5)(x)
-            == rotated_ellipsoid(2, 10.0, 5)(x))
