@@ -16,16 +16,17 @@ import os
 import re
 import statistics
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .distributed import (GenerationFailedError, MasterServer, serve_worker,
-                          train_distributed)
+from .distributed import (GenerationFailedError, MasterServer, _train_distributed,
+                          serve_worker)
 from .envs import ENV_IDS, env_spec
 from .es import CSA, FULL_CMA, SEP_CMA, VARIANTS, optimize
-from .evaluate import (TEST_EPISODES, FitnessSpec, _training_strategy, read_curve_csv,
-                       test_policy, train, write_curve_csv)
+from .evaluate import (TEST_EPISODES, FitnessSpec, RunSpec, _drive, evaluate_generation,
+                       read_curve_csv, test_policy, write_curve_csv)
 from .policy import _count, _real, load_checkpoint, save_checkpoint
 from .testfuncs import quadratic2d, rotated_ellipsoid, sphere
 
@@ -77,10 +78,25 @@ def _parse_seeds(value: str) -> list[int]:
         raise CliError(EXIT_USAGE, f"bad seeds value {value!r}") from None
 
 
-def resolve_config(args) -> dict:
-    """Merge env defaults, config file, and flags (flags win) and validate
-    them as ``train`` would, for every seed, before anything is written.
-    The file's values are checked, not coerced."""
+def _check_keys(doc, settings: dict, name: str, partial: bool) -> None:
+    """Refuse a ``doc`` that is not an object, has a key ``settings`` lacks
+    (which from_dict would ignore), or, unless ``partial``, lacks one."""
+    if not isinstance(doc, dict):
+        raise CliError(EXIT_USAGE, f"{name} must be a JSON object")
+    unknown = sorted(doc.keys() - settings.keys())
+    if unknown:
+        raise CliError(EXIT_USAGE, f"{name}.{unknown[0]} is not a setting; "
+                       f"the settings are {', '.join(settings)}")
+    missing = [key for key in settings if key not in doc]
+    if missing and not partial:
+        raise CliError(EXIT_USAGE, f"{name}.{missing[0]} is missing")
+
+
+def resolve_config(args) -> tuple[list[RunSpec], float, str]:
+    """Merge env defaults, config file, and flags (flags win) into a
+    ``RunSpec`` template; return one checked ``replace(template,
+    master_seed=seed)`` per seed, the solved threshold and the output
+    directory, before anything is written.  Values are checked, not coerced."""
     file_cfg: dict = {}
     if getattr(args, "config", None):
         try:
@@ -103,9 +119,7 @@ def resolve_config(args) -> dict:
     if env_id not in ENV_IDS:
         raise CliError(EXIT_USAGE,
                        f"unknown environment {env_id!r}; choose from {sorted(ENV_IDS)}")
-    variant = pick("variant", "variant")
     env_defaults = ENV_DEFAULTS[env_id]
-    lam = pick("lam", "lambda", env_defaults["lambda"], _parse_lambda)
     seeds = pick("seeds", "seeds", DEFAULT_SEEDS, _parse_seeds)
     try:
         sigma0 = _real(pick("sigma0", "sigma0", env_defaults["sigma0"]), "sigma0")
@@ -120,44 +134,30 @@ def resolve_config(args) -> dict:
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad config value: {exc}") from exc
     output_dir = pick("output_dir", "output_dir", default_output_dir())
+    if not isinstance(output_dir, str):
+        raise CliError(EXIT_USAGE,
+                       f"output_dir must be a JSON string, not {output_dir!r}")
 
     if not seeds:
         raise CliError(EXIT_USAGE, "seed list is empty")
     if len(set(seeds)) < len(seeds):
         raise CliError(EXIT_USAGE, f"seed list {seeds} repeats a seed")
-    try:
-        for seed in seeds:
-            _training_strategy(env_id, variant, sigma0, lam, seed, test_every)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
 
     spec_doc = file_cfg.get("fitness_spec", {})
-    if not isinstance(spec_doc, dict):
-        raise CliError(EXIT_USAGE, "fitness_spec must be a JSON object")
     settings = FitnessSpec().to_dict()
-    # from_dict ignores other keys, so a mistyped one would change nothing
-    unknown = sorted(spec_doc.keys() - settings.keys())
-    if unknown:
-        raise CliError(EXIT_USAGE, f"fitness_spec.{unknown[0]} is not a setting; "
-                       f"the settings are {', '.join(settings)}")
+    _check_keys(spec_doc, settings, "fitness_spec", partial=True)
+    if "shaping" in spec_doc:
+        _check_keys(spec_doc["shaping"], settings["shaping"], "fitness_spec.shaping",
+                    partial=False)
     try:
         fitness_spec = FitnessSpec.from_dict({**settings, **spec_doc})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_USAGE, f"bad fitness_spec: {exc}") from exc
-
-    return {
-        "env_id": env_id,
-        "variant": variant,
-        "sigma0": sigma0,
-        "lambda": lam,
-        "budget_timesteps": budget,
-        "seeds": seeds,
-        "test_every": test_every,
-        "threshold": threshold,
-        "target_return": target,
-        "fitness_spec": fitness_spec.to_dict(),
-        "output_dir": str(output_dir),
-    }
+        template = RunSpec(env_id, pick("variant", "variant"), sigma0,
+                           pick("lam", "lambda", env_defaults["lambda"], _parse_lambda),
+                           budget, seeds[0], fitness_spec, test_every, target)
+        runs = [replace(template, master_seed=seed) for seed in seeds]
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from exc
+    return runs, threshold, output_dir
 
 
 def ensure_output_dir(path: str) -> None:
@@ -175,25 +175,23 @@ def ensure_output_dir(path: str) -> None:
 # train / train-distributed
 
 
-def trial_basename(cfg: dict, seed: int) -> str:
-    return f"{cfg['env_id']}_{cfg['variant']}_seed{seed}"
-
-
 def steps_to_threshold(records, threshold: float) -> int | None:
     hits = [r.cumulative_timesteps for r in records
             if r.median_test_return >= threshold]
     return min(hits) if hits else None
 
 
-def run_trials(cfg: dict, runner) -> tuple[dict, str]:
-    """Run one trial per seed, write per-trial artifacts, return the summary."""
-    ensure_output_dir(cfg["output_dir"])
-    out = cfg["output_dir"]
+def run_trials(runs: list[RunSpec], threshold: float, out: str,
+               runner) -> tuple[dict, str]:
+    """Run each trial with ``runner(spec)``, write per-trial artifacts,
+    return the summary."""
+    ensure_output_dir(out)
     rows = []
     resolved_lambda = None
-    for seed in cfg["seeds"]:
+    for spec in runs:
+        seed = spec.master_seed
         try:
-            result = runner(seed)
+            result = runner(spec)
         except (GenerationFailedError, TimeoutError, OSError) as exc:
             print(f"seed {seed}: failed ({exc})")
             rows.append({"seed": seed, "status": "failed", "error": str(exc),
@@ -201,7 +199,7 @@ def run_trials(cfg: dict, runner) -> tuple[dict, str]:
                          "timesteps_to_threshold": None})
             continue
         resolved_lambda = result.params.lam
-        base = trial_basename(cfg, seed)
+        base = f"{spec.env_id}_{spec.variant}_seed{seed}"
         curve = f"{base}.csv"
         try:
             write_curve_csv(os.path.join(out, curve), result.records)
@@ -213,7 +211,7 @@ def run_trials(cfg: dict, runner) -> tuple[dict, str]:
             raise CliError(EXIT_OUTPUT, f"cannot write artifacts: {exc}") from exc
         max_median = max((r.median_test_return for r in result.records),
                          default=None)
-        reached = steps_to_threshold(result.records, cfg["threshold"])
+        reached = steps_to_threshold(result.records, threshold)
         rows.append({
             "seed": seed,
             "status": result.status,
@@ -232,21 +230,27 @@ def run_trials(cfg: dict, runner) -> tuple[dict, str]:
                if r["max_median_return"] is not None]
     reached = [r["timesteps_to_threshold"] for r in rows
                if r["timesteps_to_threshold"] is not None]
+    first = runs[0]
     summary = {
         "artifact_version": __version__,
-        "config": cfg,
+        "config": {"env_id": first.env_id, "variant": first.variant,
+                   "sigma0": first.sigma0, "lambda": first.lam,
+                   "budget_timesteps": first.budget_timesteps,
+                   "seeds": [run.master_seed for run in runs],
+                   "test_every": first.test_every, "threshold": threshold,
+                   "target_return": first.target_return,
+                   "fitness_spec": first.fitness_spec.to_dict(), "output_dir": out},
         "resolved_lambda": resolved_lambda,
-        "env_id": cfg["env_id"],
-        "variant": cfg["variant"],
-        "threshold": cfg["threshold"],
+        "env_id": first.env_id,
+        "variant": first.variant,
+        "threshold": threshold,
         "seeds": rows,
         # both cross-seed aggregations of the per-trial peak median return
         "max_median_return_mean": statistics.mean(medians) if medians else None,
         "max_median_return_median": statistics.median(medians) if medians else None,
         "timesteps_to_threshold": min(reached) if reached else None,
     }
-    name = f"{cfg['env_id']}_{cfg['variant']}_summary.json"
-    path = os.path.join(out, name)
+    path = os.path.join(out, f"{first.env_id}_{first.variant}_summary.json")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(summary, fh, indent=2)
@@ -257,23 +261,13 @@ def run_trials(cfg: dict, runner) -> tuple[dict, str]:
     return summary, path
 
 
-def train_kwargs(cfg: dict, seed: int) -> dict:
-    """``train``'s arguments for trial ``seed`` of ``cfg``."""
-    return {"env_id": cfg["env_id"], "variant": cfg["variant"],
-            "sigma0": cfg["sigma0"], "lam": cfg["lambda"],
-            "budget_timesteps": cfg["budget_timesteps"], "master_seed": seed,
-            "fitness_spec": FitnessSpec.from_dict(cfg["fitness_spec"]),
-            "test_every": cfg["test_every"], "target_return": cfg["target_return"]}
-
-
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    run_trials(cfg, lambda seed: train(**train_kwargs(cfg, seed)))
+    run_trials(*resolve_config(args), lambda spec: _drive(spec, evaluate_generation))
     return 0
 
 
 def cmd_train_distributed(args) -> int:
-    cfg = resolve_config(args)
+    runs, threshold, out = resolve_config(args)
     if args.expected_workers < 1:
         raise CliError(EXIT_USAGE, "expected workers must be >= 1")
     if not (math.isfinite(args.wait_timeout) and args.wait_timeout >= 0):
@@ -285,14 +279,9 @@ def cmd_train_distributed(args) -> int:
         raise CliError(EXIT_NETWORK, f"cannot bind {host}:{port}: {exc}") from exc
     print(f"listening on {server.address[0]}:{server.address[1]}, "
           f"waiting for {args.expected_workers} worker(s)")
-
-    def runner(seed: int):
-        return train_distributed(**train_kwargs(cfg, seed),
-                                 expected_workers=args.expected_workers,
-                                 server=server, wait_timeout=args.wait_timeout)
-
     try:
-        run_trials(cfg, runner)
+        run_trials(runs, threshold, out, lambda spec: _train_distributed(
+            spec, server, args.expected_workers, args.wait_timeout))
     finally:
         server.close()
     return 0

@@ -47,9 +47,9 @@ from typing import Callable
 
 from .envs import env_spec
 from .es import _parse_seed
-from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, GenerationEval, Scores,
-                       TrainResult, _drive, _run, _training_strategy,
-                       collect_generation, score_candidates)
+from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, GenerationEval, RunSpec,
+                       Scores, TrainResult, _drive, collect_generation,
+                       score_candidates)
 from .policy import ObsNormalizer, ProtocolError, _column, _count, _real, genome_dim
 
 PROTOCOL_VERSION = 8
@@ -539,38 +539,34 @@ class MasterServer:
 # training entry point
 
 
-def train_distributed(env_id: str, variant: str, *, sigma0: float,
-                      lam: int | str | None, budget_timesteps: int,
-                      master_seed: int, expected_workers: int,
-                      server: MasterServer,
-                      wait_timeout: float | None = 60.0,
-                      fitness_spec: FitnessSpec | None = None,
-                      test_every: int = 1, target_return: float | None = None,
-                      max_generations: int | None = None,
-                      run_id: str | None = None,
-                      on_generation: Callable | None = None) -> TrainResult:
+def train_distributed(env_id: str, variant: str, *, expected_workers: int,
+                      server: MasterServer, wait_timeout: float | None = 60.0,
+                      run_id: str | None = None, on_generation: Callable | None = None,
+                      **settings) -> TrainResult:
     """Run ``train``'s loop with each generation's ``Batch`` cut into TASKs
     for the workers of ``server``, which stays open; the master itself runs
-    no rollout.
+    no rollout.  ``settings`` are ``RunSpec``'s other fields.
 
     Identical in every recorded number to a local ``train`` call with the
     same arguments.  Each generation's test probe runs on a worker, in the
     batch of one range of the next generation; only a probe still owed when
     the run ends runs alone on the master.
     """
+    return _train_distributed(RunSpec(env_id, variant, **settings), server,
+                              expected_workers, wait_timeout, run_id, on_generation)
+
+
+def _train_distributed(spec: RunSpec, server: MasterServer, expected_workers: int,
+                       wait_timeout: float | None, run_id: str | None = None,
+                       on_generation: Callable | None = None) -> TrainResult:
+    """``train_distributed`` of a ``RunSpec``, which has been checked."""
     if expected_workers < 1:
         raise ValueError("expected_workers must be >= 1")
-    _training_strategy(env_id, variant, sigma0, lam, master_seed, test_every)
-    run_id = run_id or f"{env_id}-{variant}-seed{master_seed}"
+    run_id = run_id or f"{spec.env_id}-{spec.variant}-seed{spec.master_seed}"
     server.wait_for_workers(expected_workers, wait_timeout)
 
     def evaluate(batch: Batch) -> GenerationEval:
         parts, returns = server.evaluate_generation(build_gen_message(batch, run_id))
         return collect_generation(parts, len(batch.indexes), returns)
 
-    return _drive(_run(env_id, variant, sigma0=sigma0, lam=lam,
-                       budget_timesteps=budget_timesteps, master_seed=master_seed,
-                       fitness_spec=fitness_spec, test_every=test_every,
-                       target_return=target_return, max_generations=max_generations,
-                       on_generation=on_generation),
-                  evaluate)
+    return _drive(spec, evaluate, on_generation)

@@ -17,7 +17,9 @@ generation is scored as one ``Batch``, the fields a distributed TASK
 carries.  The probe of generation g needs only the mean and normalizer that
 g + 1 starts from, so g + 1's ``Batch`` owes it and runs it as further
 lanes (in a distributed run, of one worker's range); only a probe still
-owed when the run ends runs alone, through ``test_policy``.
+owed when the run ends runs alone, through ``test_policy``.  A run's
+settings are one checked ``RunSpec``, which ``train``, ``train_distributed``
+and the command line's trials all build and ``_run`` reads.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "test_policy",
     "TrainRecord",
     "TrainResult",
+    "RunSpec",
     "train",
     "train_episode_seed",
     "test_episode_seed",
@@ -477,28 +480,44 @@ class TrainResult:
     state: DistributionState
 
 
-def _training_strategy(env_id: str, variant: str, sigma0: float,
-                       lam: int | str | None, master_seed: int, test_every: int):
-    """Check ``train``'s search arguments and build its generation-zero
-    ``(spec, params, state)``; a distributed master calls it before it binds
-    and waits for workers."""
-    if test_every < 1:
-        raise ValueError("test_every must be >= 1")
-    _check_seed(master_seed)
-    spec = env_spec(env_id)
-    n = genome_dim(spec.obs_dim, spec.action_space)
-    return (spec, *new_strategy(variant, n, sigma0, np.zeros(n), lam))
+@dataclass(frozen=True)
+class RunSpec:
+    """Every setting of one training run.  The constructor checks the env,
+    variant, ``sigma0``, ``lam``, ``master_seed`` and ``test_every`` by
+    building generation zero, so ``replace`` checks again.  A None
+    ``fitness_spec`` is the default ``FitnessSpec``."""
+
+    env_id: str
+    variant: str
+    sigma0: float
+    lam: int | str | None
+    budget_timesteps: int
+    master_seed: int
+    fitness_spec: FitnessSpec | None = None
+    test_every: int = 1
+    target_return: float | None = None
+    max_generations: int | None = None
+
+    def __post_init__(self):
+        self.start()
+        if self.fitness_spec is None:
+            object.__setattr__(self, "fitness_spec", FitnessSpec())
+
+    def start(self) -> tuple:
+        """Generation zero: ``(env spec, params, state)``."""
+        if self.test_every < 1:
+            raise ValueError("test_every must be >= 1")
+        _check_seed(self.master_seed)
+        spec = env_spec(self.env_id)
+        n = genome_dim(spec.obs_dim, spec.action_space)
+        return (spec, *new_strategy(self.variant, n, self.sigma0, np.zeros(n), self.lam))
 
 
-def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
-          budget_timesteps: int, master_seed: int,
-          fitness_spec: FitnessSpec | None = None, test_every: int = 1,
-          target_return: float | None = None,
-          max_generations: int | None = None,
-          on_generation: Callable | None = None) -> TrainResult:
+def train(env_id: str, variant: str, *, on_generation: Callable | None = None,
+          **settings) -> TrainResult:
     """Search policy weights by ask/evaluate/tell until the budget is spent,
     scoring each generation's ``Batch`` in this process with
-    ``evaluate_generation``.
+    ``evaluate_generation``.  ``settings`` are ``RunSpec``'s other fields.
 
     The test probe of generation g is owed until generation g + 1 is
     evaluated, and runs in g + 1's batch.  g's record, best checkpoint and
@@ -509,18 +528,15 @@ def train(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
     fires at the start of every generation, including one whose results a
     met target then drops.
     """
-    return _drive(_run(env_id, variant, sigma0=sigma0, lam=lam,
-                       budget_timesteps=budget_timesteps, master_seed=master_seed,
-                       fitness_spec=fitness_spec, test_every=test_every,
-                       target_return=target_return, max_generations=max_generations,
-                       on_generation=on_generation),
-                  evaluate_generation)
+    return _drive(RunSpec(env_id, variant, **settings), evaluate_generation,
+                  on_generation)
 
 
-def _drive(run: Generator[Batch, GenerationEval, TrainResult],
-           evaluate: Callable[[Batch], GenerationEval]) -> TrainResult:
-    """Answer each ``Batch`` ``run`` yields with ``evaluate(batch)``, which
-    must give what ``evaluate_generation`` would, and return its result."""
+def _drive(spec: RunSpec, evaluate: Callable[[Batch], GenerationEval],
+           on_generation: Callable | None = None) -> TrainResult:
+    """Run ``spec``, answering each ``Batch`` ``_run`` yields with
+    ``evaluate(batch)``, which must give what ``evaluate_generation`` would."""
+    run = _run(spec, on_generation)
     try:
         batch = next(run)
         while True:
@@ -529,20 +545,16 @@ def _drive(run: Generator[Batch, GenerationEval, TrainResult],
         return done.value
 
 
-def _run(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
-         budget_timesteps: int, master_seed: int,
-         fitness_spec: FitnessSpec | None = None, test_every: int = 1,
-         target_return: float | None = None,
-         max_generations: int | None = None,
-         on_generation: Callable | None = None
+def _run(spec: RunSpec, on_generation: Callable | None = None
          ) -> Generator[Batch, GenerationEval, TrainResult]:
     """``train``'s loop: yields each generation's ``Batch``, with the probe
     the previous generation owes, takes back its ``GenerationEval`` and
     returns the ``TrainResult``."""
-    spec, params, state = _training_strategy(env_id, variant, sigma0, lam,
-                                             master_seed, test_every)
-    fitness_spec = fitness_spec or FitnessSpec()
-    normalizer = ObsNormalizer.create(spec.obs_dim)
+    env, params, state = spec.start()
+    env_id, master_seed, fitness_spec = spec.env_id, spec.master_seed, spec.fitness_spec
+    budget_timesteps, test_every = spec.budget_timesteps, spec.test_every
+    target_return, max_generations = spec.target_return, spec.max_generations
+    normalizer = ObsNormalizer.create(env.obs_dim)
     records: list[TrainRecord] = []
     best: Checkpoint | None = None
     best_median = -np.inf
@@ -598,12 +610,12 @@ def _run(env_id: str, variant: str, *, sigma0: float, lam: int | str | None,
             owed = (gen, cumulative, float(np.max(result.fitnesses)), state.sigma)
 
     if owed is not None:
-        policy = LinearPolicy.from_genome(state.m, spec.obs_dim, spec.action_space)
+        policy = LinearPolicy.from_genome(state.m, env.obs_dim, env.action_space)
         _, returns = test_policy(policy, normalizer, env_id, master_seed, owed[0])
         if settle(returns):
             status = "target_reached"
 
-    return TrainResult(env_id, variant, master_seed, status, records, best,
+    return TrainResult(env_id, spec.variant, master_seed, status, records, best,
                        cumulative, params, state)
 
 

@@ -113,6 +113,10 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
     assert not out.exists()
 
 
+MISTYPED_SHAPING = {"mode": "identity", "bonus": 0.0, "mod": "drop_alive_bonus"}
+PARTIAL_SHAPING = {"mode": "drop_alive_bonus"}
+
+
 @pytest.mark.parametrize("doc", [[1, 2], {"sigma0": "big"},
                                  {"budget_timesteps": "lots"}, {"seeds": 5},
                                  {"test_every": [1]}, {"target_return": "high"},
@@ -138,7 +142,9 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
                                  {"test_every": "1"}, {"seeds": ["1"]},
                                  {"threshold": "400"}, {"seeds": "1,2"},
                                  {"lambda": "4"}, {"threshold": float("inf")},
-                                 {"budget_timesteps": 600.0}, {"seeds": [0.0]}],
+                                 {"budget_timesteps": 600.0}, {"seeds": [0.0]},
+                                 {"fitness_spec": {"shaping": MISTYPED_SHAPING}},
+                                 {"fitness_spec": {"shaping": PARTIAL_SHAPING}}],
                          ids=["not-an-object", "sigma0", "budget", "seeds",
                               "test-every", "target", "fitness-spec",
                               "fractional-seeds", "fractional-budget",
@@ -150,7 +156,8 @@ def test_config_with_other_test_episode_count_exits_2_before_training(tmp_path, 
                               "identity-bonus", "string-sigma0", "string-budget",
                               "string-test-every", "string-seed", "string-threshold",
                               "seeds-string", "string-lambda", "infinite-threshold",
-                              "float-budget", "float-seed"])
+                              "float-budget", "float-seed", "shaping-mistyped-key",
+                              "shaping-missing-key"])
 def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(doc))
@@ -159,6 +166,31 @@ def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
                    "--variant", "csa", "--output-dir", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shaping,key", [(MISTYPED_SHAPING, "mod"),
+                                         (PARTIAL_SHAPING, "bonus")],
+                         ids=["mistyped", "missing"])
+def test_shaping_key_errors_name_the_key(tmp_path, capsys, shaping, key):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"fitness_spec": {"shaping": shaping}}))
+    assert run_cli("train", "--config", str(cfg_path), "--env", "cartpole",
+                   "--variant", "csa", "--output-dir", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err.startswith(f"error: fitness_spec.shaping.{key} ")
+
+
+def test_config_output_dir_that_is_not_a_string_exits_2(tmp_path, tmp_path_factory,
+                                                        monkeypatch, capsys):
+    # without --output-dir the file's value is used, relative to the cwd
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path_factory.mktemp("config") / "exp.json"
+    for value in (["a", 1], 5):
+        cfg_path.write_text(json.dumps({"env_id": "cartpole", "variant": "csa",
+                                        "seeds": [0], "budget_timesteps": 200,
+                                        "output_dir": value}))
+        assert run_cli("train", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err.startswith("error: output_dir ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag,value", [("--listen", "127.0.0.1:99999"),
@@ -297,6 +329,47 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert summary["config"]["sigma0"] == 0.1
     assert summary["config"]["budget_timesteps"] == 1500
     assert summary["config"]["seeds"] == [5]
+
+
+CONFIG_KEYS = ["env_id", "variant", "sigma0", "lambda", "budget_timesteps", "seeds",
+               "test_every", "threshold", "target_return", "fitness_spec", "output_dir"]
+
+
+def test_summary_config_block_from_flags(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("train", "--env", "cartpole", "--variant", "csa",
+                   "--seeds", "5,6", "--budget", "300", "--output-dir", str(out)) == 0
+    config = load_json(out / "cartpole_csa_summary.json")["config"]
+    assert list(config) == CONFIG_KEYS
+    assert config == {
+        "env_id": "cartpole", "variant": "csa", "sigma0": 0.1, "lambda": 4,
+        "budget_timesteps": 300, "seeds": [5, 6], "test_every": 1,
+        "threshold": 475.0, "target_return": None,
+        "fitness_spec": {"train_episodes": 1,
+                         "shaping": {"mode": "identity", "bonus": 0.0},
+                         "common_random_numbers": True},
+        "output_dir": str(out)}
+
+
+def test_summary_config_block_from_a_config_file(tmp_path):
+    fitness_spec = {"train_episodes": 2,
+                    "shaping": {"mode": "drop_alive_bonus", "bonus": 1.0},
+                    "common_random_numbers": False}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "env_id": "cartpole", "variant": "sep-cma", "sigma0": 0.2,
+        "lambda": "default", "budget_timesteps": 300, "seeds": [3],
+        "test_every": 2, "threshold": 100, "target_return": 450,
+        "fitness_spec": fitness_spec, "output_dir": str(tmp_path / "run")}))
+    assert run_cli("train", "--config", str(cfg_path)) == 0
+    config = load_json(tmp_path / "run" / "cartpole_sep-cma_summary.json")["config"]
+    assert list(config) == CONFIG_KEYS
+    assert config == {
+        "env_id": "cartpole", "variant": "sep-cma", "sigma0": 0.2,
+        "lambda": "default", "budget_timesteps": 300, "seeds": [3],
+        "test_every": 2, "threshold": 100.0, "target_return": 450.0,
+        "fitness_spec": fitness_spec, "output_dir": str(tmp_path / "run")}
+    assert type(config["threshold"]) is float and type(config["target_return"]) is float
 
 
 def test_eval_replays_checkpoint_median(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from evolin import (CSA, ENV_IDS, FULL_CMA, SEP_CMA, Batch, FitnessSpec,
 from evolin import test_policy as run_test_protocol
 from evolin import evaluate
 from evolin.envs import CartPole, Pendulum
-from evolin.evaluate import (collect_generation, evaluate_candidate,
+from evolin.evaluate import (RunSpec, collect_generation, evaluate_candidate,
                              evaluate_generation, run_episodes,
                              train_episode_seed)
 from evolin.evaluate import test_episode_seed as probe_episode_seed
@@ -527,12 +528,21 @@ def test_degenerate_covariance_factors_end_the_run_as_degenerate(monkeypatch, va
     assert result.state.g == 1
 
 
-def test_train_rejects_unknown_inputs() -> None:
+@pytest.mark.parametrize("bad", [{"test_every": 0}, {"env_id": "walker"},
+                                 {"variant": "bfgs"}, {"sigma0": -1.0},
+                                 {"lam": 1}, {"master_seed": -1}],
+                         ids=lambda bad: next(iter(bad)))
+def test_train_rejects_unknown_inputs(bad) -> None:
+    # what train_distributed refuses before it waits for workers
+    valid = {"env_id": "cartpole", "variant": CSA, "sigma0": 0.1, "lam": 4,
+             "budget_timesteps": 100, "master_seed": 0}
+    kw = {**valid, **bad}
     with pytest.raises(ValueError):
-        train("tictactoe", CSA, sigma0=0.1, lam=4, budget_timesteps=100, master_seed=0)
+        RunSpec(**kw)
     with pytest.raises(ValueError):
-        train("cartpole", "annealing", sigma0=0.1, lam=4, budget_timesteps=100,
-              master_seed=0)
+        replace(RunSpec(**valid), **bad)
+    with pytest.raises(ValueError):
+        train(kw.pop("env_id"), kw.pop("variant"), **kw)
 
 
 # ------------------------------------------------------------------ curve CSV

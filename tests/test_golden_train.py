@@ -20,7 +20,7 @@ import pytest
 from evolin import (MasterServer, serve_worker, train, train_distributed,
                     write_curve_csv)
 from evolin import evaluate
-from evolin.evaluate import collect_generation, score_candidates
+from evolin.evaluate import RunSpec, collect_generation, score_candidates
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_train.json")
 
@@ -114,5 +114,5 @@ def answer_in_parts(batch):
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_run_answered_in_ranges_matches_fixture(case, monkeypatch, tmp_path) -> None:
     result = run_case(case, monkeypatch, lambda *a, **kw: evaluate._drive(
-        evaluate._run(*a, **kw), answer_in_parts))
+        RunSpec(*a, **kw), answer_in_parts))
     assert_matches_fixture(result, case, tmp_path)
