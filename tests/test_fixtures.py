@@ -19,7 +19,7 @@ def test_make_fixtures_reproduces_every_committed_fixture(tmp_path, monkeypatch)
     monkeypatch.setattr(tool, "FIXTURE_DIR", str(tmp_path))
     assert tool.main() == 0
     names = sorted(os.listdir(FIXTURES))
-    assert sorted(os.listdir(tmp_path)) == names and len(names) == 6
+    assert sorted(os.listdir(tmp_path)) == names and len(names) == 7
     for name in names:
         with open(os.path.join(FIXTURES, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name

@@ -7,8 +7,9 @@ return, timesteps and observation delta (whose count is the timesteps),
 plus the test-probe returns, for a few fixed generations of each
 environment, with every float stored exactly as ``float.hex``, and the
 golden training file: the curve CSV, status, budget spent, final generation
-and best checkpoint of a few whole training runs.  Run from the repository
-root:
+and best checkpoint of a few whole training runs, and the golden optimize
+file: every history row, the status and the best point of a few ``optimize``
+runs.  Run from the repository root:
 
     python3 tools/make_fixtures.py
 """
@@ -25,9 +26,9 @@ import tempfile
 import numpy as np
 
 from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, Shaping,
-                    env_spec, genome_dim, make_env, save_checkpoint,
+                    env_spec, genome_dim, make_env, optimize, save_checkpoint,
                     test_policy, train, write_curve_csv)
-from evolin import evaluate
+from evolin import evaluate, testfuncs
 from evolin.evaluate import evaluate_candidate
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
@@ -232,6 +233,45 @@ def write_golden_train() -> None:
     print("wrote", path)
 
 
+# name, test function and its arguments, variant and optimize() keywords; each
+# case runs once per seed in GOLDEN_OPTIMIZE_SEEDS from m0 = ones(n)
+GOLDEN_OPTIMIZE_CASES = tuple(
+    (f"rotated-ellipsoid-{variant}", "rotated_ellipsoid", dict(n=10, cond=1e6, seed=7),
+     variant, dict(sigma0=1.0, budget_evals=2000))
+    for variant in ("csa", "sep-cma", "cma")) + (
+    ("sphere-cma-target", "sphere", dict(n=10), "cma",
+     dict(sigma0=1.0, budget_evals=2000, target=1e-8)),
+)
+GOLDEN_OPTIMIZE_SEEDS = (0, 1)
+
+
+def history_row(record) -> str:
+    """One ``OptRecord`` as ``generation evals best_f_gen best_f sigma``."""
+    return " ".join([str(record.generation), str(record.evals),
+                     *hexes((record.best_f_gen, record.best_f, record.sigma))])
+
+
+def golden_optimize_case(name, function, args, variant, kwargs, seed) -> dict:
+    """Minimize one test function with the code as it stands and record it."""
+    fn = getattr(testfuncs, function)(**args)
+    result = optimize(fn, variant, np.ones(fn.n), seed=seed, **kwargs)
+    return {"name": name, "function": function, "args": args, "variant": variant,
+            "kwargs": kwargs, "seed": seed, "status": result.status,
+            "evals": result.evals, "best_f": result.best_f.hex(),
+            "best_x": hexes(result.best_x),
+            "history": [history_row(r) for r in result.history]}
+
+
+def write_golden_optimize() -> None:
+    doc = {"cases": [golden_optimize_case(*case, seed) for case in GOLDEN_OPTIMIZE_CASES
+                     for seed in GOLDEN_OPTIMIZE_SEEDS]}
+    path = os.path.join(FIXTURE_DIR, "golden_optimize.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print("wrote", path)
+
+
 def main() -> int:
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     write_trajectory("cartpole", cartpole_actions())
@@ -240,6 +280,7 @@ def main() -> int:
     write_cartpole_checkpoint()
     write_golden_rollouts()
     write_golden_train()
+    write_golden_optimize()
     return 0
 
 
