@@ -1,9 +1,9 @@
 """Evolution-strategy search for single-layer linear control policies."""
 
-from .es import (CSA, SEP_CMA, FULL_CMA, VARIANTS, Candidate, CovTransform,
-                 DistributionState, NumericalDegeneracyError, OptimizeResult,
-                 StrategyParams, ask, candidate_z, cma_popsize, new_strategy,
-                 optimize, rl_popsize, sample, tell, tell_arrays)
+from .es import (CSA, SEP_CMA, FULL_CMA, VARIANTS, Candidate, DistributionState,
+                 NumericalDegeneracyError, OptimizeResult, StrategyParams, ask,
+                 candidate_z, cma_popsize, new_strategy, optimize, rl_popsize,
+                 sample, tell, tell_arrays)
 from .policy import (ActionSpace, Box, Checkpoint, Discrete, LinearPolicy,
                      ObsNormalizer, ProtocolError, act, genome_dim,
                      load_checkpoint, save_checkpoint)

@@ -44,6 +44,9 @@ ENV_DEFAULTS = {
     "pendulum": {"sigma0": 0.1, "lambda": "default", "budget_timesteps": 500_000},
 }
 DEFAULT_SEEDS = [0, 1, 2, 3, 4]
+# a config file's settings, in the order of the summary's ``config`` block
+CONFIG_KEYS = ("env_id", "variant", "sigma0", "lambda", "budget_timesteps", "seeds",
+               "test_every", "threshold", "target_return", "fitness_spec", "output_dir")
 
 
 class CliError(Exception):
@@ -78,12 +81,13 @@ def _parse_seeds(value: str) -> list[int]:
         raise CliError(EXIT_USAGE, f"bad seeds value {value!r}") from None
 
 
-def _check_keys(doc, settings: dict, name: str, partial: bool) -> None:
-    """Refuse a ``doc`` that is not an object, has a key ``settings`` lacks
-    (which from_dict would ignore), or, unless ``partial``, lacks one."""
+def _check_keys(doc, settings, name: str, partial: bool) -> None:
+    """Refuse a ``doc`` that is not an object, has a key not among the
+    ``settings`` names (which the reader would ignore), or, unless
+    ``partial``, lacks one."""
     if not isinstance(doc, dict):
         raise CliError(EXIT_USAGE, f"{name} must be a JSON object")
-    unknown = sorted(doc.keys() - settings.keys())
+    unknown = sorted(doc.keys() - settings)
     if unknown:
         raise CliError(EXIT_USAGE, f"{name}.{unknown[0]} is not a setting; "
                        f"the settings are {', '.join(settings)}")
@@ -106,8 +110,7 @@ def resolve_config(args) -> tuple[list[RunSpec], float, str]:
             raise CliError(EXIT_USAGE, f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(EXIT_USAGE, f"config is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise CliError(EXIT_USAGE, "config must be a JSON object")
+        _check_keys(file_cfg, CONFIG_KEYS, "config", partial=True)
 
     def pick(flag_name, file_name, fallback=None, parse_flag=None):
         flag = getattr(args, flag_name, None)
@@ -137,6 +140,9 @@ def resolve_config(args) -> tuple[list[RunSpec], float, str]:
     if not isinstance(output_dir, str):
         raise CliError(EXIT_USAGE,
                        f"output_dir must be a JSON string, not {output_dir!r}")
+    lam = pick("lam", "lambda", env_defaults["lambda"], _parse_lambda)
+    if lam is None:     # which the library reads as "rl"
+        raise CliError(EXIT_USAGE, "lambda must be an int or a name, not null")
 
     if not seeds:
         raise CliError(EXIT_USAGE, "seed list is empty")
@@ -151,9 +157,8 @@ def resolve_config(args) -> tuple[list[RunSpec], float, str]:
                     partial=False)
     try:
         fitness_spec = FitnessSpec.from_dict({**settings, **spec_doc})
-        template = RunSpec(env_id, pick("variant", "variant"), sigma0,
-                           pick("lam", "lambda", env_defaults["lambda"], _parse_lambda),
-                           budget, seeds[0], fitness_spec, test_every, target)
+        template = RunSpec(env_id, pick("variant", "variant"), sigma0, lam, budget,
+                           seeds[0], fitness_spec, test_every, target)
         runs = [replace(template, master_seed=seed) for seed in seeds]
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
@@ -233,13 +238,10 @@ def run_trials(runs: list[RunSpec], threshold: float, out: str,
     first = runs[0]
     summary = {
         "artifact_version": __version__,
-        "config": {"env_id": first.env_id, "variant": first.variant,
-                   "sigma0": first.sigma0, "lambda": first.lam,
-                   "budget_timesteps": first.budget_timesteps,
-                   "seeds": [run.master_seed for run in runs],
-                   "test_every": first.test_every, "threshold": threshold,
-                   "target_return": first.target_return,
-                   "fitness_spec": first.fitness_spec.to_dict(), "output_dir": out},
+        "config": dict(zip(CONFIG_KEYS, (
+            first.env_id, first.variant, first.sigma0, first.lam, first.budget_timesteps,
+            [run.master_seed for run in runs], first.test_every, threshold,
+            first.target_return, first.fitness_spec.to_dict(), out), strict=True)),
         "resolved_lambda": resolved_lambda,
         "env_id": first.env_id,
         "variant": first.variant,

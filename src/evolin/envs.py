@@ -146,19 +146,6 @@ class _EnvBase:
         raise NotImplementedError
 
 
-class _StateVar:
-    """State variable ``row`` of a batch-of-one env, read and set as a float."""
-
-    def __init__(self, row: int):
-        self.row = row
-
-    def __get__(self, env, owner=None):
-        return self if env is None else float(env._state[self.row, 0])
-
-    def __set__(self, env, value) -> None:
-        env._state[self.row, 0] = value
-
-
 def _check_discrete(action, n: int) -> int:
     a = int(action)
     if a != action or not 0 <= a < n:
@@ -186,8 +173,6 @@ class CartPole(_EnvBase):
     _GRAVITY, _TOTAL_MASS, _LENGTH, _MASSPOLE, _POLEMASS_LENGTH, _TAU = map(
         _f64, (GRAVITY, TOTAL_MASS, LENGTH, MASSPOLE, POLEMASS_LENGTH, TAU))
     _FOUR_THIRDS, _THETA_LIMIT, _X_LIMIT = map(_f64, (4.0 / 3.0, THETA_LIMIT, X_LIMIT))
-
-    _x, _x_dot, _th, _th_dot = (_StateVar(i) for i in range(4))
 
     def initial_state(self, rng):
         return rng.uniform(-0.05, 0.05, size=4)
@@ -279,14 +264,6 @@ class Acrobot(_EnvBase):
     _VEL_LIMITS = tuple(map(_f64, (-MAX_VEL_1, MAX_VEL_1, -MAX_VEL_2, MAX_VEL_2)))
     _GOAL_HEIGHT = _f64(1.0)          # of the tip above the pivot, in link lengths
 
-    @property
-    def _s(self) -> list[float]:
-        return self._state[:, 0].tolist()
-
-    @_s.setter
-    def _s(self, value) -> None:
-        self._state = np.array(value, dtype=float).reshape(4, 1)
-
     def initial_state(self, rng):
         return rng.uniform(-0.1, 0.1, size=4)
 
@@ -369,8 +346,6 @@ class Pendulum(_EnvBase):
     # the step's constant operands (see _EnvBase)
     _SIN_GAIN, _TORQUE_GAIN, _DT, _MAX_SPEED, _NEG_MAX_SPEED = map(
         _f64, (SIN_GAIN, TORQUE_GAIN, DT, MAX_SPEED, -MAX_SPEED))
-
-    _th, _thdot = _StateVar(0), _StateVar(1)
 
     def initial_state(self, rng):
         th = rng.uniform(-math.pi, math.pi)

@@ -9,8 +9,10 @@ Three variants share one parameter set and one state layout:
                  lazily refreshed eigendecomposition.
 
 Sampling is reproducible from ``(master_seed, generation, index)`` and the
-distribution alone: ``sample`` draws any of a generation's candidates as
-``(Z, X)`` arrays, and a row's bits do not depend on the rows drawn with it.
+distribution alone: ``sample(params, state, master_seed, indexes)`` draws
+any of generation ``state.g``'s candidates as ``(Z, X)`` arrays, ``X = m +
+sigma * A Z`` with the state's map A, A A^T = C, and a row's bits do not
+depend on the rows drawn with it; ``ask``'s candidates are its rows.
 Candidate ``i`` of generation ``g`` is drawn from the stream of
 ``np.random.default_rng([master_seed, 0, g, i])``.  Building that
 ``SeedSequence`` and ``PCG64`` costs 13-18 us, ten times the draw itself,
@@ -40,7 +42,7 @@ import numpy as np
 
 __all__ = [
     "CSA", "SEP_CMA", "FULL_CMA", "VARIANTS", "Candidate", "StrategyParams",
-    "DistributionState", "CovTransform", "NumericalDegeneracyError", "rl_popsize",
+    "DistributionState", "NumericalDegeneracyError", "rl_popsize",
     "cma_popsize", "new_strategy", "candidate_z", "sample", "ask", "tell",
     "tell_arrays", "optimize", "OptimizeResult",
 ]
@@ -201,35 +203,20 @@ def new_strategy(
     return params, state
 
 
-@dataclass(frozen=True)
-class CovTransform:
-    """Linear map A with A A^T = C, applied to unit-Gaussian draws.
-
-    Built from the strategy state; ``ask`` maps a generation's draws through
-    it and ``tell`` its selected draws.
-    """
-
-    kind: str                              # "unit" | "diag" | "full"
-    sqrt_diag: np.ndarray | None = None
-    basis: np.ndarray | None = None
-    scale: np.ndarray | None = None
-
-    @staticmethod
-    def from_state(params: StrategyParams, state: DistributionState) -> "CovTransform":
-        if params.variant == CSA:
-            return CovTransform("unit")
-        if params.variant == SEP_CMA:
-            return CovTransform("diag", sqrt_diag=np.sqrt(state.c_diag))
-        return CovTransform("full", basis=state.eig_basis, scale=state.eig_scale)
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "unit":
-            return z.copy()
-        if self.kind == "diag":
-            return self.sqrt_diag * z
-        # one expression for a draw and a stack of draws, so each row gets
-        # the bits of ``basis @ (scale * row)``
-        return np.matmul(self.basis, (self.scale * z)[..., None])[..., 0]
+def _sampling_map(params: StrategyParams, state: DistributionState,
+                  z: np.ndarray) -> np.ndarray:
+    """``A z`` for the state's map A with A A^T = C, over the last axis of a
+    draw or a stack of draws: the identity for ``csa``, sqrt(C) for
+    ``sep-cma`` and B D, the eigenbasis times the root eigenvalues, for
+    ``cma`` (Hansen, arXiv:1604.00772).  ``sample`` maps a generation's
+    draws through it and ``tell`` its selected draws."""
+    if params.variant == CSA:
+        return z
+    if params.variant == SEP_CMA:
+        return np.sqrt(state.c_diag) * z
+    # one expression for a draw and a stack of draws, so each row gets the
+    # bits of ``basis @ (scale * row)``
+    return np.matmul(state.eig_basis, (state.eig_scale * z)[..., None])[..., 0]
 
 
 # NumPy's SeedSequence (NEP 19) hash constants and PCG64's 128-bit multiplier.
@@ -513,18 +500,19 @@ def _draw(master_seed: int, generation: int, indexes, n: int) -> np.ndarray:
     return out
 
 
-def sample(master_seed: int, generation: int, indexes, m: np.ndarray, sigma: float,
-           transform: CovTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Draw candidates ``indexes`` of a generation from their seeds, as
-    ``(Z, X)``: one ``candidate_z`` row per index and ``X = m + sigma * A Z``.
-    A row's bits do not depend on which other indexes are drawn with it.
-    A non-finite ``X``, from non-finite covariance factors or from a step
-    size grown past float range, raises ``NumericalDegeneracyError``."""
-    z = _draw(master_seed, generation, indexes, len(m))
-    x = m + sigma * transform.apply(z)
+def sample(params: StrategyParams, state: DistributionState, master_seed: int,
+           indexes) -> tuple[np.ndarray, np.ndarray]:
+    """Draw candidates ``indexes`` of generation ``state.g`` from their
+    seeds, as ``(Z, X)``: one ``candidate_z`` row per index and
+    ``X = m + sigma * A Z``.  A row's bits do not depend on which other
+    indexes are drawn with it.  A non-finite ``X``, from non-finite
+    covariance factors or from a step size grown past float range, raises
+    ``NumericalDegeneracyError``."""
+    z = _draw(master_seed, state.g, indexes, params.n)
+    x = state.m + state.sigma * _sampling_map(params, state, z)
     if not np.isfinite(x).all():
-        raise NumericalDegeneracyError(f"non-finite candidates at generation {generation}",
-                                       generation)
+        raise NumericalDegeneracyError(f"non-finite candidates at generation {state.g}",
+                                       state.g)
     return z, x
 
 
@@ -539,8 +527,7 @@ def ask(params: StrategyParams, state: DistributionState, master_seed: int) -> l
         raise ValueError("state.sigma must be positive and finite")
     if not np.isfinite(state.m).all():
         raise ValueError("state.m must be finite")
-    z, x = sample(master_seed, state.g, range(params.lam), state.m, state.sigma,
-                  CovTransform.from_state(params, state))
+    z, x = sample(params, state, master_seed, range(params.lam))
     return list(map(Candidate, range(params.lam), z, x))
 
 
@@ -576,7 +563,6 @@ def tell_arrays(params: StrategyParams, state: DistributionState, index: np.ndar
     # mean: weighted recombination of the selected candidates themselves
     m_new = state.m + params.c_m * (w @ (xs - state.m))
 
-    transform = CovTransform.from_state(params, state)
     zw = w @ zs
 
     # step-size path lives in the whitened coordinate system
@@ -591,7 +577,7 @@ def tell_arrays(params: StrategyParams, state: DistributionState, index: np.ndar
     unbias = math.sqrt(1.0 - (1.0 - cs) ** (2 * (state.g + 1)))
     h_sigma = ps_norm / unbias < (1.4 + 2.0 / (n + 1.0)) * params.chi_n
 
-    yw = transform.apply(zw)
+    yw = _sampling_map(params, state, zw)
     cc = params.c_c
     p_c = (1.0 - cc) * state.p_c + h_sigma * math.sqrt(cc * (2.0 - cc) * params.mu_eff) * yw
 
@@ -616,7 +602,7 @@ def tell_arrays(params: StrategyParams, state: DistributionState, index: np.ndar
         # (1 - h_sigma) correction term
         c1 = min(1.0, params.c_1 * (n + 2.0) / 3.0)
         cmu = min(1.0 - c1, params.c_mu * (n + 2.0) / 3.0)
-        ys = transform.sqrt_diag * zs
+        ys = np.sqrt(state.c_diag) * zs
         rank_mu = w @ (ys * ys)
         d_new = (
             (1.0 - c1 - cmu) * state.c_diag

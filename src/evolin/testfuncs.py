@@ -1,12 +1,13 @@
 """Analytic test functions for exercising the search strategies.
 
-All functions are minimization problems with a known optimum. Each callable
-carries its dimension so evaluation can reject malformed inputs early.
+All functions are minimization problems whose minimum, 0, is at the origin.
+Each callable carries its dimension so evaluation can reject malformed
+inputs early.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,8 +32,6 @@ class TestFunction:
     name: str
     n: int
     fn: Callable[[np.ndarray], float]
-    optimum_value: float = 0.0
-    optimum_point: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __call__(self, x: np.ndarray) -> float:
         return eval_test_function(self, x)
@@ -48,13 +47,11 @@ def eval_test_function(fn: TestFunction, x: np.ndarray) -> float:
 def sphere(n: int) -> TestFunction:
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return TestFunction("sphere", n, lambda x: float(np.dot(x, x)),
-                        optimum_point=np.zeros(n))
+    return TestFunction("sphere", n, lambda x: float(np.dot(x, x)))
 
 
 def quadratic2d() -> TestFunction:
-    return TestFunction("quadratic2d", 2, lambda x: float(x @ _QUAD_A @ x),
-                        optimum_point=np.zeros(2))
+    return TestFunction("quadratic2d", 2, lambda x: float(x @ _QUAD_A @ x))
 
 
 def _ellipsoid_coeffs(n: int, cond: float) -> np.ndarray:
@@ -69,8 +66,7 @@ def ellipsoid(n: int, cond: float = 1e6) -> TestFunction:
     if cond < 1:
         raise ValueError("condition number must be >= 1")
     c = _ellipsoid_coeffs(n, cond)
-    return TestFunction("ellipsoid", n, lambda x: float(np.dot(c, x * x)),
-                        optimum_point=np.zeros(n))
+    return TestFunction("ellipsoid", n, lambda x: float(np.dot(c, x * x)))
 
 
 def random_rotation(n: int, seed: int) -> np.ndarray:
@@ -91,7 +87,7 @@ def rotated_ellipsoid(n: int, cond: float = 1e6, seed: int = 0) -> TestFunction:
         y = rot @ x
         return float(np.dot(c, y * y))
 
-    return TestFunction("rotated_ellipsoid", n, f, optimum_point=np.zeros(n))
+    return TestFunction("rotated_ellipsoid", n, f)
 
 
 def rastrigin(n: int) -> TestFunction:
@@ -101,5 +97,5 @@ def rastrigin(n: int) -> TestFunction:
     def f(x: np.ndarray) -> float:
         return float(10.0 * n + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
 
-    return TestFunction("rastrigin", n, f, optimum_point=np.zeros(n))
+    return TestFunction("rastrigin", n, f)
 

@@ -144,7 +144,9 @@ PARTIAL_SHAPING = {"mode": "drop_alive_bonus"}
                                  {"lambda": "4"}, {"threshold": float("inf")},
                                  {"budget_timesteps": 600.0}, {"seeds": [0.0]},
                                  {"fitness_spec": {"shaping": MISTYPED_SHAPING}},
-                                 {"fitness_spec": {"shaping": PARTIAL_SHAPING}}],
+                                 {"fitness_spec": {"shaping": PARTIAL_SHAPING}},
+                                 {"budget": 100}, {"max_generations": 1},
+                                 {"lambda": None}],
                          ids=["not-an-object", "sigma0", "budget", "seeds",
                               "test-every", "target", "fitness-spec",
                               "fractional-seeds", "fractional-budget",
@@ -157,7 +159,8 @@ PARTIAL_SHAPING = {"mode": "drop_alive_bonus"}
                               "string-test-every", "string-seed", "string-threshold",
                               "seeds-string", "string-lambda", "infinite-threshold",
                               "float-budget", "float-seed", "shaping-mistyped-key",
-                              "shaping-missing-key"])
+                              "shaping-missing-key", "unknown-key-budget",
+                              "unknown-key-max-generations", "null-lambda"])
 def test_malformed_config_exits_2_before_training(tmp_path, capsys, doc):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(doc))
@@ -177,6 +180,22 @@ def test_shaping_key_errors_name_the_key(tmp_path, capsys, shaping, key):
     assert run_cli("train", "--config", str(cfg_path), "--env", "cartpole",
                    "--variant", "csa", "--output-dir", str(tmp_path / "run")) == 2
     assert capsys.readouterr().err.startswith(f"error: fitness_spec.shaping.{key} ")
+
+
+@pytest.mark.parametrize("doc,prefix", [({"budget": 100}, "config.budget "),
+                                        ({"max_generations": 1}, "config.max_generations "),
+                                        ({"lambda": None}, "lambda ")],
+                         ids=["budget", "max-generations", "null-lambda"])
+def test_config_errors_name_the_key(tmp_path, capsys, doc, prefix):
+    # a flag's name, a library keyword and a null would otherwise train with
+    # the defaults
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"env_id": "cartpole", "variant": "csa", "seeds": [0],
+                                    **doc}))
+    assert run_cli("train", "--config", str(cfg_path), "--output-dir",
+                   str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_output_dir_that_is_not_a_string_exits_2(tmp_path, tmp_path_factory,

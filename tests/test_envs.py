@@ -138,7 +138,7 @@ def test_cartpole_constant_push_terminates_with_final_reward() -> None:
 def test_cartpole_push_direction_moves_cart() -> None:
     env = make_env("cartpole")
     env.reset(5)
-    x_dot0 = env._x_dot
+    x_dot0 = env._state[1, 0]
     res = env.step(1)
     assert res.obs[1] > x_dot0
     env.reset(5)
@@ -183,7 +183,7 @@ def test_acrobot_state_stays_bounded() -> None:
         assert np.all(np.abs(res.obs[:4]) <= 1.0 + 1e-12)
         assert abs(res.obs[4]) <= 4 * math.pi
         assert abs(res.obs[5]) <= 9 * math.pi
-        assert abs(env._s[0]) <= math.pi and abs(env._s[1]) <= math.pi
+        assert abs(env._state[0, 0]) <= math.pi and abs(env._state[1, 0]) <= math.pi
         if res.terminated or res.truncated:
             break
 
@@ -247,7 +247,7 @@ def test_terminal_over_a_recorded_trajectory_matches_step_flags(env_id) -> None:
         env.reset(lane)
         if env_id == "acrobot" and lane % 2:
             # just below the goal height, so some torques end the episode
-            env._s = [math.pi - 0.1 - 0.01 * lane, 0.0, 2.0, 0.0]
+            env._state[:, 0] = [math.pi - 0.1 - 0.01 * lane, 0.0, 2.0, 0.0]
         for t in range(steps):
             res = env.step(int(rng.integers(env.spec.action_space.n)))
             states[:, t, lane] = env._state[:, 0]
@@ -267,9 +267,9 @@ def test_acrobot_terminal_pays_zero_and_matches_height() -> None:
     # plant the state just below the target height so one torque kick ends it
     env = make_env("acrobot")
     env.reset(2)
-    env._s = [math.pi - 0.12, 0.0, 2.0, 0.0]
+    env._state[:, 0] = [math.pi - 0.12, 0.0, 2.0, 0.0]
     res = env.step(2)
-    th1, th2 = env._s[0], env._s[1]
+    th1, th2 = env._state[0, 0], env._state[1, 0]
     reached = -math.cos(th1) - math.cos(th2 + th1) > 1.0
     assert res.terminated == reached
     assert res.terminated
@@ -295,8 +295,8 @@ def test_acrobot_return_range_under_random_play() -> None:
 def test_pendulum_upright_rest_is_fixed_point() -> None:
     env = make_env("pendulum")
     env.reset(0)
-    env._th = 0.0
-    env._thdot = 0.0
+    env._state[0, 0] = 0.0
+    env._state[1, 0] = 0.0
     res = env.step([0.0])
     assert res.reward == 0.0
     np.testing.assert_array_equal(res.obs, [1.0, 0.0, 0.0])
@@ -327,8 +327,8 @@ def test_pendulum_torque_is_clipped() -> None:
 def test_pendulum_cost_components() -> None:
     env = make_env("pendulum")
     env.reset(0)
-    env._th = math.pi / 2
-    env._thdot = 1.0
+    env._state[0, 0] = math.pi / 2
+    env._state[1, 0] = 1.0
     res = env.step([1.0])
     expect = -((math.pi / 2) ** 2 + 0.1 * 1.0 + 0.001 * 1.0)
     assert abs(res.reward - expect) < 1e-12
@@ -337,10 +337,10 @@ def test_pendulum_cost_components() -> None:
 def test_pendulum_max_torque_spins_up_from_rest() -> None:
     env = make_env("pendulum")
     env.reset(0)
-    env._th = math.pi  # hanging straight down
-    env._thdot = 0.0
+    env._state[0, 0] = math.pi  # hanging straight down
+    env._state[1, 0] = 0.0
     env.step([2.0])
-    assert abs(env._thdot) > 0.0
+    assert abs(env._state[1, 0]) > 0.0
 
 
 # ----------------------------------------------------- trajectory determinism

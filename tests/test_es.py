@@ -7,7 +7,7 @@ import pytest
 from evolin import (CSA, SEP_CMA, FULL_CMA, VARIANTS, NumericalDegeneracyError,
                     ask, cma_popsize, new_strategy, optimize, rl_popsize,
                     sample, tell, tell_arrays)
-from evolin.es import Candidate, CovTransform, candidate_z
+from evolin.es import Candidate, candidate_z
 from evolin.testfuncs import ellipsoid, sphere
 
 
@@ -173,8 +173,7 @@ def test_sample_matches_ask_rows(indexes) -> None:
     for variant in VARIANTS:
         params, state = make_random_tell_inputs(rng, variant, 6, 8)
         cands = ask(params, state, 2024)
-        z, x = sample(2024, state.g, indexes, state.m, state.sigma,
-                      CovTransform.from_state(params, state))
+        z, x = sample(params, state, 2024, indexes)
         assert z.shape == x.shape == (len(indexes), params.n)
         for row, i in enumerate(indexes):
             assert cands[i].index == i
@@ -189,8 +188,10 @@ def test_candidate_z_rejects_bad_seed() -> None:
                        (0, 0, np.True_), (0, 0, np.int64(-1))):
         with pytest.raises(ValueError):
             candidate_z(seed, g, i, 3)
+    params, state = new_strategy(CSA, 3, 1.0)
+    state.g = 1
     with pytest.raises(ValueError):
-        sample(5, 1, np.array([0.5, 1.5]), np.zeros(3), 1.0, CovTransform("unit"))
+        sample(params, state, 5, np.array([0.5, 1.5]))
     # numpy integers are read as the ints they hold
     assert candidate_z(0, np.uint64(2), np.int32(3), 3).tobytes() == \
         candidate_z(0, 2, 3, 3).tobytes()
@@ -375,8 +376,10 @@ def test_tell_arrays_equals_list_tell(variant, mode, fitness) -> None:
 
 
 def test_sample_raises_on_overflowing_rows() -> None:
+    params, state = new_strategy(SEP_CMA, 3, 1e308)
+    state.g, state.c_diag = 5, np.full(3, 1e20)
     with pytest.raises(NumericalDegeneracyError) as err, np.errstate(over="ignore"):
-        sample(0, 5, range(4), np.zeros(3), 1e308, CovTransform("diag", sqrt_diag=np.full(3, 1e10)))
+        sample(params, state, 0, range(4))
     assert err.value.generation == 5
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from evolin import es
-from evolin.es import CovTransform, candidate_z, sample
+from evolin.es import candidate_z, new_strategy, sample
 
 LENGTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128)
 
@@ -78,22 +78,32 @@ def test_stacked_matmul_equals_per_row_matmul(act_dim, obs_dim) -> None:
 
 @pytest.mark.parametrize("n", [3, 8, 10, 18])
 def test_full_covariance_transform_equals_per_row_product(n) -> None:
-    # ask and tell both map draws through CovTransform.apply; a
+    # sample and tell both map draws through es._sampling_map; a
     # stack of draws must give each row the bits of the 1-D product
     rng = np.random.default_rng(n)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     scale = np.sqrt(rng.uniform(1e-3, 1e3, n))
-    transform = CovTransform("full", basis=basis, scale=scale)
+    params, state = new_strategy("cma", n, 1.0)
+    state.eig_basis, state.eig_scale = basis, scale
     for lanes in (1, 2, 3, 10, 32, 33):
         z = rng.standard_normal((lanes, n))
         rows = np.stack([basis @ (scale * z[i]) for i in range(lanes)])
-        assert transform.apply(z).tobytes() == rows.tobytes(), f"{lanes} lanes"
+        assert es._sampling_map(params, state, z).tobytes() == rows.tobytes(), \
+            f"{lanes} lanes"
         for i in range(lanes):
-            assert transform.apply(z[i]).tobytes() == rows[i].tobytes()
+            assert es._sampling_map(params, state, z[i]).tobytes() == rows[i].tobytes()
 
 
 def reference_z(seed: int, generation: int, index: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, 0, generation, index]).standard_normal(n)
+
+
+def unit_sample(seed: int, generation: int, indexes, n: int):
+    """``sample``'s ``(Z, X)`` from a ``csa`` state at the origin with unit
+    step size, whose ``X`` is its ``Z``."""
+    params, state = new_strategy("csa", n, 1.0)
+    state.g = generation
+    return sample(params, state, seed, indexes)
 
 
 SEEDS = (lambda r: 0, lambda r: 1, lambda r: r.randrange(2, 2**32),
@@ -115,14 +125,13 @@ def test_candidate_z_equals_default_rng_stream() -> None:
 
 def test_sample_rows_equal_default_rng_streams() -> None:
     r = random.Random(20240212)
-    unit = CovTransform("unit")
     for case in range(60):
         seed, g = r.choice(SEEDS)(r), r.choice(COUNTERS)(r)
         n = r.choice((3, 8, 10, 18))
         indexes = r.sample(range(40), r.randrange(1, 12))     # ragged, unordered
         if case % 3 == 0:
             indexes.append(r.choice(COUNTERS)(r))
-        z, x = sample(seed, g, indexes, np.zeros(n), 1.0, unit)
+        z, x = unit_sample(seed, g, indexes, n)
         want = np.stack([reference_z(seed, g, i, n) for i in indexes])
         assert z.tobytes() == want.tobytes() == x.tobytes(), \
             f"case {case}: seed {seed}, generation {g}, indexes {indexes}"
@@ -136,7 +145,7 @@ def test_sample_rows_equal_default_rng_streams() -> None:
         indexes = [r.randrange(2**32), r.randrange(2**32, 2**64), r.randrange(2**64, 2**96)]
         indexes += [r.choice(COUNTERS)(r) for _ in range(r.randrange(1, 126))]
         r.shuffle(indexes)
-        z, x = sample(seed, g, indexes, np.zeros(n), 1.0, unit)
+        z, x = unit_sample(seed, g, indexes, n)
         want = np.stack([reference_z(seed, g, i, n) for i in indexes])
         assert z.tobytes() == want.tobytes() == x.tobytes(), \
             f"case {case}: seed {seed}, generation {g}, {len(indexes)} indexes"
@@ -147,7 +156,7 @@ def test_sample_rows_equal_default_rng_streams() -> None:
 def test_concurrent_samples_keep_their_streams() -> None:
     # in-process workers draw from threads; one thread's draw must never
     # load or consume another's generator state
-    unit, n, indexes = CovTransform("unit"), 10, range(12)
+    n, indexes = 10, range(12)
     runs = {key: np.stack([reference_z(*key, i, n) for i in indexes]).tobytes()
             for key in ((7, 3), (2**40 + 1, 2**33), (2**64 - 1, 0))}
     start = threading.Barrier(len(runs), timeout=60)
@@ -156,7 +165,7 @@ def test_concurrent_samples_keep_their_streams() -> None:
     def draw(seed, g):
         start.wait()
         for _ in range(300):
-            z, _ = sample(seed, g, indexes, np.zeros(n), 1.0, unit)
+            z, _ = unit_sample(seed, g, indexes, n)
             if z.tobytes() != runs[seed, g]:
                 wrong.append((seed, g))
 
@@ -193,7 +202,7 @@ def test_setter_fallback_keeps_the_streams(monkeypatch) -> None:
     def draw():
         got["writer"] = es._thread_generator()[0]
         got["z"] = [candidate_z(*case) for case in cases]
-        got["sample"], _ = sample(*key, indexes, np.zeros(10), 1.0, CovTransform("unit"))
+        got["sample"], _ = unit_sample(*key, indexes, 10)
 
     monkeypatch.setattr(sys, "byteorder", "big")
     thread = threading.Thread(target=draw)
