@@ -10,12 +10,14 @@ missing inputs); 3 unwritable output directory; 4 network bind/connect failure.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
 import re
 import statistics
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from .envs import ENV_IDS, env_spec
 from .es import CSA, FULL_CMA, SEP_CMA, VARIANTS, optimize
 from .evaluate import (TEST_EPISODES, FitnessSpec, RunSpec, _drive, evaluate_generation,
                        read_curve_csv, test_policy, write_curve_csv)
-from .policy import _count, _real, load_checkpoint, save_checkpoint
+from .policy import _count, _keys, _real, load_checkpoint, save_checkpoint
 from .testfuncs import quadratic2d, rotated_ellipsoid, sphere
 
 EXIT_FAIL = 1
@@ -81,21 +83,6 @@ def _parse_seeds(value: str) -> list[int]:
         raise CliError(EXIT_USAGE, f"bad seeds value {value!r}") from None
 
 
-def _check_keys(doc, settings, name: str, partial: bool) -> None:
-    """Refuse a ``doc`` that is not an object, has a key not among the
-    ``settings`` names (which the reader would ignore), or, unless
-    ``partial``, lacks one."""
-    if not isinstance(doc, dict):
-        raise CliError(EXIT_USAGE, f"{name} must be a JSON object")
-    unknown = sorted(doc.keys() - settings)
-    if unknown:
-        raise CliError(EXIT_USAGE, f"{name}.{unknown[0]} is not a setting; "
-                       f"the settings are {', '.join(settings)}")
-    missing = [key for key in settings if key not in doc]
-    if missing and not partial:
-        raise CliError(EXIT_USAGE, f"{name}.{missing[0]} is missing")
-
-
 def resolve_config(args) -> tuple[list[RunSpec], float, str]:
     """Merge env defaults, config file, and flags (flags win) into a
     ``RunSpec`` template; return one checked ``replace(template,
@@ -106,11 +93,13 @@ def resolve_config(args) -> tuple[list[RunSpec], float, str]:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
+            _keys(file_cfg, CONFIG_KEYS, "config", partial=True)
         except OSError as exc:
             raise CliError(EXIT_USAGE, f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(EXIT_USAGE, f"config is not valid JSON: {exc}") from exc
-        _check_keys(file_cfg, CONFIG_KEYS, "config", partial=True)
+        except ValueError as exc:
+            raise CliError(EXIT_USAGE, str(exc)) from exc
 
     def pick(flag_name, file_name, fallback=None, parse_flag=None):
         flag = getattr(args, flag_name, None)
@@ -125,15 +114,9 @@ def resolve_config(args) -> tuple[list[RunSpec], float, str]:
     env_defaults = ENV_DEFAULTS[env_id]
     seeds = pick("seeds", "seeds", DEFAULT_SEEDS, _parse_seeds)
     try:
-        sigma0 = _real(pick("sigma0", "sigma0", env_defaults["sigma0"]), "sigma0")
-        budget = _count(pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]),
-                        "budget_timesteps", 1)
         seeds = [_count(seed, "seeds") for seed in seeds]
-        test_every = _count(pick("test_every", "test_every", 1), "test_every")
         threshold = _real(pick("threshold", "threshold",
                                env_spec(env_id).solved_threshold), "threshold")
-        target = pick("target_return", "target_return")
-        target = None if target is None else _real(target, "target_return")
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad config value: {exc}") from exc
     output_dir = pick("output_dir", "output_dir", default_output_dir())
@@ -150,15 +133,15 @@ def resolve_config(args) -> tuple[list[RunSpec], float, str]:
         raise CliError(EXIT_USAGE, f"seed list {seeds} repeats a seed")
 
     spec_doc = file_cfg.get("fitness_spec", {})
-    settings = FitnessSpec().to_dict()
-    _check_keys(spec_doc, settings, "fitness_spec", partial=True)
-    if "shaping" in spec_doc:
-        _check_keys(spec_doc["shaping"], settings["shaping"], "fitness_spec.shaping",
-                    partial=False)
+    if isinstance(spec_doc, dict):      # missing keys take the defaults
+        spec_doc = {**FitnessSpec().to_dict(), **spec_doc}
     try:
-        fitness_spec = FitnessSpec.from_dict({**settings, **spec_doc})
-        template = RunSpec(env_id, pick("variant", "variant"), sigma0, lam, budget,
-                           seeds[0], fitness_spec, test_every, target)
+        template = RunSpec(
+            env_id, pick("variant", "variant"),
+            pick("sigma0", "sigma0", env_defaults["sigma0"]), lam,
+            pick("budget", "budget_timesteps", env_defaults["budget_timesteps"]),
+            seeds[0], FitnessSpec.from_dict(spec_doc),
+            pick("test_every", "test_every", 1), pick("target_return", "target_return"))
         runs = [replace(template, master_seed=seed) for seed in seeds]
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
@@ -483,21 +466,18 @@ def find_curves(run_dir: str) -> dict[str, dict[str, list[str]]]:
 
 
 def step_values(records, grid: list[int]) -> list[float]:
-    """Sample a curve on ``grid`` by last-value-carried-forward."""
+    """Sample a curve on ``grid`` by last-value-carried-forward, NaN before
+    its first record: a run has no return at a timestep it had not reached."""
     steps = [r.cumulative_timesteps for r in records]
-    values = [r.median_test_return for r in records]
-    out = []
-    j = -1
-    for t in grid:
-        while j + 1 < len(steps) and steps[j + 1] <= t:
-            j += 1
-        out.append(values[max(j, 0)])
-    return out
+    return [records[i - 1].median_test_return if i else math.nan
+            for i in (bisect.bisect_right(steps, t) for t in grid)]
 
 
 def aggregate_env(curves: dict[str, list[str]]) -> tuple[list[int], dict]:
-    """Median and spread of each variant's curves on their shared step grid.
-    A curve with no records (a run that ended at generation 0) is skipped."""
+    """Median and spread of each variant's curves on their shared step grid,
+    over the curves with a record at or before each point (NaN where none
+    has).  A curve with no records (a run that ended at generation 0) is
+    skipped."""
     per_variant = {}
     grid_points: set[int] = set()
     for variant, paths in curves.items():
@@ -515,10 +495,10 @@ def aggregate_env(curves: dict[str, list[str]]) -> tuple[list[int], dict]:
     table = {}
     for variant, series in per_variant.items():
         sampled = np.array([step_values(records, grid) for records in series])
-        table[variant] = {
-            "median": np.median(sampled, axis=0),
-            "std": np.std(sampled, axis=0),
-        }
+        with warnings.catch_warnings():     # a column of NaN is NaN, silently
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table[variant] = {"median": np.nanmedian(sampled, axis=0),
+                              "std": np.nanstd(sampled, axis=0)}
     return grid, table
 
 

@@ -24,7 +24,6 @@ and the command line's trials all build and ``_run`` reads.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -35,8 +34,8 @@ import numpy as np
 from .envs import env_spec, make_env
 from .es import (NumericalDegeneracyError, StrategyParams, DistributionState,
                  _check_seed, ask, new_strategy, tell)
-from .policy import (Box, Checkpoint, LinearPolicy, ObsNormalizer, act_batch,
-                     chan_merge, genome_dim, welford_update)
+from .policy import (Box, Checkpoint, LinearPolicy, ObsNormalizer, _count, _keys,
+                     _real, act_batch, chan_merge, genome_dim, welford_update)
 
 __all__ = [
     "Shaping",
@@ -82,12 +81,9 @@ class Shaping:
     def __post_init__(self):
         if self.mode not in ("identity", "drop_alive_bonus"):
             raise ValueError(f"unknown shaping mode: {self.mode!r}")
-        if (isinstance(self.bonus, bool) or not isinstance(self.bonus, (int, float))
-                or not math.isfinite(self.bonus)):
-            raise ValueError(f"shaping bonus must be a finite number, not {self.bonus!r}")
+        object.__setattr__(self, "bonus", _real(self.bonus, "shaping bonus"))
         if self.mode == "identity" and self.bonus != 0:
             raise ValueError(f"shaping mode 'identity' takes no bonus, not {self.bonus!r}")
-        object.__setattr__(self, "bonus", float(self.bonus))
 
 
 @dataclass(frozen=True)
@@ -97,9 +93,7 @@ class FitnessSpec:
     common_random_numbers: bool = True
 
     def __post_init__(self):
-        if type(self.train_episodes) is not int or self.train_episodes < 1:
-            raise ValueError("train_episodes must be an int >= 1, "
-                             f"not {self.train_episodes!r}")
+        _count(self.train_episodes, "train_episodes", 1)
         if not isinstance(self.common_random_numbers, bool):
             raise ValueError("common_random_numbers must be a bool, "
                              f"not {self.common_random_numbers!r}")
@@ -113,8 +107,12 @@ class FitnessSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FitnessSpec":
-        """Inverse of ``to_dict``: values are checked, not coerced.  Other
-        keys are ignored."""
+        """Inverse of ``to_dict``, the one reader of a fitness spec in a config
+        file or a TASK.  Values are checked, not coerced; the keys must be
+        ``to_dict``'s, the shaping's too."""
+        settings = FitnessSpec().to_dict()
+        _keys(d, settings, "fitness_spec")
+        _keys(d["shaping"], settings["shaping"], "fitness_spec.shaping")
         return FitnessSpec(d["train_episodes"],
                            Shaping(d["shaping"]["mode"], d["shaping"]["bonus"]),
                            d["common_random_numbers"])
@@ -469,9 +467,6 @@ class TrainRecord:
 
 @dataclass
 class TrainResult:
-    env_id: str
-    variant: str
-    master_seed: int
     status: str                       # budget_exhausted | target_reached | degenerate
     records: list[TrainRecord]
     best: Checkpoint | None
@@ -482,10 +477,11 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Every setting of one training run.  The constructor checks the env,
-    variant, ``sigma0``, ``lam``, ``master_seed`` and ``test_every`` by
-    building generation zero, so ``replace`` checks again.  A None
-    ``fitness_spec`` is the default ``FitnessSpec``."""
+    """Every setting of one training run.  The constructor checks each field
+    through ``policy``'s readers (counts must be Python ints >= 1) and by
+    building generation zero, so ``replace`` checks again; ValueError names
+    the setting.  A None ``target_return`` or ``max_generations`` sets no
+    limit; a None ``fitness_spec`` is the default ``FitnessSpec``."""
 
     env_id: str
     variant: str
@@ -499,15 +495,24 @@ class RunSpec:
     max_generations: int | None = None
 
     def __post_init__(self):
-        self.start()
+        _count(self.budget_timesteps, "budget_timesteps", 1)
+        _count(self.test_every, "test_every", 1)
+        if self.max_generations is not None:
+            _count(self.max_generations, "max_generations", 1)
+        object.__setattr__(self, "sigma0", _real(self.sigma0, "sigma0"))
+        if self.target_return is not None:
+            object.__setattr__(self, "target_return",
+                               _real(self.target_return, "target_return"))
         if self.fitness_spec is None:
             object.__setattr__(self, "fitness_spec", FitnessSpec())
+        elif not isinstance(self.fitness_spec, FitnessSpec):
+            raise ValueError("fitness_spec must be a FitnessSpec, "
+                             f"not {self.fitness_spec!r}")
+        _check_seed(self.master_seed)
+        self.start()
 
     def start(self) -> tuple:
         """Generation zero: ``(env spec, params, state)``."""
-        if self.test_every < 1:
-            raise ValueError("test_every must be >= 1")
-        _check_seed(self.master_seed)
         spec = env_spec(self.env_id)
         n = genome_dim(spec.obs_dim, spec.action_space)
         return (spec, *new_strategy(self.variant, n, self.sigma0, np.zeros(n), self.lam))
@@ -551,9 +556,6 @@ def _run(spec: RunSpec, on_generation: Callable | None = None
     the previous generation owes, takes back its ``GenerationEval`` and
     returns the ``TrainResult``."""
     env, params, state = spec.start()
-    env_id, master_seed, fitness_spec = spec.env_id, spec.master_seed, spec.fitness_spec
-    budget_timesteps, test_every = spec.budget_timesteps, spec.test_every
-    target_return, max_generations = spec.target_return, spec.max_generations
     normalizer = ObsNormalizer.create(env.obs_dim)
     records: list[TrainRecord] = []
     best: Checkpoint | None = None
@@ -575,24 +577,24 @@ def _run(spec: RunSpec, on_generation: Callable | None = None
                                    best_fitness, sigma))
         if median > best_median:
             best_median = median
-            best = Checkpoint(env_id, state.m.copy(), normalizer.frozen_view(),
-                              generation, master_seed)
-        return target_return is not None and median >= target_return
+            best = Checkpoint(spec.env_id, state.m.copy(), normalizer.frozen_view(),
+                              generation, spec.master_seed)
+        return spec.target_return is not None and median >= spec.target_return
 
-    while cumulative < budget_timesteps:
-        if max_generations is not None and state.g >= max_generations:
+    while cumulative < spec.budget_timesteps:
+        if spec.max_generations is not None and state.g >= spec.max_generations:
             break
         gen = state.g
         if on_generation is not None:
             on_generation(params, state)
         try:
-            cands = ask(params, state, master_seed)
+            cands = ask(params, state, spec.master_seed)
         except NumericalDegeneracyError:
             status = "degenerate"
             break
-        result = yield Batch(env_id, master_seed, gen, range(params.lam),
+        result = yield Batch(spec.env_id, spec.master_seed, gen, range(params.lam),
                              np.array([c.x for c in cands]), state.m,
-                             normalizer.copy(), fitness_spec,
+                             normalizer.copy(), spec.fitness_spec,
                              None if owed is None else owed[0])
         if owed is not None and settle(result.probe_returns):
             status = "target_reached"
@@ -606,17 +608,17 @@ def _run(spec: RunSpec, on_generation: Callable | None = None
         except NumericalDegeneracyError:
             status = "degenerate"
             break
-        if gen % test_every == 0:
+        if gen % spec.test_every == 0:
             owed = (gen, cumulative, float(np.max(result.fitnesses)), state.sigma)
 
     if owed is not None:
         policy = LinearPolicy.from_genome(state.m, env.obs_dim, env.action_space)
-        _, returns = test_policy(policy, normalizer, env_id, master_seed, owed[0])
+        _, returns = test_policy(policy, normalizer, spec.env_id, spec.master_seed,
+                                 owed[0])
         if settle(returns):
             status = "target_reached"
 
-    return TrainResult(env_id, spec.variant, master_seed, status, records, best,
-                       cumulative, params, state)
+    return TrainResult(status, records, best, cumulative, params, state)
 
 
 CURVE_COLUMNS = ("generation", "cumulative_timesteps", "median_test_return",

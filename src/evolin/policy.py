@@ -7,11 +7,11 @@ logit through tanh and rescale into the bounds.  Observation statistics are
 tracked online (Welford) and can be merged across workers, so distributed
 and local runs see identical normalization.
 
-``_real``, ``_count``, ``_column`` and ``ObsNormalizer.from_dict`` are the
-only code that turns parsed JSON from a config file, a checkpoint or a
-message into numbers.  Values are checked, not coerced: a string, a bool, a
-non-finite real or a whole-number float where an int belongs raises
-``ProtocolError``, a ``ValueError``.
+``_real``, ``_count``, ``_column``, ``_keys`` and ``ObsNormalizer.from_dict``
+are the only code that checks parsed JSON from a config file, a checkpoint
+or a message, and a run's settings (``evaluate.RunSpec``).  Values are
+checked, not coerced: a string, a bool, a non-finite real or a whole-number
+float where an int belongs raises ``ProtocolError``, a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _ONE = _f64(1.0)
 
 
 class ProtocolError(ValueError):
-    """A file or a peer sent data this end cannot act on."""
+    """A file, a peer or a caller sent data this end cannot act on."""
 
 
 def _real(value, what: str) -> float:
@@ -76,6 +76,21 @@ def _count(value, what: str, low: int = 0, high: float = math.inf) -> int:
     if type(value) is not int or not low <= value <= high:
         raise ProtocolError(f"{what} must be an int in [{low}, {high}], not {value!r}")
     return value
+
+
+def _keys(doc, settings, name: str, partial: bool = False) -> None:
+    """Refuse a ``doc`` that is not an object, has a key not among the
+    ``settings`` names (which a reader would ignore), or, unless ``partial``,
+    lacks one."""
+    if not isinstance(doc, dict):
+        raise ProtocolError(f"{name} must be a JSON object")
+    unknown = sorted(doc.keys() - settings)
+    if unknown:
+        raise ProtocolError(f"{name}.{unknown[0]} is not a setting; "
+                            f"the settings are {', '.join(settings)}")
+    missing = [key for key in settings if key not in doc]
+    if missing and not partial:
+        raise ProtocolError(f"{name}.{missing[0]} is missing")
 
 
 def _column(doc: dict, key: str, rows: int, width: int | None = None,

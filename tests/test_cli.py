@@ -462,9 +462,10 @@ def test_eval_fixture_checkpoint_scores_500(capsys):
 
 
 def oracle_fill(records, grid):
+    # NaN before the curve's first record
     out = []
     for t in grid:
-        value = records[0].median_test_return
+        value = math.nan
         for r in records:
             if r.cumulative_timesteps <= t:
                 value = r.median_test_return
@@ -492,8 +493,29 @@ def test_plot_data_matches_independent_recomputation(tmp_path):
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
         assert int(cells[0]) == grid[i]
-        assert abs(float(cells[med_col]) - np.median(filled[:, i])) <= 1e-9
-        assert abs(float(cells[std_col]) - np.std(filled[:, i])) <= 1e-9
+        assert abs(float(cells[med_col]) - np.nanmedian(filled[:, i])) <= 1e-9
+        assert abs(float(cells[std_col]) - np.nanstd(filled[:, i])) <= 1e-9
+
+
+def test_plot_data_counts_a_curve_only_from_its_first_record(tmp_path, recwarn):
+    def curve(name, points):
+        write_curve_csv(str(tmp_path / name),
+                        [TrainRecord(g, step, value, [value] * 5, value, 0.1)
+                         for g, (step, value) in enumerate(points)])
+
+    curve("cartpole_csa_seed0.csv", [(100, 10.0), (300, 20.0)])
+    curve("cartpole_csa_seed1.csv", [(200, 500.0)])
+    curve("cartpole_cma_seed0.csv", [(300, 7.0)])
+    assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 0
+    # csa at 100: seed0 alone, 10.0; at 200: median of 10 and 500 is 255,
+    # std 245; at 300: median of 20 and 500 is 260, std 240.  cma has no
+    # value before 300
+    assert (tmp_path / "cartpole_aggregate.csv").read_text().splitlines() == [
+        "cumulative_timesteps,csa_median,csa_std,cma_median,cma_std",
+        "100,10.0,0.0,nan,nan",
+        "200,255.0,245.0,nan,nan",
+        "300,260.0,240.0,7.0,0.0"]
+    assert not recwarn.list
 
 
 def test_plot_data_single_trial_has_zero_std(tmp_path):

@@ -437,9 +437,12 @@ def test_worker_says_bye_on_malformed_task_range(edit, owed):
                                   {"train_episodes": True},
                                   {"shaping": {"mode": "drop_alive_bonus", "bonus": "nan"}},
                                   {"shaping": {"mode": 1, "bonus": 0.0}},
-                                  {"shaping": {"mode": "identity", "bonus": 5.0}}],
+                                  {"shaping": {"mode": "identity", "bonus": 5.0}},
+                                  {"note": None},
+                                  {"shaping": {"mode": "drop_alive_bonus"}}],
                          ids=["string-crn", "fractional-episodes", "bool-episodes",
-                              "string-bonus", "number-mode", "identity-bonus"])
+                              "string-bonus", "number-mode", "identity-bonus",
+                              "extra-key", "shaping-without-bonus"])
 def test_worker_says_bye_on_a_malformed_fitness_spec(spec):
     reply, reason = worker_replies_to_task(
         lambda t, lam: dict(t, fitness_spec={**t["fitness_spec"], **spec}))
@@ -971,7 +974,17 @@ def test_train_distributed_validates_worker_count():
 @pytest.mark.parametrize("bad", [{"test_every": 0}, {"env_id": "walker"},
                                  {"variant": "bfgs"}, {"sigma0": -1.0},
                                  {"lam": 1}, {"master_seed": -1},
-                                 {"wait_timeout": float("nan")}],
+                                 {"wait_timeout": float("nan")},
+                                 *(pytest.param({key: value}, id=f"{key}={value!r}")
+                                   for key, value in [
+                                       ("budget_timesteps", -1), ("budget_timesteps", 0),
+                                       ("budget_timesteps", 300.5),
+                                       ("budget_timesteps", "300"),
+                                       ("max_generations", -1), ("max_generations", 1.5),
+                                       ("test_every", 2.5), ("test_every", True),
+                                       ("target_return", float("nan")),
+                                       ("sigma0", True),
+                                       ("fitness_spec", {"train_episodes": 1})])],
                          ids=lambda bad: next(iter(bad)))
 def test_train_distributed_validates_arguments_before_waiting(bad):
     kw = {"env_id": "cartpole", "variant": CSA, "wait_timeout": 5.0, **TRAIN_KW, **bad}

@@ -17,7 +17,7 @@ from evolin.evaluate import (RunSpec, collect_generation, evaluate_candidate,
                              evaluate_generation, run_episodes,
                              train_episode_seed)
 from evolin.evaluate import test_episode_seed as probe_episode_seed
-from evolin.policy import Discrete, act, act_batch, genome_dim
+from evolin.policy import Discrete, ProtocolError, act, act_batch, genome_dim
 
 
 def zero_policy(env_id: str) -> LinearPolicy:
@@ -36,13 +36,15 @@ def test_shaping_modes() -> None:
         Shaping("raise_alive_bonus")
 
 
-def test_fitness_spec_from_dict_round_trips_and_ignores_other_keys() -> None:
-    # a TASK's fitness spec before protocol 7 also held test_episodes
+def test_fitness_spec_from_dict_round_trips_and_refuses_other_keys() -> None:
     spec = FitnessSpec(train_episodes=3, shaping=Shaping("drop_alive_bonus", 0.5),
                        common_random_numbers=False)
     assert FitnessSpec.from_dict(spec.to_dict()) == spec
-    assert FitnessSpec.from_dict({**spec.to_dict(), "test_episodes": 5,
-                                  "note": None}) == spec
+    # a key the reader would ignore, or one it lacks, is refused by name
+    with pytest.raises(ProtocolError, match="fitness_spec.test_episodes "):
+        FitnessSpec.from_dict({**spec.to_dict(), "test_episodes": 5})
+    with pytest.raises(ProtocolError, match="fitness_spec.shaping.bonus "):
+        FitnessSpec.from_dict({**spec.to_dict(), "shaping": {"mode": "identity"}})
 
 
 def test_drop_alive_bonus_zeroes_survival_returns() -> None:
@@ -504,6 +506,32 @@ def test_train_rejects_test_every_below_one_before_any_rollout(monkeypatch, test
     with pytest.raises(ValueError, match="test_every"):
         train("cartpole", CSA, sigma0=0.1, lam=4, budget_timesteps=1000,
               master_seed=0, test_every=test_every)
+
+
+# settings the loop once took as they came: it trained on them or died
+# inside its first generation
+@pytest.mark.parametrize("bad", [
+    pytest.param({"budget_timesteps": -1}, id="budget-negative"),
+    pytest.param({"budget_timesteps": 0}, id="budget-zero"),
+    pytest.param({"budget_timesteps": 300.5}, id="budget-fractional"),
+    pytest.param({"budget_timesteps": "300"}, id="budget-string"),
+    pytest.param({"max_generations": -1}, id="max-generations-negative"),
+    pytest.param({"max_generations": 1.5}, id="max-generations-fractional"),
+    pytest.param({"test_every": 2.5}, id="test-every-fractional"),
+    pytest.param({"test_every": True}, id="test-every-bool"),
+    pytest.param({"test_every": 0}, id="test-every-zero"),
+    pytest.param({"target_return": math.nan}, id="target-nan"),
+    pytest.param({"sigma0": True}, id="sigma0-bool"),
+    pytest.param({"fitness_spec": {"train_episodes": 1}}, id="fitness-spec-dict"),
+])
+def test_train_refuses_a_bad_setting_by_name_before_any_generation(monkeypatch, bad) -> None:
+    def no_generation(*args, **kwargs):
+        raise AssertionError("no generation may start")
+
+    monkeypatch.setattr(evaluate, "run_episodes", no_generation)
+    settings = {"sigma0": 0.1, "lam": 4, "budget_timesteps": 300, "master_seed": 0, **bad}
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
+        train("cartpole", CSA, on_generation=no_generation, **settings)
 
 
 @pytest.mark.parametrize("variant", [SEP_CMA, FULL_CMA])
