@@ -10,10 +10,10 @@ from .policy import (ActionSpace, Box, Checkpoint, Discrete, LinearPolicy,
 from .envs import ENV_IDS, EnvSpec, StepResult, env_spec, make_env
 from .testfuncs import (TestFunction, ellipsoid, eval_test_function, quadratic2d,
                         rastrigin, rotated_ellipsoid, sphere)
-from .evaluate import (Batch, FitnessSpec, GenerationEval, Scores, Shaping,
-                       TrainRecord, TrainResult, evaluate_candidate,
-                       evaluate_generation, read_curve_csv, rollout,
-                       shape_reward, test_policy, train, write_curve_csv)
+from .evaluate import (Batch, FitnessSpec, Scores, Shaping, TrainRecord,
+                       TrainResult, evaluate_candidate, evaluate_generation,
+                       read_curve_csv, rollout, shape_reward, test_policy, train,
+                       write_curve_csv)
 from .distributed import (GenerationFailedError, MasterServer, serve_worker,
                           train_distributed)
 

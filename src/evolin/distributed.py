@@ -9,9 +9,10 @@ and draws no candidate.  It parses a TASK back into the ``Batch`` of its
 range, scores it as ``train`` scores a whole generation, and answers with
 one RESULT holding the range's ``Scores`` in columns ``fitness``,
 ``raw_return``, ``count`` (timesteps and observation count), ``mean`` and
-``m2``, one row per index.  A candidate's result does not depend on the
-batch it is scored in, and a row reaches the worker with the master's exact
-bits, so a distributed run reproduces a single-process run bit for bit.
+``m2``, one row per index, and its ``probe``; the master joins them into the
+generation's ``Scores``.  A candidate's result does not depend on the batch
+it is scored in, and a row reaches the worker with the master's exact bits,
+so a distributed run reproduces a single-process run bit for bit.
 
 The master plans each generation once: one contiguous range of at least one
 index per worker, the larger first, each a TASK on one queue from which idle
@@ -47,10 +48,9 @@ from typing import Callable
 
 from .envs import env_spec
 from .es import _parse_seed
-from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, GenerationEval, RunSpec,
-                       Scores, TrainResult, _drive, collect_generation,
-                       score_candidates)
-from .policy import ObsNormalizer, ProtocolError, _column, _count, _real, genome_dim
+from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, RunSpec, Scores,
+                       TrainResult, _drive, collect_generation, score_candidates)
+from .policy import ObsNormalizer, ProtocolError, _column, _count, genome_dim
 
 PROTOCOL_VERSION = 8
 DEFAULT_TASK_TIMEOUT = 60.0
@@ -157,11 +157,10 @@ def build_gen_message(batch: Batch, run_id: str) -> dict:
     }
 
 
-def result_message(run_id: str, generation: int, index: int,
-                   scores: Scores, returns: list[float] | None) -> dict:
+def result_message(run_id: str, generation: int, index: int, scores: Scores) -> dict:
     """The one reply to a TASK whose range starts at ``index``: its
-    ``Scores`` as columns, one row per index in index order, and the probe's
-    raw returns (None if not flagged)."""
+    ``Scores`` as columns, one row per index in index order, and their
+    ``probe`` (None if not flagged)."""
     return {
         "type": "result",
         "run_id": run_id,
@@ -172,31 +171,25 @@ def result_message(run_id: str, generation: int, index: int,
         "count": scores.count.tolist(),
         "mean": scores.mean.tolist(),
         "m2": scores.m2.tolist(),
-        "probe": None if returns is None else [float(r) for r in returns],
+        "probe": scores.probe,
     }
 
 
-def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | None]:
-    """Parse the reply to ``task``.  Returns the range's ``Scores`` and the
-    probe's raw returns (None unless ``task`` names a probe).  Raises
-    ProtocolError unless ``msg`` is a RESULT answering exactly that TASK:
-    one row per index in every column, finite fitness and raw return,
-    counts no fewer than one step per training episode and no more than
-    the episode limit allows, moments of the env's ``obs_dim`` finite
-    entries (m2 not negative), and ``TEST_EPISODES`` finite probe returns
-    or none."""
+def scores_from_result(msg: dict, task: dict) -> Scores:
+    """Parse the reply to ``task``: the range's ``Scores``, whose ``probe``
+    is None unless ``task`` names a probe.  Raises ProtocolError unless
+    ``msg`` is a RESULT answering exactly that TASK: one row per index in
+    every column, finite fitness and raw return, counts no fewer than one
+    step per training episode and no more than the episode limit allows,
+    moments of the env's ``obs_dim`` finite entries (m2 not negative), and
+    ``TEST_EPISODES`` finite probe returns or none."""
     if (msg.get("type") != "result" or msg.get("run_id") != task["run_id"]
             or _count(msg.get("generation"), "RESULT generation") != task["generation"]
             or _count(msg.get("index"), "RESULT index") != task["index"]):
         raise ProtocolError("reply answers another TASK")
-    returns, probe = msg.get("probe"), task["probe"]
-    if probe is None:
-        if returns is not None:
-            raise ProtocolError("RESULT carries a probe its TASK did not ask for")
-    elif not isinstance(returns, list) or len(returns) != TEST_EPISODES:
-        raise ProtocolError(f"RESULT probe must be a list of {TEST_EPISODES} numbers")
-    else:
-        returns = [_real(r, "RESULT probe return") for r in returns]
+    if task["probe"] is None and msg.get("probe") is not None:
+        raise ProtocolError("RESULT carries a probe its TASK did not ask for")
+    probe = None if task["probe"] is None else _column(msg, "probe", TEST_EPISODES).tolist()
     rows, spec = task["count"], env_spec(task["env_id"])
     episodes = task["fitness_spec"]["train_episodes"]
     m2 = _column(msg, "m2", rows, spec.obs_dim)
@@ -204,10 +197,9 @@ def scores_from_result(msg: dict, task: dict) -> tuple[Scores, list[float] | Non
         raise ProtocolError("RESULT m2 must not be negative")
     count = _column(msg, "count", rows, parse=lambda v, what: _count(
         v, what, episodes, episodes * spec.max_episode_steps))
-    scores = Scores(raw=_column(msg, "raw_return", rows),
-                    shaped=_column(msg, "fitness", rows), count=count,
-                    mean=_column(msg, "mean", rows, spec.obs_dim), m2=m2)
-    return scores, returns
+    return Scores(raw=_column(msg, "raw_return", rows),
+                  shaped=_column(msg, "fitness", rows), count=count,
+                  mean=_column(msg, "mean", rows, spec.obs_dim), m2=m2, probe=probe)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +212,15 @@ def gen_context(msg: dict) -> tuple[str, Batch]:
     KeyError, TypeError, ValueError) on a TASK the worker cannot score."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
         raise ProtocolError("unsupported protocol version in TASK")
-    env_id = str(msg["env_id"])
+    run_id, env_id = msg["run_id"], msg["env_id"]
+    if not (isinstance(run_id, str) and isinstance(env_id, str)):
+        raise ProtocolError("TASK run_id and env_id must be strings")
     spec = env_spec(env_id)
     n = genome_dim(spec.obs_dim, spec.action_space)
     generation = _count(msg.get("generation"), "TASK generation")
     indexes = _task_range(msg, _count(msg.get("lambda"), "TASK lambda", 1))
     probe = msg["probe"]
-    return str(msg["run_id"]), Batch(
+    return run_id, Batch(
         env_id=env_id,
         master_seed=_parse_seed(msg["master_seed"]),
         generation=generation,
@@ -245,7 +239,7 @@ def _task_range(msg: dict, lam: int) -> range:
     return range(index, index + _count(msg.get("count"), "TASK count", 1, lam - index))
 
 
-def run_task(batch: Batch, indexes: range) -> tuple[Scores, list[float] | None]:
+def run_task(batch: Batch, indexes: range) -> Scores:
     """``score_candidates`` on the rows of candidates ``indexes``, a
     sub-range of ``batch``'s, with the probe ``batch`` owes, if any."""
     first = indexes.start - batch.indexes.start
@@ -291,7 +285,7 @@ def serve_worker(host: str, port: int, *, worker_id: str | None = None,
                 send(bye_message("protocol"))
                 return "protocol"
             send(result_message(run_id, batch.generation, batch.indexes.start,
-                                *run_task(batch, batch.indexes)))
+                                run_task(batch, batch.indexes)))
     finally:
         sock.close()
 
@@ -332,7 +326,7 @@ class MasterServer:
     dropped with reason ``timeout`` and no BYE, since a send could block on
     a stalled peer.  Any drop (these, ``eof``, ``send-error``, ...) queues
     the worker's whole TASK again.
-    Results are folded by candidate index, so neither scheduling nor worker
+    Results are joined by candidate index, so neither scheduling nor worker
     failures can change what a generation returns.
     """
 
@@ -457,14 +451,13 @@ class MasterServer:
                 if conn.alive:
                     self._reject(conn)
 
-    def evaluate_generation(self, gen_msg: dict
-                            ) -> tuple[list[tuple[range, Scores]], list[float] | None]:
+    def evaluate_generation(self, gen_msg: dict) -> list[tuple[range, Scores]]:
         """Queue the TASKs of the generation ``gen_msg`` describes (one range
         per worker, the probe it owes on the last), hand them to idle
         workers, and collect the one RESULT each TASK gets.
 
-        Returns each TASK's range with its ``Scores``, and the probe's raw
-        returns (None when the generation owes no probe).  A TASK whose
+        Returns each TASK's range with its ``Scores``, the last range's
+        carrying the probe the generation owes.  A TASK whose
         worker is lost, times out or sends a reply that does not answer it
         is queued again whole.
         Raises GenerationFailedError when no workers remain and work is owed.
@@ -475,12 +468,11 @@ class MasterServer:
                             for span in spans)
 
         parts: list[tuple[range, Scores]] = []
-        returns: list[float] | None = None
         while self._queue or any(c.task is not None for c in self._conns):
             workers = self._workers()
             if not workers:
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
-                owed = gen_msg["probe"] is not None and returns is None
+                owed = gen_msg["probe"] is not None and all(s.probe is None for _, s in parts)
                 raise GenerationFailedError(
                     f"no workers remain with {lam - sum(len(p[0]) for p in parts)} "
                     f"candidate(s) unevaluated at generation {gen_msg['generation']}"
@@ -499,20 +491,18 @@ class MasterServer:
                     if conn.task is None:
                         raise ProtocolError("reply without a TASK")
                     task = conn.task[0]
-                    scores, probe = scores_from_result(msg, task)
+                    scores = scores_from_result(msg, task)
                 except ProtocolError:
                     self._reject(conn)
                     continue
                 conn.task = None
                 parts.append((range(task["index"], task["index"] + task["count"]),
                               scores))
-                if task["probe"] is not None:
-                    returns = probe
             now = time.monotonic()
             for conn in self._workers():
                 if conn.task is not None and now > conn.task[1]:
                     self._drop(conn, "timeout")
-        return parts, returns
+        return parts
 
     def close(self, reason: str = "shutdown") -> None:
         if self._closed:
@@ -560,13 +550,13 @@ def _train_distributed(spec: RunSpec, server: MasterServer, expected_workers: in
                        wait_timeout: float | None, run_id: str | None = None,
                        on_generation: Callable | None = None) -> TrainResult:
     """``train_distributed`` of a ``RunSpec``, which has been checked."""
-    if expected_workers < 1:
-        raise ValueError("expected_workers must be >= 1")
+    _count(expected_workers, "expected_workers", 1)
     run_id = run_id or f"{spec.env_id}-{spec.variant}-seed{spec.master_seed}"
     server.wait_for_workers(expected_workers, wait_timeout)
 
-    def evaluate(batch: Batch) -> GenerationEval:
-        parts, returns = server.evaluate_generation(build_gen_message(batch, run_id))
-        return collect_generation(parts, len(batch.indexes), returns)
+    def evaluate(batch: Batch) -> Scores:
+        return collect_generation(
+            server.evaluate_generation(build_gen_message(batch, run_id)),
+            len(batch.indexes))
 
     return _drive(spec, evaluate, on_generation)

@@ -14,16 +14,19 @@ count is also its timesteps.  Progress is measured by a separate
 deterministic test protocol (median raw return over ``TEST_EPISODES``
 fixed-seed episodes) whose steps never count against the budget.  A
 generation is scored as one ``Batch``, the fields a distributed TASK
-carries.  The probe of generation g needs only the mean and normalizer that
-g + 1 starts from, so g + 1's ``Batch`` owes it and runs it as further
-lanes (in a distributed run, of one worker's range); only a probe still
-owed when the run ends runs alone, through ``test_policy``.  A run's
+carries, into one ``Scores``.  The probe of generation g needs only the mean
+and normalizer that g + 1 starts from, so g + 1's ``Batch`` owes it and runs
+it as further lanes (in a distributed run, of one worker's range), returned
+as the ``Scores``' ``probe``; only a probe still owed when the run ends runs
+alone, through ``test_policy``.  A run's
 settings are one checked ``RunSpec``, which ``train``, ``train_distributed``
 and the command line's trials all build and ``_run`` reads.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import statistics
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -47,7 +50,6 @@ __all__ = [
     "Batch",
     "score_candidates",
     "evaluate_candidate",
-    "GenerationEval",
     "evaluate_generation",
     "test_policy",
     "TrainRecord",
@@ -149,7 +151,8 @@ class Scores:
     are means over its episodes, and its ``shaped`` is its fitness.
     ``count`` is the row's timesteps, which are also the observations its
     policy acted on; ``mean`` and ``m2`` (``(rows, obs_dim)``) are those
-    observations' Welford moments.
+    observations' Welford moments.  ``probe`` holds the raw returns of the
+    test probe a batch owed, or None; they feed no row.
     """
 
     raw: np.ndarray
@@ -157,6 +160,7 @@ class Scores:
     count: np.ndarray
     mean: np.ndarray
     m2: np.ndarray
+    probe: list[float] | None = None
 
     @staticmethod
     def zeros(rows: int, obs_dim: int) -> "Scores":
@@ -166,6 +170,15 @@ class Scores:
     def delta(self, row: int) -> ObsNormalizer:
         """Row ``row``'s observation moments as an accumulator to merge."""
         return ObsNormalizer(int(self.count[row]), self.mean[row], self.m2[row])
+
+    def moments(self) -> ObsNormalizer:
+        """Every row's observation moments folded in row order, from a copy
+        of row 0; a generation's count is its timesteps."""
+        count, mean, m2 = int(self.count[0]), self.mean[0].copy(), self.m2[0].copy()
+        for r in range(1, len(self.count)):
+            count, mean, m2 = chan_merge(count, mean, m2, int(self.count[r]),
+                                         self.mean[r], self.m2[r])
+        return ObsNormalizer(count, mean, m2)
 
 
 def run_episodes(env, weights: np.ndarray, normalizer: ObsNormalizer, seeds,
@@ -336,15 +349,15 @@ class Batch:
     probe: int | None = None
 
 
-def score_candidates(batch: Batch) -> tuple[Scores, list[float] | None]:
+def score_candidates(batch: Batch) -> Scores:
     """Fitness of a batch's genomes, all their training episodes as one
     lockstep batch.
 
-    Returns one row per genome, in index order, and with an owed probe the
-    raw returns of its episodes, which run as further lanes of the same
-    batch (None without).  Each row depends only on its genome and index,
-    never on which other candidates share the batch; probe lanes feed no
-    row.  ``batch.indexes`` must not be empty.
+    Returns one row per genome, in index order.  An owed probe's episodes run
+    as further lanes of the same batch, and their raw returns, bit for bit
+    what ``test_policy`` gives, become the ``probe``.  Each row depends only
+    on its genome and index, never on which other candidates share the
+    batch; probe lanes feed no row.  ``batch.indexes`` must not be empty.
     """
     env = make_env(batch.env_id)
     spec = env.spec
@@ -367,8 +380,8 @@ def score_candidates(batch: Batch) -> tuple[Scores, list[float] | None]:
                   for ep in range(TEST_EPISODES)]
     lanes = run_episodes(env, weights, batch.normalizer, seeds, fitness_spec.shaping)
     train_lanes = len(batch.indexes) * k
-    probe_returns = None if batch.probe is None else lanes.raw[train_lanes:].tolist()
     out = Scores.zeros(len(batch.indexes), spec.obs_dim)
+    out.probe = None if batch.probe is None else lanes.raw[train_lanes:].tolist()
     # candidate c's lanes are c * k .. c * k + k - 1.  Sum each candidate's
     # returns one episode at a time from 0.0: numpy's sum turns pairwise at
     # 8 terms, which would change the bits
@@ -387,7 +400,7 @@ def score_candidates(batch: Batch) -> tuple[Scores, list[float] | None]:
     for ep in range(1, k):
         count, mean, m2 = chan_merge(count, mean, m2, *episode(ep))
     out.count[:], out.mean[:], out.m2[:] = count[:, 0], mean, m2
-    return out, probe_returns
+    return out
 
 
 def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
@@ -398,49 +411,27 @@ def evaluate_candidate(genome: np.ndarray, index: int, env_id: str,
     genome = np.asarray(genome, dtype=float)
     return score_candidates(Batch(env_id, master_seed, generation,
                                   range(index, index + 1), genome[None], genome,
-                                  normalizer, fitness_spec))[0]
+                                  normalizer, fitness_spec))
 
 
-@dataclass
-class GenerationEval:
-    fitnesses: np.ndarray             # ordered by candidate index
-    raw_returns: np.ndarray
-    delta: ObsNormalizer              # its count is the generation's timesteps
-    probe_returns: list[float] | None = None
+def evaluate_generation(batch: Batch) -> Scores:
+    """``score_candidates`` on a whole generation's ``batch``, in this process."""
+    return score_candidates(batch)
 
 
-def evaluate_generation(batch: Batch) -> GenerationEval:
-    """Evaluate a whole generation's ``batch`` in this process, as one
-    lockstep batch.
-
-    An owed probe's episodes ride in the same batch and their raw returns
-    come back as ``probe_returns``, bit for bit what ``test_policy`` gives;
-    they feed neither the fitnesses nor the normalizer delta.
-    """
-    scores, probe_returns = score_candidates(batch)
-    return collect_generation([(batch.indexes, scores)], len(batch.indexes),
-                              probe_returns)
-
-
-def collect_generation(parts, lam: int,
-                       probe_returns: list[float] | None = None) -> GenerationEval:
-    """Fold ``(indexes, scores)`` parts, row ``r`` of ``scores`` being
-    candidate ``indexes[r]``, in index order, however they were produced."""
-    rows = sorted(((index, scores, r) for indexes, scores in parts
-                   for r, index in enumerate(indexes)), key=lambda row: row[0])
-    if [index for index, _, _ in rows] != list(range(lam)):
+def collect_generation(parts, lam: int) -> Scores:
+    """Join ``(indexes, scores)`` parts, each a contiguous range of
+    candidates with one row per index, into one generation's ``Scores`` in
+    index order, whatever order the parts came in.  The parts must cover
+    indexes 0..lam-1 exactly; the ``probe`` is the part's that carries one."""
+    parts = sorted(parts, key=lambda part: part[0][0])
+    if ([index for indexes, _ in parts for index in indexes] != list(range(lam))
+            or any(len(scores.count) != len(indexes) for indexes, scores in parts)):
         raise ValueError("candidate evaluations must cover indexes 0..lambda-1")
-    _, scores, r = rows[0]
-    count, mean, m2 = int(scores.count[r]), scores.mean[r].copy(), scores.m2[r].copy()
-    for _, scores, r in rows[1:]:
-        count, mean, m2 = chan_merge(count, mean, m2, int(scores.count[r]),
-                                     scores.mean[r], scores.m2[r])
-    return GenerationEval(
-        fitnesses=np.array([scores.shaped[r] for _, scores, r in rows]),
-        raw_returns=np.array([scores.raw[r] for _, scores, r in rows]),
-        delta=ObsNormalizer(count, mean, m2),
-        probe_returns=probe_returns,
-    )
+    columns = (np.concatenate([getattr(scores, name) for _, scores in parts])
+               for name in ("raw", "shaped", "count", "mean", "m2"))
+    probe = next((scores.probe for _, scores in parts if scores.probe is not None), None)
+    return Scores(*columns, probe=probe)
 
 
 def test_policy(policy: LinearPolicy, normalizer: ObsNormalizer, env_id: str,
@@ -537,7 +528,7 @@ def train(env_id: str, variant: str, *, on_generation: Callable | None = None,
                   on_generation)
 
 
-def _drive(spec: RunSpec, evaluate: Callable[[Batch], GenerationEval],
+def _drive(spec: RunSpec, evaluate: Callable[[Batch], Scores],
            on_generation: Callable | None = None) -> TrainResult:
     """Run ``spec``, answering each ``Batch`` ``_run`` yields with
     ``evaluate(batch)``, which must give what ``evaluate_generation`` would."""
@@ -551,10 +542,10 @@ def _drive(spec: RunSpec, evaluate: Callable[[Batch], GenerationEval],
 
 
 def _run(spec: RunSpec, on_generation: Callable | None = None
-         ) -> Generator[Batch, GenerationEval, TrainResult]:
+         ) -> Generator[Batch, Scores, TrainResult]:
     """``train``'s loop: yields each generation's ``Batch``, with the probe
-    the previous generation owes, takes back its ``GenerationEval`` and
-    returns the ``TrainResult``."""
+    the previous generation owes, takes back its ``Scores`` in index order
+    and returns the ``TrainResult``."""
     env, params, state = spec.start()
     normalizer = ObsNormalizer.create(env.obs_dim)
     records: list[TrainRecord] = []
@@ -596,20 +587,21 @@ def _run(spec: RunSpec, on_generation: Callable | None = None
                              np.array([c.x for c in cands]), state.m,
                              normalizer.copy(), spec.fitness_spec,
                              None if owed is None else owed[0])
-        if owed is not None and settle(result.probe_returns):
+        if owed is not None and settle(result.probe):
             status = "target_reached"
             break
-        for c, f in zip(cands, result.fitnesses):
+        for c, f in zip(cands, result.shaped):
             c.fitness = float(f)
-        cumulative += result.delta.count
-        normalizer.merge(result.delta)
+        delta = result.moments()
+        cumulative += delta.count
+        normalizer.merge(delta)
         try:
             state = tell(params, state, cands, mode="maximize")
         except NumericalDegeneracyError:
             status = "degenerate"
             break
         if gen % spec.test_every == 0:
-            owed = (gen, cumulative, float(np.max(result.fitnesses)), state.sigma)
+            owed = (gen, cumulative, float(np.max(result.shaped)), state.sigma)
 
     if owed is not None:
         policy = LinearPolicy.from_genome(state.m, env.obs_dim, env.action_space)
@@ -641,9 +633,19 @@ def write_curve_csv(path: str, records: list[TrainRecord]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _cell(text: str, kind: type):
+    """A curve cell as ``write_curve_csv`` writes an int (ASCII digits) or a
+    float (the repr of a finite one)."""
+    pattern = r"[0-9]+" if kind is int else r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?"
+    if re.fullmatch(pattern, text) and (kind is int or math.isfinite(float(text))):
+        return kind(text)
+    raise ValueError(f"{text!r} is not {'a count' if kind is int else 'a finite number'}")
+
+
 def read_curve_csv(path: str) -> list[TrainRecord]:
-    """Records of a file ``write_curve_csv`` wrote.  Raises ValueError,
-    naming the file and line, on a malformed one."""
+    """Records of a file ``write_curve_csv`` wrote.  Values are checked, not
+    coerced, and generations and timesteps must increase; raises ValueError,
+    naming the file and line, on a malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln]
     if not lines or lines[0][1] != ",".join(CURVE_COLUMNS):
@@ -654,9 +656,13 @@ def read_curve_csv(path: str) -> list[TrainRecord]:
         try:
             if len(cells) != len(CURVE_COLUMNS):
                 raise ValueError(f"{len(cells)} cells, not {len(CURVE_COLUMNS)}")
-            out.append(TrainRecord(int(cells[0]), int(cells[1]), float(cells[2]),
-                                   [float(v) for v in cells[3:-2]],
-                                   float(cells[-2]), float(cells[-1])))
+            generation, steps = _cell(cells[0], int), _cell(cells[1], int)
+            if out and (generation <= out[-1].generation
+                        or steps <= out[-1].cumulative_timesteps):
+                raise ValueError("generation and cumulative_timesteps must increase")
+            reals = [_cell(v, float) for v in cells[2:]]
+            out.append(TrainRecord(generation, steps, reals[0], reals[1:-2],
+                                   reals[-2], reals[-1]))
         except ValueError as exc:
             raise ValueError(f"{path} line {number}: {exc}") from None
     return out

@@ -239,9 +239,24 @@ def test_plot_data_without_curves_exits_2(tmp_path):
     assert run_cli("plot-data", "--run-dir", str(tmp_path)) == 2
 
 
-@pytest.mark.parametrize("body", ["1,100,9.0,9.0,9.0\n", "1,100,x,1,2,3,4,5,6,0.1\n",
-                                  "1,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1,7\n"],
-                         ids=["truncated", "not-a-number", "too-wide"])
+@pytest.mark.parametrize("body", [
+    "1,100,9.0,9.0,9.0\n", "1,100,x,1,2,3,4,5,6,0.1\n",
+    "1,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1,7\n",
+    # write_curve_csv writes none of these
+    "1,100,nan,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "1,100,9.0,inf,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "1,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,1e999\n",
+    "1,100,9.0,9.0,9.0,9.0,9.0,9.0,1_2.0,0.1\n",
+    "1_0,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "1, 100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "\u0661,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "0,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "1,50,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "1,20,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+], ids=["truncated", "not-a-number", "too-wide", "nan-median", "infinite-return",
+        "overflowing-sigma", "underscore-real", "underscore-generation",
+        "space-timesteps", "non-ascii-digit", "generation-repeated",
+        "timesteps-repeated", "timesteps-decreasing"])
 def test_plot_data_on_a_malformed_curve_exits_2(tmp_path, capsys, body):
     good = "0,50,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n"
     path = tmp_path / "cartpole_csa_seed0.csv"

@@ -61,7 +61,7 @@ def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
 def answer(batch, indexes, run_id="t"):
     """The RESULT a worker sends for candidates ``indexes`` of ``batch``."""
     return result_message(run_id, batch.generation, indexes.start,
-                          *run_task(batch, indexes))
+                          run_task(batch, indexes))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,10 @@ MALFORMED_TASKS = {
     "normalizer-list": lambda t: dict(t, normalizer=[]),
     "normalizer-number": lambda t: dict(t, normalizer=5),
     "normalizer-null": lambda t: dict(t, normalizer=None),
+    # str() would turn these into '5' and "['a']"
+    "run-id-number": lambda t: dict(t, run_id=5),
+    "run-id-list": lambda t: dict(t, run_id=["a"]),
+    "env-id-list": lambda t: dict(t, env_id=["cartpole"]),
 }
 
 
@@ -220,8 +224,8 @@ def test_run_task_ranges_match_local_generation_exactly():
 
     def remote(indexes):
         reply = decode_message(encode_message(answer(parsed, indexes)))
-        scores, returns = scores_from_result(reply, task_message(msg, indexes))
-        assert returns is None
+        scores = scores_from_result(reply, task_message(msg, indexes))
+        assert scores.probe is None
         return indexes, scores
 
     # a range of one, a middle range, and the whole generation
@@ -231,17 +235,17 @@ def test_run_task_ranges_match_local_generation_exactly():
         for row, i in enumerate(indexes):
             alone = evaluate_candidate(batch.x[i], i, "cartpole",
                                        batch.normalizer, FitnessSpec(), gen, 912)
-            assert scores.shaped[row] == local.fitnesses[i] == alone.shaped[0]
-            assert scores.raw[row] == local.raw_returns[i]
+            assert scores.shaped[row] == local.shaped[i] == alone.shaped[0]
+            assert scores.raw[row] == local.raw[i]
             assert scores.count[row] == alone.count[0]
             assert scores.delta(row).to_dict() == alone.delta(0).to_dict()
 
     # ragged ranges covering the generation fold to the local generation
     folded = collect_generation([remote(range(0, 1)), remote(range(1, 5)),
                                  remote(range(5, lam))], lam)
-    assert folded.fitnesses.tobytes() == local.fitnesses.tobytes()
-    assert folded.raw_returns.tobytes() == local.raw_returns.tobytes()
-    assert folded.delta.to_dict() == local.delta.to_dict()
+    assert folded.shaped.tobytes() == local.shaped.tobytes()
+    assert folded.raw.tobytes() == local.raw.tobytes()
+    assert folded.moments().to_dict() == local.moments().to_dict()
 
 
 @pytest.mark.parametrize("episodes", [1, 3])
@@ -252,7 +256,7 @@ def test_result_counts_lie_within_the_episode_bounds(episodes):
                 fitness_spec=FitnessSpec(train_episodes=episodes).to_dict())
     reply = answer_honestly(task)
     limit = episodes * env_spec("cartpole").max_episode_steps
-    scores, _ = scores_from_result(dict(reply, count=[episodes, limit]), task)
+    scores = scores_from_result(dict(reply, count=[episodes, limit]), task)
     assert scores.count.tolist() == [episodes, limit]
     for count in (episodes - 1, limit + 1, 2 ** 70):
         with pytest.raises(ProtocolError):
@@ -316,9 +320,9 @@ def assert_matches_local(parts, batch):
     lam = sum(len(span) for span, _ in parts)
     got = collect_generation(parts, lam)
     want = evaluate_generation(replace(batch, indexes=range(lam), x=batch.x[:lam]))
-    assert got.fitnesses.tobytes() == want.fitnesses.tobytes()
-    assert got.raw_returns.tobytes() == want.raw_returns.tobytes()
-    assert got.delta.to_dict() == want.delta.to_dict()
+    assert got.shaped.tobytes() == want.shaped.tobytes()
+    assert got.raw.tobytes() == want.raw.tobytes()
+    assert got.moments().to_dict() == want.moments().to_dict()
 
 
 def answer_honestly(task):
@@ -335,9 +339,9 @@ def test_single_worker_generation_matches_local():
     with MasterServer() as server:
         thread, out = start_real_worker(server)
         server.wait_for_workers(1, timeout=10)
-        parts, probe_returns = server.evaluate_generation(msg)
+        parts = server.evaluate_generation(msg)
         assert [span for span, _ in parts] == [range(4)]
-        assert probe_returns is None
+        assert all(scores.probe is None for _, scores in parts)
         assert_matches_local(parts, batch)
     thread.join(timeout=10)
     assert out.get("reason") == "shutdown"
@@ -544,6 +548,25 @@ def test_generation_fails_when_only_worker_dies():
         assert any(reason == "eof" for _, reason in server.dropped)
 
 
+def test_generation_failure_names_the_owed_probe():
+    # each worker answers a TASK without the probe and hangs up on the one
+    # with it, so two candidates and the probe are left owed
+    _, msg = sample_gen_message(probe_generation=1)
+    with MasterServer() as server:
+        workers = [ScriptedWorker(server.address, f"s{i}") for i in range(2)]
+        threads = [threading.Thread(target=serve_until,
+                                    args=(w, True, lambda _, w=w: w.close()),
+                                    daemon=True) for w in workers]
+        for t in threads:
+            t.start()
+        server.wait_for_workers(2, timeout=10)
+        with pytest.raises(GenerationFailedError,
+                           match=r"2 candidate\(s\) unevaluated .* and its probe owed"):
+            server.evaluate_generation(msg)
+    for t in threads:
+        t.join(timeout=10)
+
+
 def test_unsolicited_results_drop_the_worker():
     # a second answer to a TASK, and an answer sent before any TASK
     batch, msg = sample_gen_message()
@@ -562,7 +585,7 @@ def test_unsolicited_results_drop_the_worker():
         thread = threading.Thread(target=duplicate, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        parts, _ = server.evaluate_generation(msg)
+        parts = server.evaluate_generation(msg)
         assert_matches_local(parts, batch)
 
         eager = ScriptedWorker(address, "eager")
@@ -601,7 +624,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
         honest, out = start_real_worker(server, worker_id="honest")
         server.wait_for_workers(2, timeout=10)
         for run_id in ("first-seed", "second-seed"):
-            parts, _ = server.evaluate_generation(dict(msg, run_id=run_id))
+            parts = server.evaluate_generation(dict(msg, run_id=run_id))
             assert_matches_local(parts, batch)
         assert server.dropped == [("late", "timeout")]
     thread.join(timeout=10)
@@ -620,7 +643,7 @@ def test_late_joiner_takes_over_timed_out_task():
         box = {}
 
         def evaluate():
-            box["parts"], _ = server.evaluate_generation({**msg, "lambda": 2})
+            box["parts"] = server.evaluate_generation({**msg, "lambda": 2})
 
         ev_thread = threading.Thread(target=evaluate, daemon=True)
         ev_thread.start()
@@ -965,10 +988,12 @@ def test_multi_worker_run_equals_single_worker_run():
     assert records_of(multi) == records_of(local)
 
 
-def test_train_distributed_validates_worker_count():
+@pytest.mark.parametrize("workers", [0, 1.5, True, "2"])
+def test_train_distributed_validates_worker_count(workers):
+    # 1.5 would wait for 2 workers, and "2" fail to compare
     with MasterServer() as server, pytest.raises(ValueError):
-        train_distributed("cartpole", CSA, expected_workers=0, server=server,
-                          **TRAIN_KW)
+        train_distributed("cartpole", CSA, expected_workers=workers, server=server,
+                          wait_timeout=1.0, **TRAIN_KW)
 
 
 @pytest.mark.parametrize("bad", [{"test_every": 0}, {"env_id": "walker"},

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evolin import (CSA, ENV_IDS, FULL_CMA, SEP_CMA, Batch, FitnessSpec,
-                    LinearPolicy, ObsNormalizer,
+                    LinearPolicy, ObsNormalizer, Scores,
                     Shaping, ask, env_spec, make_env, new_strategy,
                     read_curve_csv, rollout, shape_reward, train,
                     write_curve_csv)
@@ -361,8 +361,8 @@ def test_generation_timesteps_are_summed_exactly() -> None:
     norm = warmed_normalizer()
     counts = [evaluate_candidate(c.x, c.index, "cartpole", norm, FitnessSpec(),
                                  0, 21).count[0] for c in ask(params, state, 21)]
-    assert result.delta.count == sum(counts)
-    assert len(result.fitnesses) == 8
+    assert result.moments().count == sum(counts)
+    assert len(result.shaped) == 8
 
 
 def test_collect_generation_requires_complete_index_cover() -> None:
@@ -375,12 +375,21 @@ def test_collect_generation_requires_complete_index_cover() -> None:
              for c in cands]
     shuffled = [evals[i] for i in (3, 1, 7, 0, 5, 2, 6, 4)]
     regrouped = collect_generation(shuffled, 8)
-    np.testing.assert_array_equal(regrouped.fitnesses, result.fitnesses)
-    assert regrouped.delta.to_dict() == result.delta.to_dict()
+    np.testing.assert_array_equal(regrouped.shaped, result.shaped)
+    assert regrouped.moments().to_dict() == result.moments().to_dict()
     with pytest.raises(ValueError):
         collect_generation(evals[:-1], 8)
     with pytest.raises(ValueError):
         collect_generation(evals + [evals[0]], 8)
+
+
+def test_collect_generation_refuses_interleaved_or_ragged_parts() -> None:
+    # parts are contiguous ranges with one row per index
+    rows = Scores.zeros(2, 4)
+    with pytest.raises(ValueError):
+        collect_generation([([0, 2], rows), ([1, 3], rows)], 4)
+    with pytest.raises(ValueError):
+        collect_generation([(range(0, 2), rows), (range(2, 3), rows)], 3)
 
 
 def test_three_episode_generation_delta_equals_merge_folds() -> None:
@@ -399,9 +408,10 @@ def test_three_episode_generation_delta_equals_merge_folds() -> None:
             candidate.merge(lane.delta(0))
         want.merge(candidate)
     assert len(counts) > 1
-    assert result.delta.count == want.count
-    assert result.delta.mean.tobytes() == want.mean.tobytes()
-    assert result.delta.m2.tobytes() == want.m2.tobytes()
+    moments = result.moments()
+    assert moments.count == want.count
+    assert moments.mean.tobytes() == want.mean.tobytes()
+    assert moments.m2.tobytes() == want.m2.tobytes()
 
 
 def test_multi_episode_fitness_is_mean_over_episodes() -> None:

@@ -95,8 +95,8 @@ def sub_ranges(lam: int) -> list[range]:
 def test_candidate_results_do_not_depend_on_batch(case) -> None:
     batch = setup(case)
     for indexes in sub_ranges(len(batch.indexes)):
-        scores, returns = score_candidates(part(batch, indexes))
-        assert len(scores.raw) == len(indexes) and returns is None
+        scores = score_candidates(part(batch, indexes))
+        assert len(scores.raw) == len(indexes) and scores.probe is None
         for row, index in enumerate(indexes):
             assert_matches(scores, row, case["candidates"][index])
 
@@ -111,13 +111,13 @@ def test_generation_batches_match_fixture(case, order) -> None:
         gen = evaluate_generation(batch)
     else:
         singles = [range(i, i + 1) for i in reversed(batch.indexes)]
-        gen = collect_generation([(r, score_candidates(part(batch, r))[0])
+        gen = collect_generation([(r, score_candidates(part(batch, r)))
                                   for r in singles], len(batch.indexes))
     want = case["candidates"]
-    assert [f.hex() for f in gen.fitnesses] == [c["fitness"] for c in want]
-    assert [r.hex() for r in gen.raw_returns] == [c["raw_return"] for c in want]
-    assert gen.delta.count == sum(c["timesteps"] for c in want)
-    assert_same_bits(gen.delta, expected_generation_delta(case))
+    assert [f.hex() for f in gen.shaped] == [c["fitness"] for c in want]
+    assert [r.hex() for r in gen.raw] == [c["raw_return"] for c in want]
+    assert gen.moments().count == sum(c["timesteps"] for c in want)
+    assert_same_bits(gen.moments(), expected_generation_delta(case))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
@@ -141,14 +141,14 @@ def test_probe_lanes_in_a_generation_batch_match_fixture(case) -> None:
     merged = evaluate_generation(replace(batch, probe=generation))
     _, returns = run_test_protocol(policy, batch.normalizer, env_id, seed, generation)
 
-    assert alone.probe_returns is None
-    assert [r.hex() for r in merged.probe_returns] == case["probe"]["returns"]
-    assert merged.probe_returns == returns
+    assert alone.probe is None
+    assert [r.hex() for r in merged.probe] == case["probe"]["returns"]
+    assert merged.probe == returns
     # probe lanes leave the generation's own numbers untouched
-    assert merged.fitnesses.tobytes() == alone.fitnesses.tobytes()
-    assert merged.raw_returns.tobytes() == alone.raw_returns.tobytes()
-    assert_same_bits(merged.delta, alone.delta)
-    assert_same_bits(merged.delta, expected_generation_delta(case))
+    assert merged.shaped.tobytes() == alone.shaped.tobytes()
+    assert merged.raw.tobytes() == alone.raw.tobytes()
+    assert_same_bits(merged.moments(), alone.moments())
+    assert_same_bits(merged.moments(), expected_generation_delta(case))
 
 
 class _DivergedCartPole(CartPole):

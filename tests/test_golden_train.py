@@ -99,16 +99,13 @@ def answer_in_parts(batch):
     assert batch.indexes == range(lam) and batch.x.shape[0] == lam
     bounds = sorted({0, 1, lam // 2 + 1, lam})
     spans = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    parts, returns = [], None
+    parts = []
     for span in reversed(spans):
         owes = span is spans[len(spans) // 2]
-        scores, probe = score_candidates(replace(
+        parts.append((span, score_candidates(replace(
             batch, indexes=span, x=batch.x[span.start:span.stop],
-            probe=batch.probe if owes else None))
-        parts.append((span, scores))
-        if owes:
-            returns = probe
-    return collect_generation(parts, lam, returns)
+            probe=batch.probe if owes else None))))
+    return collect_generation(parts, lam)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
