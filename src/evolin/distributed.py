@@ -1,12 +1,14 @@
 """Master/worker evaluation over newline-delimited JSON on TCP.
 
-``train_distributed`` runs ``train``'s loop and cuts each generation's
-``Batch`` into TASKs, one contiguous range of candidate indexes for each
-idle worker.  A TASK carries a ``Batch``'s fields: the range's genome rows
-``x``, which ``ask`` drew on the master, the mean, the normalizer snapshot,
-the fitness spec and the owed probe.  A worker keeps no state between TASKs
-and draws no candidate.  It parses a TASK back into the ``Batch`` of its
-range, scores it as ``train`` scores a whole generation, and answers with
+``train_distributed`` runs ``train``'s loop, and the master answers each
+generation's ``Batch`` with its ``Scores``, as ``train`` does, by cutting it
+into one contiguous range of candidate indexes per idle worker.  A TASK is a
+range's ``Batch`` (``build_gen_message`` writes it, ``gen_context`` reads it
+back): ``generation``, ``master_seed``, ``env_id``, ``index`` (the range's
+first candidate), the genome rows ``x`` that ``ask`` drew on the master, the
+mean ``m``, the ``normalizer`` snapshot, the ``fitness_spec`` and the owed
+``probe``.  A worker keeps no state between TASKs and draws no candidate.
+It scores the range as ``train`` scores a whole generation, and answers with
 one RESULT holding the range's ``Scores`` in columns ``fitness``,
 ``raw_return``, ``count`` (timesteps and observation count), ``mean`` and
 ``m2``, one row per index, and its ``probe``; the master joins them into the
@@ -27,32 +29,33 @@ sends a reply that does not answer its TASK exactly is dropped and its whole
 TASK queued again, so no live connection holds a TASK between generations
 and no late reply is ever read.
 
-Wire format (protocol version 8): one JSON object per line, UTF-8, field
+Wire format (protocol version 9): one JSON object per line, UTF-8, field
 "type" selecting HELLO / TASK / RESULT / BYE.  Reals use shortest-roundtrip
 decimal form (the json module's default); 64-bit seeds travel as decimal
 strings.  Both ends read a message through ``policy``'s checked readers, so
-its values are checked, not coerced.
+its values are checked, not coerced; a HELLO's ``worker_id`` must be a
+non-empty string.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import selectors
 import socket
 import time
 import uuid
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from typing import Callable
 
 from .envs import env_spec
 from .es import _parse_seed
 from .evaluate import (TEST_EPISODES, Batch, FitnessSpec, RunSpec, Scores,
                        TrainResult, _drive, collect_generation, score_candidates)
-from .policy import ObsNormalizer, ProtocolError, _column, _count, genome_dim
+from .policy import ObsNormalizer, ProtocolError, _column, _count, _real, genome_dim
 
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 DEFAULT_TASK_TIMEOUT = 60.0
 
 
@@ -128,29 +131,20 @@ def bye_message(reason: str) -> dict:
     return {"type": "bye", "reason": reason}
 
 
-def task_message(gen_msg: dict, span: range, probe: bool = False) -> dict:
-    """Score candidates ``span`` (at least one) of the generation
-    ``gen_msg`` describes, whose rows the TASK carries as ``x``, and with
-    ``probe`` the probe it owes."""
-    return dict(gen_msg, type="task", index=span.start, count=len(span),
-                x=gen_msg["x"][span.start:span.stop],
-                probe=gen_msg["probe"] if probe else None)
-
-
 def build_gen_message(batch: Batch, run_id: str) -> dict:
-    """The fields the TASKs of a whole generation's ``batch`` carry, with the
-    genome rows ``x`` of all its candidates, in index order, from which
-    ``task_message`` cuts each TASK's range.  A worker tests the owed probe's
-    policy from the TASK's mean ``m``."""
+    """The TASK that asks for a range's ``batch`` to be scored: its fields,
+    ``index`` the range's first candidate and ``x`` the range's genome rows.
+    ``gen_context`` is its inverse."""
     return {
+        "type": "task",
         "protocol_version": PROTOCOL_VERSION,
         "run_id": run_id,
         "generation": int(batch.generation),
         "master_seed": str(int(batch.master_seed)),
         "env_id": batch.env_id,
-        "lambda": len(batch.indexes),
-        "m": batch.m.tolist(),
+        "index": batch.indexes.start,
         "x": batch.x.tolist(),
+        "m": batch.m.tolist(),
         "normalizer": batch.normalizer.to_dict(),
         "fitness_spec": batch.fitness_spec.to_dict(),
         "probe": batch.probe,
@@ -175,23 +169,24 @@ def result_message(run_id: str, generation: int, index: int, scores: Scores) -> 
     }
 
 
-def scores_from_result(msg: dict, task: dict) -> Scores:
-    """Parse the reply to ``task``: the range's ``Scores``, whose ``probe``
-    is None unless ``task`` names a probe.  Raises ProtocolError unless
-    ``msg`` is a RESULT answering exactly that TASK: one row per index in
-    every column, finite fitness and raw return, counts no fewer than one
-    step per training episode and no more than the episode limit allows,
-    moments of the env's ``obs_dim`` finite entries (m2 not negative), and
-    ``TEST_EPISODES`` finite probe returns or none."""
-    if (msg.get("type") != "result" or msg.get("run_id") != task["run_id"]
-            or _count(msg.get("generation"), "RESULT generation") != task["generation"]
-            or _count(msg.get("index"), "RESULT index") != task["index"]):
+def scores_from_result(msg: dict, batch: Batch, run_id: str) -> Scores:
+    """Parse the reply to the TASK of run ``run_id`` for the range ``batch``:
+    the range's ``Scores``, whose ``probe`` is None unless ``batch`` owes
+    one.  Raises ProtocolError unless ``msg`` is a RESULT answering exactly
+    that TASK: one row per index in every column, finite fitness and raw
+    return, counts no fewer than one step per training episode and no more
+    than the episode limit allows, moments of the env's ``obs_dim`` finite
+    entries (m2 not negative), and ``TEST_EPISODES`` finite probe returns or
+    none."""
+    if (msg.get("type") != "result" or msg.get("run_id") != run_id
+            or _count(msg.get("generation"), "RESULT generation") != batch.generation
+            or _count(msg.get("index"), "RESULT index") != batch.indexes.start):
         raise ProtocolError("reply answers another TASK")
-    if task["probe"] is None and msg.get("probe") is not None:
+    if batch.probe is None and msg.get("probe") is not None:
         raise ProtocolError("RESULT carries a probe its TASK did not ask for")
-    probe = None if task["probe"] is None else _column(msg, "probe", TEST_EPISODES).tolist()
-    rows, spec = task["count"], env_spec(task["env_id"])
-    episodes = task["fitness_spec"]["train_episodes"]
+    probe = None if batch.probe is None else _column(msg, "probe", TEST_EPISODES).tolist()
+    rows, spec = len(batch.indexes), env_spec(batch.env_id)
+    episodes = batch.fitness_spec.train_episodes
     m2 = _column(msg, "m2", rows, spec.obs_dim)
     if (m2 < 0).any():
         raise ProtocolError("RESULT m2 must not be negative")
@@ -208,24 +203,28 @@ def scores_from_result(msg: dict, task: dict) -> Scores:
 
 def gen_context(msg: dict) -> tuple[str, Batch]:
     """Validate a TASK and parse it into its run id and the ``Batch`` of its
-    range.  Values are checked, not coerced.  Raises ProtocolError (or
-    KeyError, TypeError, ValueError) on a TASK the worker cannot score."""
+    range, ``range(index, index + len(x))``: the inverse of
+    ``build_gen_message``.  Values are checked, not coerced.  Raises
+    ProtocolError (or KeyError, TypeError, ValueError) on a TASK the worker
+    cannot score."""
     if msg.get("protocol_version") != PROTOCOL_VERSION:
         raise ProtocolError("unsupported protocol version in TASK")
-    run_id, env_id = msg["run_id"], msg["env_id"]
+    run_id, env_id, x = msg["run_id"], msg["env_id"], msg.get("x")
     if not (isinstance(run_id, str) and isinstance(env_id, str)):
         raise ProtocolError("TASK run_id and env_id must be strings")
+    if not (isinstance(x, list) and x):
+        raise ProtocolError("TASK x must be a list of at least one row")
     spec = env_spec(env_id)
     n = genome_dim(spec.obs_dim, spec.action_space)
     generation = _count(msg.get("generation"), "TASK generation")
-    indexes = _task_range(msg, _count(msg.get("lambda"), "TASK lambda", 1))
+    index = _count(msg.get("index"), "TASK index")
     probe = msg["probe"]
     return run_id, Batch(
         env_id=env_id,
         master_seed=_parse_seed(msg["master_seed"]),
         generation=generation,
-        indexes=indexes,
-        x=_column(msg, "x", len(indexes), n, where="TASK"),
+        indexes=range(index, index + len(x)),
+        x=_column(msg, "x", len(x), n, where="TASK"),
         m=_column(msg, "m", n, where="TASK"),
         normalizer=ObsNormalizer.from_dict(msg.get("normalizer"), spec.obs_dim),
         fitness_spec=FitnessSpec.from_dict(msg["fitness_spec"]),
@@ -233,18 +232,18 @@ def gen_context(msg: dict) -> tuple[str, Batch]:
     )
 
 
-def _task_range(msg: dict, lam: int) -> range:
-    """The candidate indexes a TASK names: at least one, all below ``lam``."""
-    index = _count(msg.get("index"), "TASK index", 0, lam - 1)
-    return range(index, index + _count(msg.get("count"), "TASK count", 1, lam - index))
+def _cut(batch: Batch, indexes: range, probe: int | None) -> Batch:
+    """The ``Batch`` of candidates ``indexes``, a sub-range of ``batch``'s,
+    owing ``probe``."""
+    first = indexes.start - batch.indexes.start
+    return replace(batch, indexes=indexes, x=batch.x[first:first + len(indexes)],
+                   probe=probe)
 
 
 def run_task(batch: Batch, indexes: range) -> Scores:
     """``score_candidates`` on the rows of candidates ``indexes``, a
     sub-range of ``batch``'s, with the probe ``batch`` owes, if any."""
-    first = indexes.start - batch.indexes.start
-    return score_candidates(replace(batch, indexes=indexes,
-                                    x=batch.x[first:first + len(indexes)]))
+    return score_candidates(_cut(batch, indexes, batch.probe))
 
 
 def serve_worker(host: str, port: int, *, worker_id: str | None = None,
@@ -301,8 +300,8 @@ class _Conn:
         self.sock = sock
         self.buf = bytearray()
         self.worker_id: str | None = None
-        # the TASK held and its deadline
-        self.task: tuple[dict, float] | None = None
+        # the range Batch of the TASK held, and its deadline
+        self.task: tuple[Batch, float] | None = None
         self.alive = True
 
 
@@ -332,15 +331,15 @@ class MasterServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  task_timeout: float = DEFAULT_TASK_TIMEOUT):
-        if not (math.isfinite(task_timeout) and task_timeout > 0):
-            raise ValueError("task_timeout must be finite and > 0")
+        if not _real(task_timeout, "task_timeout") > 0:
+            raise ValueError(f"task_timeout must be > 0, not {task_timeout!r}")
         self._listener = socket.create_server((host, port), backlog=16)
         self._listener.setblocking(False)
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._listener, selectors.EVENT_READ, None)
         self._conns: list[_Conn] = []
-        # TASKs of the generation in flight that no live worker holds
-        self._queue: deque[dict] = deque()
+        # range Batches of the generation in flight that no live worker holds
+        self._queue: deque[Batch] = deque()
         self.task_timeout = task_timeout
         self.dropped: list[tuple[str, str]] = []
         self._closed = False
@@ -399,7 +398,11 @@ class MasterServer:
         self._drop(conn, "protocol")
 
     def _handle_hello(self, conn: _Conn, msg: dict) -> None:
-        conn.worker_id = str(msg.get("worker_id", ""))
+        worker_id = msg.get("worker_id")
+        if not (isinstance(worker_id, str) and worker_id):
+            self._reject(conn)
+            return
+        conn.worker_id = worker_id
         if msg.get("protocol_version") != PROTOCOL_VERSION:
             self._send(conn, bye_message("protocol"))
             self._drop(conn, "protocol-version")
@@ -440,7 +443,7 @@ class MasterServer:
         """Block until ``count`` workers have completed their HELLO, or
         raise TimeoutError after ``timeout`` seconds (None waits forever).
         No TASK is out, so any reply drops its worker."""
-        if timeout is not None and not timeout >= 0:
+        if timeout is not None and not _real(timeout, "wait timeout") >= 0:
             raise ValueError(f"wait timeout must be >= 0, not {timeout!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
         while self.worker_count() < count:
@@ -451,20 +454,19 @@ class MasterServer:
                 if conn.alive:
                     self._reject(conn)
 
-    def evaluate_generation(self, gen_msg: dict) -> list[tuple[range, Scores]]:
-        """Queue the TASKs of the generation ``gen_msg`` describes (one range
-        per worker, the probe it owes on the last), hand them to idle
-        workers, and collect the one RESULT each TASK gets.
+    def evaluate_generation(self, batch: Batch, run_id: str) -> Scores:
+        """Queue the TASKs of run ``run_id`` that cut the generation's
+        ``batch`` into one range per worker (the probe it owes on the last),
+        hand them to idle workers, and collect the one RESULT each TASK
+        gets into the generation's ``Scores``.
 
-        Returns each TASK's range with its ``Scores``, the last range's
-        carrying the probe the generation owes.  A TASK whose
-        worker is lost, times out or sends a reply that does not answer it
-        is queued again whole.
+        A TASK whose worker is lost, times out or sends a reply that does
+        not answer it is queued again whole.
         Raises GenerationFailedError when no workers remain and work is owed.
         """
-        lam = gen_msg["lambda"]
+        lam = len(batch.indexes)
         spans = split_ranges(lam, max(1, self.worker_count()))
-        self._queue = deque(task_message(gen_msg, span, span is spans[-1])
+        self._queue = deque(_cut(batch, span, batch.probe if span is spans[-1] else None)
                             for span in spans)
 
         parts: list[tuple[range, Scores]] = []
@@ -472,10 +474,10 @@ class MasterServer:
             workers = self._workers()
             if not workers:
                 detail = "; ".join(f"{w}: {r}" for w, r in self.dropped[-4:])
-                owed = gen_msg["probe"] is not None and all(s.probe is None for _, s in parts)
+                owed = batch.probe is not None and all(s.probe is None for _, s in parts)
                 raise GenerationFailedError(
                     f"no workers remain with {lam - sum(len(p[0]) for p in parts)} "
-                    f"candidate(s) unevaluated at generation {gen_msg['generation']}"
+                    f"candidate(s) unevaluated at generation {batch.generation}"
                     + (" and its probe owed" if owed else "")
                     + (f" (recent drops: {detail})" if detail else ""))
             for conn in workers:
@@ -483,7 +485,7 @@ class MasterServer:
                     task = self._queue.popleft()
                     # held before the send, so a failed send queues it again
                     conn.task = (task, time.monotonic() + self.task_timeout)
-                    self._send(conn, task)
+                    self._send(conn, build_gen_message(task, run_id))
             for conn, msg in self._pump(0.05):
                 if not conn.alive:
                     continue
@@ -491,18 +493,17 @@ class MasterServer:
                     if conn.task is None:
                         raise ProtocolError("reply without a TASK")
                     task = conn.task[0]
-                    scores = scores_from_result(msg, task)
+                    scores = scores_from_result(msg, task, run_id)
                 except ProtocolError:
                     self._reject(conn)
                     continue
                 conn.task = None
-                parts.append((range(task["index"], task["index"] + task["count"]),
-                              scores))
+                parts.append((task.indexes, scores))
             now = time.monotonic()
             for conn in self._workers():
                 if conn.task is not None and now > conn.task[1]:
                     self._drop(conn, "timeout")
-        return parts
+        return collect_generation(parts, lam)
 
     def close(self, reason: str = "shutdown") -> None:
         if self._closed:
@@ -553,10 +554,5 @@ def _train_distributed(spec: RunSpec, server: MasterServer, expected_workers: in
     _count(expected_workers, "expected_workers", 1)
     run_id = run_id or f"{spec.env_id}-{spec.variant}-seed{spec.master_seed}"
     server.wait_for_workers(expected_workers, wait_timeout)
-
-    def evaluate(batch: Batch) -> Scores:
-        return collect_generation(
-            server.evaluate_generation(build_gen_message(batch, run_id)),
-            len(batch.indexes))
-
-    return _drive(spec, evaluate, on_generation)
+    return _drive(spec, partial(server.evaluate_generation, run_id=run_id),
+                  on_generation)

@@ -13,8 +13,8 @@ moments (count, mean, M2) of the observations its policy acted on, whose
 count is also its timesteps.  Progress is measured by a separate
 deterministic test protocol (median raw return over ``TEST_EPISODES``
 fixed-seed episodes) whose steps never count against the budget.  A
-generation is scored as one ``Batch``, the fields a distributed TASK
-carries, into one ``Scores``.  The probe of generation g needs only the mean
+generation is scored as one ``Batch`` into one ``Scores``, and so is each
+range of it that a distributed TASK carries.  The probe of generation g needs only the mean
 and normalizer that g + 1 starts from, so g + 1's ``Batch`` owes it and runs
 it as further lanes (in a distributed run, of one worker's range), returned
 as the ``Scores``' ``probe``; only a probe still owed when the run ends runs
@@ -644,8 +644,8 @@ def _cell(text: str, kind: type):
 
 def read_curve_csv(path: str) -> list[TrainRecord]:
     """Records of a file ``write_curve_csv`` wrote.  Values are checked, not
-    coerced, and generations and timesteps must increase; raises ValueError,
-    naming the file and line, on a malformed file."""
+    coerced; generations and timesteps must increase, and each median must be
+    its returns'.  Raises ValueError, naming the file and line, otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln]
     if not lines or lines[0][1] != ",".join(CURVE_COLUMNS):
@@ -661,6 +661,8 @@ def read_curve_csv(path: str) -> list[TrainRecord]:
                         or steps <= out[-1].cumulative_timesteps):
                 raise ValueError("generation and cumulative_timesteps must increase")
             reals = [_cell(v, float) for v in cells[2:]]
+            if reals[0] != statistics.median(reals[1:-2]):
+                raise ValueError("median_test_return is not the median of the test returns")
             out.append(TrainRecord(generation, steps, reals[0], reals[1:-2],
                                    reals[-2], reals[-1]))
         except ValueError as exc:

@@ -253,10 +253,14 @@ def test_plot_data_without_curves_exits_2(tmp_path):
     "0,100,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
     "1,50,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
     "1,20,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    # the median is statistics.median of the five returns (9.0)
+    "1,100,500.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n",
+    "1,100,9.0,1.0,2.0,3.0,4.0,5.0,12.0,0.1\n",
 ], ids=["truncated", "not-a-number", "too-wide", "nan-median", "infinite-return",
         "overflowing-sigma", "underscore-real", "underscore-generation",
         "space-timesteps", "non-ascii-digit", "generation-repeated",
-        "timesteps-repeated", "timesteps-decreasing"])
+        "timesteps-repeated", "timesteps-decreasing", "median-not-of-returns",
+        "median-of-other-returns"])
 def test_plot_data_on_a_malformed_curve_exits_2(tmp_path, capsys, body):
     good = "0,50,9.0,9.0,9.0,9.0,9.0,9.0,12.0,0.1\n"
     path = tmp_path / "cartpole_csa_seed0.csv"

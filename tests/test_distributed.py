@@ -19,7 +19,7 @@ from evolin.distributed import (GenerationFailedError, ProtocolError,
                                 decode_message, encode_message,
                                 gen_context, hello_message, result_message,
                                 run_task, scores_from_result, serve_worker, split_ranges,
-                                task_message, train_distributed)
+                                train_distributed)
 from evolin.evaluate import collect_generation, write_curve_csv
 
 
@@ -38,12 +38,12 @@ def warmed_state(variant, n=6, sigma0=0.3, tells=3, seed=77, lam=None):
     return params, state
 
 
-def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
-                       probe_generation=None):
+def sample_batch(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
+                 probe_generation=None, fitness_spec=FitnessSpec()):
     """The ``Batch`` of generation ``state.g`` of a warmed strategy, whose
-    rows a local ask draws, with a warmed normalizer, and the generation
-    fields of its TASKs for run "t".  With ``probe_generation`` the batch
-    owes that generation's probe of the mean."""
+    rows a local ask draws, with a warmed normalizer.  With
+    ``probe_generation`` the batch owes that generation's probe of the
+    mean."""
     spec = env_spec(env_id)
     n = spec.obs_dim * spec.action_space.act_dim
     params, state = warmed_state(variant, n=n, tells=2, lam=lam)
@@ -52,10 +52,21 @@ def sample_gen_message(variant=CSA, master_seed=3, env_id="cartpole", lam=4,
     for _ in range(10):
         norm.update(rng.standard_normal(spec.obs_dim))
     cands = ask(params, state, master_seed)
-    batch = Batch(env_id, master_seed, state.g, range(len(cands)),
-                  np.array([c.x for c in cands]), state.m, norm, FitnessSpec(),
-                  probe_generation)
-    return batch, build_gen_message(batch, "t")
+    return Batch(env_id, master_seed, state.g, range(len(cands)),
+                 np.array([c.x for c in cands]), state.m, norm, fitness_spec,
+                 probe_generation)
+
+
+def part(batch, span, probe=False):
+    """The range ``Batch`` of candidates ``span`` of ``batch``, owing
+    ``batch``'s probe if ``probe``."""
+    return replace(batch, indexes=span, x=batch.x[span.start:span.stop],
+                   probe=batch.probe if probe else None)
+
+
+def task_of(batch, span, probe=False, run_id="t"):
+    """The TASK of run ``run_id`` for candidates ``span`` of ``batch``."""
+    return build_gen_message(part(batch, span, probe), run_id)
 
 
 def answer(batch, indexes, run_id="t"):
@@ -69,11 +80,11 @@ def answer(batch, indexes, run_id="t"):
 
 
 def test_messages_round_trip_through_framing():
-    _, gen_msg = sample_gen_message(FULL_CMA, probe_generation=1)
+    batch = sample_batch(FULL_CMA, probe_generation=1)
     samples = [
         hello_message("w-1"),
-        task_message(gen_msg, range(2, 5)),
-        task_message(gen_msg, range(5, 6), probe=True),
+        task_of(batch, range(2, 5)),
+        task_of(batch, range(5, 6), probe=True),
         bye_message("shutdown"),
         {"type": "result", "run_id": "r", "generation": 1, "index": 2,
          "fitness": [1 / 3], "raw_return": [1e-300], "count": [17],
@@ -97,12 +108,28 @@ def test_decode_rejects_garbage():
 
 
 def test_task_carries_its_generation_and_its_range_rows():
-    _, msg = sample_gen_message(probe_generation=1)
-    task = task_message(msg, range(1, 3), probe=True)
-    assert set(task) == {"type", "protocol_version", "run_id", "generation",
-                         "master_seed", "env_id", "lambda", "m", "x",
-                         "normalizer", "fitness_spec", "index", "count", "probe"}
-    assert task["x"] == msg["x"][1:3] and len(msg["x"]) == msg["lambda"]
+    # a TASK is its range's Batch: no lambda, and no count beside len(x)
+    batch = sample_batch(probe_generation=1)
+    task = task_of(batch, range(1, 3), probe=True)
+    assert list(task) == ["type", "protocol_version", "run_id", "generation",
+                          "master_seed", "env_id", "index", "x", "m",
+                          "normalizer", "fitness_spec", "probe"]
+    assert (task["type"], task["protocol_version"], task["index"], task["probe"]) == (
+        "task", 9, 1, 1)
+    assert task["x"] == batch.x[1:3].tolist() and task["m"] == batch.m.tolist()
+
+
+def assert_same_batch(got, want):
+    """``got`` equals ``want`` field for field, its arrays bit for bit (a
+    normalizer's ``frozen`` flag does not travel)."""
+    assert (got.env_id, got.master_seed, got.generation, got.indexes, got.probe,
+            got.fitness_spec) == (want.env_id, want.master_seed, want.generation,
+                                  want.indexes, want.probe, want.fitness_spec)
+    assert type(got.master_seed) is int and got.normalizer.count == want.normalizer.count
+    for a, b in [(got.x, want.x), (got.m, want.m),
+                 (got.normalizer.mean, want.normalizer.mean),
+                 (got.normalizer.m2, want.normalizer.m2)]:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @pytest.mark.parametrize("variant", [CSA, SEP_CMA, FULL_CMA])
@@ -110,19 +137,31 @@ def test_gen_context_reconstructs_candidates_bitwise(variant):
     # a TASK parses back into its range of the master's Batch, every row
     # with the bits ask drew on the master
     seed = 2 ** 63 + 5
-    batch, msg = sample_gen_message(variant, master_seed=seed, lam=7,
-                                    probe_generation=1)
+    batch = sample_batch(variant, master_seed=seed, lam=7, probe_generation=1)
     for span in (range(7), range(0, 1), range(1, 4), range(6, 7)):
-        wire = decode_message(encode_message(task_message(msg, span, probe=True)))
+        wire = decode_message(encode_message(task_of(batch, span, probe=True)))
         run_id, got = gen_context(wire)
-        assert run_id == "t" and got.indexes == span
-        assert (got.env_id, got.master_seed, got.generation, got.probe) == (
-            "cartpole", seed, batch.generation, 1)
-        assert got.x.shape == (len(span), batch.x.shape[1])
-        assert got.x.tobytes() == batch.x[span.start:span.stop].tobytes()
-        assert got.m.tobytes() == batch.m.tobytes()
-        assert got.normalizer.to_dict() == batch.normalizer.to_dict()
-        assert got.fitness_spec == batch.fitness_spec
+        assert run_id == "t"
+        assert_same_batch(got, part(batch, span, probe=True))
+
+
+@pytest.mark.parametrize("env_id, variant", [("cartpole", CSA), ("acrobot", SEP_CMA),
+                                             ("pendulum", FULL_CMA)])
+def test_gen_context_inverts_build_gen_message_on_every_range(env_id, variant):
+    # every range of every split_ranges cut of lambda 4..37 into 1-5 parts,
+    # the last owing a probe, with a seed past 2**32 and a non-default spec
+    spec = FitnessSpec(train_episodes=2, common_random_numbers=False)
+    for lam in range(4, 38):
+        batch = sample_batch(variant, master_seed=2 ** 40 + 3, env_id=env_id,
+                             lam=lam, probe_generation=1, fitness_spec=spec)
+        for parts in range(1, 6):
+            spans = split_ranges(lam, parts)
+            for span in spans:
+                want = part(batch, span, probe=span is spans[-1])
+                line = encode_message(build_gen_message(want, "run-7"))
+                run_id, got = gen_context(decode_message(line))
+                assert run_id == "run-7"
+                assert_same_batch(got, want)
 
 
 def edit_normalizer(**fields):
@@ -131,6 +170,10 @@ def edit_normalizer(**fields):
 
 def edit_first_row(value):
     return lambda t: dict(t, x=[[value] + t["x"][0][1:]] + t["x"][1:])
+
+
+def without(key):
+    return lambda t: {k: v for k, v in t.items() if k != key}
 
 
 # edits of a valid cartpole TASK (obs_dim 4, genome_dim 4) of range(0, 2)
@@ -150,10 +193,14 @@ MALFORMED_TASKS = {
     "seed-empty": lambda t: dict(t, master_seed=""),
     "seed-non-ascii-digit": lambda t: dict(t, master_seed="\u0663"),
     "seed-too-big": lambda t: dict(t, master_seed=str(2**64)),
-    "x-missing": lambda t: {k: v for k, v in t.items() if k != "x"},
-    "x-short": lambda t: dict(t, x=t["x"][:-1]),
-    "x-long": lambda t: dict(t, x=t["x"] + t["x"][:1]),
+    "x-missing": without("x"),
+    # x's rows are the range, so only a row can be short or long
+    "x-short": lambda t: dict(t, x=[t["x"][0][:-1]] + t["x"][1:]),
+    "x-long": lambda t: dict(t, x=[t["x"][0] + [0.0]] + t["x"][1:]),
     "x-narrow": lambda t: dict(t, x=[row[:-1] for row in t["x"]]),
+    "x-empty": lambda t: dict(t, x=[]),
+    "x-not-a-list": lambda t: dict(t, x="[[0.5]]"),
+    "x-null": lambda t: dict(t, x=None),
     "x-flat": lambda t: dict(t, x=[v for row in t["x"] for v in row]),
     "x-nan": edit_first_row(float("nan")),
     "x-infinite": edit_first_row(float("inf")),
@@ -175,14 +222,18 @@ MALFORMED_TASKS = {
     "run-id-number": lambda t: dict(t, run_id=5),
     "run-id-list": lambda t: dict(t, run_id=["a"]),
     "env-id-list": lambda t: dict(t, env_id=["cartpole"]),
+    "index-missing": without("index"),
+    "index-negative": lambda t: dict(t, index=-1),
+    "index-float": lambda t: dict(t, index=0.0),
+    "index-bool": lambda t: dict(t, index=False),
+    "index-string": lambda t: dict(t, index="0"),
 }
 
 
 @pytest.mark.parametrize("edit", MALFORMED_TASKS.values(), ids=MALFORMED_TASKS.keys())
 def test_gen_context_rejects_a_malformed_task(edit):
     # each of these a worker refuses with BYE protocol
-    _, msg = sample_gen_message()
-    task = task_message(msg, range(0, 2))
+    task = task_of(sample_batch(), range(0, 2))
     gen_context(task)
     with pytest.raises((ProtocolError, KeyError, TypeError, ValueError)):
         gen_context(edit(task))
@@ -195,19 +246,20 @@ def test_gen_context_rejects_a_malformed_task(edit):
                               "string-generation", "v6-object", "own-generation",
                               "negative-generation"])
 def test_gen_context_rejects_a_malformed_probe(probe):
-    _, msg = sample_gen_message(probe_generation=1)
+    task = task_of(sample_batch(probe_generation=1), range(0, 2), probe=True)
+    gen_context(task)
     with pytest.raises(ProtocolError):
-        gen_context(dict(msg, probe=probe))
+        gen_context(dict(task, probe=probe))
 
 
 def test_run_task_runs_the_probe_as_test_policy_does():
-    batch, msg = sample_gen_message(SEP_CMA, master_seed=912, probe_generation=1)
+    batch = sample_batch(SEP_CMA, master_seed=912, probe_generation=1)
     spec = env_spec("cartpole")
     policy = LinearPolicy.from_genome(batch.m, spec.obs_dim, spec.action_space)
     _, want = evaluate.test_policy(policy, batch.normalizer, "cartpole", 912, 1)
 
     def reply(probe):
-        task = decode_message(encode_message(task_message(msg, range(1, 3), probe)))
+        task = decode_message(encode_message(task_of(batch, range(1, 3), probe)))
         return answer(gen_context(task)[1], range(1, 3))
 
     plain = reply(False)
@@ -217,14 +269,14 @@ def test_run_task_runs_the_probe_as_test_policy_does():
 
 def test_run_task_ranges_match_local_generation_exactly():
     lam = 7
-    batch, msg = sample_gen_message(SEP_CMA, master_seed=912, lam=lam)
-    gen = msg["generation"]
-    _, parsed = gen_context(decode_message(encode_message(task_message(msg, range(lam)))))
+    batch = sample_batch(SEP_CMA, master_seed=912, lam=lam)
+    gen = batch.generation
+    _, parsed = gen_context(decode_message(encode_message(task_of(batch, range(lam)))))
     local = evaluate_generation(batch)
 
     def remote(indexes):
         reply = decode_message(encode_message(answer(parsed, indexes)))
-        scores = scores_from_result(reply, task_message(msg, indexes))
+        scores = scores_from_result(reply, part(batch, indexes), "t")
         assert scores.probe is None
         return indexes, scores
 
@@ -251,16 +303,15 @@ def test_run_task_ranges_match_local_generation_exactly():
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_result_counts_lie_within_the_episode_bounds(episodes):
     # every training episode acts at least once and at most up to the limit
-    _, msg = sample_gen_message()
-    task = dict(task_message(msg, range(0, 2)),
-                fitness_spec=FitnessSpec(train_episodes=episodes).to_dict())
-    reply = answer_honestly(task)
+    batch = part(sample_batch(fitness_spec=FitnessSpec(train_episodes=episodes)),
+                 range(0, 2))
+    reply = answer_honestly(build_gen_message(batch, "t"))
     limit = episodes * env_spec("cartpole").max_episode_steps
-    scores = scores_from_result(dict(reply, count=[episodes, limit]), task)
+    scores = scores_from_result(dict(reply, count=[episodes, limit]), batch, "t")
     assert scores.count.tolist() == [episodes, limit]
     for count in (episodes - 1, limit + 1, 2 ** 70):
         with pytest.raises(ProtocolError):
-            scores_from_result(dict(reply, count=[limit, count]), task)
+            scores_from_result(dict(reply, count=[limit, count]), batch, "t")
 
 
 def test_split_ranges_is_balanced_contiguous_and_larger_first():
@@ -313,13 +364,10 @@ class ScriptedWorker:
         self.sock.close()
 
 
-def assert_matches_local(parts, batch):
-    """The ``(range, Scores)`` ``parts`` cover the first candidates of
-    ``batch`` and fold to what a local evaluation of those candidates
+def assert_matches_local(got, batch):
+    """The ``Scores`` ``got`` are what a local evaluation of ``batch``
     gives."""
-    lam = sum(len(span) for span, _ in parts)
-    got = collect_generation(parts, lam)
-    want = evaluate_generation(replace(batch, indexes=range(lam), x=batch.x[:lam]))
+    want = evaluate_generation(batch)
     assert got.shaped.tobytes() == want.shaped.tobytes()
     assert got.raw.tobytes() == want.raw.tobytes()
     assert got.moments().to_dict() == want.moments().to_dict()
@@ -334,15 +382,24 @@ def answer_honestly(task):
 # master/worker integration
 
 
-def test_single_worker_generation_matches_local():
-    batch, msg = sample_gen_message(CSA, master_seed=31)
+def test_single_worker_generation_matches_local(monkeypatch):
+    batch = sample_batch(CSA, master_seed=31)
+    sent = []
+    send = MasterServer._send
+
+    def recording_send(self, conn, msg):
+        sent.append(msg)
+        return send(self, conn, msg)
+
+    monkeypatch.setattr(MasterServer, "_send", recording_send)
     with MasterServer() as server:
         thread, out = start_real_worker(server)
         server.wait_for_workers(1, timeout=10)
-        parts = server.evaluate_generation(msg)
-        assert [span for span, _ in parts] == [range(4)]
-        assert all(scores.probe is None for _, scores in parts)
-        assert_matches_local(parts, batch)
+        scores = server.evaluate_generation(batch, "t")
+        # one worker gets the whole generation as one TASK
+        assert sent == [build_gen_message(batch, "t")]
+        assert scores.probe is None
+        assert_matches_local(scores, batch)
     thread.join(timeout=10)
     assert out.get("reason") == "shutdown"
 
@@ -389,10 +446,10 @@ def worker_replies_to_task(edit, probe_generation=None, span=range(0, 1)):
     conn.settimeout(10)             # a worker that ignores the TASK fails
     reader = _LineReader(conn)
     assert decode_message(reader.readline())["type"] == "hello"
-    _, msg = sample_gen_message(probe_generation=probe_generation)
-    task = task_message(msg, span, probe=probe_generation is not None)
+    batch = sample_batch(probe_generation=probe_generation)
+    task = task_of(batch, span, probe=probe_generation is not None)
     # json.dumps, unlike encode_message, writes NaN and Infinity
-    conn.sendall((json.dumps(edit(task, msg["lambda"])) + "\n").encode())
+    conn.sendall((json.dumps(edit(task)) + "\n").encode())
     reply = reader.readline()
     assert reply is not None
     got = decode_message(reply)
@@ -402,36 +459,32 @@ def worker_replies_to_task(edit, probe_generation=None, span=range(0, 1)):
     return got, out["reason"]
 
 
-def test_worker_says_bye_on_out_of_range_task_index():
-    reply, reason = worker_replies_to_task(lambda t, lam: dict(t, index=lam))
-    assert reply == bye_message("protocol")
-    assert reason == "protocol"
-
-
 @pytest.mark.parametrize("edit, owed", [
-    (lambda t, lam: dict(t, count=0), None),
-    (lambda t, lam: dict(t, count=-2), None),
-    (lambda t, lam: dict(t, count=1.0), None),
-    (lambda t, lam: dict(t, count="2"), None),
-    (lambda t, lam: dict(t, count=True), None),
-    (lambda t, lam: {k: v for k, v in t.items() if k != "count"}, None),
-    (lambda t, lam: dict(t, index=1, count=lam), None),
-    (lambda t, lam: dict(t, index=-1, count=2), None),
+    # the range is index up to index + len(x): at least one row, from an
+    # int index of at least 0
+    (lambda t: dict(t, x=[]), None),
+    (lambda t: dict(t, x=t["x"][0]), None),
+    (lambda t: dict(t, x=[t["x"][0], t["x"][0][:-1]]), None),
+    (lambda t: dict(t, index=1.0), None),
+    (lambda t: dict(t, index=True), None),
+    (without("index"), None),
+    (lambda t: dict(t, index=-1), None),
     # a probe is null or an earlier generation; protocol 6's object and
     # protocol 5's bool flag are refused
-    (lambda t, lam: dict(t, probe=t["generation"]), None),
-    (lambda t, lam: dict(t, probe={"generation": 1, "episodes": 5}), None),
-    (lambda t, lam: dict(t, probe="true"), None),
-    (lambda t, lam: {k: v for k, v in t.items() if k != "probe"}, None),
-    (lambda t, lam: dict(t, probe=True), None),
+    (lambda t: dict(t, probe=t["generation"]), None),
+    (lambda t: dict(t, probe={"generation": 1, "episodes": 5}), None),
+    (lambda t: dict(t, probe="true"), None),
+    (without("probe"), None),
+    (lambda t: dict(t, probe=True), None),
     # a TASK names at least one index, even when it names a probe
-    (lambda t, lam: dict(t, count=0), 1),
-], ids=["count-0", "count-negative", "count-float", "count-string",
-        "count-bool", "count-missing", "past-lambda", "index-negative",
+    (lambda t: dict(t, x=[]), 1),
+], ids=["x-empty", "x-not-a-list", "x-ragged", "index-float",
+        "index-bool", "index-missing", "index-negative",
         "probe-int", "probe-object", "probe-string", "probe-missing", "probe-bool",
         "probe-only-owed"])
 def test_worker_says_bye_on_malformed_task_range(edit, owed):
-    reply, reason = worker_replies_to_task(edit, probe_generation=owed)
+    reply, reason = worker_replies_to_task(edit, probe_generation=owed,
+                                           span=range(1, 3))
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
@@ -449,14 +502,14 @@ def test_worker_says_bye_on_malformed_task_range(edit, owed):
                               "extra-key", "shaping-without-bonus"])
 def test_worker_says_bye_on_a_malformed_fitness_spec(spec):
     reply, reason = worker_replies_to_task(
-        lambda t, lam: dict(t, fitness_spec={**t["fitness_spec"], **spec}))
+        lambda t: dict(t, fitness_spec={**t["fitness_spec"], **spec}))
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
 
 def test_worker_answers_a_range_with_one_result_per_index():
     # one RESULT for the whole range, each column holding one row per index
-    reply, reason = worker_replies_to_task(lambda t, lam: t, span=range(1, 3))
+    reply, reason = worker_replies_to_task(lambda t: t, span=range(1, 3))
     assert (reply["type"], reply["run_id"], reply["index"]) == ("result", "t", 1)
     assert all(len(reply[key]) == 2 for key in COLUMNS) and reply["probe"] is None
     assert all(len(row) == 4 for key in ("mean", "m2") for row in reply[key])
@@ -466,20 +519,19 @@ def test_worker_answers_a_range_with_one_result_per_index():
 def test_worker_runs_the_owed_probe_only_when_flagged():
     # the TASK is for generation 2 and names the probe of generation 1
     flagged, reason = worker_replies_to_task(
-        lambda t, lam: t, probe_generation=1, span=range(1, 3))
+        lambda t: t, probe_generation=1, span=range(1, 3))
     assert (flagged["type"], flagged["index"], flagged["generation"]) == ("result", 1, 2)
     assert len(flagged["fitness"]) == 2 and len(flagged["probe"]) == 5
     assert reason == "eof"
     unflagged, _ = worker_replies_to_task(
-        lambda t, lam: dict(t, probe=None), probe_generation=1, span=range(1, 3))
+        lambda t: dict(t, probe=None), probe_generation=1, span=range(1, 3))
     assert unflagged == dict(flagged, probe=None)
 
 
 def test_worker_says_bye_on_a_gen_message():
     # protocol 5 sent each generation once as a GEN, before its TASKs
     reply, reason = worker_replies_to_task(
-        lambda t, lam: {k: v for k, v in t.items() if k not in ("index", "count")}
-        | {"type": "gen"})
+        lambda t: dict(without("index")(t), type="gen"))
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
@@ -489,48 +541,66 @@ def test_worker_says_bye_on_a_gen_message():
                                   "normalizer-short", "normalizer-null",
                                   "unknown-env", "seed-float", "seed-plus"])
 def test_worker_says_bye_on_a_task_it_cannot_score(name):
-    # the TASK names range(0, 1); the edits cut and extend its one row
-    reply, reason = worker_replies_to_task(lambda t, lam: MALFORMED_TASKS[name](t))
+    # the TASK names range(0, 1); the edits cut, extend and drop its one row
+    reply, reason = worker_replies_to_task(MALFORMED_TASKS[name])
     assert reply == bye_message("protocol")
     assert reason == "protocol"
 
 
+def refused_hello(hello):
+    """Send ``hello`` to a fresh master; return its drops and its reply,
+    once it has dropped the peer, with no worker left."""
+    with MasterServer() as server:
+        sock = socket.create_connection(server.address, timeout=5)
+        sock.sendall(encode_message(hello))
+        deadline = time.monotonic() + 5
+        while not server.dropped and time.monotonic() < deadline:
+            server._pump(0.05)
+        assert server.worker_count() == 0
+        reply = decode_message(_LineReader(sock).readline())
+        sock.close()
+    return server.dropped, reply
+
+
 def test_master_rejects_wrong_protocol_version():
-    # 5 sent each generation as a GEN; 7, the previous protocol, sent the
-    # search distribution for workers to draw the candidates from
-    for version in (5, 7, 99):
-        with MasterServer() as server:
-            sock = socket.create_connection(server.address)
-            sock.sendall(encode_message(
-                {"type": "hello", "protocol_version": version, "worker_id": "old"}))
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                server._pump(0.05)
-                if server.dropped:
-                    break
-            assert server.dropped == [("old", "protocol-version")]
-            reply = decode_message(_LineReader(sock).readline())
-            assert reply == bye_message("protocol")
-            assert server.worker_count() == 0
-            sock.close()
+    # 5 sent each generation as a GEN; 7 sent the search distribution for
+    # workers to draw the candidates from; 8, the previous protocol, sent
+    # lambda and count in each TASK
+    for version in (5, 7, 8, 99):
+        assert refused_hello({"type": "hello", "protocol_version": version,
+                              "worker_id": "old"}) == (
+            [("old", "protocol-version")], bye_message("protocol"))
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("worker_id", [["a", 1], 5, "", None, "absent"],
+                         ids=["list", "number", "empty", "null", "absent"])
+def test_master_refuses_a_hello_without_a_worker_id_string(worker_id):
+    # str() would count ["a", 1] as worker "['a', 1]", and an absent id as ""
+    hello = hello_message("w")
+    if worker_id == "absent":
+        del hello["worker_id"]
+    else:
+        hello["worker_id"] = worker_id
+    assert refused_hello(hello) == ([("<no-hello>", "protocol")], bye_message("protocol"))
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"),
+                                     True, "5", None])
 def test_master_rejects_a_task_timeout_that_is_not_finite_and_positive(timeout):
-    # a timeout drops its worker: 0 would drop every one, NaN none
-    with pytest.raises(ValueError):
+    # a timeout drops its worker: 0 would drop every one, NaN none; True
+    # would be 1 s
+    with pytest.raises(ValueError, match="task_timeout"):
         MasterServer(task_timeout=timeout)
 
 
 def test_generation_fails_with_zero_workers():
-    _, msg = sample_gen_message()
     with MasterServer() as server:
         with pytest.raises(GenerationFailedError):
-            server.evaluate_generation(msg)
+            server.evaluate_generation(sample_batch(), "t")
 
 
 def test_generation_fails_when_only_worker_dies():
-    _, msg = sample_gen_message()
+    batch = sample_batch()
     with MasterServer() as server:
         address = server.address
 
@@ -543,7 +613,7 @@ def test_generation_fails_when_only_worker_dies():
         thread.start()
         server.wait_for_workers(1, timeout=10)
         with pytest.raises(GenerationFailedError):
-            server.evaluate_generation(msg)
+            server.evaluate_generation(batch, "t")
         thread.join(timeout=10)
         assert any(reason == "eof" for _, reason in server.dropped)
 
@@ -551,7 +621,7 @@ def test_generation_fails_when_only_worker_dies():
 def test_generation_failure_names_the_owed_probe():
     # each worker answers a TASK without the probe and hangs up on the one
     # with it, so two candidates and the probe are left owed
-    _, msg = sample_gen_message(probe_generation=1)
+    batch = sample_batch(probe_generation=1)
     with MasterServer() as server:
         workers = [ScriptedWorker(server.address, f"s{i}") for i in range(2)]
         threads = [threading.Thread(target=serve_until,
@@ -562,14 +632,14 @@ def test_generation_failure_names_the_owed_probe():
         server.wait_for_workers(2, timeout=10)
         with pytest.raises(GenerationFailedError,
                            match=r"2 candidate\(s\) unevaluated .* and its probe owed"):
-            server.evaluate_generation(msg)
+            server.evaluate_generation(batch, "t")
     for t in threads:
         t.join(timeout=10)
 
 
 def test_unsolicited_results_drop_the_worker():
     # a second answer to a TASK, and an answer sent before any TASK
-    batch, msg = sample_gen_message()
+    batch = sample_batch()
     with MasterServer() as server:
         address = server.address
         byes = {}
@@ -585,8 +655,7 @@ def test_unsolicited_results_drop_the_worker():
         thread = threading.Thread(target=duplicate, daemon=True)
         thread.start()
         server.wait_for_workers(1, timeout=10)
-        parts = server.evaluate_generation(msg)
-        assert_matches_local(parts, batch)
+        assert_matches_local(server.evaluate_generation(batch, "t"), batch)
 
         eager = ScriptedWorker(address, "eager")
         eager.send({"type": "result", "run_id": "t", "generation": 0, "index": 0,
@@ -603,7 +672,7 @@ def test_unsolicited_results_drop_the_worker():
 def test_late_result_drops_the_worker_and_the_next_run_is_correct():
     # a worker that answers after its deadline is dropped unheard, so a
     # server reused for the next seed never reads its late reply
-    batch, msg = sample_gen_message(CSA, master_seed=31)
+    batch = sample_batch(CSA, master_seed=31)
     with MasterServer(task_timeout=1.0) as server:
         address = server.address
         box = {}
@@ -624,8 +693,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
         honest, out = start_real_worker(server, worker_id="honest")
         server.wait_for_workers(2, timeout=10)
         for run_id in ("first-seed", "second-seed"):
-            parts = server.evaluate_generation(dict(msg, run_id=run_id))
-            assert_matches_local(parts, batch)
+            assert_matches_local(server.evaluate_generation(batch, run_id), batch)
         assert server.dropped == [("late", "timeout")]
     thread.join(timeout=10)
     honest.join(timeout=10)
@@ -634,7 +702,7 @@ def test_late_result_drops_the_worker_and_the_next_run_is_correct():
 
 
 def test_late_joiner_takes_over_timed_out_task():
-    batch, msg = sample_gen_message(CSA, master_seed=31)
+    batch = part(sample_batch(CSA, master_seed=31), range(2))
     server = MasterServer(task_timeout=1.0)
     try:
         address = server.address
@@ -643,15 +711,15 @@ def test_late_joiner_takes_over_timed_out_task():
         box = {}
 
         def evaluate():
-            box["parts"] = server.evaluate_generation({**msg, "lambda": 2})
+            box["scores"] = server.evaluate_generation(batch, "t")
 
         ev_thread = threading.Thread(target=evaluate, daemon=True)
         ev_thread.start()
         time.sleep(0.15)
         worker_thread, out = start_real_worker(server)
         ev_thread.join(timeout=30)
-        assert "parts" in box
-        assert_matches_local(box["parts"], batch)
+        assert "scores" in box
+        assert_matches_local(box["scores"], batch)
         assert server.dropped == [("silent", "timeout")]
         silent.close()
     finally:
@@ -701,7 +769,7 @@ def test_worker_crash_mid_generation_does_not_change_results(monkeypatch):
     def recording_send(self, conn, msg):
         if msg["type"] == "task":
             sent.append((conn.worker_id, msg["generation"], msg["index"],
-                         msg["count"], msg["probe"]))
+                         len(msg["x"]), msg["probe"]))
         return send(self, conn, msg)
 
     monkeypatch.setattr(MasterServer, "_send", recording_send)
@@ -788,10 +856,10 @@ def test_master_runs_no_rollout_inside_evaluate_generation(monkeypatch):
         monkeypatch.setattr(evaluate, name, watched)
     real_evaluate = MasterServer.evaluate_generation
 
-    def watched_evaluate(self, *args):
+    def watched_evaluate(self, *args, **kwargs):
         inside.append(True)
         try:
-            return real_evaluate(self, *args)
+            return real_evaluate(self, *args, **kwargs)
         finally:
             inside.pop()
 
@@ -902,7 +970,7 @@ def test_malformed_probe_drops_the_worker_and_the_run_matches_local(edit):
 
 
 def test_unasked_probe_drops_the_worker():
-    _, msg = sample_gen_message()
+    batch = sample_batch()
     with MasterServer() as server:
         address = server.address
 
@@ -917,7 +985,7 @@ def test_unasked_probe_drops_the_worker():
         thread.start()
         server.wait_for_workers(1, timeout=10)
         with pytest.raises(GenerationFailedError):
-            server.evaluate_generation(msg)
+            server.evaluate_generation(batch, "t")
         thread.join(timeout=10)
         assert server.dropped == [("eager", "protocol")]
 
@@ -1022,9 +1090,10 @@ def test_train_distributed_validates_arguments_before_waiting(bad):
 
 def test_wait_for_workers_refuses_a_nan_or_negative_timeout():
     # a NaN deadline is never passed, so the wait would never end
+    # nor may it be True (1 s) or a string
     with MasterServer() as server:
-        for timeout in (float("nan"), -1.0):
-            with pytest.raises(ValueError):
+        for timeout in (float("nan"), -1.0, True, "5"):
+            with pytest.raises(ValueError, match="wait timeout"):
                 server.wait_for_workers(1, timeout)
 
 

@@ -9,7 +9,8 @@ environment, with every float stored exactly as ``float.hex``, and the
 golden training file: the curve CSV, status, budget spent, final generation
 and best checkpoint of a few whole training runs, and the golden optimize
 file: every history row, the status and the best point of a few ``optimize``
-runs.  Run from the repository root:
+runs, and the golden wire file: every TASK and RESULT line of the first
+generations of two distributed runs.  Run from the repository root:
 
     python3 tools/make_fixtures.py
 """
@@ -22,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +31,10 @@ from evolin import (FitnessSpec, LinearPolicy, ObsNormalizer, Shaping,
                     env_spec, genome_dim, make_env, optimize, save_checkpoint,
                     test_policy, train, write_curve_csv)
 from evolin import evaluate, testfuncs
-from evolin.evaluate import evaluate_candidate
+from evolin.distributed import (build_gen_message, decode_message, encode_message,
+                                gen_context, result_message, run_task,
+                                scores_from_result, split_ranges)
+from evolin.evaluate import RunSpec, collect_generation, evaluate_candidate
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
 STEPS = 100
@@ -272,6 +277,51 @@ def write_golden_optimize() -> None:
     print("wrote", path)
 
 
+# name, env, variant and RunSpec keywords of the runs whose TASK and RESULT
+# lines golden_wire.json holds, each generation cut into WIRE_PARTS ranges
+GOLDEN_WIRE_CASES = tuple(
+    (f"{env_id}-csa-lam{lam}", env_id, "csa",
+     dict(sigma0=0.5, lam=lam, budget_timesteps=10**9, master_seed=7, max_generations=3))
+    for env_id, lam in (("cartpole", 4), ("pendulum", 32)))
+WIRE_PARTS = 2
+
+
+def golden_wire_case(name, env_id, variant, kwargs) -> dict:
+    """Run a master and its workers through the codec, without sockets, and
+    record every line in the order it is sent: each range's TASK, then the
+    RESULT that answers it."""
+    run_id = f"{env_id}-{variant}-seed{kwargs['master_seed']}"
+    lines = []
+
+    def answer(batch):
+        spans = split_ranges(len(batch.indexes), WIRE_PARTS)
+        parts = []
+        for span in spans:
+            task = replace(batch, indexes=span, x=batch.x[span.start:span.stop],
+                           probe=batch.probe if span is spans[-1] else None)
+            lines.append(encode_message(build_gen_message(task, run_id)))
+            rid, got = gen_context(decode_message(lines[-1]))
+            lines.append(encode_message(result_message(
+                rid, got.generation, got.indexes.start, run_task(got, got.indexes))))
+            parts.append((span, scores_from_result(decode_message(lines[-1]), task,
+                                                   run_id)))
+        return collect_generation(parts, len(batch.indexes))
+
+    evaluate._drive(RunSpec(env_id, variant, **kwargs), answer)
+    return {"name": name, "env_id": env_id, "variant": variant, "kwargs": kwargs,
+            "run_id": run_id, "parts": WIRE_PARTS,
+            "lines": [line.decode("utf-8").rstrip("\n") for line in lines]}
+
+
+def write_golden_wire() -> None:
+    doc = {"cases": [golden_wire_case(*case) for case in GOLDEN_WIRE_CASES]}
+    path = os.path.join(FIXTURE_DIR, "golden_wire.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print("wrote", path)
+
+
 def main() -> int:
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     write_trajectory("cartpole", cartpole_actions())
@@ -281,6 +331,7 @@ def main() -> int:
     write_golden_rollouts()
     write_golden_train()
     write_golden_optimize()
+    write_golden_wire()
     return 0
 
 
